@@ -34,9 +34,11 @@ the fail ratio, so that the metric is never 0.
 
 import argparse
 import array
+import atexit
 import json
 import os
 import resource
+import select
 import shutil
 import statistics
 import subprocess
@@ -297,6 +299,8 @@ def run_inproc(workload, seed, seconds, trace):
 class MtServer:
     """One long-lived mt_server process serving passes on command."""
 
+    live = []  # started and not yet waited for; see stop_all
+
     def __init__(self, seed, threads, tag, guarded, trace=False, probes=False,
                  latencies=False):
         self.out = WORK / f"mt-{tag}.json"
@@ -320,16 +324,27 @@ class MtServer:
                                      stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                                      stderr=sys.stderr)
         self.t0 = t0
+        MtServer.live.append(self.proc)
 
     def ask(self, cmd):
         self.proc.stdin.write(cmd + "\n")
         self.proc.stdin.flush()
-        line = self.proc.stdout.readline()
+        # One reply line per command; give up at the run's deadline.
+        ready, _, _ = select.select([self.proc.stdout], [], [],
+                                    max(0.0, DEADLINE - time.monotonic()))
+        line = self.proc.stdout.readline() if ready else ""
         if not line:
-            self.close()
-            log(f"dpgbench: mt_server died on '{cmd}'")
+            log(f"dpgbench: mt_server gave no reply to '{cmd}'")
             sys.exit(1)
         return json.loads(line)
+
+    @staticmethod
+    def stop_all():
+        """Kills and reaps every server still running (error exits)."""
+        for proc in MtServer.live:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait()
 
     def close(self):
         """Ends the process and returns its result (with the exit dump)."""
@@ -343,6 +358,7 @@ class MtServer:
             self.proc.kill()
             self.proc.wait()
             code = -1
+        MtServer.live.remove(self.proc)
         if code != 0 or not self.out.exists():
             log(f"dpgbench: mt_server exited {code}")
             sys.exit(1)
@@ -581,6 +597,7 @@ def main():
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--self-test", action="store_true")
     a = ap.parse_args()
+    atexit.register(MtServer.stop_all)
     # Probe children abort on purpose; keep their core files out of the tree.
     resource.setrlimit(resource.RLIMIT_CORE, (0, resource.getrlimit(resource.RLIMIT_CORE)[1]))
     if a.self_test:
