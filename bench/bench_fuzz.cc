@@ -63,7 +63,7 @@ static void BM_Fuzz_Run_Batch16(benchmark::State& state) {
 BENCHMARK(BM_Fuzz_Run_Batch16)->Arg(2000)->Unit(benchmark::kMillisecond);
 
 static void BM_Fuzz_Run_Magazines(benchmark::State& state) {
-  run_cell(state, "batch4-mag64");
+  run_cell(state, "batch4-1shard");
 }
 BENCHMARK(BM_Fuzz_Run_Magazines)->Arg(2000)->Unit(benchmark::kMillisecond);
 

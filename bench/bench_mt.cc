@@ -17,8 +17,8 @@
 //
 //   seed     1 shard, no magazines, immediate revocation — the single-mutex
 //            paper path this repo shipped with.
-//   tuned    one shard per thread, slot magazines plus batched revocation
-//            at the default knobs (see tuned_config()). DPG_MAGAZINE_SLOTS,
+//   tuned    one shard per thread, batched revocation and the slot
+//            magazines it sizes, at the default knobs (see tuned_config()).
 //            DPG_PROTECT_BATCH and DPG_WINDOW_RECYCLE_CAP override those
 //            knobs, and DPG_REVOKE_BACKEND its backend.
 //
@@ -28,11 +28,14 @@
 // set, every row is exported through the shared bench harness.
 //
 // --smoke: a few-second self-checking mode for CI (ctest label perf-smoke):
-// runs the tuned churn + server workloads, then asserts
-//   * amortized (mmap + revocation)/pair < 0.5 on churn (server keeps objects
+// runs the tuned churn (1 thread) + server (2 threads) workloads and a
+// 2-shard immediate-revocation server run, then asserts
+//   * amortized (mmap + revocation)/pair < 0.2 on the 1-thread churn, whose
+//     count does not depend on thread interleaving (server keeps objects
 //     live in the rings, scattering frees across magazine generations, so
 //     its ratio is reported but not gated — see EXPERIMENTS.md),
-//   * no lost revocations in either run (after flush_all, frees == revoked
+//   * the immediate run maps no magazine and stays under 2% munmap per pair,
+//   * no lost revocations in any run (after flush_all, frees == revoked
 //     spans),
 //   * the t8 server gates, all on counts: tuned (mmap + revocation)/pair
 //     below seed's, and no tuned munmap storm — the MAP_FIXED recycle cache
@@ -89,10 +92,10 @@ std::size_t knob(const char* env, long fallback) {
 
 BenchConfig tuned_config() {
   GuardConfig g;
-  g.magazine_slots = knob("DPG_MAGAZINE_SLOTS", 256);
   // Flush at 576 pending pages: matches the earlier 256-free / 4 MiB pair on
   // 4/8 KiB traffic (frees per flush and per revocation call); sub-page
-  // objects wait ~2x longer (EXPERIMENTS.md § Multi-thread scaling).
+  // objects wait ~2x longer (EXPERIMENTS.md § Multi-thread scaling). The
+  // batch sizes 256-page magazine windows (the cap).
   g.protect_batch = knob("DPG_PROTECT_BATCH", 576);
   // MAP_FIXED VA recycling (DESIGN.md §16): park released shadow spans on the
   // shard and re-alias over them instead of round-tripping the shared
@@ -106,7 +109,8 @@ BenchConfig tuned_config() {
 }
 
 // Tuned shape pinned to one revocation backend; `batched` keeps tuned's
-// page trigger, otherwise every free revokes immediately.
+// page trigger, otherwise every free revokes immediately and takes the
+// per-object alias (no magazines).
 BenchConfig backend_config(const char* name, dpg::vm::RevokeBackend b,
                            bool batched) {
   BenchConfig c = tuned_config();
@@ -334,7 +338,8 @@ void json_row(std::FILE* f, const char* workload, unsigned threads,
       "\"window_recycle_hits\":%llu,\"p99_us\":%.2f}%s\n",
       workload, threads, cfg.name,
       dpg::vm::backend_name(cfg.guard.revoke_backend),
-      dpg::vm::backend_name(r.resolved), cfg.guard.magazine_slots,
+      dpg::vm::backend_name(r.resolved),
+      dpg::core::ShadowEngine::magazine_window(cfg.guard),
       cfg.guard.protect_batch, cfg.guard.window_recycle_cap,
       r.frees_per_revoke(), r.seconds,
       static_cast<unsigned long long>(r.pairs), r.pairs / r.seconds,
@@ -401,11 +406,19 @@ int smoke() {
       dpg::obs::env_long("DPG_BENCH_MT_PAIRS", 30000, 100, 10'000'000));
   const BenchConfig cfg = tuned_config();
 
-  // Throughput + syscall amortization on the tuned path.
-  const RunResult churn = run_workload(cfg, threads, false, pairs);
-  print_row("churn", threads, cfg, churn);
+  // Throughput + syscall amortization on the tuned path. The churn run is
+  // single-threaded so its syscall count cannot depend on thread
+  // interleaving, which a sanitizer's scheduling shifts.
+  const RunResult churn = run_workload(cfg, 1, false, pairs);
+  print_row("churn", 1, cfg, churn);
   const RunResult server = run_workload(cfg, threads, true, pairs);
   print_row("server", threads, cfg, server);
+  // The immediate path (the preload default): no magazines, per-object
+  // aliases reusing VA through the free list.
+  const BenchConfig imm =
+      backend_config("mprotect", dpg::vm::RevokeBackend::kMprotect, false);
+  const RunResult immediate = run_workload(imm, threads, true, pairs);
+  print_row("server", threads, imm, immediate);
 
   // Amortization gate on the pure pair workload. (The server workload keeps
   // objects live in the rings, which scatters frees across magazine
@@ -414,10 +427,19 @@ int smoke() {
   const double churn_sys_per_pair =
       static_cast<double>(churn.mm_syscalls) /
       static_cast<double>(churn.pairs);
-  if (churn_sys_per_pair >= 0.5) {
-    return fail("amortized syscalls/pair >= 0.5 on churn");
+  if (churn_sys_per_pair >= 0.2) {
+    return fail("amortized syscalls/pair >= 0.2 on 1-thread churn");
   }
-  for (const RunResult* r : {&churn, &server}) {
+  if (immediate.stats.magazine_maps != 0) {
+    return fail("immediate revocation mapped a magazine");
+  }
+  if (immediate.sys.munmap * 50 >= immediate.pairs) {
+    std::fprintf(stderr, "immediate: munmap %llu over %llu pairs\n",
+                 static_cast<unsigned long long>(immediate.sys.munmap),
+                 static_cast<unsigned long long>(immediate.pairs));
+    return fail("immediate munmap storm (>= 2% of pairs)");
+  }
+  for (const RunResult* r : {&churn, &server, &immediate}) {
     // No lost revocations: after flush_all every free must have reached
     // PROT_NONE (nothing pending, nothing silently dropped). Quarantined and
     // degraded frees would break the equality, so prove there were none.

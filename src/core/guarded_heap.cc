@@ -83,12 +83,8 @@ ShadowEngine::ShadowEngine(vm::PhysArena& arena, alloc::MallocLike& under,
                       static_cast<std::uintptr_t>(err), 0);
   }
   revoker_.attach_thread();
-  // Magazines need every span page to be an arena alias; a trailing guard
-  // page cannot come from the magazine, so the config is mutually exclusive.
-  if (cfg_.magazine_slots >= 2 && !cfg_.trailing_guard_page) {
-    magazine_slots_ = std::min(cfg_.magazine_slots, kMaxMagazineSlots);
-    magazine_bytes_ = magazine_slots_ * vm::kPageSize;
-  }
+  magazine_slots_ = magazine_window(cfg_);
+  magazine_bytes_ = magazine_slots_ * vm::kPageSize;
   remote_drain_threshold_ =
       std::max<std::size_t>(cfg_.protect_batch * 2, std::size_t{256});
   obs::init_from_env();  // idempotent: arms DPG_TRACE / DPG_METRICS_* knobs
@@ -96,6 +92,17 @@ ShadowEngine::ShadowEngine(vm::PhysArena& arena, alloc::MallocLike& under,
 }
 
 ShadowEngine::~ShadowEngine() { release_all(); }
+
+std::size_t ShadowEngine::magazine_window(const GuardConfig& cfg) noexcept {
+  // Magazines follow the revocation mode. Immediate revocation returns each
+  // freed canonical block at once and the heap's LIFO free lists hand it
+  // straight back, so a window slot would collide on the next allocation;
+  // batched revocation defers reuse by about protect_batch pages, the window
+  // that magazines can fill. Every span page must be an arena alias, so a
+  // trailing guard page rules magazines out.
+  if (cfg.protect_batch <= 1 || cfg.trailing_guard_page) return 0;
+  return std::min(cfg.protect_batch, kMaxMagazineSlots);
+}
 
 void* ShadowEngine::malloc(std::size_t size, SiteId site) {
   obs::ScopedLatency lat(obs::Hist::kAllocNs);
@@ -1114,7 +1121,6 @@ void ShadowEngine::release_record_locked(ObjectRecord* rec, bool recycle_va) {
   stats_.va_reclaimed_pages.fetch_add(span.pages(), std::memory_order_relaxed);
   stats_.live_records.fetch_sub(1, std::memory_order_relaxed);
   stats_.guarded_bytes.fetch_sub(span.length, std::memory_order_relaxed);
-  obs::record_event(obs::EventKind::kVaReclaim, span.base, span.pages());
   unlink_locked(rec);
   delete rec;
 }

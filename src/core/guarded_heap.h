@@ -20,14 +20,15 @@
 //
 // Scaling layers (DESIGN.md §11):
 //
-//   Slot magazines   one bulk mmap aliases a whole window of N canonical
+//   Slot magazines   under batched revocation, one bulk mmap aliases a
+//                    whole window of N = min(protect_batch, 256) canonical
 //                    pages; objects landing in the window carve their shadow
 //                    pages out of it with zero syscalls. A window slot serves
 //                    one object per magazine generation (two objects on the
 //                    same canonical page need two aliases), so collisions
-//                    fall back to the per-object path — dense small-object
-//                    packing costs what the paper's scheme cost, page-sized
-//                    and marching allocations amortize to ~1/N.
+//                    fall back to the per-object path. Immediate revocation
+//                    hands a freed canonical block straight back for reuse,
+//                    so every window would collide at once: it maps none.
 //   Revocation queue freed spans accumulate (canonical reuse deferred with
 //                    them), are address-sorted, coalesced into maximal runs,
 //                    and revoked with one call per run; flushed when the
@@ -89,13 +90,13 @@ struct GuardConfig {
   // frees stay exact throughout (the record state transition, not the page
   // protection, detects them). 0 or 1 = protect immediately (the paper's
   // configuration).
+  //
+  // The batch also sizes the slot magazines: a flush hands about
+  // protect_batch pages of canonical memory back at once, which is the
+  // allocator's reuse distance, so each magazine window spans
+  // min(protect_batch, kMaxMagazineSlots) pages. Immediate revocation maps
+  // no magazines; every allocation takes the paper's per-object alias.
   std::size_t protect_batch = 0;
-  // Slot magazines: bulk-alias window size in pages (DPG_MAGAZINE_SLOTS).
-  // One mmap maps `magazine_slots` contiguous canonical pages; allocations
-  // whose canonical span lands on unclaimed slots of the window's current
-  // magazine get their shadow pages with zero syscalls. 0 or 1 = off (the
-  // paper's per-object alias). Clamped to [2, kMaxMagazineSlots].
-  std::size_t magazine_slots = 0;
   // Live-generation population cap per engine. Windows tile the arena's
   // file-offset space, so a churn-heavy workload keeps first-touching new
   // windows; without a cap every partially-claimed generation (one
@@ -216,6 +217,11 @@ class ShadowEngine {
 
   static constexpr std::size_t kGuardHeader = sizeof(std::uintptr_t);
   static constexpr std::size_t kMaxMagazineSlots = 256;
+  // Slot-magazine window in pages that `cfg` yields: min(protect_batch,
+  // kMaxMagazineSlots) under batched revocation, 0 (no magazines) under
+  // immediate revocation or with a trailing guard page.
+  [[nodiscard]] static std::size_t magazine_window(
+      const GuardConfig& cfg) noexcept;
 
   // The engine's governor (never null after construction).
   [[nodiscard]] DegradationGovernor& governor() noexcept { return *gov_; }
@@ -318,7 +324,7 @@ class ShadowEngine {
   std::vector<vm::PageRange> va_recycle_;
 
   // Slot magazines: canonical-window base -> current generation.
-  std::size_t magazine_slots_ = 0;  // validated; 0 = off
+  std::size_t magazine_slots_ = 0;  // derived from protect_batch; 0 = off
   std::size_t magazine_bytes_ = 0;
   std::unordered_map<std::uintptr_t, Magazine> magazines_;
 

@@ -152,7 +152,6 @@ core::GuardConfig guard_config(const FuzzConfig& cfg,
                                core::DegradationGovernor* gov) {
   core::GuardConfig gc;
   gc.protect_batch = cfg.protect_batch;
-  gc.magazine_slots = cfg.magazine_slots;
   gc.revoke_backend = cfg.revoke_backend;
   gc.window_recycle_cap = cfg.recycle_cap;
   gc.governor = gov;
@@ -952,16 +951,16 @@ std::vector<FuzzConfig> smoke_matrix(std::size_t n_ops) {
     v.push_back(c);
   }
   {
-    FuzzConfig c = base("batch4-mag64");
+    // A 4-page batch sizes 4-page magazine windows: generations fill,
+    // collide and retire every few allocations.
+    FuzzConfig c = base("batch4-1shard");
     c.protect_batch = 4;
-    c.magazine_slots = 64;
     v.push_back(c);
   }
   {
     FuzzConfig c = base("batch16-4shard-mt");
     c.shards = 4;
     c.protect_batch = 16;
-    c.magazine_slots = 64;
     c.gen.lanes = 4;
     v.push_back(c);
   }
@@ -982,7 +981,6 @@ std::vector<FuzzConfig> smoke_matrix(std::size_t n_ops) {
     FuzzConfig c = base("pool-batch16");
     c.mode = HarnessMode::kPool;
     c.protect_batch = 16;
-    c.magazine_slots = 64;
     c.gen.pools = true;
     v.push_back(c);
   }
@@ -1009,7 +1007,6 @@ std::vector<FuzzConfig> smoke_matrix(std::size_t n_ops) {
     // parked spans coalesce, split, and overflow to the shared freelist all
     // within one run, and none of it may perturb detection.
     FuzzConfig c = base("map-fixed-recycle");
-    c.magazine_slots = 64;
     c.protect_batch = 16;
     c.recycle_cap = 32;
     v.push_back(c);
@@ -1025,11 +1022,6 @@ std::vector<FuzzConfig> matrix(std::size_t n_ops) {
     c.gen.n_ops = n_ops;
     return c;
   };
-  {
-    FuzzConfig c = base("mag64-1shard");
-    c.magazine_slots = 64;
-    v.push_back(c);
-  }
   {
     FuzzConfig c = base("immediate-4shard-mt");
     c.shards = 4;
@@ -1105,7 +1097,6 @@ std::vector<FuzzConfig> matrix(std::size_t n_ops) {
     c.revoke_backend = vm::RevokeBackend::kPkey;
     c.shards = 4;
     c.protect_batch = 16;
-    c.magazine_slots = 64;
     c.gen.lanes = 4;
     v.push_back(c);
   }
@@ -1115,7 +1106,6 @@ std::vector<FuzzConfig> matrix(std::size_t n_ops) {
     FuzzConfig c = base("recycle-4shard-mt");
     c.shards = 4;
     c.protect_batch = 16;
-    c.magazine_slots = 64;
     c.recycle_cap = 16;
     c.gen.lanes = 4;
     v.push_back(c);

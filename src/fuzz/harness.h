@@ -62,8 +62,8 @@ struct RunResult {
                                          const Trace& trace,
                                          std::ostream* log = nullptr);
 
-// The full config matrix: magazines on/off x protect_batch pages
-// {0,4,16} x 1/4 shards x fault-injection plans x degradation
+// The full config matrix: protect_batch pages {0,4,16} (magazines follow
+// the batch) x 1/4 shards x fault-injection plans x degradation
 // forced/off x heap/pool modes x the lock-and-key tag lane (full-width and
 // wrap-forcing 2-bit cells). `n_ops` sizes every cell's generator.
 [[nodiscard]] std::vector<FuzzConfig> matrix(std::size_t n_ops);

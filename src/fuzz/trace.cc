@@ -185,7 +185,6 @@ std::string to_replay(const FuzzConfig& cfg, const Trace& trace) {
   out << "name " << cfg.name << "\n";
   out << "mode " << (cfg.mode == HarnessMode::kPool ? "pool" : "heap") << "\n";
   out << "shards " << cfg.shards << "\n";
-  out << "magazines " << cfg.magazine_slots << "\n";
   out << "batch " << cfg.protect_batch << "\n";
   out << "fault " << (cfg.fault_plan.empty() ? "-" : cfg.fault_plan) << "\n";
   out << "forced_mode " << cfg.forced_mode << "\n";
@@ -241,7 +240,10 @@ bool from_replay(const std::string& text, FuzzConfig* cfg, Trace* trace,
     } else if (tag == "shards") {
       in >> c.shards;
     } else if (tag == "magazines") {
-      in >> c.magazine_slots;
+      // Older files carry an explicit magazine window; magazines now follow
+      // the batch, so the value is read and dropped.
+      std::size_t ignored = 0;
+      in >> ignored;
     } else if (tag == "batch") {
       in >> c.protect_batch;
     } else if (tag == "fault") {

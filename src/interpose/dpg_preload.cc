@@ -60,13 +60,10 @@ dpg::core::Runtime& runtime() {
   // internal allocations route to __libc_malloc under the depth guard.
   dpg::obs::init_from_env();
   // Performance knobs (DESIGN.md §11). Defaults keep detection immediate:
-  // magazines only amortize the *allocation* mmap, so they are on by default;
-  // batched revocation delays the free-side mprotect, so it stays opt-in.
+  // batched revocation delays the free-side mprotect, so it stays opt-in,
+  // and the slot magazines it sizes come with it.
   dpg::core::RuntimeConfig cfg{
       .guard = {.freed_va_budget = std::size_t{256} << 20}};
-  cfg.guard.magazine_slots = static_cast<std::size_t>(dpg::obs::env_long(
-      "DPG_MAGAZINE_SLOTS", 64, 0,
-      static_cast<long>(dpg::core::ShadowEngine::kMaxMagazineSlots)));
   // DPG_PROTECT_BATCH counts pending span pages; 0 or 1 = immediate.
   cfg.guard.protect_batch = static_cast<std::size_t>(
       dpg::obs::env_long("DPG_PROTECT_BATCH", 0, 0, 1 << 20));

@@ -147,7 +147,6 @@ SoakResult run_soak(const SoakConfig& cfg) {
 
   core::GuardConfig gc;
   gc.governor = &gov;
-  gc.magazine_slots = cfg.magazine_slots;
   gc.protect_batch = cfg.protect_batch;
   gc.freed_va_budget = cfg.freed_va_budget;
 

@@ -34,12 +34,12 @@ struct SoakConfig {
   std::uint32_t threads = 4;        // worker threads (>= 1)
   std::uint64_t interval_ms = 500;  // sampler period
   std::size_t shards = 4;           // guarded-heap shards
-  // Slot-magazine depth. Each cached slot keeps its VA mapping for MAP_FIXED
+  // Batched-revocation config under test. It also sizes the slot magazines
+  // (16 pages each). Each cached slot keeps its VA mapping for MAP_FIXED
   // reuse, so magazine population * depth is the soak's dominant VMA term —
   // deep production magazines would park steady state on vm.max_map_count and
   // turn the run into a ladder-thrash test instead of a drift test.
-  std::size_t magazine_slots = 16;
-  std::size_t protect_batch = 16;   // batched-revocation config under test
+  std::size_t protect_batch = 16;
   std::size_t max_live = 512;       // live objects per worker (soft cap)
   std::uint32_t max_size = 2048;    // payload bytes per object
   bool pools = true;                // mix in pool create/use/destroy cycles

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "obs/env.h"
 #include "obs/metrics.h"
 #include "vm/sys.h"
 #include "vm/vm_stats.h"
@@ -26,13 +25,7 @@ void register_trim_counter() noexcept {
 
 }  // namespace
 
-VaFreeList::VaFreeList()
-    : trim_hysteresis_(static_cast<std::size_t>(
-          obs::env_long("DPG_VA_TRIM_HYSTERESIS",
-                        static_cast<long>(kDefaultTrimHysteresis), 1,
-                        1L << 20))) {
-  register_trim_counter();
-}
+VaFreeList::VaFreeList() { register_trim_counter(); }
 
 VaFreeList::~VaFreeList() { release_all(); }
 
@@ -47,18 +40,8 @@ void VaFreeList::put(PageRange range) {
     buckets_[range.pages()].push_back(range.base);
     bytes_ += range.length;
     ++count_;
-    if (trim_limit_ != 0 && count_ >= trim_limit_) {
-      // Hysteresis: one crossing is not a storm. Only a streak of
-      // over-water donations with no take relieving the count in between
-      // pays the full coalesce-and-munmap drain.
-      over_water = ++over_water_streak_ >= trim_hysteresis_;
-    } else {
-      over_water_streak_ = 0;
-    }
-    if (over_water) {
-      over_water_streak_ = 0;
-      ++trims_;
-    }
+    over_water = trim_limit_ != 0 && count_ >= trim_limit_;
+    if (over_water) ++trims_;
   }
   // High-water crossing: reuse is not keeping up with donation, and every
   // held range is one VMA against vm.max_map_count. Drain the whole list
@@ -79,11 +62,6 @@ void VaFreeList::set_trim_limit(std::size_t ranges) noexcept {
   trim_limit_ = ranges;
 }
 
-void VaFreeList::set_trim_hysteresis(std::size_t checks) noexcept {
-  std::lock_guard lock(mu_);
-  trim_hysteresis_ = checks == 0 ? 1 : checks;
-}
-
 std::size_t VaFreeList::trims() const {
   std::lock_guard lock(mu_);
   return trims_;
@@ -101,10 +79,6 @@ std::optional<PageRange> VaFreeList::take(std::size_t len) {
     if (it->second.empty()) buckets_.erase(it);
     bytes_ -= want;
     --count_;
-    // Reuse only relieves the streak once it pulls the count back under the
-    // limit: interleaved takes that merely slow the climb must not starve the
-    // trim while the list sails past its high water toward vm.max_map_count.
-    if (trim_limit_ == 0 || count_ < trim_limit_) over_water_streak_ = 0;
     return PageRange{base, want};
   }
   // Otherwise split the smallest strictly-larger range.
@@ -122,7 +96,6 @@ std::optional<PageRange> VaFreeList::take(std::size_t len) {
     --count_;
   }
   bytes_ -= want;
-  if (trim_limit_ == 0 || count_ < trim_limit_) over_water_streak_ = 0;
   return PageRange{base, want};
 }
 
@@ -137,7 +110,6 @@ std::optional<PageRange> VaFreeList::take_exact(std::size_t len) {
   if (it->second.empty()) buckets_.erase(it);
   bytes_ -= want;
   --count_;
-  if (trim_limit_ == 0 || count_ < trim_limit_) over_water_streak_ = 0;
   return PageRange{base, want};
 }
 

@@ -51,16 +51,6 @@ class VaFreeList {
   void set_trim_limit(std::size_t ranges) noexcept;
   static constexpr std::size_t kDefaultTrimLimit = 16384;
 
-  // Trim hysteresis: the drain fires only after this many CONSECUTIVE
-  // over-high-water put() checks (a take() bringing the count back under, or
-  // any under-water put, resets the streak). 1 = trim on first crossing.
-  // Damps munmap retirement storms when the count oscillates around the
-  // limit — a burst of donations immediately reclaimed by takes should not
-  // pay a full coalesce-and-munmap drain per oscillation (the mt_server_t8
-  // regression). Seeded from DPG_VA_TRIM_HYSTERESIS at construction.
-  void set_trim_hysteresis(std::size_t checks) noexcept;
-  static constexpr std::size_t kDefaultTrimHysteresis = 1;
-
   // Full drains triggered by the high-water trim (not emergency relief /
   // teardown release_all calls), this instance.
   [[nodiscard]] std::size_t trims() const;
@@ -123,8 +113,6 @@ class VaFreeList {
   std::size_t bytes_ = 0;
   std::size_t count_ = 0;                    // held ranges (== held VMAs)
   std::size_t trim_limit_ = kDefaultTrimLimit;
-  std::size_t trim_hysteresis_ = kDefaultTrimHysteresis;
-  std::size_t over_water_streak_ = 0;        // consecutive over-limit puts
   std::size_t trims_ = 0;                    // high-water drains fired
   ReleaseHook hook_ = nullptr;
   void* hook_ctx_ = nullptr;

@@ -237,6 +237,39 @@ TEST(FuzzCli, OracleBugShrinksToReplayThatReproduces) {
   unlink(path_tmpl);
 }
 
+// Files recorded before magazines followed the batch carry a `magazines N`
+// line. The reader drops it, and the file replays as the cell it names.
+TEST(FuzzTrace, ReplayAcceptsLegacyMagazinesLine) {
+  FuzzConfig cfg;
+  for (const FuzzConfig& c : matrix(300)) {
+    if (c.name == "batch4-1shard") cfg = c;
+  }
+  ASSERT_EQ(cfg.name, "batch4-1shard");
+  const Trace trace = generate(dpg::testing::dpg_test_seed(13), cfg.gen);
+  const std::string current = to_replay(cfg, trace);
+  std::string legacy = current;
+  const auto pos = legacy.find("batch ");
+  ASSERT_NE(pos, std::string::npos);
+  legacy.insert(pos, "magazines 64\n");
+
+  FuzzConfig parsed;
+  Trace t;
+  std::string err;
+  ASSERT_TRUE(from_replay(legacy, &parsed, &t, &err)) << err;
+  parsed.gen = cfg.gen;
+  EXPECT_EQ(parsed, cfg);
+  EXPECT_EQ(to_replay(parsed, t), current) << "the line is not written back";
+
+  char path_tmpl[] = "/tmp/dpg_fuzz_XXXXXX";
+  const int fd = mkstemp(path_tmpl);
+  ASSERT_GE(fd, 0);
+  close(fd);
+  std::ofstream(path_tmpl) << legacy;
+  const CliResult r = run_cli(std::string("--replay ") + path_tmpl);
+  unlink(path_tmpl);
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+}
+
 // Hermetic replay: a pkey trace replayed in a process where other heaps —
 // pkey ones included — already ran must reach the verdict a fresh process
 // reaches. Checked for a clean trace and for the broken-oracle divergence.

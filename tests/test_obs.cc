@@ -3,10 +3,13 @@
 // the fault-time trace enrichment.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <string>
 #include <thread>
 #include <vector>
@@ -497,6 +500,42 @@ TEST(ObsIntegration, GuardedWorkloadFillsHistogramsAndRing) {
   }
   EXPECT_GE(allocs, 32u);
   EXPECT_GE(frees, 32u);
+}
+
+// Every released shadow span is one va-reclaim event, whichever way its VA
+// goes (recycle cache, shared free list, or munmap).
+TEST(ObsIntegration, EachReleasedSpanRecordsOneVaReclaim) {
+  constexpr std::size_t kSpans = 16;
+  vm::PhysArena arena(1u << 26);
+  core::ShardedHeap heap(arena, {}, 1);
+  std::vector<std::uintptr_t> spans;
+  for (std::size_t i = 0; i < kSpans; ++i) {
+    void* p = heap.malloc(64);
+    const core::ObjectRecord* rec = core::ShadowEngine::record_of(p);
+    ASSERT_NE(rec, nullptr);
+    spans.push_back(rec->shadow_base);
+    heap.free(p);
+  }
+  timespec ts{};
+  clock_gettime(CLOCK_MONOTONIC, &ts);
+  const std::uint64_t t0 = static_cast<std::uint64_t>(ts.tv_sec) * 1000000000u +
+                           static_cast<std::uint64_t>(ts.tv_nsec);
+  obs::set_trace_enabled(true);
+  EXPECT_GT(heap.engine(0).reclaim_freed(SIZE_MAX), 0u);
+  obs::set_trace_enabled(false);
+
+  TraceEvent out[TraceRing::kCapacity];
+  const std::size_t n = obs::capture_recent(out, TraceRing::kCapacity);
+  std::size_t reclaims = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (out[i].ns < t0 ||
+        out[i].kind != static_cast<std::uint16_t>(EventKind::kVaReclaim)) {
+      continue;
+    }
+    EXPECT_NE(std::find(spans.begin(), spans.end(), out[i].addr), spans.end());
+    ++reclaims;
+  }
+  EXPECT_EQ(reclaims, kSpans);
 }
 
 TEST(ObsIntegration, FaultReportCarriesFlightRecorderTrace) {

@@ -36,8 +36,7 @@ TEST(ShardedHeap, CrossThreadFreeTrapsAfterDrain) {
   DegradationGovernor gov;
   GuardConfig cfg;
   cfg.governor = &gov;
-  cfg.magazine_slots = 64;
-  cfg.protect_batch = 8;
+  cfg.protect_batch = 8;  // also 8-page magazines
   ShardedHeap heap(arena, cfg, 2);
 
   char* p = static_cast<char*>(heap.malloc(256, /*site=*/11));
@@ -153,7 +152,6 @@ TEST(ShardedHeap, RemoteQueueDrainsUnderConcurrentChurn) {
   DegradationGovernor gov;
   GuardConfig cfg;
   cfg.governor = &gov;
-  cfg.magazine_slots = 32;
   cfg.protect_batch = 16;
   ShardedHeap heap(arena, cfg, 4);
 
@@ -286,7 +284,6 @@ TEST(BatchedRevocation, SurvivesGovernorDemotionMidBatch) {
   GuardConfig cfg;
   cfg.governor = &gov;
   cfg.protect_batch = 256;
-  cfg.magazine_slots = 32;
   ShardedHeap heap(arena, cfg, 2);
 
   char* freed = static_cast<char*>(heap.malloc(256));
@@ -331,16 +328,17 @@ TEST(BatchedRevocation, SurvivesGovernorDemotionMidBatch) {
   heap.free(live);
 }
 
-// Magazines: allocations carve shadow pages from bulk-aliased windows, and
-// detection is byte-for-byte identical to the per-object path — across
-// generation retirement and canonical reuse.
+// Magazines: under batched revocation, allocations carve shadow pages from
+// bulk-aliased windows of protect_batch pages, and detection after the flush
+// is byte-for-byte identical to the per-object path — across generation
+// retirement and canonical reuse.
 TEST(Magazines, DetectionAcrossGenerationsAndReuse) {
   vm::PhysArena arena;
   DegradationGovernor gov;
   GuardConfig cfg;
   cfg.governor = &gov;
-  cfg.magazine_slots = 16;  // small window: exercises retirement quickly
-  ShardedHeap heap(arena, cfg, 1);  // no batching: frees revoke immediately
+  cfg.protect_batch = 16;  // 16-page windows: exercises retirement quickly
+  ShardedHeap heap(arena, cfg, 1);
 
   constexpr int kRounds = 6;
   constexpr int kPerRound = 12;
@@ -352,14 +350,15 @@ TEST(Magazines, DetectionAcrossGenerationsAndReuse) {
       std::memset(p, round, 4096);
       ptrs.push_back(p);
     }
+    for (char* p : ptrs) heap.free(p);
+    heap.flush_all();
     for (char* p : ptrs) {
-      heap.free(p);
       auto rep = catch_dangling([&] {
         volatile char c = *p;
         (void)c;
       });
       ASSERT_TRUE(rep.has_value())
-          << "magazine-carved span must trap immediately after free";
+          << "magazine-carved span must trap after the flush";
       EXPECT_EQ(rep->object_base, vm::addr(p));
     }
   }
@@ -375,16 +374,18 @@ TEST(Magazines, SlotsRecycledOnRetirement) {
   DegradationGovernor gov;
   GuardConfig cfg;
   cfg.governor = &gov;
-  cfg.magazine_slots = 16;
+  cfg.protect_batch = 16;
   {
     ShardedHeap heap(arena, cfg, 1);
-    // Force collisions: churn page-sized objects so canonical pages recycle
-    // into partially-claimed generations, which then retire.
+    // Force collisions: sub-page objects pack several to a canonical page,
+    // so the second object on a page finds its slot already claimed, and
+    // the partially-claimed generation retires.
     for (int i = 0; i < 200; ++i) {
-      void* p = heap.malloc(4096);
+      void* p = heap.malloc(512);
       ASSERT_NE(p, nullptr);
       heap.free(p);
     }
+    heap.flush_all();
     const GuardStats s = heap.stats();
     EXPECT_GT(s.magazine_slots_recycled, 0u)
         << "retired generations recycle their never-claimed slots";
@@ -392,12 +393,38 @@ TEST(Magazines, SlotsRecycledOnRetirement) {
   }  // teardown with magazines live: release_all must drop them cleanly
 }
 
+// Immediate revocation hands each freed canonical block straight back, so a
+// magazine slot would collide at once: the engine maps none, and every
+// allocation takes the per-object alias.
+TEST(Magazines, ImmediateRevocationMapsNone) {
+  vm::PhysArena arena;
+  DegradationGovernor gov;
+  for (const std::size_t batch : {std::size_t{0}, std::size_t{1}}) {
+    GuardConfig cfg;
+    cfg.governor = &gov;
+    cfg.protect_batch = batch;
+    ShardedHeap heap(arena, cfg, 2);
+    for (int i = 0; i < 300; ++i) {
+      void* p = heap.malloc(i % 2 == 0 ? 4096 : 96);
+      ASSERT_NE(p, nullptr);
+      heap.free(p);
+    }
+    heap.flush_all();
+    const GuardStats s = heap.stats();
+    EXPECT_EQ(s.magazine_maps, 0u) << "protect_batch=" << batch;
+    EXPECT_EQ(s.magazine_hits, 0u) << "protect_batch=" << batch;
+    EXPECT_EQ(s.frees, s.revoked_spans);
+    for (std::size_t i = 0; i < heap.shards(); ++i) {
+      EXPECT_EQ(heap.engine(i).magazine_count(), 0u);
+    }
+  }
+}
+
 TEST(ShardedHeap, ReallocAndCallocRouteAcrossShards) {
   vm::PhysArena arena;
   DegradationGovernor gov;
   GuardConfig cfg;
   cfg.governor = &gov;
-  cfg.magazine_slots = 32;
   ShardedHeap heap(arena, cfg, 2);
 
   char* p = static_cast<char*>(heap.calloc(4, 64));
@@ -425,7 +452,6 @@ TEST(ShardedHeap, StatsRollupIsCoherentAfterFlush) {
   DegradationGovernor gov;
   GuardConfig cfg;
   cfg.governor = &gov;
-  cfg.magazine_slots = 32;
   cfg.protect_batch = 8;
   ShardedHeap heap(arena, cfg, 3);
 

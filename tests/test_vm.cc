@@ -2,6 +2,7 @@
 // physical aliasing, page protection, MAP_FIXED reuse, the mremap strategy,
 // and the VA free list.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include <cstring>
 
@@ -247,48 +248,24 @@ TEST(VaFreeList, ZeroLengthPutIgnored) {
   EXPECT_EQ(list.ranges(), 0u);
 }
 
-TEST(VaFreeList, TrimHysteresisDampsOscillation) {
+TEST(VaFreeList, HighWaterTrimDrainsOnFirstCrossing) {
+  // Real mappings: the trim munmaps what it drains.
+  constexpr std::size_t kPages = 4;
+  void* region = ::mmap(nullptr, kPages * kPageSize, PROT_NONE,
+                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(region, MAP_FAILED);
+  const std::uintptr_t base = addr(region);
   VaFreeList list;
-  list.set_trim_limit(4);
-  list.set_trim_hysteresis(3);
-  std::uintptr_t next = 0x600000;
-  // Filling to the limit starts the streak (the 4th put checks over-water);
-  // only the 3rd consecutive over-water donation pays the drain.
-  for (int i = 0; i < 4; ++i) list.put(PageRange{next += kPageSize, kPageSize});
+  list.set_trim_limit(kPages);
+  for (std::size_t i = 0; i + 1 < kPages; ++i) {
+    list.put(PageRange{base + i * kPageSize, kPageSize});
+  }
   EXPECT_EQ(list.trims(), 0u);
-  list.put(PageRange{next += kPageSize, kPageSize});  // streak 2
-  EXPECT_EQ(list.trims(), 0u);
-  EXPECT_EQ(list.ranges(), 5u);
-  list.put(PageRange{next += kPageSize, kPageSize});  // streak 3: drain
-  EXPECT_EQ(list.trims(), 1u);
+  EXPECT_EQ(list.ranges(), kPages - 1);
+  list.put(PageRange{base + (kPages - 1) * kPageSize, kPageSize});
+  EXPECT_EQ(list.trims(), 1u) << "the first put at the limit drains the list";
   EXPECT_EQ(list.ranges(), 0u);
-}
-
-TEST(VaFreeList, TakeResetsTrimStreakOnlyWhenUnderLimit) {
-  VaFreeList list;
-  list.set_trim_limit(4);
-  list.set_trim_hysteresis(3);
-  std::uintptr_t next = 0x700000;
-  for (int i = 0; i < 5; ++i) list.put(PageRange{next += kPageSize, kPageSize});
-  // Streak 2 (the 4th and 5th puts were over-water). A take that leaves the
-  // count AT the limit has not relieved the pressure, so it must not restart
-  // the streak — the list is still one donation away from the same state.
-  (void)list.take(kPageSize);  // count 4 == limit: streak preserved
-  list.put(PageRange{next += kPageSize, kPageSize});  // streak 3: drain
-  EXPECT_EQ(list.trims(), 1u);
-  EXPECT_EQ(list.ranges(), 0u);
-
-  // A take that pulls the count back UNDER the limit does relieve it: the
-  // streak restarts and a fresh run of over-water donations is required.
-  next = 0xa00000;
-  for (int i = 0; i < 5; ++i) list.put(PageRange{next += kPageSize, kPageSize});
-  (void)list.take(kPageSize);  // count 4: preserved
-  (void)list.take(kPageSize);  // count 3 < limit: streak reset
-  list.put(PageRange{next += kPageSize, kPageSize});  // streak 1
-  list.put(PageRange{next += kPageSize, kPageSize});  // streak 2
-  EXPECT_EQ(list.trims(), 1u);  // not yet
-  list.put(PageRange{next += kPageSize, kPageSize});  // streak 3: drain
-  EXPECT_EQ(list.trims(), 2u);
+  EXPECT_EQ(list.bytes(), 0u);
 }
 
 TEST(SyscallCounters, TotalSumsComponents) {

@@ -186,7 +186,6 @@ int main(int argc, char** argv) {
       std::cout << cfg.name << "  mode="
                 << (cfg.mode == HarnessMode::kPool ? "pool" : "heap")
                 << " shards=" << cfg.shards
-                << " magazines=" << cfg.magazine_slots
                 << " batch=" << cfg.protect_batch
                 << " fault=" << (cfg.fault_plan.empty() ? "-" : cfg.fault_plan)
                 << " forced_mode=" << cfg.forced_mode
