@@ -169,7 +169,7 @@ BENCHMARK(BM_MprotectToggle);
 // --- registry ---------------------------------------------------------------
 
 static void BM_Registry_InsertErase(benchmark::State& state) {
-  core::ShadowRegistry reg(1u << 12);
+  core::ShadowRegistry reg;
   core::ObjectRecord rec;
   rec.shadow_base = 0x7400000000;
   rec.span_length = vm::kPageSize;
@@ -181,7 +181,7 @@ static void BM_Registry_InsertErase(benchmark::State& state) {
 BENCHMARK(BM_Registry_InsertErase);
 
 static void BM_Registry_Lookup(benchmark::State& state) {
-  core::ShadowRegistry reg(1u << 14);
+  core::ShadowRegistry reg;
   std::vector<std::unique_ptr<core::ObjectRecord>> records;
   for (int i = 0; i < 1024; ++i) {
     auto rec = std::make_unique<core::ObjectRecord>();

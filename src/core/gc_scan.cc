@@ -2,6 +2,8 @@
 
 #include <unordered_map>
 
+#include "core/registry.h"
+
 namespace dpg::core {
 
 void ConservativeScanner::add_root(const void* base, std::size_t length) {
@@ -10,11 +12,19 @@ void ConservativeScanner::add_root(const void* base, std::size_t length) {
 
 namespace {
 
-// Scans [base, base+length) for word-aligned values landing in `pages`,
-// marking the owning record.
-void scan_range(const void* base, std::size_t length,
-                const std::unordered_map<std::uintptr_t, ObjectRecord*>& pages,
-                std::unordered_map<ObjectRecord*, bool>& marked) {
+// A freed span under consideration: its owner reclaims it unless a scanned
+// word points into it.
+struct Candidate {
+  ObjectRecord* rec;
+  ShadowEngine* owner;
+  bool marked = false;
+};
+using Candidates = std::unordered_map<const ObjectRecord*, Candidate>;
+
+// Scans [base, base+length) for word-aligned values the registry resolves to
+// a candidate (any page of its span, so interior pointers count) and marks it.
+void scan_range(const void* base, std::size_t length, Candidates& candidates) {
+  const ShadowRegistry& registry = ShadowRegistry::global();
   const auto start = vm::addr(base);
   const std::uintptr_t aligned = (start + sizeof(std::uintptr_t) - 1) &
                                  ~(sizeof(std::uintptr_t) - 1);
@@ -22,8 +32,10 @@ void scan_range(const void* base, std::size_t length,
   for (std::uintptr_t a = aligned; a + sizeof(std::uintptr_t) <= end;
        a += sizeof(std::uintptr_t)) {
     const std::uintptr_t word = *reinterpret_cast<const std::uintptr_t*>(a);
-    const auto it = pages.find(vm::page_down(word));
-    if (it != pages.end()) marked[it->second] = true;
+    const ObjectRecord* rec = registry.lookup(word);
+    if (rec == nullptr) continue;
+    const auto it = candidates.find(rec);
+    if (it != candidates.end()) it->second.marked = true;
   }
 }
 
@@ -33,26 +45,18 @@ ConservativeScanner::Result ConservativeScanner::collect(
     std::span<ShadowEngine* const> engines) {
   Result result;
 
-  // Collect every freed span, indexed by page so interior pointers count.
-  std::unordered_map<std::uintptr_t, ObjectRecord*> freed_pages;
-  std::unordered_map<ObjectRecord*, ShadowEngine*> owner;
-  std::unordered_map<ObjectRecord*, bool> marked;
+  Candidates candidates;
   for (ShadowEngine* engine : engines) {
     for (ObjectRecord* rec : engine->freed_records()) {
-      for (std::uintptr_t page = rec->shadow_base;
-           page < rec->shadow_base + rec->span_length; page += vm::kPageSize) {
-        freed_pages.emplace(page, rec);
-      }
-      owner.emplace(rec, engine);
-      marked.emplace(rec, false);
+      candidates.emplace(rec, Candidate{rec, engine});
       result.freed_candidates++;
     }
   }
-  if (freed_pages.empty()) return result;
+  if (candidates.empty()) return result;
 
   // Mark from explicit roots.
   for (const Root& root : roots_) {
-    scan_range(root.base, root.length, freed_pages, marked);
+    scan_range(root.base, root.length, candidates);
   }
   // Mark from the payloads of all live guarded objects. One pass suffices:
   // freed memory is unreadable, so a chain of references to a freed span must
@@ -60,17 +64,17 @@ ConservativeScanner::Result ConservativeScanner::collect(
   for (ShadowEngine* engine : engines) {
     for (const ObjectRecord* rec : engine->live_records()) {
       scan_range(reinterpret_cast<const void*>(rec->user_shadow),
-                 rec->user_size, freed_pages, marked);
+                 rec->user_size, candidates);
     }
   }
 
-  for (auto& [rec, is_marked] : marked) {
-    if (is_marked) {
+  for (auto& [key, c] : candidates) {
+    if (c.marked) {
       result.retained++;
       continue;
     }
-    result.bytes_reclaimed += rec->span_length;
-    owner[rec]->reclaim(rec);
+    result.bytes_reclaimed += c.rec->span_length;
+    c.owner->reclaim(c.rec);
     result.reclaimed++;
   }
   return result;

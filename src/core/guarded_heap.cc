@@ -526,7 +526,7 @@ void* ShadowEngine::magazine_claim_locked(std::uintptr_t first_page,
   m.free_slots -= nslots;
   const std::uintptr_t sb = m.shadow_base + off_in_window;
   magazines_.emplace(window_base, m);
-  if (cfg_.magazine_windows != 0 && magazines_.size() > cfg_.magazine_windows) {
+  if (magazines_.size() > kMaxMagazineWindows) {
     // Population cap: evict an arbitrary other generation, recycling its
     // unclaimed slot runs. Claimed slots are owned by live records and are
     // released with them, so eviction only forfeits future zero-syscall hits
@@ -791,10 +791,8 @@ void ShadowEngine::free_locked(std::unique_lock<std::mutex>& lock, void* p,
     // pointers, so it must win over the best-effort degraded disposition —
     // and since ledgered (canonical) and guarded (shadow-page) addresses are
     // disjoint by construction, a hit is definitive without consulting the
-    // registry at all. Probing the local sharded ledger before the global
-    // table keeps the sampled rung's dominant free path off the registry's
-    // reader-epoch cacheline; a miss (guarded or degraded pointer) pays one
-    // hash find extra, only while the ledger is non-empty.
+    // registry at all. A miss (guarded or degraded pointer) pays one hash
+    // find extra, only while the ledger is non-empty.
     SampledTable::Entry ent;
     switch (sampled_->on_free(user, site, &ent)) {
       case SampledTable::FreeResult::kMiss:

@@ -97,14 +97,6 @@ struct GuardConfig {
   // min(protect_batch, kMaxMagazineSlots) pages. Immediate revocation maps
   // no magazines; every allocation takes the paper's per-object alias.
   std::size_t protect_batch = 0;
-  // Live-generation population cap per engine. Windows tile the arena's
-  // file-offset space, so a churn-heavy workload keeps first-touching new
-  // windows; without a cap every partially-claimed generation (one
-  // window-sized shadow mapping each) lives until release_all — unbounded
-  // RSS/VMA growth that the endurance soak flags as a leak. Over the cap the
-  // fresh-generation path retires another generation first (its window falls
-  // back to the per-object alias until re-touched). 0 = unbounded.
-  std::size_t magazine_windows = 256;
   // Degradation policy (core/degrade.h). nullptr = share the process-wide
   // governor; tests and benches pass their own to pin or observe the ladder.
   DegradationGovernor* governor = nullptr;
@@ -217,6 +209,14 @@ class ShadowEngine {
 
   static constexpr std::size_t kGuardHeader = sizeof(std::uintptr_t);
   static constexpr std::size_t kMaxMagazineSlots = 256;
+  // Live-generation population cap. Windows tile the arena's file-offset
+  // space, so a churn-heavy workload keeps first-touching new windows;
+  // without a cap every partially-claimed generation (one window-sized
+  // shadow mapping each) lives until release_all — unbounded RSS/VMA growth
+  // that the endurance soak flags as a leak. Over the cap the fresh-
+  // generation path retires another generation first (its window falls back
+  // to the per-object alias until re-touched).
+  static constexpr std::size_t kMaxMagazineWindows = 256;
   // Slot-magazine window in pages that `cfg` yields: min(protect_batch,
   // kMaxMagazineSlots) under batched revocation, 0 (no magazines) under
   // immediate revocation or with a trailing guard page.

@@ -1,175 +1,109 @@
 #include "core/registry.h"
 
 #include <cassert>
-#include <new>
+
+#include "obs/metrics.h"
 
 namespace dpg::core {
 
-namespace {
-
-// Multiplicative hash over the page number; the low bits feed the probe.
-[[nodiscard]] std::size_t hash_page(std::uintptr_t page) noexcept {
-  std::uint64_t x = static_cast<std::uint64_t>(page >> vm::kPageShift);
-  x *= 0x9E3779B97F4A7C15ull;
-  return static_cast<std::size_t>(x >> 17);
-}
-
-}  // namespace
-
-ShadowRegistry::ShadowRegistry(std::size_t initial_slots)
-    : table_(make_table(initial_slots)) {}
-
 ShadowRegistry::~ShadowRegistry() {
-  Table* t = table_.load(std::memory_order_relaxed);
-  delete[] t->slots;
-  delete t;
+  for (std::atomic<Mid*>& m : root_) {
+    Mid* mid = m.load(std::memory_order_relaxed);
+    if (mid == nullptr) continue;
+    for (std::atomic<Leaf*>& l : mid->slot) {
+      delete l.load(std::memory_order_relaxed);
+    }
+    delete mid;
+  }
 }
 
 ShadowRegistry& ShadowRegistry::global() {
-  static ShadowRegistry* instance = new ShadowRegistry();  // never destroyed:
-  // the SIGSEGV handler may outlive static teardown order.
+  static ShadowRegistry* instance = [] {
+    auto* reg = new ShadowRegistry();  // never destroyed: the SIGSEGV
+    // handler may outlive static teardown order.
+    obs::register_counter_fn(
+        "dpg_registry_node_bytes",
+        +[](const void* ctx) noexcept -> std::uint64_t {
+          return static_cast<const ShadowRegistry*>(ctx)->node_bytes();
+        },
+        reg);
+    return reg;
+  }();
   return *instance;
 }
 
-ShadowRegistry::Table* ShadowRegistry::make_table(std::size_t slot_count) {
-  assert((slot_count & (slot_count - 1)) == 0);
-  auto* t = new Table{};
-  t->mask = slot_count - 1;
-  t->slots = new Slot[slot_count];
-  return t;
+template <typename Node>
+Node* ShadowRegistry::child(std::atomic<Node*>& link, bool create) {
+  Node* node = link.load(std::memory_order_acquire);
+  if (node != nullptr || !create) return node;
+  auto* fresh = new Node();
+  if (link.compare_exchange_strong(node, fresh, std::memory_order_acq_rel,
+                                   std::memory_order_acquire)) {
+    node_bytes_.fetch_add(sizeof(Node), std::memory_order_relaxed);
+    return fresh;
+  }
+  delete fresh;  // lost the install race; `node` is the winner's
+  return node;
 }
 
-void ShadowRegistry::put(Table& t, std::uintptr_t page,
-                         const ObjectRecord* rec) {
-  std::size_t i = hash_page(page) & t.mask;
-  for (;;) {
-    const std::uintptr_t key = t.slots[i].key.load(std::memory_order_relaxed);
-    if (key == page) {
-      t.slots[i].value.store(rec, std::memory_order_release);
-      return;
-    }
-    if (key == 0 || key == kTombstone) {
-      if (key == 0) t.used++;
-      t.live++;
-      // Publish value before key so a concurrent reader that sees the key
-      // also sees the value.
-      t.slots[i].value.store(rec, std::memory_order_release);
-      t.slots[i].key.store(page, std::memory_order_release);
-      return;
-    }
-    i = (i + 1) & t.mask;
-  }
-}
-
-void ShadowRegistry::grow_locked(std::size_t min_live) {
-  Table* old = table_.load(std::memory_order_relaxed);
-  std::size_t slots = old->mask + 1;
-  while (slots < min_live * 4) slots *= 2;
-  Table* fresh = make_table(slots);
-  for (std::size_t i = 0; i <= old->mask; ++i) {
-    const std::uintptr_t key = old->slots[i].key.load(std::memory_order_relaxed);
-    if (key != 0 && key != kTombstone) {
-      put(*fresh, key, old->slots[i].value.load(std::memory_order_relaxed));
-    }
-  }
-  // Publish the replacement, flip the epoch, and drain the stale parity: any
-  // reader still registered there predates the flip and may hold the old
-  // table's pointer. Readers are lock-free leaf probes (they never block, and
-  // the fault handler never takes mu_), so the spin is short and cannot
-  // deadlock. Once the counter hits zero every later reader re-validated into
-  // the new parity after loading table_, so the old slots are unreachable.
-  table_.store(fresh, std::memory_order_seq_cst);
-  const std::size_t stale = epoch_.fetch_add(1, std::memory_order_seq_cst) & 1;
-  for (std::size_t s = 0; s < kReaderStripes; ++s) {
-    while (readers_[s].count[stale].load(std::memory_order_seq_cst) != 0) {
-#if defined(__x86_64__) || defined(__i386__)
-      __builtin_ia32_pause();
-#endif
-    }
-  }
-  delete[] old->slots;
-  delete old;
+std::atomic<const ObjectRecord*>* ShadowRegistry::slot_for(std::uintptr_t page,
+                                                           bool create) {
+  if ((page >> kAddressBits) != 0) return nullptr;
+  const std::uintptr_t pn = page >> vm::kPageShift;
+  Mid* mid = child(root_[pn >> (2 * kLevelBits)], create);
+  if (mid == nullptr) return nullptr;
+  Leaf* leaf = child(mid->slot[(pn >> kLevelBits) & kLevelMask], create);
+  if (leaf == nullptr) return nullptr;
+  return &leaf->slot[pn & kLevelMask];
 }
 
 void ShadowRegistry::insert(const ObjectRecord& rec) {
-  std::lock_guard lock(mu_);
-  Table* t = table_.load(std::memory_order_relaxed);
-  const std::size_t pages = rec.span_length / vm::kPageSize;
-  if ((t->used + pages) * 2 > t->mask + 1) {
-    grow_locked(t->live + pages);
-    t = table_.load(std::memory_order_relaxed);
-  }
-  for (std::size_t i = 0; i < pages; ++i) {
-    put(*t, rec.shadow_base + i * vm::kPageSize, &rec);
+  // User VA never reaches 2^48 unless a mapping was hinted above it.
+  assert(((rec.shadow_base + rec.span_length - 1) >> kAddressBits) == 0);
+  for (std::uintptr_t page = rec.shadow_base;
+       page < rec.shadow_base + rec.span_length; page += vm::kPageSize) {
+    if (auto* slot = slot_for(page, true)) {
+      slot->store(&rec, std::memory_order_release);
+    }
   }
 }
 
-void ShadowRegistry::erase(const ObjectRecord& rec) {
-  std::lock_guard lock(mu_);
-  Table* t = table_.load(std::memory_order_relaxed);
-  const std::size_t pages = rec.span_length / vm::kPageSize;
-  for (std::size_t p = 0; p < pages; ++p) {
-    const std::uintptr_t page = rec.shadow_base + p * vm::kPageSize;
-    std::size_t i = hash_page(page) & t->mask;
-    for (;;) {
-      const std::uintptr_t key = t->slots[i].key.load(std::memory_order_relaxed);
-      if (key == page) {
-        // Tombstone the key first so readers stop matching, then clear the
-        // value. A reader racing here may still return the record, which is
-        // safe: erase() is only called while the record is still allocated.
-        t->slots[i].key.store(kTombstone, std::memory_order_release);
-        t->slots[i].value.store(nullptr, std::memory_order_release);
-        t->live--;
-        break;
-      }
-      if (key == 0) break;  // never inserted (erase is idempotent)
-      i = (i + 1) & t->mask;
+void ShadowRegistry::erase(const ObjectRecord& rec) noexcept {
+  for (std::uintptr_t page = rec.shadow_base;
+       page < rec.shadow_base + rec.span_length; page += vm::kPageSize) {
+    if (auto* slot = slot_for(page, false)) {
+      slot->store(nullptr, std::memory_order_release);
     }
   }
 }
 
 const ObjectRecord* ShadowRegistry::lookup(std::uintptr_t addr) const noexcept {
-  // Register under the current epoch parity, then re-validate: if a rehash
-  // flipped the epoch between the two loads, our registration landed in the
-  // parity the rehash is (or will be) draining while we have not yet loaded
-  // the table pointer — back out and re-register. Once validation passes, the
-  // seq_cst total order guarantees any rehash that retires the table we are
-  // about to load flips the epoch *after* our increment, so its drain loop
-  // cannot miss us. Async-signal-safe: atomics only, no locks, and a nested
-  // handler's lookup simply nests the counter.
-  static std::atomic<std::uint32_t> next_stripe{0};
-  thread_local const std::uint32_t stripe =
-      next_stripe.fetch_add(1, std::memory_order_relaxed) % kReaderStripes;
-  ReaderStripe& rs = readers_[stripe];
-  std::size_t e;
-  for (;;) {
-    e = epoch_.load(std::memory_order_seq_cst) & 1;
-    rs.count[e].fetch_add(1, std::memory_order_seq_cst);
-    if ((epoch_.load(std::memory_order_seq_cst) & 1) == e) break;
-    rs.count[e].fetch_sub(1, std::memory_order_seq_cst);
-  }
-  const Table* t = table_.load(std::memory_order_seq_cst);
-  const std::uintptr_t page = vm::page_down(addr);
-  std::size_t i = hash_page(page) & t->mask;
-  const ObjectRecord* found = nullptr;
-  // Bounded probe: the mutators keep load factor <= 0.5, so an unbroken run
-  // longer than the table means corruption; bail out rather than spin.
-  for (std::size_t n = 0; n <= t->mask; ++n) {
-    const std::uintptr_t key = t->slots[i].key.load(std::memory_order_acquire);
-    if (key == page) {
-      found = t->slots[i].value.load(std::memory_order_acquire);
-      break;
-    }
-    if (key == 0) break;
-    i = (i + 1) & t->mask;
-  }
-  rs.count[e].fetch_sub(1, std::memory_order_seq_cst);
-  return found;
+  // Async-signal-safe: three acquire loads, each pairing with the release
+  // that published the node or record it reads.
+  if ((addr >> kAddressBits) != 0) return nullptr;
+  const std::uintptr_t pn = addr >> vm::kPageShift;
+  const Mid* mid = root_[pn >> (2 * kLevelBits)].load(std::memory_order_acquire);
+  if (mid == nullptr) return nullptr;
+  const Leaf* leaf =
+      mid->slot[(pn >> kLevelBits) & kLevelMask].load(std::memory_order_acquire);
+  if (leaf == nullptr) return nullptr;
+  return leaf->slot[pn & kLevelMask].load(std::memory_order_acquire);
 }
 
-std::size_t ShadowRegistry::entries() const {
-  std::lock_guard lock(mu_);
-  return table_.load(std::memory_order_relaxed)->live;
+std::size_t ShadowRegistry::entries() const noexcept {
+  std::size_t n = 0;
+  for (const std::atomic<Mid*>& m : root_) {
+    const Mid* mid = m.load(std::memory_order_acquire);
+    if (mid == nullptr) continue;
+    for (const std::atomic<Leaf*>& l : mid->slot) {
+      const Leaf* leaf = l.load(std::memory_order_acquire);
+      if (leaf == nullptr) continue;
+      for (const auto& slot : leaf->slot) {
+        n += slot.load(std::memory_order_relaxed) != nullptr;
+      }
+    }
+  }
+  return n;
 }
 
 }  // namespace dpg::core

@@ -2,24 +2,24 @@
 //
 // When the MMU traps a dangling access, the SIGSEGV handler must turn a raw
 // fault address into a diagnostic: which object, how large, where allocated,
-// where freed. Handlers cannot take locks, so the registry is an open-
-// addressing hash table with atomic slots. Mutators (alloc/free paths)
-// serialize on a mutex; the lookup path reads only a snapshot-published table
-// pointer and atomic slot fields. A table that has been grown out of is freed
-// as soon as every reader that might hold its pointer has drained, tracked by
-// a two-epoch reader counter: lookups register under the current epoch parity
-// before loading the table pointer, and a rehash publishes the replacement,
-// flips the epoch, then spin-waits the stale parity's counter to zero. The
-// drain is what makes churn-heavy lifetimes bounded — tombstone buildup from
-// interleaved insert/erase forces periodic same-size compactions, and keeping
-// every compacted-out table alive until process exit is a table-sized leak
-// per compaction (first observed as linear RSS drift in the endurance soak).
+// where freed. Handlers cannot take locks, so the registry is a direct-indexed
+// page map: a three-level radix table over the 48-bit user address space
+// (36 page-number bits, 12 per level). The root array lives in the object;
+// mid and leaf nodes are allocated on first use, installed with a CAS, and
+// never freed while the registry lives, so a lookup is three acquire loads
+// that can never touch freed memory — no lock and no read-modify-write.
+// Inserts and erases release-store the record (or null) into each page's
+// leaf slot. A page has one owner at a time: the
+// erase that retires a span happens before its VA goes back on a free list,
+// and so before the insert that reuses it.
+//
+// The map never shrinks: one 32 KiB leaf per 16 MiB of VA ever registered
+// plus one 32 KiB mid node per 64 GiB (exported as dpg_registry_node_bytes).
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 
 #include "core/report.h"
 #include "vm/page.h"
@@ -94,61 +94,59 @@ inline void copy_site_stacks(const ObjectRecord& rec,
 
 class ShadowRegistry {
  public:
-  explicit ShadowRegistry(std::size_t initial_slots = 1u << 14);
+  ShadowRegistry() = default;
   ~ShadowRegistry();
 
   ShadowRegistry(const ShadowRegistry&) = delete;
   ShadowRegistry& operator=(const ShadowRegistry&) = delete;
 
   // Maps every page of rec's shadow span to &rec. The record must outlive its
-  // registration.
+  // registration. Lock-free; allocates a node on the first insert into a
+  // 16 MiB (leaf) or 64 GiB (mid) region.
   void insert(const ObjectRecord& rec);
 
   // Unmaps every page of rec's shadow span (called when the span's VA is
-  // recycled at pool destruction or budget reclamation).
-  void erase(const ObjectRecord& rec);
+  // recycled at pool destruction or budget reclamation). Idempotent.
+  void erase(const ObjectRecord& rec) noexcept;
 
   // Async-signal-safe: resolves any address (not just page-aligned) to the
-  // record whose shadow span covers it, or nullptr.
+  // record whose shadow span covers it, or nullptr. Addresses with any bit at
+  // or above 2^48 set (tagged pointers, kernel si_addr values) always miss.
   [[nodiscard]] const ObjectRecord* lookup(std::uintptr_t addr) const noexcept;
 
-  [[nodiscard]] std::size_t entries() const;
+  // Registered pages. Scans every node; meant for tests.
+  [[nodiscard]] std::size_t entries() const noexcept;
+
+  // Bytes held by mid and leaf nodes (the root is part of the object).
+  [[nodiscard]] std::size_t node_bytes() const noexcept {
+    return node_bytes_.load(std::memory_order_relaxed);
+  }
 
   // Process-wide registry used by the fault manager and all guard engines.
   static ShadowRegistry& global();
 
  private:
-  struct Slot {
-    std::atomic<std::uintptr_t> key{0};  // page base; 0 empty, 1 tombstone
-    std::atomic<const ObjectRecord*> value{nullptr};
+  static constexpr unsigned kAddressBits = 48;
+  static constexpr unsigned kLevelBits = 12;
+  static constexpr std::size_t kFanout = std::size_t{1} << kLevelBits;
+  static constexpr std::size_t kLevelMask = kFanout - 1;
+  static_assert(vm::kPageShift + 3 * kLevelBits == kAddressBits);
+
+  struct Leaf {
+    std::atomic<const ObjectRecord*> slot[kFanout];
   };
-  struct Table {
-    std::size_t mask;         // slot count - 1 (power of two)
-    std::size_t used = 0;     // live + tombstoned slots
-    std::size_t live = 0;     // live slots
-    Slot* slots;
-  };
-
-  static constexpr std::uintptr_t kTombstone = 1;
-
-  static Table* make_table(std::size_t slot_count);
-  void grow_locked(std::size_t min_live);
-  static void put(Table& t, std::uintptr_t page, const ObjectRecord* rec);
-
-  // Reader registration counters, striped so concurrent lookups touch
-  // (mostly) private cachelines, indexed by epoch parity within each stripe.
-  // All accesses are seq_cst: lookup's registration must be totally ordered
-  // against the rehash's epoch flip, or the drain loop could miss a reader
-  // that already holds the dying table's pointer (see lookup()/grow_locked()).
-  static constexpr std::size_t kReaderStripes = 16;
-  struct alignas(64) ReaderStripe {
-    std::atomic<std::uint64_t> count[2] = {};
+  struct Mid {
+    std::atomic<Leaf*> slot[kFanout];
   };
 
-  mutable std::mutex mu_;
-  std::atomic<Table*> table_;
-  mutable std::atomic<std::uint64_t> epoch_{0};
-  mutable ReaderStripe readers_[kReaderStripes];
+  // The leaf slot for `page`, or nullptr when its nodes do not exist (and
+  // `create` is false) or the page lies outside the mapped address space.
+  std::atomic<const ObjectRecord*>* slot_for(std::uintptr_t page, bool create);
+  template <typename Node>
+  Node* child(std::atomic<Node*>& link, bool create);
+
+  std::atomic<Mid*> root_[kFanout] = {};
+  std::atomic<std::size_t> node_bytes_{0};
 };
 
 }  // namespace dpg::core

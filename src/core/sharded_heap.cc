@@ -82,11 +82,6 @@ void* ShardedHeap::calloc(std::size_t count, std::size_t size, SiteId site) {
 }
 
 void ShardedHeap::free(void* p, SiteId site) {
-  // One engine: nothing to route; its free path does the registry lookup.
-  if (engines_.size() == 1) {
-    engines_[0]->free(p, site);
-    return;
-  }
   if (p == nullptr) return;
   const ObjectRecord* rec =
       ShadowRegistry::global().lookup(vm::addr(p));
@@ -109,7 +104,6 @@ void ShardedHeap::free(void* p, SiteId site) {
 
 void* ShardedHeap::realloc(void* p, std::size_t new_size, SiteId site) {
   if (p == nullptr) return malloc(new_size, site);
-  if (engines_.size() == 1) return engines_[0]->realloc(p, new_size, site);
   const ObjectRecord* rec =
       ShadowRegistry::global().lookup(vm::addr(p));
   // Route the whole realloc to the owner so the old record's free takes the

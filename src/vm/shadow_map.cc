@@ -49,10 +49,6 @@ bool ShadowMapper::mremap_alias_supported() {
 
 ShadowMapper::ShadowMapper(PhysArena& arena, AliasStrategy strategy)
     : arena_(arena), strategy_(strategy) {
-  if (strategy_ == AliasStrategy::kAuto) {
-    strategy_ = mremap_alias_supported() ? AliasStrategy::kMremap
-                                         : AliasStrategy::kMemfd;
-  }
   if (strategy_ == AliasStrategy::kMremap && !mremap_alias_supported()) {
     strategy_ = AliasStrategy::kMemfd;
   }

@@ -22,8 +22,7 @@ namespace dpg::vm {
 
 enum class AliasStrategy {
   kMemfd,
-  kMremap,
-  kAuto,  // kMremap when the kernel supports it, else kMemfd
+  kMremap,  // falls back to kMemfd when the kernel refuses the trick
 };
 
 class ShadowMapper {

@@ -1,5 +1,5 @@
 // Multithreaded tests: the engine serializes mutators on a mutex and the
-// registry publishes lock-free snapshots for the (per-thread) fault path —
+// registry's page map is lock-free for the (per-thread) fault path —
 // these suites hammer both from several threads at once.
 #include <gtest/gtest.h>
 
@@ -86,8 +86,9 @@ TEST(Concurrency, ParallelDanglingProbesEachThreadTraps) {
 }
 
 TEST(Concurrency, RegistryLookupsRaceWithMutation) {
-  // Readers (lookup) run lock-free against writers (insert/erase + growth).
-  ShadowRegistry reg(64);
+  // Readers (lookup) run lock-free against writers (insert/erase + node
+  // installs).
+  ShadowRegistry reg;
   std::atomic<bool> stop{false};
   std::atomic<bool> failed{false};
 

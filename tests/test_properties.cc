@@ -148,34 +148,57 @@ TEST_P(GuardedPoolProperties, PoolLifecycleConservesVa) {
 INSTANTIATE_TEST_SUITE_P(Seeds, GuardedPoolProperties,
                          ::testing::Values(7, 11, 19, 42));
 
-class RegistryProperties : public ::testing::TestWithParam<std::uint64_t> {};
+// Seed plus the low end of a 1 GiB base range. The page map splits the
+// address at 16 MiB (leaf) and 64 GiB (root entry) boundaries; the spans the
+// test plants across every leaf boundary in range cover both.
+struct RegistryCase {
+  std::uint64_t seed;
+  std::uintptr_t range_lo;
+};
+
+class RegistryProperties : public ::testing::TestWithParam<RegistryCase> {};
 
 TEST_P(RegistryProperties, LookupAgreesWithReferenceMap) {
-  ShadowRegistry reg(32);
-  const std::uint64_t seed = dpg::testing::dpg_test_seed(GetParam());
+  ShadowRegistry reg;
+  const std::uint64_t seed = dpg::testing::dpg_test_seed(GetParam().seed);
   DPG_SEED_TRACE(seed);
+  const std::uintptr_t lo = GetParam().range_lo;
+  constexpr std::uintptr_t kRangePages = std::uintptr_t{1} << 18;
+  constexpr std::uintptr_t kLeafSpan = std::uintptr_t{16} << 20;
   workloads::Rng rng(seed);
   std::map<std::uintptr_t, ObjectRecord*> reference;
   std::vector<std::unique_ptr<ObjectRecord>> storage;
 
+  const auto try_insert = [&](std::uintptr_t base, std::size_t pages) {
+    for (std::size_t i = 0; i < pages; ++i) {
+      if (reference.count(base + i * vm::kPageSize) > 0) return;
+    }
+    auto rec = std::make_unique<ObjectRecord>();
+    rec->shadow_base = base;
+    rec->span_length = pages * vm::kPageSize;
+    reg.insert(*rec);
+    for (std::size_t i = 0; i < pages; ++i) {
+      reference[base + i * vm::kPageSize] = rec.get();
+    }
+    storage.push_back(std::move(rec));
+  };
+  const auto expect_agrees = [&](std::uintptr_t addr) {
+    const auto it = reference.find(vm::page_down(addr));
+    const ObjectRecord* expected = it == reference.end() ? nullptr : it->second;
+    return reg.lookup(addr) == expected;
+  };
+
+  // Multi-page spans straddling every leaf boundary in range.
+  std::vector<std::uintptr_t> edges;
+  for (std::uintptr_t edge = (lo + kLeafSpan - 1) & ~(kLeafSpan - 1);
+       edge < lo + kRangePages * vm::kPageSize; edge += kLeafSpan) {
+    edges.push_back(edge);
+    try_insert(edge - (1 + rng.below(3)) * vm::kPageSize, 2 + rng.below(4));
+  }
+
   for (int step = 0; step < 3000; ++step) {
     if (rng.below(3) != 0 || reference.empty()) {
-      const std::uintptr_t base =
-          0x7300000000 + rng.below(1u << 18) * vm::kPageSize;
-      const std::size_t pages = 1 + rng.below(4);
-      bool clash = false;
-      for (std::size_t i = 0; i < pages; ++i) {
-        clash |= reference.count(base + i * vm::kPageSize) > 0;
-      }
-      if (clash) continue;
-      auto rec = std::make_unique<ObjectRecord>();
-      rec->shadow_base = base;
-      rec->span_length = pages * vm::kPageSize;
-      reg.insert(*rec);
-      for (std::size_t i = 0; i < pages; ++i) {
-        reference[base + i * vm::kPageSize] = rec.get();
-      }
-      storage.push_back(std::move(rec));
+      try_insert(lo + rng.below(kRangePages) * vm::kPageSize, 1 + rng.below(4));
     } else {
       auto it = reference.begin();
       std::advance(it, static_cast<long>(rng.below(reference.size())));
@@ -186,19 +209,27 @@ TEST_P(RegistryProperties, LookupAgreesWithReferenceMap) {
         reference.erase(page);
       }
     }
-    // Spot-check agreement on random addresses.
+    // Spot-check agreement on random addresses and around a boundary.
     for (int probe = 0; probe < 4; ++probe) {
-      const std::uintptr_t addr =
-          0x7300000000 + rng.below(1u << 18) * vm::kPageSize + rng.below(4096);
-      const auto it = reference.find(vm::page_down(addr));
-      const ObjectRecord* expected = it == reference.end() ? nullptr : it->second;
-      ASSERT_EQ(reg.lookup(addr), expected);
+      ASSERT_TRUE(expect_agrees(lo + rng.below(kRangePages) * vm::kPageSize +
+                                rng.below(4096)));
+    }
+    const std::uintptr_t edge = edges[rng.below(edges.size())];
+    for (std::uintptr_t addr = edge - 4 * vm::kPageSize;
+         addr < edge + 4 * vm::kPageSize; addr += vm::kPageSize / 2) {
+      ASSERT_TRUE(expect_agrees(addr)) << std::hex << addr;
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, RegistryProperties,
-                         ::testing::Values(101, 202, 303));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, RegistryProperties,
+    ::testing::Values(RegistryCase{101, 0x7300000000},
+                      RegistryCase{202, 0x7300000000},
+                      RegistryCase{303, 0x7300000000},
+                      // Straddles the 64 GiB root-entry boundary at
+                      // 0x7000000000.
+                      RegistryCase{404, 0x7000000000 - (std::uintptr_t{1} << 29)}));
 
 }  // namespace
 }  // namespace dpg::core

@@ -23,18 +23,21 @@ std::unique_ptr<ObjectRecord> make_record(std::uintptr_t base,
 }
 
 TEST(Registry, InsertAndLookupSinglePage) {
-  ShadowRegistry reg(64);
+  ShadowRegistry reg;
   auto rec = make_record(0x7000000000, 1);
   reg.insert(*rec);
   EXPECT_EQ(reg.lookup(0x7000000000), rec.get());
   EXPECT_EQ(reg.lookup(0x7000000FFF), rec.get());  // interior address, same page
   EXPECT_EQ(reg.lookup(0x7000001000), nullptr);
+  // Bits at or above 2^48 never alias the page underneath them.
+  EXPECT_EQ(reg.lookup((std::uintptr_t{3} << 48) | 0x7000000010), nullptr);
+  EXPECT_EQ(reg.lookup((std::uintptr_t{1} << 63) | 0x7000000010), nullptr);
   EXPECT_EQ(reg.entries(), 1u);
   reg.erase(*rec);
 }
 
 TEST(Registry, MultiPageSpanMapsEveryPage) {
-  ShadowRegistry reg(64);
+  ShadowRegistry reg;
   auto rec = make_record(0x7000010000, 3);
   reg.insert(*rec);
   EXPECT_EQ(reg.lookup(0x7000010000), rec.get());
@@ -47,7 +50,7 @@ TEST(Registry, MultiPageSpanMapsEveryPage) {
 }
 
 TEST(Registry, EraseRemovesOnlyTargetSpan) {
-  ShadowRegistry reg(64);
+  ShadowRegistry reg;
   auto a = make_record(0x7000020000, 1);
   auto b = make_record(0x7000021000, 1);
   reg.insert(*a);
@@ -59,7 +62,7 @@ TEST(Registry, EraseRemovesOnlyTargetSpan) {
 }
 
 TEST(Registry, EraseIsIdempotent) {
-  ShadowRegistry reg(64);
+  ShadowRegistry reg;
   auto rec = make_record(0x7000030000, 1);
   reg.insert(*rec);
   reg.erase(*rec);
@@ -68,7 +71,7 @@ TEST(Registry, EraseIsIdempotent) {
 }
 
 TEST(Registry, ReinsertAfterEraseWorks) {
-  ShadowRegistry reg(64);
+  ShadowRegistry reg;
   auto a = make_record(0x7000040000, 1);
   reg.insert(*a);
   reg.erase(*a);
@@ -79,7 +82,7 @@ TEST(Registry, ReinsertAfterEraseWorks) {
 }
 
 TEST(Registry, UpdateExistingKeyReplacesValue) {
-  ShadowRegistry reg(64);
+  ShadowRegistry reg;
   auto a = make_record(0x7000050000, 1);
   auto b = make_record(0x7000050000, 1);
   reg.insert(*a);
@@ -89,7 +92,9 @@ TEST(Registry, UpdateExistingKeyReplacesValue) {
 }
 
 TEST(Registry, GrowthPreservesAllEntries) {
-  ShadowRegistry reg(16);  // tiny: forces many rehashes
+  // 5000 pages span two leaves and keep every entry reachable as the map
+  // grows nodes underneath earlier inserts.
+  ShadowRegistry reg;
   std::vector<std::unique_ptr<ObjectRecord>> records;
   for (std::uintptr_t i = 0; i < 5000; ++i) {
     auto rec = make_record(0x7100000000 + i * vm::kPageSize, 1);
@@ -107,7 +112,7 @@ TEST(Registry, GrowthPreservesAllEntries) {
 }
 
 TEST(Registry, TombstoneChurnDoesNotLoseEntries) {
-  ShadowRegistry reg(32);
+  ShadowRegistry reg;
   workloads::Rng rng(99);
   std::vector<std::unique_ptr<ObjectRecord>> live;
   for (int round = 0; round < 4000; ++round) {
@@ -133,13 +138,10 @@ TEST(Registry, TombstoneChurnDoesNotLoseEntries) {
 }
 
 TEST(Registry, CompactionUnderConcurrentReadersStaysCorrect) {
-  // Fresh-key insert/erase churn accumulates tombstones until the table
-  // rehashes — often into a SAME-size replacement (a compaction). The old
-  // table is freed as soon as the reader epoch drains, so concurrent lookups
-  // racing dozens of such swaps must keep resolving hits and misses exactly
-  // (this pins the endurance-soak fix: compacted-out tables used to be
-  // retired forever, a table-sized leak per compaction).
-  ShadowRegistry reg(64);
+  // Fresh-page insert/erase churn walks across new leaves while readers
+  // resolve a fixed hit and a fixed miss: node installs racing lookups must
+  // keep resolving both exactly.
+  ShadowRegistry reg;
   auto anchor = make_record(0x7400000000, 1);
   reg.insert(*anchor);
   std::atomic<bool> stop{false};
@@ -152,8 +154,8 @@ TEST(Registry, CompactionUnderConcurrentReadersStaysCorrect) {
       }
     });
   }
-  // Every insert uses a never-seen page, so tombstones only accumulate and
-  // the table compacts repeatedly underneath the readers.
+  // Every insert uses a never-seen page, so the writer keeps installing
+  // leaves underneath the readers.
   std::uintptr_t next = 0x7500000000;
   for (int round = 0; round < 300; ++round) {
     std::vector<std::unique_ptr<ObjectRecord>> batch;
@@ -174,8 +176,31 @@ TEST(Registry, CompactionUnderConcurrentReadersStaysCorrect) {
 }
 
 TEST(Registry, LookupMissOnEmptyRegistry) {
-  ShadowRegistry reg(64);
+  ShadowRegistry reg;
   EXPECT_EQ(reg.lookup(0xDEADBEEF000), nullptr);
+  EXPECT_EQ(reg.lookup(0), nullptr);
+  // Addresses at or above 2^48 lie outside the map and must miss rather
+  // than alias a low page: a lock-and-key tagged pointer (generation in bits
+  // 48..62), a kernel-half si_addr, and the extremes.
+  EXPECT_EQ(reg.lookup(std::uintptr_t{1} << 48), nullptr);
+  EXPECT_EQ(reg.lookup(0x0005'7000'0000'0000 | 0xDEADBEEF000), nullptr);
+  EXPECT_EQ(reg.lookup(0xFFFF'FFFF'8100'0000), nullptr);
+  EXPECT_EQ(reg.lookup(~std::uintptr_t{0}), nullptr);
+}
+
+TEST(Registry, NodeBytesGrowOnlyWithNewRegions) {
+  ShadowRegistry reg;
+  EXPECT_EQ(reg.node_bytes(), 0u);
+  auto a = make_record(0x7000080000, 1);
+  reg.insert(*a);
+  const std::size_t first = reg.node_bytes();  // one mid + one leaf
+  EXPECT_GT(first, 0u);
+  auto b = make_record(0x7000081000, 2);  // same leaf: no new node
+  reg.insert(*b);
+  EXPECT_EQ(reg.node_bytes(), first);
+  reg.erase(*a);
+  reg.erase(*b);
+  EXPECT_EQ(reg.node_bytes(), first);  // nodes are never freed
 }
 
 TEST(Registry, GlobalSingletonIsStable) {
@@ -185,7 +210,7 @@ TEST(Registry, GlobalSingletonIsStable) {
 }
 
 TEST(Registry, StateTransitionsVisibleThroughLookup) {
-  ShadowRegistry reg(64);
+  ShadowRegistry reg;
   auto rec = make_record(0x7000060000, 1);
   reg.insert(*rec);
   const ObjectRecord* found = reg.lookup(0x7000060100);

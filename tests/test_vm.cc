@@ -156,17 +156,6 @@ TEST(ShadowMapper, MremapStrategyAliasesWhenSupported) {
   arena.unmap(shadow, kPageSize);
 }
 
-TEST(ShadowMapper, AutoPicksSomethingWorkable) {
-  PhysArena arena(1u << 24);
-  ShadowMapper mapper(arena, AliasStrategy::kAuto);
-  EXPECT_NE(mapper.strategy(), AliasStrategy::kAuto);
-  auto* canonical = static_cast<char*>(arena.extend(kPageSize));
-  auto* shadow = static_cast<char*>(mapper.alias(canonical, kPageSize));
-  canonical[0] = 'a';
-  EXPECT_EQ(shadow[0], 'a');
-  arena.unmap(shadow, kPageSize);
-}
-
 TEST(ShadowMapper, FixedPlacementAlwaysUsesMemfd) {
   PhysArena arena(1u << 24);
   ShadowMapper mapper(arena, AliasStrategy::kMremap);
