@@ -18,9 +18,9 @@
 //   seed     1 shard, no magazines, immediate revocation — the single-mutex
 //            paper path this repo shipped with.
 //   tuned    one shard per thread, batched revocation and the slot
-//            magazines it sizes, at the default knobs (see tuned_config()).
-//            DPG_PROTECT_BATCH and DPG_WINDOW_RECYCLE_CAP override those
-//            knobs, and DPG_REVOKE_BACKEND its backend.
+//            magazines and MAP_FIXED recycle cache it sizes, at the default
+//            batch (see tuned_config()). DPG_PROTECT_BATCH overrides the
+//            batch, and DPG_REVOKE_BACKEND the backend.
 //
 // Reported per row: pairs/sec, amortized (mmap + revocation)/pair from the
 // vm::sys counters (revocation = mprotect + pkey_mprotect), frees per
@@ -39,7 +39,7 @@
 //     spans),
 //   * the t8 server gates, all on counts: tuned (mmap + revocation)/pair
 //     below seed's, and no tuned munmap storm — the MAP_FIXED recycle cache
-//     is what buys the second,
+//     the magazines bring is what buys the second,
 //   * a dangling read still traps, a cross-thread double free still raises,
 //   * a remotely-freed object's dangling read traps after the drain.
 //
@@ -47,10 +47,11 @@
 // (BENCH_baseline.json) on stdout: the server workload at 1/4/8 threads in
 // the tuned shape under mprotect, mprotect + batch and pkey (+ batch), plus
 // the seed-vs-tuned t8 rows. The knob overrides above apply to every row but
-// seed. Per row: the resolved knobs and backend, pairs/sec, frees per
-// revocation call and the split syscall counters (mmap/munmap/mprotect/
-// pkey_mprotect). Without MPK the pkey rows record backend_resolved ==
-// "mprotect" — the fallback is measured, never faked.
+// seed. Per row: the resolved knobs, the derived magazine window and recycle
+// cache runs, the backend, pairs/sec, frees per revocation call and the split
+// syscall counters (mmap/munmap/mprotect/pkey_mprotect). Without MPK the
+// pkey rows record backend_resolved == "mprotect" — the fallback is
+// measured, never faked.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -95,16 +96,9 @@ BenchConfig tuned_config() {
   // Flush at 576 pending pages: matches the earlier 256-free / 4 MiB pair on
   // 4/8 KiB traffic (frees per flush and per revocation call); sub-page
   // objects wait ~2x longer (EXPERIMENTS.md § Multi-thread scaling). The
-  // batch sizes 256-page magazine windows (the cap).
+  // batch sizes 256-page magazine windows (the cap) and a 2048-run MAP_FIXED
+  // recycle cache per shard (DESIGN.md §16).
   g.protect_batch = knob("DPG_PROTECT_BATCH", 576);
-  // MAP_FIXED VA recycling (DESIGN.md §16): park released shadow spans on the
-  // shard and re-alias over them instead of round-tripping the shared
-  // freelist, whose trims are the munmap storm ROADMAP item 1 measured.
-  // 2048 runs absorbs a full magazine generation's worth of slot fragments
-  // per shard (256 slots shed as ~128 discontiguous spans while its live
-  // objects drain), measured as the point where the t8 server run's munmap
-  // count reaches literal zero.
-  g.window_recycle_cap = knob("DPG_WINDOW_RECYCLE_CAP", 2048);
   return BenchConfig{"tuned", 1, g};
 }
 
@@ -330,7 +324,7 @@ void json_row(std::FILE* f, const char* workload, unsigned threads,
       "    {\"workload\":\"%s\",\"threads\":%u,\"config\":\"%s\","
       "\"backend_requested\":\"%s\",\"backend_resolved\":\"%s\","
       "\"magazine_slots\":%zu,\"protect_batch\":%zu,"
-      "\"window_recycle_cap\":%zu,\"frees_per_revoke\":%.2f,"
+      "\"recycle_runs\":%zu,\"frees_per_revoke\":%.2f,"
       "\"seconds\":%.6f,\"pairs\":%llu,\"pairs_per_sec\":%.0f,"
       "\"mmap\":%llu,\"munmap\":%llu,\"mprotect\":%llu,"
       "\"pkey_mprotect\":%llu,\"pkey_revocations\":%llu,"
@@ -340,7 +334,8 @@ void json_row(std::FILE* f, const char* workload, unsigned threads,
       dpg::vm::backend_name(cfg.guard.revoke_backend),
       dpg::vm::backend_name(r.resolved),
       dpg::core::ShadowEngine::magazine_window(cfg.guard),
-      cfg.guard.protect_batch, cfg.guard.window_recycle_cap,
+      cfg.guard.protect_batch,
+      dpg::core::ShadowEngine::recycle_runs(cfg.guard),
       r.frees_per_revoke(), r.seconds,
       static_cast<unsigned long long>(r.pairs), r.pairs / r.seconds,
       static_cast<unsigned long long>(r.sys.mmap),
@@ -364,7 +359,7 @@ int backends() {
 
   std::printf("{\n");
   std::printf("  \"type\": \"dpg_backend_baseline\",\n");
-  std::printf("  \"schema\": 2,\n");
+  std::printf("  \"schema\": 3,\n");
   std::printf("  \"workload\": \"server\",\n");
   std::printf("  \"pairs_per_thread\": %llu,\n",
               static_cast<unsigned long long>(pairs));

@@ -44,7 +44,12 @@ class CanonicalSource {
 
 class ArenaSource final : public CanonicalSource {
  public:
-  explicit ArenaSource(vm::PhysArena& arena) : arena_(arena) {}
+  // Canonical extents live inside the arena window and must never be
+  // munmapped (vm/phys_arena.h), so the list has no high-water trim: it
+  // holds at most the extents destroyed pools gave back.
+  explicit ArenaSource(vm::PhysArena& arena) : arena_(arena) {
+    freelist_.set_trim_limit(0);
+  }
 
   [[nodiscard]] vm::PageRange obtain(std::size_t bytes) override {
     if (auto reused = freelist_.take(bytes)) return *reused;
@@ -64,9 +69,11 @@ class ArenaSource final : public CanonicalSource {
 
 // Anonymous-memory source; recycled ranges are kept on a free list too so the
 // "PA only" configuration reuses pages the way the real pool runtime does.
+// Like ArenaSource's, the list never trims: the trim and its dpg_va_trims
+// count are for shadow VA.
 class MmapSource final : public CanonicalSource {
  public:
-  MmapSource() = default;
+  MmapSource() { freelist_.set_trim_limit(0); }
   ~MmapSource() override;
   MmapSource(const MmapSource&) = delete;
   MmapSource& operator=(const MmapSource&) = delete;

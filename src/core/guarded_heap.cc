@@ -62,7 +62,7 @@ void consume_free_stage(ObjectRecord& rec) noexcept {
 }  // namespace
 
 ShadowEngine::ShadowEngine(vm::PhysArena& arena, alloc::MallocLike& under,
-                           vm::VaFreeList* shadow_freelist, GuardConfig cfg)
+                           vm::VaFreeList& shadow_freelist, GuardConfig cfg)
     : arena_(arena),
       under_(under),
       shadow_freelist_(shadow_freelist),
@@ -85,6 +85,7 @@ ShadowEngine::ShadowEngine(vm::PhysArena& arena, alloc::MallocLike& under,
   revoker_.attach_thread();
   magazine_slots_ = magazine_window(cfg_);
   magazine_bytes_ = magazine_slots_ * vm::kPageSize;
+  recycle_runs_ = recycle_runs(cfg_);
   remote_drain_threshold_ =
       std::max<std::size_t>(cfg_.protect_batch * 2, std::size_t{256});
   obs::init_from_env();  // idempotent: arms DPG_TRACE / DPG_METRICS_* knobs
@@ -102,6 +103,16 @@ std::size_t ShadowEngine::magazine_window(const GuardConfig& cfg) noexcept {
   // trailing guard page rules magazines out.
   if (cfg.protect_batch <= 1 || cfg.trailing_guard_page) return 0;
   return std::min(cfg.protect_batch, kMaxMagazineSlots);
+}
+
+std::size_t ShadowEngine::recycle_runs(const GuardConfig& cfg) noexcept {
+  // A dying generation sheds its slots as up to window/2 discontiguous runs
+  // while its live objects drain; 8 runs per window page lets several
+  // generations reassemble at once (2048 at the tuned 256-page window, where
+  // the t8 server's munmap count reaches zero). Sized to the window rather
+  // than fixed because the cache lookup is linear in its runs: a fixed
+  // 2048-run cap slowed small-window churn.
+  return cfg.reuse_shadow_va ? 8 * magazine_window(cfg) : 0;
 }
 
 void* ShadowEngine::malloc(std::size_t size, SiteId site) {
@@ -338,25 +349,29 @@ void* ShadowEngine::install_record_locked(void* shadow_base,
   return reinterpret_cast<void*>(rec->user_shadow);
 }
 
-// Per-shard MAP_FIXED recycle cache (DESIGN.md §16). Parked spans are kept
-// sorted by base and merged with contiguous neighbours, so the slot-sized
-// spans a dying magazine generation sheds — its unclaimed runs at retirement
-// plus each claimed slot as its object is later freed — reassemble into the
-// full window-sized run the *next* generation claims with one MAP_FIXED
-// re-alias. That closed loop is what starves the shared freelist: without it
-// the tuned configuration donates slot fragments faster than any consumer
-// takes them and the list's high-water trim turns into the mt_server_t8
-// munmap storm (ROADMAP item 1).
+// Shadow-VA acquire/release: every span the engine re-aliases comes from
+// acquire_va_locked and every span it gives up goes through
+// release_va_locked. Both consult the per-shard MAP_FIXED recycle cache
+// (DESIGN.md §16) before the shared VaFreeList. Parked spans are kept sorted
+// by base and merged with contiguous neighbours, so the slot-sized spans a
+// dying magazine generation sheds — its unclaimed runs at retirement plus
+// each claimed slot as its object is later freed — reassemble into the full
+// window-sized run the *next* generation claims with one MAP_FIXED re-alias.
+// Without that closed loop the slot fragments flood the shared list and its
+// high-water trim turns into a munmap storm. The cache exists only with
+// magazines: under immediate revocation every span is a single-object alias
+// the shared list serves exactly, and the cache would only duplicate it.
 //
-// take_recycled_locked prefers an exact fit and otherwise splits the
-// smallest larger run (prefix out, remainder stays parked — the split is
-// transient because released spans coalesce right back). All consumers remap
-// the returned range with mmap(MAP_FIXED), which atomically replaces
-// whatever dead mapping occupies it; merged runs of mixed provenance
-// (revoked aliases, anonymous guard tails) are therefore interchangeable.
-// park_recycled_locked returns false when the cache is off or full, in which
-// case the caller falls through to the legacy freelist/munmap disposition.
-void* ShadowEngine::take_recycled_locked(std::size_t len) noexcept {
+// The cache prefers an exact fit and otherwise splits the smallest larger
+// run (prefix out, remainder stays parked — the split is transient because
+// released spans coalesce right back). `exact` applies to the shared list
+// only: take_exact never splits a larger donor, so window-sized requests
+// cannot shred the single-span donors. Every consumer remaps the returned
+// range with mmap(MAP_FIXED), which atomically replaces whatever dead mapping
+// occupies it; merged runs of mixed provenance (revoked aliases, anonymous
+// guard tails) are therefore interchangeable.
+void* ShadowEngine::acquire_va_locked(std::size_t len, bool exact) {
+  if (!cfg_.reuse_shadow_va) return nullptr;
   std::size_t best = va_recycle_.size();
   for (std::size_t i = 0; i < va_recycle_.size(); ++i) {
     const std::size_t l = va_recycle_[i].length;
@@ -369,60 +384,50 @@ void* ShadowEngine::take_recycled_locked(std::size_t len) noexcept {
       best = i;
     }
   }
-  if (best == va_recycle_.size()) return nullptr;
-  vm::PageRange& r = va_recycle_[best];
-  void* p = reinterpret_cast<void*>(r.base);
-  if (r.length == len) {
-    va_recycle_.erase(va_recycle_.begin() + static_cast<std::ptrdiff_t>(best));
-  } else {
-    r.base += len;  // prefix out; remainder keeps its sort position
-    r.length -= len;
+  if (best != va_recycle_.size()) {
+    vm::PageRange& r = va_recycle_[best];
+    void* p = reinterpret_cast<void*>(r.base);
+    if (r.length == len) {
+      va_recycle_.erase(va_recycle_.begin() +
+                        static_cast<std::ptrdiff_t>(best));
+    } else {
+      r.base += len;  // prefix out; remainder keeps its sort position
+      r.length -= len;
+    }
+    stats_.window_recycle_hits.fetch_add(1, std::memory_order_relaxed);
+    return p;
   }
-  stats_.window_recycle_hits.fetch_add(1, std::memory_order_relaxed);
-  return p;
+  const auto reused =
+      exact ? shadow_freelist_.take_exact(len) : shadow_freelist_.take(len);
+  return reused ? reinterpret_cast<void*>(reused->base) : nullptr;
 }
 
-bool ShadowEngine::park_recycled_locked(vm::PageRange span) {
-  if (!cfg_.reuse_shadow_va || cfg_.window_recycle_cap == 0) return false;
+// Callers have proved no pointer into `span` remains (a released record, a
+// never-claimed magazine run, or a MAP_FIXED target whose remap failed and
+// left the old mapping intact), so the span is as dead as a freelist span.
+void ShadowEngine::release_va_locked(vm::PageRange span) {
   auto it = std::lower_bound(
       va_recycle_.begin(), va_recycle_.end(), span.base,
       [](const vm::PageRange& r, std::uintptr_t b) { return r.base < b; });
-  bool merged = false;
-  if (it != va_recycle_.begin()) {
+  if (it != va_recycle_.begin() && std::prev(it)->end() == span.base) {
     auto prev = std::prev(it);
-    if (prev->base + prev->length == span.base) {
-      prev->length += span.length;
-      // The span may bridge prev and it into one run.
-      if (it != va_recycle_.end() && prev->base + prev->length == it->base) {
-        prev->length += it->length;
-        va_recycle_.erase(it);
-      }
-      merged = true;
+    prev->length += span.length;
+    // The span may bridge prev and it into one run.
+    if (it != va_recycle_.end() && prev->end() == it->base) {
+      prev->length += it->length;
+      va_recycle_.erase(it);
     }
-  }
-  if (!merged && it != va_recycle_.end() &&
-      span.base + span.length == it->base) {
+  } else if (it != va_recycle_.end() && span.end() == it->base) {
     it->base = span.base;
     it->length += span.length;
-    merged = true;
-  }
-  if (!merged) {
-    if (va_recycle_.size() >= cfg_.window_recycle_cap) return false;
+  } else if (va_recycle_.size() < recycle_runs_) {
     va_recycle_.insert(it, span);
+  } else {
+    shadow_freelist_.put(span);  // records the kVaReclaim event
+    return;
   }
   stats_.window_recycle_puts.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-void ShadowEngine::drain_recycled_locked() {
-  for (const vm::PageRange& span : va_recycle_) {
-    if (shadow_freelist_ != nullptr) {
-      shadow_freelist_->put(span);
-    } else {
-      arena_.unmap(reinterpret_cast<void*>(span.base), span.length);
-    }
-  }
-  va_recycle_.clear();
+  obs::record_event(obs::EventKind::kVaReclaim, span.base, span.pages());
 }
 
 void* ShadowEngine::magazine_claim_locked(std::uintptr_t first_page,
@@ -484,25 +489,14 @@ void* ShadowEngine::magazine_claim_locked(std::uintptr_t first_page,
   }
 
   // First touch of this window (or a fresh generation after retirement).
-  // Prefer a recycled window-sized VA — the per-shard cache first, then the
-  // shared list; take_exact never splits a larger span, so the magazine path
-  // cannot fragment the single-span donors.
-  void* fixed = take_recycled_locked(win);
-  if (fixed == nullptr && cfg_.reuse_shadow_va && shadow_freelist_ != nullptr) {
-    if (auto reused = shadow_freelist_->take_exact(win)) {
-      fixed = reinterpret_cast<void*>(reused->base);
-    }
-  }
+  // Prefer a recycled window-sized VA, never a split of a larger donor.
+  void* fixed = acquire_va_locked(win, /*exact=*/true);
   const vm::sys::MapResult res =
       mapper_.try_alias_bulk(reinterpret_cast<void*>(window_base), win, fixed);
   if (!res.ok()) {
+    // MAP_FIXED failure leaves the old mapping intact: still reusable.
     if (fixed != nullptr) {
-      // MAP_FIXED failure leaves the old mapping intact: still reusable.
-      if (shadow_freelist_ != nullptr) {
-        shadow_freelist_->put(vm::PageRange{vm::addr(fixed), win});
-      } else {
-        (void)park_recycled_locked(vm::PageRange{vm::addr(fixed), win});
-      }
+      release_va_locked(vm::PageRange{vm::addr(fixed), win});
     }
     // Caller takes the per-object path, which owns failure/degradation.
     return nullptr;
@@ -559,15 +553,7 @@ void ShadowEngine::retire_magazine_locked(std::uintptr_t window_base,
     }
     const vm::PageRange run{m.shadow_base + s * vm::kPageSize,
                             (e - s) * vm::kPageSize};
-    // A parked run waits on the per-shard cache for a same-size MAP_FIXED
-    // re-alias (a whole window when the generation retired unclaimed).
-    if (!park_recycled_locked(run)) {
-      if (shadow_freelist_ != nullptr) {
-        shadow_freelist_->put(run);
-      } else {
-        arena_.unmap(reinterpret_cast<void*>(run.base), run.length);
-      }
-    }
+    release_va_locked(run);
     stats_.magazine_slots_recycled.fetch_add(e - s,
                                              std::memory_order_relaxed);
     s = e;
@@ -603,12 +589,7 @@ void* ShadowEngine::guarded_alloc_locked(std::size_t size, SiteId site) {
     }
   }
 
-  void* fixed = take_recycled_locked(span_len);
-  if (fixed == nullptr && cfg_.reuse_shadow_va && shadow_freelist_ != nullptr) {
-    if (auto reused = shadow_freelist_->take(span_len)) {
-      fixed = reinterpret_cast<void*>(reused->base);
-    }
-  }
+  void* fixed = acquire_va_locked(span_len, /*exact=*/false);
 
   // Guard-path kernel calls, all Result-returning: any refusal rolls the
   // allocation back, drops the governor one rung, and re-serves the request
@@ -649,14 +630,10 @@ void* ShadowEngine::guarded_alloc_locked(std::size_t size, SiteId site) {
   }
   if (!alias.ok()) {
     under_.free(canonical);
+    // MAP_FIXED failure leaves the old mapping intact: the range is still
+    // reusable, so it is released rather than leaked.
     if (fixed != nullptr) {
-      // MAP_FIXED failure leaves the old mapping intact: the range is still
-      // reusable, so it goes back on the list rather than leaking.
-      if (shadow_freelist_ != nullptr) {
-        shadow_freelist_->put(vm::PageRange{vm::addr(fixed), span_len});
-      } else {
-        (void)park_recycled_locked(vm::PageRange{vm::addr(fixed), span_len});
-      }
+      release_va_locked(vm::PageRange{vm::addr(fixed), span_len});
     }
     stats_.guard_failures.fetch_add(1, std::memory_order_relaxed);
     gov_->on_syscall_failure("shadow-alias", alias.err);
@@ -1080,7 +1057,7 @@ void ShadowEngine::enforce_budget_locked() {
     if (it->revocation_done &&
         it->state.load(std::memory_order_relaxed) == ObjectState::kFreed) {
       const std::size_t len = it->span_length;
-      release_record_locked(it, /*recycle_va=*/true);
+      release_record_locked(it);
       target = target > len ? target - len : 0;
     }
     it = next;
@@ -1097,21 +1074,10 @@ void ShadowEngine::unlink_locked(ObjectRecord* rec) noexcept {
   rec->next->prev = rec->prev;
 }
 
-void ShadowEngine::release_record_locked(ObjectRecord* rec, bool recycle_va) {
+void ShadowEngine::release_record_locked(ObjectRecord* rec) {
   ShadowRegistry::global().erase(*rec);
   const vm::PageRange span{rec->shadow_base, rec->span_length};
-  if (recycle_va && park_recycled_locked(span)) {
-    // Parked for a same-size MAP_FIXED re-alias on this shard: no freelist
-    // round trip and no munmap. The span is as dead as a freelist span —
-    // every release_record_locked caller proved no pointers remain.
-    obs::record_event(obs::EventKind::kVaReclaim, span.base, span.pages());
-  } else if (recycle_va && shadow_freelist_ != nullptr) {
-    shadow_freelist_->put(span);  // records the kVaReclaim event
-  } else {
-    arena_.unmap(reinterpret_cast<void*>(span.base), span.length);
-    gov_->add_vmas(rec->guard_length != 0 ? -2 : -1);
-    obs::record_event(obs::EventKind::kVaReclaim, span.base, span.pages());
-  }
+  release_va_locked(span);
   if (rec->state.load(std::memory_order_relaxed) == ObjectState::kFreed &&
       rec->revocation_done) {
     freed_bytes_held_ -= rec->span_length;
@@ -1131,10 +1097,11 @@ void ShadowEngine::release_all() {
   flush_protections_locked();  // pending canonical blocks must reach under_
   drain_quarantine_locked();
   while (head_.next != &head_) {
-    release_record_locked(head_.next, /*recycle_va=*/true);
+    release_record_locked(head_.next);
   }
   drop_magazines_locked();
-  drain_recycled_locked();
+  for (const vm::PageRange& span : va_recycle_) shadow_freelist_.put(span);
+  va_recycle_.clear();
 }
 
 std::size_t ShadowEngine::reclaim_freed(std::size_t bytes) {
@@ -1147,7 +1114,7 @@ std::size_t ShadowEngine::reclaim_freed(std::size_t bytes) {
     if (it->revocation_done &&
         it->state.load(std::memory_order_relaxed) == ObjectState::kFreed) {
       reclaimed += it->span_length;
-      release_record_locked(it, /*recycle_va=*/true);
+      release_record_locked(it);
     }
     it = next;
   }
@@ -1183,7 +1150,7 @@ void ShadowEngine::reclaim(ObjectRecord* rec) {
   std::lock_guard lock(mu_);
   assert(rec->state.load(std::memory_order_relaxed) == ObjectState::kFreed);
   assert(rec->revocation_done);
-  release_record_locked(rec, /*recycle_va=*/true);
+  release_record_locked(rec);
 }
 
 const ObjectRecord* ShadowEngine::record_of(const void* p) {

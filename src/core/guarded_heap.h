@@ -29,6 +29,12 @@
 //                    fall back to the per-object path. Immediate revocation
 //                    hands a freed canonical block straight back for reuse,
 //                    so every window would collide at once: it maps none.
+//   Recycle cache    with magazines, released shadow spans park on a per-
+//                    shard list that merges contiguous neighbours, so a
+//                    retired generation's slots reassemble into the window
+//                    the next generation re-aliases with one MAP_FIXED mmap.
+//                    Overflow, and every span without magazines, goes to the
+//                    shared VA free list.
 //   Revocation queue freed spans accumulate (canonical reuse deferred with
 //                    them), are address-sorted, coalesced into maximal runs,
 //                    and revoked with one call per run; flushed when the
@@ -111,23 +117,15 @@ struct GuardConfig {
   // falls back to kMprotect when pkey_alloc is refused. Either backend
   // composes with protect_batch.
   vm::RevokeBackend revoke_backend = vm::RevokeBackend::kAuto;
-  // MAP_FIXED VA recycling: released shadow spans and retired magazine runs
-  // park on a per-shard list (bounded to this many discontiguous runs)
-  // instead of round-tripping through the shared VaFreeList. Parked spans
-  // coalesce with contiguous neighbours, so a dying magazine generation's
-  // slots reassemble into the window-sized run the next generation claims
-  // with one MAP_FIXED re-alias — no freelist mutex, no trim-drain munmap
-  // storm, no VMA churn. Overflow and teardown fall through to the shared
-  // freelist as before. 0 = off (legacy behaviour).
-  std::size_t window_recycle_cap = 0;
 };
 
 class ShadowEngine {
  public:
   // `shadow_freelist` may be shared across engines (the paper's free list is
-  // "shared across pools"); pass nullptr to munmap spans on release instead.
+  // "shared across pools"); released spans the engine does not keep for
+  // itself go there.
   ShadowEngine(vm::PhysArena& arena, alloc::MallocLike& under,
-               vm::VaFreeList* shadow_freelist, GuardConfig cfg = {});
+               vm::VaFreeList& shadow_freelist, GuardConfig cfg = {});
   ~ShadowEngine();
 
   ShadowEngine(const ShadowEngine&) = delete;
@@ -222,6 +220,11 @@ class ShadowEngine {
   // immediate revocation or with a trailing guard page.
   [[nodiscard]] static std::size_t magazine_window(
       const GuardConfig& cfg) noexcept;
+  // Discontiguous runs the engine's MAP_FIXED recycle cache may hold under
+  // `cfg`: 8 per magazine-window page, 0 (no cache) without magazines or
+  // with shadow-VA reuse off. See DESIGN.md §16.
+  [[nodiscard]] static std::size_t recycle_runs(
+      const GuardConfig& cfg) noexcept;
 
   // The engine's governor (never null after construction).
   [[nodiscard]] DegradationGovernor& governor() noexcept { return *gov_; }
@@ -284,9 +287,8 @@ class ShadowEngine {
                               std::uintptr_t first_page, std::size_t size,
                               SiteId site);
   void* magazine_claim_locked(std::uintptr_t first_page, std::size_t data_span);
-  void* take_recycled_locked(std::size_t len) noexcept;
-  bool park_recycled_locked(vm::PageRange span);
-  void drain_recycled_locked();
+  void* acquire_va_locked(std::size_t len, bool exact);
+  void release_va_locked(vm::PageRange span);
   void retire_magazine_locked(std::uintptr_t window_base, Magazine& m);
   void drop_magazines_locked();
   void free_locked(std::unique_lock<std::mutex>& lock, void* p, SiteId site);
@@ -296,7 +298,7 @@ class ShadowEngine {
   void revoke_locked(ObjectRecord* rec);
   void maybe_flush_locked();
   std::size_t drain_remote_locked();
-  void release_record_locked(ObjectRecord* rec, bool recycle_va);
+  void release_record_locked(ObjectRecord* rec);
   void unlink_locked(ObjectRecord* rec) noexcept;
   void flush_protections_locked();
   void enforce_budget_locked();
@@ -304,7 +306,7 @@ class ShadowEngine {
 
   vm::PhysArena& arena_;
   alloc::MallocLike& under_;
-  vm::VaFreeList* shadow_freelist_;
+  vm::VaFreeList& shadow_freelist_;
   vm::ShadowMapper mapper_;
   GuardConfig cfg_;
   DegradationGovernor* gov_;
@@ -317,11 +319,12 @@ class ShadowEngine {
   // Revocation backend, resolved in the constructor.
   vm::Revoker revoker_;
 
-  // Per-shard MAP_FIXED recycle cache (cfg_.window_recycle_cap runs max,
-  // sorted by base, contiguous neighbours merged): released shadow spans and
-  // retired magazine runs wait here to be re-aliased, bypassing the shared
-  // freelist. Drained to the freelist (or unmapped) at release_all.
+  // Per-shard MAP_FIXED recycle cache (recycle_runs_ runs max, sorted by
+  // base, contiguous neighbours merged): released shadow spans and retired
+  // magazine runs wait here to be re-aliased, bypassing the shared freelist.
+  // Drained to the freelist at release_all.
   std::vector<vm::PageRange> va_recycle_;
+  std::size_t recycle_runs_ = 0;  // derived from the magazine window; 0 = off
 
   // Slot magazines: canonical-window base -> current generation.
   std::size_t magazine_slots_ = 0;  // derived from protect_batch; 0 = off

@@ -72,7 +72,7 @@ class GuardedPool {
   // poolinit(&PP, elem_size).
   explicit GuardedPool(GuardedPoolContext& ctx, std::size_t elem_size_hint = 0)
       : pool_(ctx.source(), elem_size_hint),
-        engine_(ctx.arena(), pool_, &ctx.shadow_freelist(), ctx.config()) {}
+        engine_(ctx.arena(), pool_, ctx.shadow_freelist(), ctx.config()) {}
 
   ~GuardedPool() { destroy(); }
 

@@ -153,7 +153,6 @@ core::GuardConfig guard_config(const FuzzConfig& cfg,
   core::GuardConfig gc;
   gc.protect_batch = cfg.protect_batch;
   gc.revoke_backend = cfg.revoke_backend;
-  gc.window_recycle_cap = cfg.recycle_cap;
   gc.governor = gov;
   return gc;
 }
@@ -1002,15 +1001,6 @@ std::vector<FuzzConfig> smoke_matrix(std::size_t n_ops) {
     c.protect_batch = 16;
     v.push_back(c);
   }
-  {
-    // MAP_FIXED recycle cache (DESIGN.md §16) with a deliberately tiny cap:
-    // parked spans coalesce, split, and overflow to the shared freelist all
-    // within one run, and none of it may perturb detection.
-    FuzzConfig c = base("map-fixed-recycle");
-    c.protect_batch = 16;
-    c.recycle_cap = 32;
-    v.push_back(c);
-  }
   return v;
 }
 
@@ -1101,12 +1091,13 @@ std::vector<FuzzConfig> matrix(std::size_t n_ops) {
     v.push_back(c);
   }
   {
-    // Recycle cache under shard-parallel churn: four caches coalescing and
-    // splitting independently while remote frees cross shard boundaries.
-    FuzzConfig c = base("recycle-4shard-mt");
+    // MAP_FIXED recycle cache (DESIGN.md §16) under shard-parallel churn:
+    // 4-page windows cap each cache at 32 runs, so four caches coalesce,
+    // split and overflow to the shared freelist while remote frees cross
+    // shard boundaries, and none of it may perturb detection.
+    FuzzConfig c = base("batch4-4shard-mt");
     c.shards = 4;
-    c.protect_batch = 16;
-    c.recycle_cap = 16;
+    c.protect_batch = 4;
     c.gen.lanes = 4;
     v.push_back(c);
   }

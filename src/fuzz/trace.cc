@@ -193,7 +193,6 @@ std::string to_replay(const FuzzConfig& cfg, const Trace& trace) {
   out << "tag_lane " << (cfg.tag_lane ? 1 : 0) << "\n";
   out << "tag_bits " << cfg.tag_bits << "\n";
   out << "revoke_backend " << vm::backend_name(cfg.revoke_backend) << "\n";
-  out << "recycle_cap " << cfg.recycle_cap << "\n";
   out << "seed " << trace.seed << "\n";
   out << "lanes " << trace.lanes << "\n";
   out << "ops " << trace.ops.size() << "\n";
@@ -239,9 +238,9 @@ bool from_replay(const std::string& text, FuzzConfig* cfg, Trace* trace,
       }
     } else if (tag == "shards") {
       in >> c.shards;
-    } else if (tag == "magazines") {
-      // Older files carry an explicit magazine window; magazines now follow
-      // the batch, so the value is read and dropped.
+    } else if (tag == "magazines" || tag == "recycle_cap") {
+      // Older files carry an explicit magazine window or recycle-cache cap;
+      // both now follow the batch, so the value is read and dropped.
       std::size_t ignored = 0;
       in >> ignored;
     } else if (tag == "batch") {
@@ -269,8 +268,6 @@ bool from_replay(const std::string& text, FuzzConfig* cfg, Trace* trace,
       if (!vm::parse_backend(b.c_str(), &c.revoke_backend)) {
         return fail("bad revoke_backend: " + b);
       }
-    } else if (tag == "recycle_cap") {
-      in >> c.recycle_cap;
     } else if (tag == "seed") {
       in >> t.seed;
     } else if (tag == "lanes") {

@@ -121,8 +121,6 @@ struct FuzzConfig {
   // semantics; on non-MPK hosts the backend resolves to its mprotect
   // fallback and the cell still must agree with the oracle.
   vm::RevokeBackend revoke_backend = vm::RevokeBackend::kAuto;
-  // GuardConfig::window_recycle_cap for the MAP_FIXED recycle-cache cell.
-  std::size_t recycle_cap = 0;
   GenParams gen;
 
   bool operator==(const FuzzConfig&) const = default;

@@ -67,12 +67,8 @@ dpg::core::Runtime& runtime() {
   // DPG_PROTECT_BATCH counts pending span pages; 0 or 1 = immediate.
   cfg.guard.protect_batch = static_cast<std::size_t>(
       dpg::obs::env_long("DPG_PROTECT_BATCH", 0, 0, 1 << 20));
-  // MAP_FIXED re-alias cache for retired magazine windows (DESIGN.md §16);
-  // 0 keeps retired spans flowing to the shared VA free list as before.
   // DPG_REVOKE_BACKEND needs no plumbing here: the engine's Revoker reads it
   // whenever the config leaves the backend on kAuto.
-  cfg.guard.window_recycle_cap = static_cast<std::size_t>(
-      dpg::obs::env_long("DPG_WINDOW_RECYCLE_CAP", 0, 0, 1 << 20));
   cfg.shards =
       static_cast<std::size_t>(dpg::obs::env_long(
           "DPG_SHARDS", 0, 0,

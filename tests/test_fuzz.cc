@@ -79,7 +79,6 @@ TEST(FuzzTrace, ReplayRoundTripIsByteIdentical) {
   cfg.name = "batch16-1shard";
   cfg.protect_batch = 16;
   cfg.revoke_backend = vm::RevokeBackend::kPkey;  // rides the header too
-  cfg.recycle_cap = 32;
   cfg.gen.n_ops = 200;
   const Trace t = generate(dpg::testing::dpg_test_seed(7), cfg.gen);
   const std::string text = to_replay(cfg, t);
@@ -237,20 +236,22 @@ TEST(FuzzCli, OracleBugShrinksToReplayThatReproduces) {
   unlink(path_tmpl);
 }
 
-// Files recorded before magazines followed the batch carry a `magazines N`
-// line. The reader drops it, and the file replays as the cell it names.
-TEST(FuzzTrace, ReplayAcceptsLegacyMagazinesLine) {
+// Inserts a retired header `line` before the `before` field of a cell's
+// replay: the reader must drop it, not write it back, and the file must
+// replay clean as the cell it names.
+void expect_legacy_line_dropped(const std::string& cell, const char* before,
+                                const char* line, std::uint64_t seed) {
   FuzzConfig cfg;
   for (const FuzzConfig& c : matrix(300)) {
-    if (c.name == "batch4-1shard") cfg = c;
+    if (c.name == cell) cfg = c;
   }
-  ASSERT_EQ(cfg.name, "batch4-1shard");
-  const Trace trace = generate(dpg::testing::dpg_test_seed(13), cfg.gen);
+  ASSERT_EQ(cfg.name, cell);
+  const Trace trace = generate(dpg::testing::dpg_test_seed(seed), cfg.gen);
   const std::string current = to_replay(cfg, trace);
   std::string legacy = current;
-  const auto pos = legacy.find("batch ");
+  const auto pos = legacy.find(before);
   ASSERT_NE(pos, std::string::npos);
-  legacy.insert(pos, "magazines 64\n");
+  legacy.insert(pos, line);
 
   FuzzConfig parsed;
   Trace t;
@@ -268,6 +269,19 @@ TEST(FuzzTrace, ReplayAcceptsLegacyMagazinesLine) {
   const CliResult r = run_cli(std::string("--replay ") + path_tmpl);
   unlink(path_tmpl);
   EXPECT_EQ(r.exit_code, 0) << r.output;
+}
+
+// Files recorded before magazines followed the batch carry a `magazines N`
+// line. The reader drops it, and the file replays as the cell it names.
+TEST(FuzzTrace, ReplayAcceptsLegacyMagazinesLine) {
+  expect_legacy_line_dropped("batch4-1shard", "batch ", "magazines 64\n", 13);
+}
+
+// Files recorded before the recycle cache followed the magazines carry a
+// `recycle_cap N` line, dropped the same way.
+TEST(FuzzTrace, ReplayAcceptsLegacyRecycleCapLine) {
+  expect_legacy_line_dropped("batch4-4shard-mt", "seed ", "recycle_cap 16\n",
+                             17);
 }
 
 // Hermetic replay: a pkey trace replayed in a process where other heaps —

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -410,14 +411,78 @@ TEST(Magazines, ImmediateRevocationMapsNone) {
       heap.free(p);
     }
     heap.flush_all();
+    // Released spans skip the recycle cache: without magazines it does not
+    // exist, and every span reaches the shared list.
+    for (std::size_t i = 0; i < heap.shards(); ++i) {
+      (void)heap.engine(i).reclaim_freed(SIZE_MAX);
+    }
     const GuardStats s = heap.stats();
     EXPECT_EQ(s.magazine_maps, 0u) << "protect_batch=" << batch;
     EXPECT_EQ(s.magazine_hits, 0u) << "protect_batch=" << batch;
+    EXPECT_EQ(s.window_recycle_puts, 0u) << "protect_batch=" << batch;
+    EXPECT_EQ(s.va_reclaimed_pages * vm::kPageSize,
+              heap.shadow_freelist().bytes());
     EXPECT_EQ(s.frees, s.revoked_spans);
     for (std::size_t i = 0; i < heap.shards(); ++i) {
       EXPECT_EQ(heap.engine(i).magazine_count(), 0u);
     }
   }
+}
+
+// With magazines the engine keeps a MAP_FIXED recycle cache sized from the
+// window: 4-page windows cap it at 32 discontiguous runs. Spans released
+// past the cap reach the shared list, and an alias placed over cached VA
+// still traps once freed.
+TEST(Magazines, RecycleCacheCapFollowsTheWindow) {
+  vm::PhysArena arena;
+  DegradationGovernor gov;
+  GuardConfig cfg;
+  cfg.governor = &gov;
+  cfg.protect_batch = 4;
+  ASSERT_EQ(ShadowEngine::magazine_window(cfg), 4u);
+  ASSERT_EQ(ShadowEngine::recycle_runs(cfg), 32u);
+  ShardedHeap heap(arena, cfg, 1);
+
+  // 4 KiB objects take two canonical pages each, so a 4-page window holds
+  // two of them side by side. Freeing every other one leaves each freed span
+  // fenced by a live neighbour: no two released spans coalesce.
+  constexpr std::size_t kObjects = 96;
+  std::vector<char*> ptrs;
+  for (std::size_t i = 0; i < kObjects; ++i) {
+    ptrs.push_back(static_cast<char*>(heap.malloc(4096)));
+    ASSERT_NE(ptrs.back(), nullptr);
+  }
+  for (std::size_t i = 0; i < kObjects; i += 2) heap.free(ptrs[i]);
+  heap.flush_all();
+  constexpr std::size_t kReleased = kObjects / 2;
+  EXPECT_EQ(heap.engine(0).reclaim_freed(SIZE_MAX),
+            kReleased * 2 * vm::kPageSize);
+  GuardStats s = heap.stats();
+  EXPECT_EQ(s.window_recycle_puts, 32u) << "the cache stops at 32 runs";
+  EXPECT_EQ(heap.shadow_freelist().ranges(), kReleased - 32)
+      << "the rest reach the shared list";
+
+  // Sub-page objects collide on their canonical pages, so most take the
+  // per-object alias, which splits a cached run.
+  std::vector<char*> small;
+  for (int i = 0; i < 16; ++i) {
+    small.push_back(static_cast<char*>(heap.malloc(1000)));
+    ASSERT_NE(small.back(), nullptr);
+    small.back()[0] = 'x';
+  }
+  s = heap.stats();
+  EXPECT_GT(s.window_recycle_hits, 0u) << "an alias reused cached VA";
+  for (char* p : small) heap.free(p);
+  heap.flush_all();
+  for (char* p : small) {
+    auto rep = catch_dangling([&] {
+      volatile char c = *p;
+      (void)c;
+    });
+    ASSERT_TRUE(rep.has_value()) << "dangling read over recycled VA";
+    EXPECT_EQ(rep->object_base, vm::addr(p));
+  }
+  for (std::size_t i = 1; i < kObjects; i += 2) heap.free(ptrs[i]);
 }
 
 TEST(ShardedHeap, ReallocAndCallocRouteAcrossShards) {

@@ -1,12 +1,16 @@
 // Tests for the policy layer itself: handle semantics, scope routing,
 // global-pool routing, and the canonical-source plumbing under it.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
+#include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include "alloc/alloc_iface.h"
 #include "baseline/policies.h"
 #include "core/fault_manager.h"
+#include "obs/metrics.h"
 #include "workloads/common.h"
 
 namespace dpg {
@@ -35,6 +39,36 @@ TEST(ArenaSource, GrowsArenaOnlyWhenFreelistEmpty) {
   EXPECT_EQ(arena.physical_bytes(), phys);  // reused, no growth
   (void)source.obtain(vm::kPageSize);
   EXPECT_GT(arena.physical_bytes(), phys);  // freelist empty: grew
+}
+
+// Canonical extents must never be munmapped: recycling as many extents as a
+// shadow list's trim limit leaves every one on the source's list, mapped.
+TEST(ArenaSource, RecycledExtentsAreNeverTrimmed) {
+  auto trims = [] {
+    for (std::size_t i = 0; i < obs::counter_count(); ++i) {
+      const char* name = obs::counter_name(i);
+      if (name != nullptr && std::strcmp(name, "dpg_va_trims") == 0) {
+        return obs::counter_value_at(i);
+      }
+    }
+    return std::uint64_t{0};
+  };
+  vm::PhysArena arena(std::size_t{1} << 28);
+  alloc::ArenaSource source(arena);
+  constexpr std::size_t kExtents = vm::VaFreeList::kDefaultTrimLimit;
+  std::vector<vm::PageRange> extents;
+  for (std::size_t i = 0; i < kExtents; ++i) {
+    extents.push_back(source.obtain(vm::kPageSize));
+  }
+  const std::uint64_t trims_before = trims();
+  for (const vm::PageRange& r : extents) source.recycle(r);
+  EXPECT_EQ(source.recyclable_bytes(), kExtents * vm::kPageSize);
+  EXPECT_EQ(trims(), trims_before);
+  unsigned char resident = 0;
+  EXPECT_EQ(mincore(reinterpret_cast<void*>(extents.front().base),
+                    vm::kPageSize, &resident),
+            0)
+      << "the first extent is still mapped";
 }
 
 // --- policy handle semantics ---------------------------------------------------

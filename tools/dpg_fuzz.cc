@@ -193,7 +193,7 @@ int main(int argc, char** argv) {
                 << " tag_lane=" << (cfg.tag_lane ? 1 : 0)
                 << " tag_bits=" << cfg.tag_bits
                 << " backend=" << dpg::vm::backend_name(cfg.revoke_backend)
-                << " recycle_cap=" << cfg.recycle_cap << "\n";
+                << "\n";
     }
     return 0;
   }
