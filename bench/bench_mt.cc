@@ -23,7 +23,7 @@
 //            batch, and DPG_REVOKE_BACKEND the backend.
 //
 // Reported per row: pairs/sec, amortized (mmap + revocation)/pair from the
-// vm::sys counters (revocation = mprotect + pkey_mprotect), frees per
+// vm::sys counters (revocation = mprotect + madvise), frees per
 // revocation call, and sampled p99 malloc+free latency. With DPG_BENCH_JSON
 // set, every row is exported through the shared bench harness.
 //
@@ -45,13 +45,13 @@
 //
 // --backends: emits a machine-readable backend x threads baseline document
 // (BENCH_baseline.json) on stdout: the server workload at 1/4/8 threads in
-// the tuned shape under mprotect, mprotect + batch and pkey (+ batch), plus
-// the seed-vs-tuned t8 rows. The knob overrides above apply to every row but
-// seed. Per row: the resolved knobs, the derived magazine window and recycle
-// cache runs, the backend, pairs/sec, frees per revocation call and the split
-// syscall counters (mmap/munmap/mprotect/pkey_mprotect). Without MPK the
-// pkey rows record backend_resolved == "mprotect" — the fallback is
-// measured, never faked.
+// the tuned shape under mprotect and guard markers, each immediate and
+// batched, plus the seed-vs-tuned t8 rows. The knob overrides above apply to
+// every row but seed. Per row: the resolved knobs, the derived magazine
+// window and recycle cache runs, the backend, pairs/sec, frees per
+// revocation call and the split syscall counters (mmap/munmap/mprotect/
+// madvise). On a kernel without guard markers the guard rows record
+// backend_resolved == "mprotect" — the fallback is measured, never faked.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -149,13 +149,13 @@ struct alignas(64) Ring {
 
 // Point-in-time snapshot of the process-wide syscall counters; rows report
 // the delta across their run. Split per call so the backend rows can show
-// where the syscalls went (under pkey the revocations move from mprotect to
-// pkey_mprotect, which only a split counter can witness).
+// where the syscalls went (under guard markers the revocations move from
+// mprotect to madvise, which only a split counter can witness).
 struct SysSnap {
   std::uint64_t mmap = 0;
   std::uint64_t munmap = 0;
   std::uint64_t mprotect = 0;
-  std::uint64_t pkey_mprotect = 0;
+  std::uint64_t madvise = 0;
 
   static SysSnap now() {
     const auto& c = dpg::vm::syscall_counters();
@@ -163,19 +163,19 @@ struct SysSnap {
     s.mmap = c.mmap.load(std::memory_order_relaxed);
     s.munmap = c.munmap.load(std::memory_order_relaxed);
     s.mprotect = c.mprotect.load(std::memory_order_relaxed);
-    s.pkey_mprotect = c.pkey_mprotect.load(std::memory_order_relaxed);
+    s.madvise = c.madvise.load(std::memory_order_relaxed);
     return s;
   }
   SysSnap operator-(const SysSnap& o) const {
     return SysSnap{mmap - o.mmap, munmap - o.munmap, mprotect - o.mprotect,
-                   pkey_mprotect - o.pkey_mprotect};
+                   madvise - o.madvise};
   }
 };
 
 struct RunResult {
   double seconds = 0;
   std::uint64_t pairs = 0;
-  std::uint64_t mm_syscalls = 0;  // mmap + mprotect + pkey_mprotect
+  std::uint64_t mm_syscalls = 0;  // mmap + mprotect + madvise
   SysSnap sys;                    // per-call split of the same window
   double p99_us = 0;
   dpg::core::GuardStats stats;
@@ -269,7 +269,7 @@ RunResult run_workload(const BenchConfig& cfg, unsigned threads,
   res.seconds = std::chrono::duration<double>(wall1 - wall0).count();
   res.pairs = pairs_per_thread * threads;
   res.sys = SysSnap::now() - sys_before;
-  res.mm_syscalls = res.sys.mmap + res.sys.mprotect + res.sys.pkey_mprotect;
+  res.mm_syscalls = res.sys.mmap + res.sys.mprotect + res.sys.madvise;
   res.stats = heap.stats();
   res.resolved = heap.engine(0).revoke_backend();
   std::vector<double> all;
@@ -291,7 +291,7 @@ void print_row(const char* workload, unsigned threads, const BenchConfig& cfg,
       "%-8s %2u thr  %-14s  %10.0f pairs/s  %6.3f sys/pair  %6.2f "
       "frees/revoke  p99 %7.2f us  "
       "(magazine hits %llu/%llu maps, batches %llu, remote %llu, "
-      "mprotect %llu, munmap %llu, pkey_mprotect %llu, recycled %llu, "
+      "mprotect %llu, madvise %llu, munmap %llu, recycled %llu, "
       "reused %llu, fixed-recycle %llu)\n",
       workload, threads, cfg.name, pairs_per_sec, sys_per_pair,
       r.frees_per_revoke(), r.p99_us,
@@ -300,8 +300,8 @@ void print_row(const char* workload, unsigned threads, const BenchConfig& cfg,
       static_cast<unsigned long long>(r.stats.revoke_batches),
       static_cast<unsigned long long>(r.stats.remote_frees),
       static_cast<unsigned long long>(r.sys.mprotect),
+      static_cast<unsigned long long>(r.sys.madvise),
       static_cast<unsigned long long>(r.sys.munmap),
-      static_cast<unsigned long long>(r.sys.pkey_mprotect),
       static_cast<unsigned long long>(r.stats.magazine_slots_recycled),
       static_cast<unsigned long long>(r.stats.shadow_pages_reused),
       static_cast<unsigned long long>(r.stats.window_recycle_hits));
@@ -326,8 +326,7 @@ void json_row(std::FILE* f, const char* workload, unsigned threads,
       "\"magazine_slots\":%zu,\"protect_batch\":%zu,"
       "\"recycle_runs\":%zu,\"frees_per_revoke\":%.2f,"
       "\"seconds\":%.6f,\"pairs\":%llu,\"pairs_per_sec\":%.0f,"
-      "\"mmap\":%llu,\"munmap\":%llu,\"mprotect\":%llu,"
-      "\"pkey_mprotect\":%llu,\"pkey_revocations\":%llu,"
+      "\"mmap\":%llu,\"munmap\":%llu,\"mprotect\":%llu,\"madvise\":%llu,"
       "\"revoke_batches\":%llu,\"magazine_hits\":%llu,"
       "\"window_recycle_hits\":%llu,\"p99_us\":%.2f}%s\n",
       workload, threads, cfg.name,
@@ -341,8 +340,7 @@ void json_row(std::FILE* f, const char* workload, unsigned threads,
       static_cast<unsigned long long>(r.sys.mmap),
       static_cast<unsigned long long>(r.sys.munmap),
       static_cast<unsigned long long>(r.sys.mprotect),
-      static_cast<unsigned long long>(r.sys.pkey_mprotect),
-      static_cast<unsigned long long>(r.stats.pkey_revocations),
+      static_cast<unsigned long long>(r.sys.madvise),
       static_cast<unsigned long long>(r.stats.revoke_batches),
       static_cast<unsigned long long>(r.stats.magazine_hits),
       static_cast<unsigned long long>(r.stats.window_recycle_hits), r.p99_us,
@@ -355,15 +353,15 @@ void json_row(std::FILE* f, const char* workload, unsigned threads,
 int backends() {
   const std::uint64_t pairs = static_cast<std::uint64_t>(
       dpg::obs::env_long("DPG_BENCH_MT_PAIRS", 20000, 100, 10'000'000));
-  const bool mpk = dpg::vm::Revoker::mpk_supported();
+  const bool guard = dpg::vm::Revoker::guard_supported();
 
   std::printf("{\n");
   std::printf("  \"type\": \"dpg_backend_baseline\",\n");
-  std::printf("  \"schema\": 3,\n");
+  std::printf("  \"schema\": 4,\n");
   std::printf("  \"workload\": \"server\",\n");
   std::printf("  \"pairs_per_thread\": %llu,\n",
               static_cast<unsigned long long>(pairs));
-  std::printf("  \"mpk_supported\": %s,\n", mpk ? "true" : "false");
+  std::printf("  \"guard_supported\": %s,\n", guard ? "true" : "false");
   std::printf("  \"rows\": [\n");
 
   using dpg::vm::RevokeBackend;
@@ -373,7 +371,9 @@ int backends() {
         t, backend_config("mprotect", RevokeBackend::kMprotect, false));
     cells.emplace_back(
         t, backend_config("mprotect+batch", RevokeBackend::kMprotect, true));
-    cells.emplace_back(t, backend_config("pkey", RevokeBackend::kPkey, true));
+    cells.emplace_back(t, backend_config("guard", RevokeBackend::kGuard, false));
+    cells.emplace_back(
+        t, backend_config("guard+batch", RevokeBackend::kGuard, true));
   }
   cells.emplace_back(8, seed_config());
   cells.emplace_back(8, tuned_config());
@@ -495,24 +495,27 @@ int smoke() {
     }
   }
 
-  // The pkey-requested configuration keeps full detection accounting whether
-  // it lands on real MPK or the mprotect fallback (this is the backend-matrix
-  // smoke contract: same frees, same revocations, zero failures).
+  // The guard-requested configuration keeps full detection accounting
+  // whether it lands on guard markers or the mprotect fallback (this is the
+  // backend-matrix smoke contract: same frees, same revocations, zero
+  // failures).
   {
-    const BenchConfig pk =
-        backend_config("pkey", dpg::vm::RevokeBackend::kPkey, true);
-    const RunResult r = run_workload(pk, 2, true, t8_pairs / 4);
-    print_row("server", 2, pk, r);
-    if (r.stats.guard_failures != 0) return fail("pkey run guard failures");
+    const BenchConfig gc =
+        backend_config("guard+batch", dpg::vm::RevokeBackend::kGuard, true);
+    const RunResult r = run_workload(gc, 2, true, t8_pairs / 4);
+    print_row("server", 2, gc, r);
+    if (r.stats.guard_failures != 0) return fail("guard run guard failures");
     if (r.stats.frees != r.stats.revoked_spans) {
-      return fail("pkey run lost revocations");
+      return fail("guard run lost revocations");
     }
-    if (r.resolved == dpg::vm::RevokeBackend::kPkey) {
-      // On real MPK hardware revocations go to pkey_mprotect, not mprotect.
-      if (r.sys.mprotect != 0) return fail("pkey backend issued mprotect");
-      if (r.stats.pkey_revocations == 0) return fail("pkey revoked nothing");
-    } else if (dpg::vm::Revoker::mpk_supported()) {
-      return fail("pkey requested on MPK hardware but fallback engaged");
+    if (r.resolved == dpg::vm::RevokeBackend::kGuard) {
+      // Every revocation run is one madvise; none falls back to mprotect.
+      if (r.sys.mprotect != 0) return fail("guard backend issued mprotect");
+      if (r.sys.madvise != r.stats.protect_calls) {
+        return fail("guard revocations != madvise calls");
+      }
+    } else if (dpg::vm::Revoker::guard_supported()) {
+      return fail("guard requested on a guard-capable kernel but fell back");
     }
   }
 

@@ -119,9 +119,6 @@ struct GovernorCounters {
   std::atomic<std::uint64_t> sample_rate_effective{0};  // current N (gauge)
   std::atomic<std::uint64_t> sample_widens{0};    // N doublings under pressure
   std::atomic<std::uint64_t> sample_tightens{0};  // N halvings on relief
-  std::atomic<std::uint64_t> pkey_fallbacks{0};   // 1 once an engine of this
-                                                  // governor fell back from
-                                                  // pkey (vm/revoke.h)
 };
 
 class DegradationGovernor {
@@ -151,16 +148,6 @@ class DegradationGovernor {
   // kUnguarded only if quarantined memory cannot be returned (the engine
   // drains its quarantine first and retries; this is the last-resort note).
   void on_arena_exhausted() noexcept;
-
-  // The MPK backend's pkey_alloc was refused (ENOSYS/ENOSPC/injected) and the
-  // Revoker fell back to mprotect. Key exhaustion is demotion-class
-  // pressure worth a ladder entry, but NOT a rung change: the fallback keeps
-  // full detection, so demoting would throw away guarantees the engine still
-  // delivers. Records a from==to LadderRecord ("pkey-fallback") for
-  // postmortem context, like the sample-rate adjustments do — once per
-  // governor; the stderr note is printed once per process. Returns true
-  // when this call recorded the event.
-  bool on_pkey_fallback(int err) noexcept;
 
   // Guard-VMA accounting from the engines (coarse: one per fresh shadow
   // span / trailing-guard region, minus one per munmap).

@@ -74,15 +74,7 @@ ShadowEngine::ShadowEngine(vm::PhysArena& arena, alloc::MallocLike& under,
                                             : &own_sampled_) {
   head_.prev = &head_;
   head_.next = &head_;
-  if (const int err = revoker_.init(cfg_.revoke_backend);
-      err != 0 && gov_->on_pkey_fallback(err)) {
-    // pkey was requested but the process's pkey_alloc was refused
-    // (ENOSYS/ENOSPC/injected): the first such engine of each governor
-    // reports the ladder event. Detection stays full through mprotect.
-    obs::record_event(obs::EventKind::kPkeyFallback,
-                      static_cast<std::uintptr_t>(err), 0);
-  }
-  revoker_.attach_thread();
+  revoker_.init(cfg_.revoke_backend);
   magazine_slots_ = magazine_window(cfg_);
   magazine_bytes_ = magazine_slots_ * vm::kPageSize;
   recycle_runs_ = recycle_runs(cfg_);
@@ -117,12 +109,6 @@ std::size_t ShadowEngine::recycle_runs(const GuardConfig& cfg) noexcept {
 
 void* ShadowEngine::malloc(std::size_t size, SiteId site) {
   obs::ScopedLatency lat(obs::Hist::kAllocNs);
-  // Every entry path installs the thread's PKRU denial of the revoked key
-  // (a register read, plus a write when the denial is missing; no-op unless
-  // the pkey backend is active), so any
-  // thread that touches the heap is guaranteed to trap on revoked spans
-  // without depending on the kernel's init_pkru default.
-  revoker_.attach_thread();
   stage_alloc_stack();
   std::lock_guard lock(mu_);
   return do_alloc_locked(size, site);
@@ -134,7 +120,6 @@ void* ShadowEngine::calloc(std::size_t count, std::size_t size, SiteId site) {
   }
   const std::size_t total = count * size;
   obs::ScopedLatency lat(obs::Hist::kAllocNs);
-  revoker_.attach_thread();
   stage_alloc_stack();
   std::lock_guard lock(mu_);
   void* p = do_alloc_locked(total, site);
@@ -145,7 +130,6 @@ void* ShadowEngine::calloc(std::size_t count, std::size_t size, SiteId site) {
 
 void* ShadowEngine::malloc_unguarded(std::size_t size, SiteId site) {
   (void)site;  // diagnostics parity with malloc; nothing to record per object
-  revoker_.attach_thread();
   std::lock_guard lock(mu_);
   void* p = alloc_canonical_locked(size);
   if (p != nullptr) {
@@ -157,14 +141,12 @@ void* ShadowEngine::malloc_unguarded(std::size_t size, SiteId site) {
 void ShadowEngine::free_unguarded(void* p, SiteId site) {
   (void)site;
   if (p == nullptr) return;
-  revoker_.attach_thread();
   std::lock_guard lock(mu_);
   under_.free(p);
 }
 
 void* ShadowEngine::realloc(void* p, std::size_t new_size, SiteId site) {
   if (p == nullptr) return malloc(new_size, site);
-  revoker_.attach_thread();
   // One capture serves both halves of the move: the new record's alloc stack
   // and the old record's free stack are the same realloc call site.
   stage_alloc_stack();
@@ -656,7 +638,6 @@ void* ShadowEngine::guarded_alloc_locked(std::size_t size, SiteId site) {
 void ShadowEngine::free(void* p, SiteId site) {
   if (p == nullptr) return;
   obs::ScopedLatency lat(obs::Hist::kFreeNs);
-  revoker_.attach_thread();
   stage_free_stack();
   std::unique_lock lock(mu_);
   free_locked(lock, p, site);
@@ -728,17 +709,14 @@ void ShadowEngine::revoke_locked(ObjectRecord* rec) {
     pending_protect_pages_ += rec->span_length / vm::kPageSize;
     return;
   }
-  // Backend dispatch: PROT_NONE through the arena, or a retag to the revoked
-  // protection key (vm/revoke.h) — either way the span traps from here on.
+  // Backend dispatch: PROT_NONE through the arena, or guard markers
+  // (vm/revoke.h) — either way the span traps from here on.
   const vm::sys::IoResult pr = revoker_.revoke(
       arena_, reinterpret_cast<void*>(rec->shadow_base), rec->span_length);
   stats_.protect_calls.fetch_add(1, std::memory_order_relaxed);
   freed_bytes_held_ += rec->span_length;
   rec->revocation_done = true;
   if (pr.ok()) {
-    if (revoker_.pkey_active()) {
-      stats_.pkey_revocations.fetch_add(1, std::memory_order_relaxed);
-    }
     stats_.revoked_spans.fetch_add(1, std::memory_order_relaxed);
     under_.free(reinterpret_cast<void*>(rec->canonical));
   } else {
@@ -869,7 +847,6 @@ void ShadowEngine::free_locked(std::unique_lock<std::mutex>& lock, void* p,
 void ShadowEngine::free_remote(void* p, SiteId site) {
   if (p == nullptr) return;
   obs::ScopedLatency lat(obs::Hist::kFreeNs);
-  revoker_.attach_thread();
   stage_free_stack();
   const std::uintptr_t user = vm::addr(p);
   const ObjectRecord* found = ShadowRegistry::global().lookup(user);
@@ -998,9 +975,6 @@ void ShadowEngine::flush_protections_locked() {
         stats_.revoke_coalesced_pages.fetch_add(run_len / vm::kPageSize,
                                                 std::memory_order_relaxed);
       }
-      if (revoker_.pkey_active()) {
-        stats_.pkey_revocations.fetch_add(j - i, std::memory_order_relaxed);
-      }
       stats_.revoked_spans.fetch_add(j - i, std::memory_order_relaxed);
       for (std::size_t k = i; k < j; ++k) {
         ObjectRecord* rec = pending_protect_[k];
@@ -1021,9 +995,6 @@ void ShadowEngine::flush_protections_locked() {
         freed_bytes_held_ += rec->span_length;
         rec->revocation_done = true;
         if (r2.ok()) {
-          if (revoker_.pkey_active()) {
-            stats_.pkey_revocations.fetch_add(1, std::memory_order_relaxed);
-          }
           stats_.revoked_spans.fetch_add(1, std::memory_order_relaxed);
           under_.free(reinterpret_cast<void*>(rec->canonical));
         } else {

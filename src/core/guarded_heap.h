@@ -7,8 +7,9 @@
 // shadow page at the same offset within the page*. The underlying allocator
 // still believes the object lives at the canonical address.
 //
-// Deallocation: the shadow span is mprotect(PROT_NONE)'d — every future
-// read/write/free through any pointer to the object traps — and the
+// Deallocation: the shadow span is revoked (mprotect(PROT_NONE) or guard
+// markers, vm/revoke.h) — every future read/write/free through any pointer
+// to the object traps — and the
 // *canonical* address is handed back to the underlying allocator, so the
 // physical memory is reused exactly as in the original program.
 //
@@ -113,9 +114,9 @@ struct GuardConfig {
   // allocating pool.
   SampledTable* sampled_table = nullptr;
   // Revocation backend (vm/revoke.h): kAuto = DPG_REVOKE_BACKEND, else
-  // kMprotect. kPkey retags freed spans to the process's revoked key and
-  // falls back to kMprotect when pkey_alloc is refused. Either backend
-  // composes with protect_batch.
+  // guard markers where the kernel installs them, else kMprotect. kGuard
+  // falls back to kMprotect where the probe fails. Either backend composes
+  // with protect_batch.
   vm::RevokeBackend revoke_backend = vm::RevokeBackend::kAuto;
 };
 
@@ -252,11 +253,11 @@ class ShadowEngine {
   [[nodiscard]] static const ObjectRecord* record_of(const void* p);
   // True when `p` is a freed guarded object whose free has been fully
   // processed by the owner engine — revocation attempted, canonical block
-  // returned or quarantined. While mprotect is not being fault-injected
-  // this is exactly "the span is PROT_NONE: a dereference MUST trap";
+  // returned or quarantined. While revocation is not being fault-injected
+  // this is exactly "the span is revoked: a dereference MUST trap";
   // false means the free still sits in the revocation queue or on a remote
   // list, the documented bounded window where a stale (unreused) read is
-  // legal. Under an armed mprotect fault plan a refused revocation also
+  // legal. Under an armed revocation fault plan a refused revocation also
   // reports true with the canonical block parked in quarantine, so the
   // stale read then sees unreused bytes instead of trapping.
   [[nodiscard]] bool revocation_applied(const void* p) const;

@@ -96,6 +96,8 @@ void* LockAndKeyLane::alloc(std::size_t size, SiteId site) {
     hdr->magic = kMagic;
     hdr->capacity = cap;
     hdr->generation = 1;  // locks start at 1; 0 never a valid key
+    std::lock_guard<std::mutex> lock(mu_);
+    blocks_.insert(payload);
   }
   SlotHeader* hdr = header_of(payload);
   hdr->sites = site;  // last free site cleared: the slot has a new owner
@@ -109,10 +111,16 @@ void LockAndKeyLane::free(void* tagged, SiteId site) {
   const auto addr = reinterpret_cast<std::uint64_t>(tagged);
   const std::uint64_t key = tag_of(addr);
   void* payload = strip(addr);
-  SlotHeader* hdr = header_of(payload);
-  if (key == 0 || hdr->magic != kMagic) {
-    // Interior or foreign pointer: no readable slot header. Same verdict as
-    // the page lane's unknown-pointer free.
+  // Validate before the first header read: a misaligned or foreign pointer
+  // may sit on an unmapped page, and only the lane's own slots have one.
+  bool known = false;
+  if (key != 0 && addr % alignof(SlotHeader) == 0) {
+    std::lock_guard<std::mutex> lock(mu_);
+    known = blocks_.count(payload) != 0;
+  }
+  if (!known) {
+    // Interior or foreign pointer: no slot header. Same verdict as the page
+    // lane's unknown-pointer free.
     stats_.invalid_frees.fetch_add(1, std::memory_order_relaxed);
     DanglingReport report;
     report.kind = AccessKind::kInvalidFree;
@@ -120,6 +128,7 @@ void LockAndKeyLane::free(void* tagged, SiteId site) {
     report.free_site = site;
     FaultManager::instance().raise_software(report);
   }
+  SlotHeader* hdr = header_of(payload);
   if (hdr->generation != key) {
     // Stale free: double free or use-after-free of the slot's previous
     // generation. One report kind — the lane cannot tell the two apart.

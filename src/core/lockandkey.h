@@ -13,8 +13,9 @@
 // Layout. Each slot is carved from the underlying (canonical) allocator
 // with a 4-word header in front of the payload:
 //
-//     payload-32  magic          constant; interior frees and foreign
-//                                pointers fail this deterministically
+//     payload-32  magic          constant; interior and foreign pointers
+//                                fail check_access's test of it (free
+//                                admits only the lane's own slots)
 //     payload-24  capacity       payload bytes (freelist bin)
 //     payload-16  sites          alloc_site | last_free_site << 32
 //     payload-8   generation     the lock; 1..(2^tag_bits - 1), 0 skipped
@@ -39,6 +40,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <unordered_set>
 #include <vector>
 
 #include "alloc/alloc_iface.h"
@@ -73,7 +75,8 @@ class LockAndKeyLane {
   [[nodiscard]] void* alloc(std::size_t size, SiteId site = 0);
 
   // Key-vs-lock checked free. A stale key raises a kTagMismatch report and
-  // a bad header (interior/foreign pointer) a kInvalidFree report through
+  // a pointer that is not one of this lane's slots (interior, misaligned or
+  // foreign) a kInvalidFree report, before any header read, through
   // FaultManager::raise_software — same disposition as a hardware trap.
   void free(void* tagged, SiteId site = 0);
 
@@ -118,6 +121,8 @@ class LockAndKeyLane {
   // capacity -> recycled payload addresses (untagged). Slots never leave
   // the lane while it lives; that is what keeps stale locks checkable.
   std::map<std::size_t, std::vector<void*>> freelists_;
+  // Every payload this lane ever carved: free() admits only these.
+  std::unordered_set<void*> blocks_;
 };
 
 }  // namespace dpg::core

@@ -28,7 +28,7 @@ namespace dpg::core {
 
 enum class ObjectState : std::uint32_t {
   kLive,
-  kFreed,  // shadow pages PROT_NONE; any access is a dangling use
+  kFreed,  // shadow pages revoked; any access is a dangling use
 };
 
 // One record per allocation. Owned by the guard engine that created it and
@@ -57,8 +57,8 @@ struct ObjectRecord {
   std::uint32_t owner_shard = 0;   // index of the ShadowEngine shard that
                                    // created the record (ShardedHeap routing)
   std::atomic<ObjectState> state{ObjectState::kLive};
-  // True once the free's revocation resolved: the span reached PROT_NONE (or
-  // the refused mprotect was absorbed by quarantining the canonical block).
+  // True once the free's revocation resolved: the span was revoked (or the
+  // refused revocation was absorbed by quarantining the canonical block).
   // Written and read only under the owner engine's lock. Records with
   // state==kFreed but !revocation_done are in flight — sitting in the
   // revocation queue or on the remote-free list — and must not be released

@@ -826,7 +826,7 @@ RunResult run_trace(const FuzzConfig& cfg, const Trace& trace,
     expect_eq(core::LockAndKeyLane::access_mismatches() - access_mm_before,
               observed_tm_access, "lane access mismatches");
     if (cfg.fault_plan.empty()) {
-      // With no injected mprotect/mmap refusals every admitted free ends as
+      // With no injected revocation/mmap refusals every admitted free ends as
       // a revoked span once the queues are flushed.
       expect_eq(st.revoked_spans, guarded_frees, "stats.revoked_spans");
       expect_eq(st.guard_failures, 0, "stats.guard_failures");
@@ -991,13 +991,11 @@ std::vector<FuzzConfig> smoke_matrix(std::size_t n_ops) {
     v.push_back(c);
   }
   {
-    // MPK revocation backend. Detection semantics are backend-invariant, so
-    // the cell runs the identical oracle lockstep on every host: on MPK
-    // hardware freed spans retag to the revoked key (SEGV_PKUERR traps), on
-    // anything else the Revoker's mprotect fallback engages — and both must
-    // agree with the oracle op for op.
-    FuzzConfig c = base("pkey-batch16");
-    c.revoke_backend = vm::RevokeBackend::kPkey;
+    // The mprotect backend pinned. Every other cell takes kAuto, which runs
+    // guard markers where the kernel installs them, so the matrix holds
+    // both backends to the same oracle op for op.
+    FuzzConfig c = base("mprotect-batch16");
+    c.revoke_backend = vm::RevokeBackend::kMprotect;
     c.protect_batch = 16;
     v.push_back(c);
   }
@@ -1079,12 +1077,11 @@ std::vector<FuzzConfig> matrix(std::size_t n_ops) {
     v.push_back(c);
   }
   {
-    // pkey backend under cross-thread frees: the process's one revoked key
-    // serves all four shards, remote frees retag spans another lane
-    // allocated. On non-MPK hosts the same cell exercises the fallback under
-    // the identical schedule.
-    FuzzConfig c = base("pkey-4shard-mt");
-    c.revoke_backend = vm::RevokeBackend::kPkey;
+    // mprotect backend under cross-thread frees: remote frees revoke spans
+    // another lane allocated. The pinned twin of batch4-4shard-mt, which
+    // takes kAuto.
+    FuzzConfig c = base("mprotect-4shard-mt");
+    c.revoke_backend = vm::RevokeBackend::kMprotect;
     c.shards = 4;
     c.protect_batch = 16;
     c.gen.lanes = 4;

@@ -54,7 +54,7 @@ struct RunResult {
 
 // run_trace in a forked child that sends its verdict (and the `log` text)
 // back through a pipe, so state a run leaves in the process — registry,
-// governor ladder, protection keys, PKRU — cannot reach the next one. A
+// governor ladder — cannot reach the next one. A
 // child that dies without a verdict, or runs past a 60 s deadline (SIGALRM
 // kills it), counts as a divergence. Falls back to an in-process run when
 // fork is refused.

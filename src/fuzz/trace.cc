@@ -265,6 +265,9 @@ bool from_replay(const std::string& text, FuzzConfig* cfg, Trace* trace,
     } else if (tag == "revoke_backend") {
       std::string b;
       in >> b;
+      // Older files may name the retired pkey backend, which revoked one
+      // call per run exactly as mprotect does.
+      if (b == "pkey") b = "mprotect";
       if (!vm::parse_backend(b.c_str(), &c.revoke_backend)) {
         return fail("bad revoke_backend: " + b);
       }

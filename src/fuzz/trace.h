@@ -116,10 +116,10 @@ struct FuzzConfig {
   // lane). Narrow widths force wraps, exercising the reuse-window oracle
   // branch; the default is the full width.
   unsigned tag_bits = 15;
-  // Revocation backend. The pkey cells run the identical oracle lockstep —
-  // which protection mechanism raises the trap is invisible to detection
-  // semantics; on non-MPK hosts the backend resolves to its mprotect
-  // fallback and the cell still must agree with the oracle.
+  // Revocation backend. Every backend runs the identical oracle lockstep:
+  // which mechanism raises the trap is invisible to detection semantics.
+  // On kernels without guard markers kAuto and kGuard resolve to mprotect
+  // and the cell still must agree with the oracle.
   vm::RevokeBackend revoke_backend = vm::RevokeBackend::kAuto;
   GenParams gen;
 

@@ -54,7 +54,8 @@ TraceRing* this_thread_ring() noexcept {
 LatencyHistogram g_hists[static_cast<unsigned>(Hist::kCount)];
 
 constexpr const char* kHistNames[static_cast<unsigned>(Hist::kCount)] = {
-    "alloc_ns", "free_ns", "mmap_ns", "mprotect_ns", "munmap_ns", "mremap_ns",
+    "alloc_ns", "free_ns",   "mmap_ns",    "mprotect_ns",
+    "munmap_ns", "mremap_ns", "madvise_ns",
 };
 
 // --- counter registry ------------------------------------------------------

@@ -75,6 +75,7 @@ enum class Hist : unsigned {
   kMprotectNs,   // vm-layer mprotect
   kMunmapNs,     // vm-layer munmap
   kMremapNs,     // vm-layer mremap (alias strategy)
+  kMadviseNs,    // vm-layer madvise (guard-marker revocation)
   kCount,
 };
 

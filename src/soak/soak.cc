@@ -155,9 +155,9 @@ SoakResult run_soak(const SoakConfig& cfg) {
   // Pool churn shares the governor but owns its arena/freelist — the
   // create/destroy cycle is what feeds the VaFreeList trim path.
   core::GuardedPoolContext pool_ctx(gc);
-  // Each held freelist range is one PROT_NONE VMA (shadow aliases map
-  // distinct phys offsets, so the kernel never merges them) whose resident
-  // pages stay charged to RSS until a trim munmaps them. At the production
+  // Each held freelist range is one revoked VMA (shadow aliases map
+  // distinct phys offsets, so the kernel never merges them); under mprotect
+  // its resident pages stay charged to RSS until a trim munmaps them. At the production
   // limit the fill-trim sawtooth takes tens of seconds, so a short run's
   // drift window sees only the rising edge and reads the (bounded) cycle as
   // a leak. A tight limit puts several full cycles inside the fit window:
@@ -264,7 +264,7 @@ SoakResult run_soak(const SoakConfig& cfg) {
           pool.destroy();
           ws.ops += burst;
         }
-        // Deterministic revocation cadence: batched PROT_NONE revocations and
+        // Deterministic revocation cadence: batched revocations and
         // quarantine evictions must keep pace with the churn, or the gauges
         // never plateau and the drift gate reads recycling lag as a leak.
         if ((iter & 511) == 0) heap.flush_all();

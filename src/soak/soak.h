@@ -1,7 +1,7 @@
 // Address-space endurance soak harness (DESIGN.md §15).
 //
 // The page-guard design trades address space for detection: every live
-// guarded object is one VMA, every freed-but-guarded span one PROT_NONE VMA,
+// guarded object is one VMA, every freed-but-guarded span one revoked VMA,
 // and the recycling layers (VaFreeList, magazines, quarantine) exist to keep
 // that spend bounded. A slow leak in any of them — a freelist that only
 // grows, a magazine that never recycles, quarantine accounting that drifts —

@@ -1,49 +1,61 @@
 #include "vm/revoke.h"
 
+#include <sys/mman.h>
 #include <sys/syscall.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 
 #include "obs/env.h"
+#include "obs/metrics.h"
+#include "vm/page.h"
 #include "vm/phys_arena.h"
+
+#ifndef MADV_GUARD_INSTALL
+#define MADV_GUARD_INSTALL 102
+#endif
 
 namespace dpg::vm {
 
 namespace {
 
-#if defined(__x86_64__)
-// PKRU accessors. RDPKRU/WRPKRU are encoded as raw bytes so the build does
-// not need -mpku; they are only ever executed after a successful pkey_alloc
-// proved CR4.PKE is set (executing them earlier would SIGILL).
-[[nodiscard]] std::uint32_t rdpkru() noexcept {
-  std::uint32_t eax, edx;
-  asm volatile(".byte 0x0f, 0x01, 0xee" : "=a"(eax), "=d"(edx) : "c"(0));
-  (void)edx;
-  return eax;
-}
+// Exported as counters, so the JSON and Prometheus dumps and the .dpgcrash
+// file all record which backend the run had.
+std::atomic<std::uint64_t> g_guard_supported{0};
+std::atomic<std::uint64_t> g_resolved_mprotect{0};
+std::atomic<std::uint64_t> g_resolved_guard{0};
 
-void wrpkru(std::uint32_t pkru) noexcept {
-  asm volatile(".byte 0x0f, 0x01, 0xef" : : "a"(pkru), "c"(0), "d"(0));
-}
-#endif
-
-// The errno of the process's refused pkey_alloc (0 = none).
-std::atomic<int> g_refused_errno{0};
-
-// The process's revoked key: allocated on the first kPkey request, never
-// freed; -1 when that allocation was refused.
-int process_key() noexcept {
-  static const int key = [] {
-    const sys::KeyResult kr = sys::pkey_alloc();
-    if (kr.ok()) return kr.key;
-    g_refused_errno.store(kr.err, std::memory_order_release);
-    return -1;
+void register_backend_counters() noexcept {
+  static const bool registered = [] {
+    obs::register_counter("dpg_guard_markers_supported", &g_guard_supported);
+    obs::register_counter("dpg_revoke_backend_mprotect", &g_resolved_mprotect);
+    obs::register_counter("dpg_revoke_backend_guard", &g_resolved_guard);
+    return true;
   }();
-  return key;
+  (void)registered;
+}
+
+// One install on a one-page shared memfd mapping, the shape of a shadow
+// alias. Only the madvise goes through the shim: the scaffolding calls are
+// raw so the probe leaves the mmap/ftruncate fault-plan counts untouched.
+bool probe_guard() noexcept {
+  const int fd = static_cast<int>(::memfd_create("dpg-guard-probe", MFD_CLOEXEC));
+  if (fd < 0) return false;
+  bool ok = false;
+  if (::ftruncate(fd, static_cast<off_t>(kPageSize)) == 0) {
+    void* p = ::mmap(nullptr, kPageSize, PROT_READ | PROT_WRITE, MAP_SHARED,
+                     fd, 0);
+    if (p != MAP_FAILED) {
+      ok = sys::advise(p, kPageSize, MADV_GUARD_INSTALL).ok();
+      ::munmap(p, kPageSize);
+    }
+  }
+  ::close(fd);
+  return ok;
 }
 
 }  // namespace
@@ -52,7 +64,7 @@ const char* backend_name(RevokeBackend b) noexcept {
   switch (b) {
     case RevokeBackend::kAuto: return "auto";
     case RevokeBackend::kMprotect: return "mprotect";
-    case RevokeBackend::kPkey: return "pkey";
+    case RevokeBackend::kGuard: return "guard";
   }
   return "?";
 }
@@ -61,7 +73,7 @@ bool parse_backend(const char* s, RevokeBackend* out) noexcept {
   if (s == nullptr) return false;
   if (std::strcmp(s, "auto") == 0) *out = RevokeBackend::kAuto;
   else if (std::strcmp(s, "mprotect") == 0) *out = RevokeBackend::kMprotect;
-  else if (std::strcmp(s, "pkey") == 0) *out = RevokeBackend::kPkey;
+  else if (std::strcmp(s, "guard") == 0) *out = RevokeBackend::kGuard;
   else return false;
   return true;
 }
@@ -83,43 +95,42 @@ RevokeBackend backend_from_env() noexcept {
   return b;
 }
 
-int Revoker::init(RevokeBackend requested) noexcept {
+void Revoker::init(RevokeBackend requested) noexcept {
   const RevokeBackend want =
       requested == RevokeBackend::kAuto ? backend_from_env() : requested;
-  active_ = want == RevokeBackend::kPkey && process_key() >= 0
-                ? RevokeBackend::kPkey
+  // Probed on every request, so the exported support flag holds for
+  // mprotect-pinned runs too.
+  const bool guard = guard_supported();
+  active_ = want != RevokeBackend::kMprotect && guard
+                ? RevokeBackend::kGuard
                 : RevokeBackend::kMprotect;
-  // A refused key leaves full detection on the mprotect path.
-  if (want != RevokeBackend::kPkey || pkey_active()) return 0;
-  return g_refused_errno.load(std::memory_order_acquire);
-}
-
-int Revoker::revoked_key() const noexcept {
-  return pkey_active() ? process_key() : -1;
+  (active_ == RevokeBackend::kGuard ? g_resolved_guard : g_resolved_mprotect)
+      .fetch_add(1, std::memory_order_relaxed);
 }
 
 sys::IoResult Revoker::revoke(PhysArena& arena, void* p,
                               std::size_t len) const noexcept {
-  if (pkey_active()) return arena.try_revoke_pkey(p, len, process_key());
+  if (active_ == RevokeBackend::kGuard) {
+    const sys::IoResult r = sys::advise(p, page_up(len), MADV_GUARD_INSTALL);
+    // EINVAL: a VM_LOCKED alias refuses markers; PROT_NONE still works.
+    if (r.ok() || r.err != EINVAL) return r;
+  }
   return arena.try_revoke(p, len);
 }
 
-void Revoker::attach_thread() const noexcept {
-#if defined(__x86_64__)
-  if (!pkey_active()) return;
-  // Deny both access and write for the revoked key, preserving whatever
-  // rights the thread holds for every other key.
-  const std::uint32_t deny = 3u << (2 * static_cast<unsigned>(process_key()));
-  const std::uint32_t pkru = rdpkru();
-  if ((pkru & deny) != deny) wrpkru(pkru | deny);
-#endif
+bool Revoker::guard_supported() noexcept {
+  static const bool supported = [] {
+    register_backend_counters();
+    const bool ok = probe_guard();
+    g_guard_supported.store(ok ? 1 : 0, std::memory_order_relaxed);
+    return ok;
+  }();
+  return supported;
 }
 
 bool Revoker::mpk_supported() noexcept {
   static const bool supported = [] {
 #if defined(__x86_64__) && defined(SYS_pkey_alloc)
-    // Raw probe, deliberately NOT through the shim: an injected pkey_alloc
-    // failure must drive the fallback path, not hide the hardware.
     const long key = ::syscall(SYS_pkey_alloc, 0ul, 0ul);
     if (key < 0) return false;
     (void)::syscall(SYS_pkey_free, key);

@@ -4,28 +4,23 @@
 // Two backends do that job:
 //
 //   kMprotect  PROT_NONE through the arena (the paper's path).
-//   kPkey      on Intel MPK hardware, freed spans are retagged with
-//              pkey_mprotect to the process's *revoked protection key*, and
-//              every heap-touching thread's PKRU register denies that key, so
-//              the fault comes from the protection-key check instead of the
-//              page-table permission bits.
+//   kGuard     madvise(MADV_GUARD_INSTALL) puts guard markers in the span's
+//              page-table entries (Linux 6.13; 6.15+ for the shared memfd
+//              aliases used here). An access traps with SEGV_MAPERR. The
+//              VMA keeps its protections, so the call neither splits it nor
+//              takes the mmap write lock. A forked child inherits the
+//              markers, and MAP_FIXED over the span clears them for reuse.
 //
 // Batching is orthogonal to the backend: the engine's revocation queue
 // (GuardConfig::protect_batch, in pages) coalesces adjacent spans into one
-// call per run under either backend. The pkey backend is not a zero-syscall
-// path: the retag is itself one pkey_mprotect per revoked run, exactly where
-// the mprotect backend issues one mprotect.
+// call per run under either backend.
 //
-// One revoked key per process: the key is allocated at most once, on the
-// first kPkey request, and never freed. Reusing key numbers across heaps is
-// unsound — pkey_alloc resets the *calling thread's* PKRU rights for the key
-// it returns, so a recycled number stays readable on threads that attached
-// to its previous owner. A refusal (ENOSYS on non-MPK hardware or kernels,
-// ENOSPC when the 15 user keys are taken, or a DPG_FAULT_INJECT plan) is
-// recorded once too: every kPkey request in the process then falls back to
-// kMprotect and hands the errno back from init(). The first such engine of
-// each DegradationGovernor reports it as a ladder event (no rung change:
-// detection stays full); the stderr note is printed once per process.
+// kAuto resolves once per process: DPG_REVOKE_BACKEND when set, else kGuard
+// when a probe install on a one-page shared memfd mapping succeeds, else
+// kMprotect. A kGuard request on a host whose probe failed runs kMprotect.
+// The kernel refuses an install with EINVAL on a VM_LOCKED alias (mlock,
+// mlockall); that run is revoked through mprotect instead, so detection is
+// never weaker than under kMprotect.
 #pragma once
 
 #include <cstddef>
@@ -37,16 +32,16 @@ namespace dpg::vm {
 class PhysArena;
 
 enum class RevokeBackend : int {
-  // A request only: DPG_REVOKE_BACKEND when set, else kMprotect. A resolved
+  // A request only: resolved by init() as described above. A resolved
   // Revoker never reports kAuto.
   kAuto = 0,
   kMprotect,  // mprotect(PROT_NONE) per revoked run
-  kPkey,      // pkey_mprotect to the revoked key; PKRU denies access
+  kGuard,     // madvise(MADV_GUARD_INSTALL) per revoked run
 };
 
 [[nodiscard]] const char* backend_name(RevokeBackend b) noexcept;
 
-// Accepts "auto" | "mprotect" | "pkey"; false on anything else.
+// Accepts "auto" | "mprotect" | "guard"; false on anything else.
 [[nodiscard]] bool parse_backend(const char* s, RevokeBackend* out) noexcept;
 
 // DPG_REVOKE_BACKEND, or kAuto when unset/unparsable (an unparsable value is
@@ -55,34 +50,24 @@ enum class RevokeBackend : int {
 
 class Revoker {
  public:
-  // Resolves `requested` into the active backend. kPkey uses the process's
-  // revoked key, allocating it through the fault-injectable shim on the
-  // first request, and falls back to kMprotect when that allocation was
-  // refused. Returns the refusal's errno when this request fell back, else 0.
-  int init(RevokeBackend requested) noexcept;
+  // Resolves `requested` into the active backend and counts the result in
+  // the dpg_revoke_backend_{mprotect,guard} metrics.
+  void init(RevokeBackend requested) noexcept;
 
   [[nodiscard]] RevokeBackend active() const noexcept { return active_; }
-  [[nodiscard]] bool pkey_active() const noexcept {
-    return active_ == RevokeBackend::kPkey;
-  }
-  // The process's revoked key while kPkey is active, else -1.
-  [[nodiscard]] int revoked_key() const noexcept;
 
-  // Revokes [p, p+len): PROT_NONE through the arena, or a retag to the
-  // revoked key. Both routes keep the arena's ENOMEM relief-and-retry
-  // posture.
+  // Revokes [p, p+len): PROT_NONE through the arena (with its ENOMEM
+  // relief-and-retry posture), or one guard-marker install.
   [[nodiscard]] sys::IoResult revoke(PhysArena& arena, void* p,
                                      std::size_t len) const noexcept;
 
-  // Installs this thread's PKRU denial of the revoked key. No-op unless
-  // kPkey is active. Reads PKRU on every call and writes only when the deny
-  // bits are missing, so a thread whose rights were reset (pkey_alloc resets
-  // the caller's) is re-denied on its next heap entry.
-  void attach_thread() const noexcept;
+  // True when the kernel installs guard markers on a shared memfd mapping.
+  // The probe's madvise goes through the fault-injectable shim; the result
+  // is cached for the process and exported as dpg_guard_markers_supported.
+  [[nodiscard]] static bool guard_supported() noexcept;
 
-  // True when the CPU and kernel expose MPK. Probes with a raw pkey_alloc
-  // syscall (bypassing the fault-injection plan, so an injected ENOSYS does
-  // not make real hardware look absent); cached after the first call.
+  // True when the CPU and kernel expose MPK (a host fact for benchmark
+  // records; no backend uses it). Cached after the first call.
   [[nodiscard]] static bool mpk_supported() noexcept;
 
  private:

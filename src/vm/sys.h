@@ -1,5 +1,5 @@
 // sys — the single choke point between dpguard and the kernel's memory
-// syscalls (mmap/munmap/mprotect/mremap/ftruncate/memfd_create).
+// syscalls (mmap/munmap/mprotect/madvise/mremap/ftruncate/memfd_create).
 //
 // The paper targets *production servers*, so a refused syscall must be a
 // recoverable event, not a crash: every wrapper here retries EINTR, returns
@@ -49,12 +49,7 @@ enum class Call : unsigned {
   kMremap,
   kFtruncate,
   kMemfd,
-  // Memory-protection-key syscalls (vm/revoke.h's MPK backend). Raw-syscall
-  // wrappers: they must work on any glibc and return ENOSYS cleanly where the
-  // kernel or architecture lacks them.
-  kPkeyAlloc,
-  kPkeyMprotect,
-  kPkeyFree,
+  kMadvise,  // guard-marker revocation (vm/revoke.h)
   // IO calls issued by the crash-dump writer (obs/dump.cc). There are no
   // wrappers here — the writer consults check_fault() through the io-fault
   // hook this layer installs — but the plan grammar, counters, and
@@ -86,14 +81,6 @@ struct FdResult {
   [[nodiscard]] bool ok() const noexcept { return err == 0; }
 };
 
-// Result of pkey_alloc: a protection key in [1, 15], or an errno (ENOSYS on
-// kernels/CPUs without MPK, ENOSPC when all keys are taken).
-struct KeyResult {
-  int key = -1;
-  int err = 0;
-  [[nodiscard]] bool ok() const noexcept { return err == 0; }
-};
-
 // --- wrappers (EINTR-retrying, Result-returning, counted) -------------------
 
 [[nodiscard]] MapResult map(void* hint, std::size_t len, int prot, int flags,
@@ -107,17 +94,9 @@ IoResult protect(void* p, std::size_t len, int prot) noexcept;
 IoResult truncate_fd(int fd, off_t len) noexcept;
 [[nodiscard]] FdResult memfd(const char* name) noexcept;
 
-// pkey_alloc(0, 0): a fresh protection key with default (allow) rights.
-// Returns ENOSYS where the syscall or hardware is absent — callers treat
-// that exactly like an injected ENOSYS and fall back.
-[[nodiscard]] KeyResult pkey_alloc() noexcept;
-
-// pkey_mprotect(p, len, prot, key): retag a span with `key`, keeping the
-// page-table protections at `prot`. Counted separately from mprotect — the
-// MPK backend's "zero mprotect syscalls" claim is checkable from counters.
-IoResult pkey_protect(void* p, std::size_t len, int prot, int key) noexcept;
-
-IoResult pkey_free(int key) noexcept;
+// madvise(p, len, advice). Counted and timed separately from mprotect, so the
+// guard backend's revocations are visible as their own syscall series.
+IoResult advise(void* p, std::size_t len, int advice) noexcept;
 
 // --- fault-injection plan ---------------------------------------------------
 

@@ -4,7 +4,7 @@
 //  pages shared across pools and adding all pool pages to this free list at a
 //  pool destroy."
 //
-// Ranges pushed here remain *mapped* (shadow pages stay PROT_NONE, canonical
+// Ranges pushed here remain *mapped* (shadow pages stay revoked, canonical
 // pages stay RW); a consumer takes an address and mmap(MAP_FIXED)s a new
 // mapping directly over it, which atomically replaces the old one — no
 // munmap per object ever happens on the hot path.

@@ -3,7 +3,7 @@
 // Table 1 / Table 3 of the paper break total overhead into a system-call
 // component and a TLB component; the "PA + dummy syscalls" column isolates
 // the former. These counters let the bench harness report exactly how many
-// mmap/mprotect/mremap calls each configuration performed.
+// mmap/mprotect/madvise/mremap calls each configuration performed.
 //
 // Every counter sits on its own cache line: this struct is a single
 // process-wide instance bumped from every thread's alloc/free path, and with
@@ -38,9 +38,7 @@ struct SyscallCounters {
   alignas(kCacheLine) std::atomic<std::uint64_t> mprotect{0};
   alignas(kCacheLine) std::atomic<std::uint64_t> mremap{0};
   alignas(kCacheLine) std::atomic<std::uint64_t> ftruncate{0};
-  alignas(kCacheLine) std::atomic<std::uint64_t> pkey_alloc{0};
-  alignas(kCacheLine) std::atomic<std::uint64_t> pkey_mprotect{0};
-  alignas(kCacheLine) std::atomic<std::uint64_t> pkey_free{0};
+  alignas(kCacheLine) std::atomic<std::uint64_t> madvise{0};
 
   [[nodiscard]] std::uint64_t total() const noexcept {
     return mmap.load(std::memory_order_relaxed) +
@@ -48,9 +46,7 @@ struct SyscallCounters {
            mprotect.load(std::memory_order_relaxed) +
            mremap.load(std::memory_order_relaxed) +
            ftruncate.load(std::memory_order_relaxed) +
-           pkey_alloc.load(std::memory_order_relaxed) +
-           pkey_mprotect.load(std::memory_order_relaxed) +
-           pkey_free.load(std::memory_order_relaxed);
+           madvise.load(std::memory_order_relaxed);
   }
   void reset() noexcept {
     mmap = 0;
@@ -58,9 +54,7 @@ struct SyscallCounters {
     mprotect = 0;
     mremap = 0;
     ftruncate = 0;
-    pkey_alloc = 0;
-    pkey_mprotect = 0;
-    pkey_free = 0;
+    madvise = 0;
   }
 };
 

@@ -12,6 +12,7 @@
 #include "core/guarded_pool.h"
 #include "core/sharded_heap.h"
 #include "vm/revoke.h"
+#include "vm/vm_stats.h"
 #include "test_seed.h"
 #include "workloads/common.h"
 
@@ -183,22 +184,25 @@ TEST(Concurrency, DetectionsCounterIsAtomic) {
   EXPECT_EQ(FaultManager::instance().detections(), before + kThreads * 25);
 }
 
-TEST(Concurrency, PkeyBackendRemoteFreeStorm) {
-  // MPSC storm against the pkey revocation backend: producers allocate on
-  // their home shards, one consumer frees everything remotely, so every
-  // revocation follows the remote-free drain path under the process's one
-  // revoked key. Detection assertions run on every host — on non-MPK
-  // machines the Revoker resolves to its mprotect fallback and the same
-  // storm exercises that; the pkey-native assertions at the end skip (not
-  // fail) where the hardware is absent.
+TEST(Concurrency, ResolvedBackendRemoteFreeStorm) {
+  // MPSC storm against the resolved revocation backend (guard markers where
+  // the kernel has them, else mprotect): producers allocate on their home
+  // shards, one consumer frees everything remotely, so every revocation
+  // follows the remote-free drain path.
   vm::PhysArena arena(1u << 28);
   DegradationGovernor gov;
   ShardedHeap heap(arena,
                    {.freed_va_budget = 64u << 20,
                     .protect_batch = 16,
-                    .governor = &gov,
-                    .revoke_backend = vm::RevokeBackend::kPkey},
+                    .governor = &gov},
                    kThreads);
+  vm::Revoker resolved;
+  resolved.init(vm::RevokeBackend::kAuto);
+  const vm::SyscallCounters& sys = vm::syscall_counters();
+  const std::atomic<std::uint64_t>& revoke_calls =
+      resolved.active() == vm::RevokeBackend::kGuard ? sys.madvise
+                                                     : sys.mprotect;
+  const std::uint64_t calls_before = revoke_calls.load();
 
   constexpr int kPerThread = 400;
   std::mutex mu;
@@ -274,8 +278,7 @@ TEST(Concurrency, PkeyBackendRemoteFreeStorm) {
   df_probe.join();
   EXPECT_FALSE(failed.load()) << "double free after remote-free storm";
 
-  // Per-thread revocation visibility: a fresh thread attaches (first heap
-  // touch installs its PKRU denial under pkey; a no-op otherwise) and must
+  // Revocation is per address space, not per thread: a fresh thread must
   // trap on every probed revoked span.
   std::atomic<int> traps{0};
   std::thread prober([&] {
@@ -293,14 +296,11 @@ TEST(Concurrency, PkeyBackendRemoteFreeStorm) {
   prober.join();
   EXPECT_EQ(traps.load(), 8);
 
-  if (!vm::Revoker::mpk_supported()) {
-    GTEST_SKIP() << "no MPK: storm ran on the mprotect fallback; "
-                    "pkey-native assertions skipped";
-  }
   for (std::size_t i = 0; i < heap.shards(); ++i) {
-    EXPECT_EQ(heap.engine(i).revoke_backend(), vm::RevokeBackend::kPkey);
+    EXPECT_EQ(heap.engine(i).revoke_backend(), resolved.active());
   }
-  EXPECT_EQ(stats.pkey_revocations, stats.frees);
+  // Every revocation run went through the backend's own call.
+  EXPECT_EQ(revoke_calls.load() - calls_before, stats.protect_calls);
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 #include <pthread.h>
 #include <signal.h>
+#include <sys/syscall.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -15,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/degrade.h"
@@ -50,6 +53,24 @@ T* launder_ptr(T* p) {
   return p;
 }
 
+// A plan that refuses the revocation call of the heap's resolved backend
+// with `err`. A guard-marker install refused with EINVAL falls back to
+// mprotect, so that plan refuses mprotect too.
+std::string refuse_revocation(const ShardedHeap& heap, const char* err) {
+  const std::string e = std::string(":errno=") + err;
+  if (heap.engine(0).revoke_backend() != vm::RevokeBackend::kGuard) {
+    return "mprotect" + e;
+  }
+  return std::strcmp(err, "EINVAL") == 0 ? "madvise" + e + ",mprotect" + e
+                                         : "madvise" + e;
+}
+
+// The syscall counter of the backend's revocation call.
+std::uint64_t revocation_calls(vm::RevokeBackend b) {
+  const vm::SyscallCounters& c = vm::syscall_counters();
+  return (b == vm::RevokeBackend::kGuard ? c.madvise : c.mprotect).load();
+}
+
 // Every test disarms the global plan on exit so a failing assertion cannot
 // leak injected faults into the rest of the binary.
 class FaultInjectionTest : public ::testing::Test {
@@ -67,6 +88,8 @@ TEST_F(FaultInjectionTest, SpecGrammarAcceptsValidPlans) {
   EXPECT_TRUE(vm::sys::set_fault_plan("ftruncate:errno=12:every=2:count=5"));
   EXPECT_TRUE(vm::sys::set_fault_plan("mmap:prob=0.25:seed=7,munmap:nth=1"));
   EXPECT_TRUE(vm::sys::set_fault_plan("memfd:errno=EMFILE"));
+  EXPECT_TRUE(vm::sys::set_fault_plan("madvise:errno=EINVAL:nth=1"));
+  EXPECT_TRUE(vm::sys::set_fault_plan("madvise:errno=ENOSYS,mprotect:every=3"));
   EXPECT_TRUE(vm::sys::set_fault_plan(""));  // empty spec = disarm
   EXPECT_FALSE(vm::sys::fault_plan_active());
 }
@@ -264,13 +287,14 @@ TEST_F(FaultInjectionTest, ShadowAliasEnomemDegradesButServesAllocation) {
   EXPECT_GE(heap.stats().sampled_frees, 1u);
 }
 
-TEST_F(FaultInjectionTest, MprotectRefusalQuarantinesButKeepsDoubleFreeExact) {
+TEST_F(FaultInjectionTest, RevocationRefusalQuarantinesButKeepsDoubleFreeExact) {
   DegradationGovernor gov;
   vm::PhysArena arena(1u << 24);
   ShardedHeap heap(arena, {.governor = &gov}, 1);
   auto* p = static_cast<char*>(heap.malloc(64));
   p[0] = 'a';
-  ASSERT_TRUE(vm::sys::set_fault_plan("mprotect:errno=EACCES"));
+  ASSERT_TRUE(
+      vm::sys::set_fault_plan(refuse_revocation(heap, "EACCES").c_str()));
   EXPECT_NO_THROW(heap.free(p));  // revocation refused: park, don't throw
   EXPECT_GE(heap.stats().guard_failures, 1u);
   EXPECT_EQ(gov.mode(), GuardMode::kSampled);  // one refusal, one rung
@@ -304,9 +328,10 @@ TEST_F(FaultInjectionTest, MidBatchDemotionQuarantinesQueuedRevocations) {
   ASSERT_GE(heap.engine(0).pending_revocations(),
             static_cast<std::size_t>(kObjs));
 
-  // The kernel refuses mprotect exactly when the queue drains: the batched
+  // The kernel refuses revocation exactly when the queue drains: the batched
   // call and every per-record fallback fail, and the governor demotes.
-  ASSERT_TRUE(vm::sys::set_fault_plan("mprotect:errno=EACCES"));
+  ASSERT_TRUE(
+      vm::sys::set_fault_plan(refuse_revocation(heap, "EACCES").c_str()));
   EXPECT_NO_THROW(heap.engine(0).flush_protections());
   vm::sys::clear_fault_plan();
   EXPECT_EQ(heap.engine(0).pending_revocations(), 0u);
@@ -359,8 +384,8 @@ TEST_F(FaultInjectionTest, LadderWalksToUnguardedUnderPersistentRefusal) {
   vm::PhysArena arena(1u << 24);
   ShardedHeap heap(arena, {.governor = &gov}, 1);
   auto* a = static_cast<char*>(heap.malloc(32));  // guarded while healthy
-  ASSERT_TRUE(
-      vm::sys::set_fault_plan("mmap:errno=ENOMEM,mprotect:errno=EINVAL"));
+  ASSERT_TRUE(vm::sys::set_fault_plan(
+      ("mmap:errno=ENOMEM," + refuse_revocation(heap, "EINVAL")).c_str()));
   auto* b = static_cast<char*>(heap.malloc(32));  // alias refused: rung 1 down
   ASSERT_NE(b, nullptr);
   EXPECT_EQ(gov.mode(), GuardMode::kSampled);
@@ -429,88 +454,36 @@ TEST_F(FaultInjectionTest, DegradedFreeNeverRaisesAFalsePositive) {
   EXPECT_GE(heap.stats().quarantined_frees, 1u);
 }
 
-// --- pkey backend fallback (DESIGN.md §16) ---------------------------------
+// --- revocation backends (DESIGN.md §16) ----------------------------------
 
-TEST_F(FaultInjectionTest, SpecGrammarAcceptsPkeyCalls) {
-  EXPECT_TRUE(vm::sys::set_fault_plan("pkey_alloc:errno=ENOSYS:nth=1"));
-  EXPECT_TRUE(vm::sys::set_fault_plan("pkey_alloc:errno=ENOSPC"));
-  EXPECT_TRUE(vm::sys::set_fault_plan("pkey_mprotect:errno=EACCES:every=3"));
-  EXPECT_TRUE(vm::sys::set_fault_plan("pkey_free:errno=EINVAL"));
-  EXPECT_TRUE(vm::sys::set_fault_plan(""));
-}
-
-// The Revoker's fallback contract, end to end: a refused pkey_alloc is not an
-// error. The heap comes up on the mprotect backend, the governor logs the
-// event once without surrendering a rung, and detection stays exact. The
-// refusal is injected, so this runs identically on MPK and non-MPK hosts.
-//
-// The body runs in a fresh child process (threadsafe death-test style
-// re-executes the binary): the revoked key is allocated once per process, so
-// a key an earlier test allocated would hide the injected refusal. Returns 0
-// when every check holds, else prints the failed check and returns 1.
-int pkey_fallback_child(const char* plan, int want_errno) {
+// A refused probe is not an error: kAuto and an explicit kGuard request both
+// come up on mprotect, and detection stays exact. The body runs in a fresh
+// child process (threadsafe death-test style re-executes the binary),
+// because the probe runs once per process. Returns 0 when every check
+// holds, else prints the failed check and returns 1.
+int refused_probe_child() {
   auto failed = [](const char* what) {
-    std::fprintf(stderr, "pkey fallback check failed: %s\n", what);
+    std::fprintf(stderr, "refused probe check failed: %s\n", what);
     return 1;
   };
-  obs::set_trace_enabled(true);  // the flight-recorder check needs a ring
-  GovernorConfig gcfg;
-  gcfg.recover_after = 0;
-  DegradationGovernor gov(gcfg);
+  if (!vm::sys::set_fault_plan("madvise:errno=EINVAL:nth=1")) {
+    return failed("plan rejected");
+  }
+  DegradationGovernor gov;
   vm::PhysArena arena(1u << 24);
-  if (!vm::sys::set_fault_plan(plan)) return failed("plan rejected");
-  ShardedHeap heap(
-      arena, {.governor = &gov, .revoke_backend = vm::RevokeBackend::kPkey}, 1);
+  ShardedHeap heap(arena, {.governor = &gov}, 1);
+  ShardedHeap pinned(
+      arena, {.governor = &gov, .revoke_backend = vm::RevokeBackend::kGuard},
+      1);
   vm::sys::clear_fault_plan();
-  // A second pkey request in the same process reuses the recorded refusal:
-  // no second pkey_alloc, no second ladder event.
-  ShardedHeap again(
-      arena, {.governor = &gov, .revoke_backend = vm::RevokeBackend::kPkey}, 1);
-
-  for (ShardedHeap* h : {&heap, &again}) {
+  if (vm::Revoker::guard_supported()) return failed("probe result not cached");
+  for (ShardedHeap* h : {&heap, &pinned}) {
     if (h->engine(0).revoke_backend() != vm::RevokeBackend::kMprotect) {
-      return failed("backend did not fall back to mprotect");
+      return failed("backend did not resolve to mprotect");
     }
   }
   if (gov.mode() != GuardMode::kFullGuard) return failed("ladder moved");
-  if (gov.counters().pkey_fallbacks.load() != 1) return failed("fallbacks");
-  if (gov.counters().transitions.load() != 0) return failed("transitions");
-  // A heap on another governor still gets its own ladder record: the
-  // refusal is process-wide, its report is per governor.
-  DegradationGovernor other_gov(gcfg);
-  ShardedHeap other(arena,
-                    {.governor = &other_gov,
-                     .revoke_backend = vm::RevokeBackend::kPkey},
-                    1);
-  if (other_gov.counters().pkey_fallbacks.load() != 1) {
-    return failed("second governor not told");
-  }
-
-  // The refusal is postmortem-visible: exactly one from==to LadderRecord and
-  // a flight-recorder event carrying the errno.
-  LadderRecord recs[16];
-  const std::size_t n = gov.history(recs, 16);
-  int ladder_records = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (std::strcmp(recs[i].reason, "pkey-fallback") == 0) {
-      if (recs[i].from_mode != recs[i].to_mode) return failed("rung changed");
-      ++ladder_records;
-    }
-  }
-  if (ladder_records != 1) return failed("pkey-fallback records != 1");
-  obs::TraceEvent evs[obs::TraceRing::kCapacity];
-  const std::size_t ne = obs::capture_recent(evs, obs::TraceRing::kCapacity);
-  bool event_seen = false;
-  for (std::size_t i = 0; i < ne; ++i) {
-    if (evs[i].kind == static_cast<std::uint16_t>(obs::EventKind::kPkeyFallback) &&
-        evs[i].addr == static_cast<std::uint64_t>(want_errno)) {
-      event_seen = true;
-    }
-  }
-  if (!event_seen) return failed("no kPkeyFallback event");
-
-  // Full detection through the fallback: clean frees stay silent (no false
-  // positives), and a dangling read traps.
+  const std::uint64_t madvise_before = vm::syscall_counters().madvise.load();
   auto* p = static_cast<char*>(heap.malloc(48));
   if (p == nullptr) return failed("malloc");
   std::memset(p, 'k', 48);
@@ -523,94 +496,93 @@ int pkey_fallback_child(const char* plan, int want_errno) {
   });
   if (!report.has_value()) return failed("dangling read did not trap");
   if (heap.stats().guard_failures != 0) return failed("guard failures");
-  if (heap.stats().pkey_revocations != 0) return failed("pkey revocations");
+  if (vm::syscall_counters().madvise.load() != madvise_before) {
+    return failed("mprotect backend issued madvise");
+  }
   return 0;
 }
 
-TEST_F(FaultInjectionTest, PkeyAllocEnosysFallsBackToMprotect) {
+TEST_F(FaultInjectionTest, RefusedGuardProbeResolvesToMprotect) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  EXPECT_EXIT(std::_Exit(pkey_fallback_child("pkey_alloc:errno=ENOSYS:nth=1",
-                                             ENOSYS)),
-              ::testing::ExitedWithCode(0), "");
+  EXPECT_EXIT(std::_Exit(refused_probe_child()), ::testing::ExitedWithCode(0),
+              "");
 }
 
-TEST_F(FaultInjectionTest, PkeyAllocEnospcFallsBackToMprotect) {
-  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  EXPECT_EXIT(std::_Exit(pkey_fallback_child("pkey_alloc:errno=ENOSPC:nth=1",
-                                             ENOSPC)),
-              ::testing::ExitedWithCode(0), "");
-}
-
-TEST_F(FaultInjectionTest, PkeyBackendActivatesOnMpkHardware) {
-  if (!vm::Revoker::mpk_supported()) {
-    GTEST_SKIP() << "no MPK on this host; the fallback tests cover the seam";
+TEST_F(FaultInjectionTest, GuardBackendRevokesWithOneMadvisePerFree) {
+  if (!vm::Revoker::guard_supported()) {
+    GTEST_SKIP() << "no guard markers on this kernel; kGuard runs mprotect";
   }
   DegradationGovernor gov;
   vm::PhysArena arena(1u << 24);
   ShardedHeap heap(
-      arena, {.governor = &gov, .revoke_backend = vm::RevokeBackend::kPkey}, 1);
-  EXPECT_EQ(heap.engine(0).revoke_backend(), vm::RevokeBackend::kPkey);
-  vm::Revoker revoker;
-  revoker.init(vm::RevokeBackend::kPkey);
-  EXPECT_GE(revoker.revoked_key(), 1);
-  EXPECT_EQ(gov.counters().pkey_fallbacks.load(), 0u);
-  const std::uint64_t mprotects_before =
-      vm::syscall_counters().mprotect.load();
+      arena, {.governor = &gov, .revoke_backend = vm::RevokeBackend::kGuard},
+      1);
+  ASSERT_EQ(heap.engine(0).revoke_backend(), vm::RevokeBackend::kGuard);
   auto* p = static_cast<char*>(heap.malloc(64));
+  const std::uint64_t madvise_before = vm::syscall_counters().madvise.load();
+  const std::uint64_t mprotect_before = vm::syscall_counters().mprotect.load();
   heap.free(p);
-  heap.engine(0).flush_protections();
-  EXPECT_GE(heap.stats().pkey_revocations, 1u);
-  // The revocation went through pkey_mprotect: the mprotect counter did not
-  // move for this free.
-  EXPECT_EQ(vm::syscall_counters().mprotect.load(), mprotects_before);
+  EXPECT_EQ(vm::syscall_counters().madvise.load(), madvise_before + 1);
+  EXPECT_EQ(vm::syscall_counters().mprotect.load(), mprotect_before);
+  const auto report = catch_dangling([&] {
+    volatile char c = *launder_ptr(p);
+    (void)c;
+  });
+  ASSERT_TRUE(report.has_value());
+  EXPECT_EQ(report->object_base, vm::addr(p));
+}
+
+// The kernel refuses guard markers on a VM_LOCKED alias with EINVAL. That
+// run is revoked through mprotect, so an mlocked object still traps.
+TEST_F(FaultInjectionTest, MlockedObjectFreeStillTraps) {
+  DegradationGovernor gov;
+  vm::PhysArena arena(1u << 24);
+  ShardedHeap heap(arena, {.governor = &gov}, 1);
+  auto* p = static_cast<char*>(heap.malloc(64));
+  ASSERT_NE(p, nullptr);
+  void* page = reinterpret_cast<void*>(vm::addr(p) & ~(vm::kPageSize - 1));
+  // The raw syscall: sanitizer runtimes intercept mlock() as a no-op.
+  if (syscall(SYS_mlock, page, vm::kPageSize) != 0) {
+    GTEST_SKIP() << "mlock refused (RLIMIT_MEMLOCK)";
+  }
+  const std::uint64_t mprotect_before = vm::syscall_counters().mprotect.load();
+  heap.free(p);
+  EXPECT_EQ(heap.stats().guard_failures, 0u);
+  EXPECT_EQ(heap.stats().revoked_spans, 1u);
+  EXPECT_EQ(vm::syscall_counters().mprotect.load(), mprotect_before + 1);
   const auto report = catch_dangling([&] {
     volatile char c = *launder_ptr(p);
     (void)c;
   });
   EXPECT_TRUE(report.has_value());
+  EXPECT_EQ(gov.mode(), GuardMode::kFullGuard);
 }
 
-// Regression: heaps and pools created one after another on the pkey backend
-// must each trap. With a key per heap, a later heap's pkey_alloc handed back
-// the previous owner's key number with this thread's rights reset to allow,
-// and a per-thread "already denied" memo kept it that way — every heap after
-// the first read freed memory silently. One key per process, and PKRU
-// re-checked on every attach, keep all of them exact.
-TEST_F(FaultInjectionTest, SequentialPkeyHeapsAndPoolsAllTrap) {
-  if (!vm::Revoker::mpk_supported()) {
-    GTEST_SKIP() << "no MPK on this host";
-  }
-  const std::uint64_t allocs_before =
-      vm::syscall_counters().pkey_alloc.load();
-  auto expect_trap = [](char* p, const char* what, int i) {
+// A child forked after a free traps on the freed span: PROT_NONE and guard
+// markers are both inherited across fork.
+TEST_F(FaultInjectionTest, ForkedChildTrapsOnSpanRevokedBeforeFork) {
+  vm::PhysArena arena(1u << 24);
+  ShardedHeap heap(arena, {}, 1);
+  auto* p = static_cast<char*>(heap.malloc(64));
+  std::memset(p, 'f', 64);
+  const std::uint64_t calls_before =
+      revocation_calls(heap.engine(0).revoke_backend());
+  heap.free(p);
+  ASSERT_EQ(revocation_calls(heap.engine(0).revoke_backend()),
+            calls_before + 1);
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
     const auto report = catch_dangling([&] {
       volatile char c = *launder_ptr(p);
       (void)c;
     });
-    EXPECT_TRUE(report.has_value()) << what << " " << i << " read silently";
-  };
-  for (int i = 0; i < 3; ++i) {
-    vm::PhysArena arena(1u << 24);
-    DegradationGovernor gov;
-    ShardedHeap heap(
-        arena, {.governor = &gov, .revoke_backend = vm::RevokeBackend::kPkey},
-        1);
-    ASSERT_EQ(heap.engine(0).revoke_backend(), vm::RevokeBackend::kPkey);
-    auto* p = static_cast<char*>(heap.malloc(32));
-    heap.free(p);
-    expect_trap(p, "heap", i);
+    _exit(report.has_value() ? 0 : 1);
   }
-  DegradationGovernor gov;
-  GuardedPoolContext ctx(
-      {.governor = &gov, .revoke_backend = vm::RevokeBackend::kPkey},
-      1u << 24);
-  for (int i = 0; i < 20; ++i) {
-    GuardedPool pool(ctx);
-    auto* p = static_cast<char*>(pool.alloc(32));
-    pool.free(p);
-    expect_trap(p, "pool", i);
-  }
-  EXPECT_LE(vm::syscall_counters().pkey_alloc.load() - allocs_before, 1u);
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "child died with status " << status;
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "the child read the freed span";
 }
 
 // --- fault-manager hardening ----------------------------------------------

@@ -78,7 +78,7 @@ TEST(FuzzTrace, ReplayRoundTripIsByteIdentical) {
   FuzzConfig cfg;
   cfg.name = "batch16-1shard";
   cfg.protect_batch = 16;
-  cfg.revoke_backend = vm::RevokeBackend::kPkey;  // rides the header too
+  cfg.revoke_backend = vm::RevokeBackend::kGuard;  // rides the header too
   cfg.gen.n_ops = 200;
   const Trace t = generate(dpg::testing::dpg_test_seed(7), cfg.gen);
   const std::string text = to_replay(cfg, t);
@@ -236,11 +236,12 @@ TEST(FuzzCli, OracleBugShrinksToReplayThatReproduces) {
   unlink(path_tmpl);
 }
 
-// Inserts a retired header `line` before the `before` field of a cell's
-// replay: the reader must drop it, not write it back, and the file must
-// replay clean as the cell it names.
-void expect_legacy_line_dropped(const std::string& cell, const char* before,
-                                const char* line, std::uint64_t seed) {
+// Rewrites the first `find` in a cell's replay to `replace`, the way an
+// older writer put it: the reader must parse it as the cell, write the
+// current form back, and the file must replay clean as the cell it names.
+void expect_legacy_replays_as(const std::string& cell, std::uint64_t seed,
+                              const std::string& find,
+                              const std::string& replace) {
   FuzzConfig cfg;
   for (const FuzzConfig& c : matrix(300)) {
     if (c.name == cell) cfg = c;
@@ -249,9 +250,9 @@ void expect_legacy_line_dropped(const std::string& cell, const char* before,
   const Trace trace = generate(dpg::testing::dpg_test_seed(seed), cfg.gen);
   const std::string current = to_replay(cfg, trace);
   std::string legacy = current;
-  const auto pos = legacy.find(before);
+  const auto pos = legacy.find(find);
   ASSERT_NE(pos, std::string::npos);
-  legacy.insert(pos, line);
+  legacy.replace(pos, find.size(), replace);
 
   FuzzConfig parsed;
   Trace t;
@@ -274,19 +275,29 @@ void expect_legacy_line_dropped(const std::string& cell, const char* before,
 // Files recorded before magazines followed the batch carry a `magazines N`
 // line. The reader drops it, and the file replays as the cell it names.
 TEST(FuzzTrace, ReplayAcceptsLegacyMagazinesLine) {
-  expect_legacy_line_dropped("batch4-1shard", "batch ", "magazines 64\n", 13);
+  expect_legacy_replays_as("batch4-1shard", 13, "batch ",
+                           "magazines 64\nbatch ");
 }
 
 // Files recorded before the recycle cache followed the magazines carry a
 // `recycle_cap N` line, dropped the same way.
 TEST(FuzzTrace, ReplayAcceptsLegacyRecycleCapLine) {
-  expect_legacy_line_dropped("batch4-4shard-mt", "seed ", "recycle_cap 16\n",
-                             17);
+  expect_legacy_replays_as("batch4-4shard-mt", 17, "seed ",
+                           "recycle_cap 16\nseed ");
 }
 
-// Hermetic replay: a pkey trace replayed in a process where other heaps —
-// pkey ones included — already ran must reach the verdict a fresh process
-// reaches. Checked for a clean trace and for the broken-oracle divergence.
+// Files recorded before guard markers replaced the protection-key backend
+// may name it. The reader maps it to mprotect, which revoked the same runs
+// with the same one call each.
+TEST(FuzzTrace, ReplayMapsLegacyPkeyBackendToMprotect) {
+  expect_legacy_replays_as("mprotect-batch16", 19, "revoke_backend mprotect",
+                           "revoke_backend pkey");
+}
+
+// Hermetic replay: a trace pinned to one backend, replayed in a process
+// where heaps on the other backend already ran, must reach the verdict a
+// fresh process reaches. Checked for a clean trace and for the
+// broken-oracle divergence.
 TEST(FuzzCli, ReplayAfterOtherHeapsMatchesFreshProcess) {
   const std::uint64_t seed = dpg::testing::dpg_test_seed(5);
   DPG_SEED_TRACE(seed);
@@ -295,9 +306,9 @@ TEST(FuzzCli, ReplayAfterOtherHeapsMatchesFreshProcess) {
   }
   FuzzConfig cfg;
   for (const FuzzConfig& c : matrix(300)) {
-    if (c.name == "pkey-4shard-mt") cfg = c;
+    if (c.name == "mprotect-4shard-mt") cfg = c;
   }
-  ASSERT_EQ(cfg.name, "pkey-4shard-mt");
+  ASSERT_EQ(cfg.name, "mprotect-4shard-mt");
   const Trace trace = generate(seed, cfg.gen);
   for (const bool oracle_bug : {false, true}) {
     cfg.oracle_bug = oracle_bug;

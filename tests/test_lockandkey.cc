@@ -2,6 +2,7 @@
 // round-trip, stale access/free reports, interior-pointer frees, and the
 // generation-wrap reuse window the fuzz oracle mirrors.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include <cstdint>
 #include <cstring>
@@ -11,6 +12,7 @@
 #include "core/fault_manager.h"
 #include "core/lockandkey.h"
 #include "core/stats.h"
+#include "vm/page.h"
 
 namespace dpg::core {
 namespace {
@@ -83,8 +85,8 @@ TEST(LockAndKey, InteriorPointerFreeIsInvalidFree) {
   LaneFixture fx;
   void* p = fx.lane.alloc(64, 1);
   ASSERT_NE(p, nullptr);
-  // An interior pointer keeps the (valid) key but points past the header's
-  // magic word, which the aperiodic constant makes fail deterministically.
+  // An interior pointer keeps the (valid) key but is not one of the lane's
+  // slots.
   const std::uint64_t interior = addr_of(p) + 8;
   const auto report = catch_dangling([&] {
     fx.lane.free(reinterpret_cast<void*>(interior), 9);
@@ -92,6 +94,35 @@ TEST(LockAndKey, InteriorPointerFreeIsInvalidFree) {
   ASSERT_TRUE(report.has_value());
   EXPECT_EQ(report->kind, AccessKind::kInvalidFree);
   EXPECT_EQ(fx.counters.snapshot().invalid_frees, 1u);
+}
+
+TEST(LockAndKey, MisalignedForeignTaggedFreeIsInvalidFree) {
+  LaneFixture fx;
+  // A nonzero key on an odd address whose would-be header lies on an
+  // unmapped page: free must reject it before reading any header word.
+  void* hole = mmap(nullptr, 2 * vm::kPageSize, PROT_NONE,
+                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(hole, MAP_FAILED);
+  const std::uint64_t foreign =
+      (addr_of(hole) + vm::kPageSize + 3) |
+      (std::uint64_t{5} << LockAndKeyLane::kTagShift);
+  const auto report = catch_dangling([&] {
+    fx.lane.free(reinterpret_cast<void*>(foreign), 4);
+  });
+  ASSERT_TRUE(report.has_value());
+  EXPECT_EQ(report->kind, AccessKind::kInvalidFree);
+  EXPECT_EQ(report->fault_address, foreign);
+  // An aligned foreign pointer on the same unmapped page is rejected too.
+  const std::uint64_t aligned =
+      (addr_of(hole) + vm::kPageSize + 64) |
+      (std::uint64_t{5} << LockAndKeyLane::kTagShift);
+  EXPECT_TRUE(catch_dangling([&] {
+                fx.lane.free(reinterpret_cast<void*>(aligned), 4);
+              }).has_value());
+  const GuardStats st = fx.counters.snapshot();
+  EXPECT_EQ(st.invalid_frees, 2u);
+  EXPECT_EQ(st.tagged_frees, 0u);
+  munmap(hole, 2 * vm::kPageSize);
 }
 
 TEST(LockAndKey, GenerationWrapOpensTheReuseWindow) {

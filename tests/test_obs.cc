@@ -21,6 +21,8 @@
 #include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "vm/phys_arena.h"
+#include "vm/revoke.h"
 
 namespace dpg {
 namespace {
@@ -369,6 +371,35 @@ TEST(ExporterTest, RenderJsonIsStructuredAndComplete) {
   obs::set_trace_enabled(false);
 }
 
+// The revocation backend a run had is explainable from its dumps alone:
+// the probe result, the engines per resolved backend and the madvise
+// series appear in both exporter formats.
+TEST(ExporterTest, DumpsRecordTheRevocationBackend) {
+  vm::PhysArena arena(1u << 24);
+  core::ShardedHeap heap(arena, {}, 1);
+  const vm::RevokeBackend resolved = heap.engine(0).revoke_backend();
+  static char buf[64 * 1024];
+  std::size_t n = obs::render_json(buf, sizeof buf, "test");
+  ASSERT_GT(n, 0u);
+  const std::string js(buf, n);
+  EXPECT_NE(js.find(std::string("\"dpg_guard_markers_supported\":") +
+                    (vm::Revoker::guard_supported() ? "1" : "0")),
+            std::string::npos)
+      << js;
+  const std::string engines =
+      std::string("dpg_revoke_backend_") + vm::backend_name(resolved);
+  EXPECT_NE(js.find("\"" + engines + "\":"), std::string::npos) << js;
+  EXPECT_EQ(js.find("\"" + engines + "\":0"), std::string::npos) << js;
+  EXPECT_NE(js.find("\"dpg_madvise_calls\":"), std::string::npos);
+  EXPECT_NE(js.find("\"madvise_ns\":"), std::string::npos);
+  n = obs::render_prometheus(buf, sizeof buf);
+  ASSERT_GT(n, 0u);
+  const std::string prom(buf, n);
+  EXPECT_NE(prom.find("dpg_guard_markers_supported "), std::string::npos);
+  EXPECT_NE(prom.find(engines + " "), std::string::npos);
+  EXPECT_NE(prom.find("dpg_madvise_ns_count "), std::string::npos);
+}
+
 TEST(ExporterTest, RenderJsonReportsOverflowAsZero) {
   char tiny[16];
   EXPECT_EQ(obs::render_json(tiny, sizeof tiny, "test"), 0u);
@@ -476,9 +507,13 @@ TEST(ObsIntegration, GuardedWorkloadFillsHistogramsAndRing) {
   obs::set_trace_enabled(true);
   const std::uint64_t alloc_before = obs::hist(obs::Hist::kAllocNs).count();
   const std::uint64_t free_before = obs::hist(obs::Hist::kFreeNs).count();
-  const std::uint64_t prot_before = obs::hist(obs::Hist::kMprotectNs).count();
   vm::PhysArena arena(1u << 26);
   core::ShardedHeap heap(arena, {}, 1);
+  const obs::Hist revoke_hist =
+      heap.engine(0).revoke_backend() == vm::RevokeBackend::kGuard
+          ? obs::Hist::kMadviseNs
+          : obs::Hist::kMprotectNs;
+  const std::uint64_t revoke_before = obs::hist(revoke_hist).count();
   for (int i = 0; i < 32; ++i) {
     void* p = heap.malloc(64);
     heap.free(p);
@@ -486,8 +521,8 @@ TEST(ObsIntegration, GuardedWorkloadFillsHistogramsAndRing) {
   obs::set_trace_enabled(false);
   EXPECT_GE(obs::hist(obs::Hist::kAllocNs).count(), alloc_before + 32);
   EXPECT_GE(obs::hist(obs::Hist::kFreeNs).count(), free_before + 32);
-  // Every immediate-mode free mprotects its span.
-  EXPECT_GE(obs::hist(obs::Hist::kMprotectNs).count(), prot_before + 32);
+  // Every immediate-mode free revokes its span with the backend's call.
+  EXPECT_GE(obs::hist(revoke_hist).count(), revoke_before + 32);
   EXPECT_GT(obs::hist(obs::Hist::kAllocNs).percentile(99), 0u);
   // The calling thread's ring holds the alloc/free event stream.
   TraceEvent out[TraceRing::kCapacity];

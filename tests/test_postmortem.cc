@@ -35,6 +35,7 @@
 #include "obs/dump.h"
 #include "obs/histogram.h"
 #include "obs/metrics.h"
+#include "vm/revoke.h"
 
 #ifndef DPG_REPORT_BIN
 #error "DPG_REPORT_BIN must be defined by the build"
@@ -247,7 +248,23 @@ TEST(Postmortem, AnalyzerRejectsGarbageAndFlippedBytes) {
                           std::istreambuf_iterator<char>());
   in.close();
   ASSERT_GT(bytes.size(), 64u);
-  bytes[bytes.size() / 2] ^= 0x5A;
+  // Flip a payload byte near the middle, never a TLV header: a flipped
+  // length reads as truncation, and where the middle falls depends on the
+  // dump's contents (the maps section alone varies with the backend).
+  std::size_t flip = 0;
+  for (std::size_t at = sizeof(dump::FileHeader);
+       at + sizeof(dump::TlvHeader) <= bytes.size();) {
+    dump::TlvHeader h;
+    std::memcpy(&h, bytes.data() + at, sizeof h);
+    const std::size_t payload = at + sizeof h;
+    if (h.length > 0 && payload + h.length > bytes.size() / 2) {
+      flip = std::max(payload, bytes.size() / 2);
+      break;
+    }
+    at = payload + h.length;
+  }
+  ASSERT_NE(flip, 0u);
+  bytes[flip] ^= 0x5A;
   const std::string flipped = dir + "/flipped.dpgcrash";
   {
     std::ofstream out(flipped, std::ios::binary);
@@ -433,6 +450,8 @@ TEST(Postmortem, InProcessSnapshotHasAllSections) {
   const std::string dir = fresh_dir("inproc");
   ASSERT_TRUE(dump::set_report_dir(dir.c_str()));
   ASSERT_TRUE(dump::enabled());
+  dpg::vm::Revoker revoker;  // the dump records the backend it resolved to
+  revoker.init(dpg::vm::RevokeBackend::kAuto);
   char name[128] = {0};
   ASSERT_TRUE(dump::write_crash_dump("unit-test", nullptr, name, sizeof name));
   EXPECT_NE(std::strstr(name, "unit-test"), nullptr) << name;
@@ -442,6 +461,10 @@ TEST(Postmortem, InProcessSnapshotHasAllSections) {
   EXPECT_NE(rep.output.find("reason: unit-test"), std::string::npos)
       << rep.output;
   EXPECT_NE(rep.output.find("counters:"), std::string::npos) << rep.output;
+  EXPECT_NE(rep.output.find(std::string("dpg_revoke_backend_") +
+                            dpg::vm::backend_name(revoker.active())),
+            std::string::npos)
+      << rep.output;
   EXPECT_NE(rep.output.find("vm:"), std::string::npos) << rep.output;
   const RunResult js = run_cmd(std::string(DPG_REPORT_BIN) + " --json " + path);
   EXPECT_EQ(js.exit_code, 0) << js.output;

@@ -8,6 +8,7 @@
 
 #include "vm/page.h"
 #include "vm/phys_arena.h"
+#include "vm/revoke.h"
 #include "vm/shadow_map.h"
 #include "vm/va_freelist.h"
 #include "vm/vm_stats.h"
@@ -264,7 +265,8 @@ TEST(SyscallCounters, TotalSumsComponents) {
   counters.mremap = 4;
   counters.munmap = 1;
   counters.ftruncate = 5;
-  EXPECT_EQ(counters.total(), 15u);
+  counters.madvise = 6;
+  EXPECT_EQ(counters.total(), 21u);
   counters.reset();
   EXPECT_EQ(counters.total(), 0u);
 }
@@ -277,6 +279,30 @@ TEST(SyscallCounters, ArenaOperationsAreCounted) {
   (void)arena.extend(kPageSize);
   EXPECT_GT(counters.mmap.load(std::memory_order_relaxed), mmap_before);
   EXPECT_GT(counters.ftruncate.load(std::memory_order_relaxed), ftruncate_before);
+}
+
+TEST(RevokeBackend, ParsesExactlyTheThreeNames) {
+  for (const RevokeBackend b : {RevokeBackend::kAuto, RevokeBackend::kMprotect,
+                                RevokeBackend::kGuard}) {
+    RevokeBackend parsed = RevokeBackend::kAuto;
+    ASSERT_TRUE(parse_backend(backend_name(b), &parsed)) << backend_name(b);
+    EXPECT_EQ(parsed, b);
+  }
+  RevokeBackend untouched = RevokeBackend::kGuard;
+  for (const char* bad : {"", "mpk", "Guard", "guards", "madvise"}) {
+    EXPECT_FALSE(parse_backend(bad, &untouched)) << bad;
+  }
+  EXPECT_FALSE(parse_backend(nullptr, &untouched));
+  EXPECT_EQ(untouched, RevokeBackend::kGuard);
+}
+
+TEST(RevokeBackend, GuardRequestResolvesToWhatTheProbeFound) {
+  Revoker r;
+  r.init(RevokeBackend::kGuard);
+  EXPECT_EQ(r.active(), Revoker::guard_supported() ? RevokeBackend::kGuard
+                                                    : RevokeBackend::kMprotect);
+  r.init(RevokeBackend::kMprotect);
+  EXPECT_EQ(r.active(), RevokeBackend::kMprotect);
 }
 
 // Property sweep: put/take round trips preserve total bytes for varied sizes.
