@@ -5,18 +5,15 @@
 //   churn    every thread runs tight malloc/free pairs over page-run buffer
 //            sizes (4/8 KiB — request/response payloads) — the worst case
 //            for the guard layer, since each pair costs an alias mmap + a
-//            revocation mprotect unless magazines/batching amortize them
-//            away. (Sub-page objects pack many-per-canonical-page and each
-//            needs its own alias; magazines cannot amortize those — see
-//            DESIGN.md §11 for the documented limit.)
+//            revocation call unless magazines/batching amortize them away.
 //   server   request/response style: threads allocate buffers, touch them,
 //            and hand every 4th one to the next thread over an SPSC ring;
 //            the receiver frees it (cross-shard remote-free path).
 //
 // Two configurations:
 //
-//   seed     1 shard, no magazines, immediate revocation — the single-mutex
-//            paper path this repo shipped with.
+//   seed     1 shard, immediate revocation (one revocation call per free)
+//            at the library defaults — the single-mutex paper path.
 //   tuned    one shard per thread, batched revocation and the slot
 //            magazines and MAP_FIXED recycle cache it sizes, at the default
 //            batch (see tuned_config()). DPG_PROTECT_BATCH overrides the
@@ -34,7 +31,9 @@
 //     count does not depend on thread interleaving (server keeps objects
 //     live in the rings, scattering frees across magazine generations, so
 //     its ratio is reported but not gated — see EXPERIMENTS.md),
-//   * the immediate run maps no magazine and stays under 2% munmap per pair,
+//   * the immediate run carves from windows (at most 0.1 mmap per pair),
+//     revokes every free with exactly one call, and stays under 2% munmap
+//     per pair,
 //   * no lost revocations in any run (after flush_all, frees == revoked
 //     spans),
 //   * the t8 server gates, all on counts: tuned (mmap + revocation)/pair
@@ -103,8 +102,8 @@ BenchConfig tuned_config() {
 }
 
 // Tuned shape pinned to one revocation backend; `batched` keeps tuned's
-// page trigger, otherwise every free revokes immediately and takes the
-// per-object alias (no magazines).
+// page trigger, otherwise every free revokes immediately (256-page windows
+// and the canonical reuse FIFO, DESIGN.md §11).
 BenchConfig backend_config(const char* name, dpg::vm::RevokeBackend b,
                            bool batched) {
   BenchConfig c = tuned_config();
@@ -408,8 +407,8 @@ int smoke() {
   print_row("churn", 1, cfg, churn);
   const RunResult server = run_workload(cfg, threads, true, pairs);
   print_row("server", threads, cfg, server);
-  // The immediate path (the preload default): no magazines, per-object
-  // aliases reusing VA through the free list.
+  // The immediate path (the preload default): window-carved aliases, one
+  // revocation call per free.
   const BenchConfig imm =
       backend_config("mprotect", dpg::vm::RevokeBackend::kMprotect, false);
   const RunResult immediate = run_workload(imm, threads, true, pairs);
@@ -425,8 +424,22 @@ int smoke() {
   if (churn_sys_per_pair >= 0.2) {
     return fail("amortized syscalls/pair >= 0.2 on 1-thread churn");
   }
-  if (immediate.stats.magazine_maps != 0) {
-    return fail("immediate revocation mapped a magazine");
+  if (immediate.sys.mmap * 10 > immediate.pairs) {
+    std::fprintf(stderr, "immediate: mmap %llu over %llu pairs\n",
+                 static_cast<unsigned long long>(immediate.sys.mmap),
+                 static_cast<unsigned long long>(immediate.pairs));
+    return fail("immediate mmap above 0.1 per pair");
+  }
+  const std::uint64_t revocation_calls =
+      immediate.sys.mprotect + immediate.sys.madvise;
+  if (revocation_calls != immediate.stats.frees ||
+      immediate.stats.frees != immediate.stats.revoked_spans) {
+    std::fprintf(stderr, "immediate: revocation calls %llu, frees %llu, "
+                 "revoked spans %llu\n",
+                 static_cast<unsigned long long>(revocation_calls),
+                 static_cast<unsigned long long>(immediate.stats.frees),
+                 static_cast<unsigned long long>(immediate.stats.revoked_spans));
+    return fail("immediate revocation calls != frees != revoked spans");
   }
   if (immediate.sys.munmap * 50 >= immediate.pairs) {
     std::fprintf(stderr, "immediate: munmap %llu over %llu pairs\n",

@@ -69,13 +69,29 @@ void SegregatedHeap::carve_span(std::size_t cls) {
   stats_.spans_created++;
   const std::size_t count = span.length / stride;
   assert(count > 0);
-  FreeBlock* head = free_lists_[cls];
-  for (std::size_t i = 0; i < count; ++i) {
-    auto* block = reinterpret_cast<FreeBlock*>(span.base + i * stride);
-    block->next = head;
-    head = block;
+  // Blocks go out page-interleaved: the k-th allocation from a fresh span
+  // lands on page k mod kSpanPages, so a class that cycles through a handful
+  // of blocks spreads them over the span's pages instead of packing them
+  // onto one. first[p] is the first block starting on page p.
+  std::array<std::size_t, kSpanPages + 1> first{};
+  for (std::size_t p = 0; p < kSpanPages; ++p) {
+    first[p] = (p * vm::kPageSize + stride - 1) / stride;
   }
-  free_lists_[cls] = head;
+  first[kSpanPages] = count;
+  FreeBlock** link = &free_lists_[cls];  // empty: carving refills a dry list
+  for (std::size_t rank = 0;; ++rank) {
+    bool any = false;
+    for (std::size_t p = 0; p < kSpanPages; ++p) {
+      const std::size_t i = first[p] + rank;
+      if (i >= first[p + 1]) continue;
+      auto* block = reinterpret_cast<FreeBlock*>(span.base + i * stride);
+      *link = block;
+      link = &block->next;
+      any = true;
+    }
+    if (!any) break;
+  }
+  *link = nullptr;
 }
 
 void* SegregatedHeap::alloc_large(std::size_t size) {

@@ -8,8 +8,9 @@
 // Layout:
 //   - 16-byte BlockHeader immediately before every payload, recording the
 //     payload size, a magic tag, and the size class.
-//   - Small classes (<= 4096 payload) are carved from 4-page spans obtained
-//     from the CanonicalSource and recycled through per-class free lists.
+//   - Small classes (<= 4096 payload) are carved from 16-page spans
+//     obtained from the CanonicalSource, handed out page-interleaved, and
+//     recycled through per-class free lists.
 //   - Larger requests get a dedicated page run; freed runs are recycled
 //     through a run cache keyed by page count.
 //
@@ -51,7 +52,7 @@ class SegregatedHeap final : public MallocLike {
   [[nodiscard]] HeapStats stats() const;
 
   static constexpr std::size_t kHeaderSize = 16;
-  static constexpr std::size_t kSpanPages = 4;
+  static constexpr std::size_t kSpanPages = 16;
   static constexpr std::size_t kMaxSmall = 4096 - kHeaderSize;
 
  private:

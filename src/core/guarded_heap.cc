@@ -75,9 +75,15 @@ ShadowEngine::ShadowEngine(vm::PhysArena& arena, alloc::MallocLike& under,
   head_.prev = &head_;
   head_.next = &head_;
   revoker_.init(cfg_.revoke_backend);
+  magazine_cap_ = revoker_.active() == vm::RevokeBackend::kGuard
+                      ? kMaxMagazineWindows
+                      : kMaxMagazineWindows / 2;
   magazine_slots_ = magazine_window(cfg_);
   magazine_bytes_ = magazine_slots_ * vm::kPageSize;
   recycle_runs_ = recycle_runs(cfg_);
+  reuse_distance_ = cfg_.protect_batch <= 1 && magazine_slots_ != 0
+                        ? kReuseDistancePages * vm::kPageSize
+                        : 0;
   remote_drain_threshold_ =
       std::max<std::size_t>(cfg_.protect_batch * 2, std::size_t{256});
   obs::init_from_env();  // idempotent: arms DPG_TRACE / DPG_METRICS_* knobs
@@ -87,13 +93,15 @@ ShadowEngine::ShadowEngine(vm::PhysArena& arena, alloc::MallocLike& under,
 ShadowEngine::~ShadowEngine() { release_all(); }
 
 std::size_t ShadowEngine::magazine_window(const GuardConfig& cfg) noexcept {
-  // Magazines follow the revocation mode. Immediate revocation returns each
-  // freed canonical block at once and the heap's LIFO free lists hand it
-  // straight back, so a window slot would collide on the next allocation;
-  // batched revocation defers reuse by about protect_batch pages, the window
-  // that magazines can fill. Every span page must be an arena alias, so a
-  // trailing guard page rules magazines out.
-  if (cfg.protect_batch <= 1 || cfg.trailing_guard_page) return 0;
+  // Magazines follow the canonical reuse distance. Batched revocation defers
+  // reuse by about protect_batch pages, the window that magazines can fill.
+  // Immediate revocation takes the widest window: the engine's reuse FIFO
+  // spaces out canonical reuse, and a wide window lets the pages of a hot
+  // sub-page class share each generation with many other pages (DESIGN.md
+  // §11). Every span page must be an arena alias, so a trailing guard page
+  // rules magazines out.
+  if (cfg.trailing_guard_page) return 0;
+  if (cfg.protect_batch <= 1) return kMaxMagazineSlots;
   return std::min(cfg.protect_batch, kMaxMagazineSlots);
 }
 
@@ -222,8 +230,9 @@ void* ShadowEngine::do_alloc_locked(std::size_t size, SiteId site) {
 }
 
 // Underlying allocation with exhaustion handling: on bad_alloc the governor
-// is told, the quarantine is returned to the allocator, and the request is
-// retried once. nullptr = genuinely out of physical memory.
+// is told, the reuse FIFO and the quarantine are returned to the allocator,
+// and the request is retried once. nullptr = genuinely out of physical
+// memory.
 void* ShadowEngine::alloc_canonical_locked(std::size_t bytes) {
   void* p = nullptr;
   try {
@@ -232,7 +241,7 @@ void* ShadowEngine::alloc_canonical_locked(std::size_t bytes) {
     gov_->on_arena_exhausted();
   }
   if (p == nullptr) {
-    if (drain_quarantine_locked() == 0) return nullptr;
+    if (drain_reuse_locked() + drain_quarantine_locked() == 0) return nullptr;
     try {
       p = under_.malloc(bytes);
     } catch (const std::bad_alloc&) {
@@ -296,7 +305,8 @@ void* ShadowEngine::install_record_locked(void* shadow_base,
                                           std::size_t guard,
                                           std::uintptr_t canon_addr,
                                           std::uintptr_t first_page,
-                                          std::size_t size, SiteId site) {
+                                          std::size_t size, SiteId site,
+                                          Magazine* from) {
   // Header word: the canonical address, written through the shadow view (the
   // same physical memory, so the underlying allocator could equally read it
   // at the canonical address).
@@ -314,6 +324,7 @@ void* ShadowEngine::install_record_locked(void* shadow_base,
   rec->alloc_site = site;
   consume_alloc_stage(*rec);
   rec->owner_shard = shard_id_;
+  rec->magazine = from;
   rec->state.store(ObjectState::kLive, std::memory_order_release);
 
   // Append at tail: the list stays ordered oldest-first for reclamation.
@@ -335,24 +346,24 @@ void* ShadowEngine::install_record_locked(void* shadow_base,
 // acquire_va_locked and every span it gives up goes through
 // release_va_locked. Both consult the per-shard MAP_FIXED recycle cache
 // (DESIGN.md §16) before the shared VaFreeList. Parked spans are kept sorted
-// by base and merged with contiguous neighbours, so the slot-sized spans a
-// dying magazine generation sheds — its unclaimed runs at retirement plus
-// each claimed slot as its object is later freed — reassemble into the full
-// window-sized run the *next* generation claims with one MAP_FIXED re-alias.
-// Without that closed loop the slot fragments flood the shared list and its
-// high-water trim turns into a munmap storm. The cache exists only with
-// magazines: under immediate revocation every span is a single-object alias
-// the shared list serves exactly, and the cache would only duplicate it.
+// by base and merged with contiguous neighbours. A retired generation hands
+// its window back whole once its last record is released, so the *next*
+// generation claims a window-sized run with one MAP_FIXED re-alias and the
+// shared list never sees slot-sized fragments, which would flood it until
+// its high-water trim munmaps them wholesale. The cache exists only
+// with magazines: with a trailing guard page every span is a single-object
+// alias the shared list serves exactly, and the cache would only duplicate
+// it.
 //
-// The cache prefers an exact fit and otherwise splits the smallest larger
-// run (prefix out, remainder stays parked — the split is transient because
-// released spans coalesce right back). `exact` applies to the shared list
-// only: take_exact never splits a larger donor, so window-sized requests
-// cannot shred the single-span donors. Every consumer remaps the returned
-// range with mmap(MAP_FIXED), which atomically replaces whatever dead mapping
-// occupies it; merged runs of mixed provenance (revoked aliases, anonymous
-// guard tails) are therefore interchangeable.
-void* ShadowEngine::acquire_va_locked(std::size_t len, bool exact) {
+// Both prefer an exact fit and otherwise split the smallest larger run
+// (prefix out, remainder stays parked — in the cache the split is transient
+// because released spans coalesce right back). A window request can only
+// split a run of at least a window, such as the merged windows a destroyed
+// pool hands back, so it never shreds single-object spans. Every consumer
+// remaps the returned range with mmap(MAP_FIXED), which atomically replaces
+// whatever dead mapping occupies it; merged runs of mixed provenance
+// (revoked aliases, anonymous guard tails) are therefore interchangeable.
+void* ShadowEngine::acquire_va_locked(std::size_t len) {
   if (!cfg_.reuse_shadow_va) return nullptr;
   std::size_t best = va_recycle_.size();
   for (std::size_t i = 0; i < va_recycle_.size(); ++i) {
@@ -379,14 +390,14 @@ void* ShadowEngine::acquire_va_locked(std::size_t len, bool exact) {
     stats_.window_recycle_hits.fetch_add(1, std::memory_order_relaxed);
     return p;
   }
-  const auto reused =
-      exact ? shadow_freelist_.take_exact(len) : shadow_freelist_.take(len);
+  const auto reused = shadow_freelist_.take(len);
   return reused ? reinterpret_cast<void*>(reused->base) : nullptr;
 }
 
-// Callers have proved no pointer into `span` remains (a released record, a
-// never-claimed magazine run, or a MAP_FIXED target whose remap failed and
-// left the old mapping intact), so the span is as dead as a freelist span.
+// Callers have proved no pointer into `span` remains (a released per-object
+// record, a retired generation's window with no record left, or a MAP_FIXED
+// target whose remap failed and left the old mapping intact), so the span is
+// as dead as a freelist span.
 void ShadowEngine::release_va_locked(vm::PageRange span) {
   auto it = std::lower_bound(
       va_recycle_.begin(), va_recycle_.end(), span.base,
@@ -412,8 +423,25 @@ void ShadowEngine::release_va_locked(vm::PageRange span) {
   obs::record_event(obs::EventKind::kVaReclaim, span.base, span.pages());
 }
 
+bool ShadowEngine::Magazine::run_free(std::size_t s0,
+                                      std::size_t n) const noexcept {
+  for (std::size_t s = s0; s < s0 + n; ++s) {
+    if ((claimed[s / 64] >> (s % 64)) & 1u) return false;
+  }
+  return true;
+}
+
+void ShadowEngine::Magazine::claim(std::size_t s0, std::size_t n) noexcept {
+  for (std::size_t s = s0; s < s0 + n; ++s) {
+    claimed[s / 64] |= std::uint64_t{1} << (s % 64);
+  }
+  free_slots -= n;
+  ++holders;
+}
+
 void* ShadowEngine::magazine_claim_locked(std::uintptr_t first_page,
-                                          std::size_t data_span) {
+                                          std::size_t data_span,
+                                          Magazine** from) {
   // Windows tile the arena's *file-offset* space, so a window's slab in the
   // memfd is contiguous and one mmap aliases all of it. (The canonical VA of
   // the window base follows from the arena being one contiguous mapping.)
@@ -425,54 +453,30 @@ void* ShadowEngine::magazine_claim_locked(std::uintptr_t first_page,
   const std::size_t slot0 = off_in_window / vm::kPageSize;
   const std::size_t nslots = data_span / vm::kPageSize;
 
-  auto it = magazines_.find(window_base);
-  if (it != magazines_.end()) {
-    Magazine& m = it->second;
-    bool run_free = true;
-    for (std::size_t s = slot0; s < slot0 + nslots; ++s) {
-      if ((m.claimed[s / 64] >> (s % 64)) & 1u) {
-        run_free = false;
-        break;
-      }
+  // The newest generation whose run is still unclaimed serves the object, so
+  // consecutive allocations stay adjacent in shadow space and a batched flush
+  // still merges their revocations; older generations serve the runs the
+  // newer ones already spent. A run claimed in every live generation is a
+  // canonical page reused since they were mapped (or a second object on it):
+  // the paper needs a distinct alias per object, so that takes a fresh
+  // generation, never a per-object map.
+  std::vector<Magazine*>& gens = magazines_[window_base];
+  for (std::size_t i = gens.size(); i-- > 0;) {
+    Magazine* m = gens[i];
+    if (!m->run_free(slot0, nslots)) continue;
+    m->claim(slot0, nslots);
+    stats_.magazine_hits.fetch_add(1, std::memory_order_relaxed);
+    *from = m;
+    if (m->free_slots == 0) {
+      gens.erase(gens.begin() + static_cast<std::ptrdiff_t>(i));
+      if (gens.empty()) magazines_.erase(window_base);
+      --magazine_gens_;
+      retire_magazine_locked(m);
     }
-    if (run_free) {
-      for (std::size_t s = slot0; s < slot0 + nslots; ++s) {
-        m.claimed[s / 64] |= std::uint64_t{1} << (s % 64);
-      }
-      m.free_slots -= nslots;
-      stats_.magazine_hits.fetch_add(1, std::memory_order_relaxed);
-      const std::uintptr_t sb = m.shadow_base + off_in_window;
-      if (m.free_slots == 0) {
-        // Fully carved: every page of the generation is owned by some
-        // object record now, so there is nothing left to track or retire.
-        magazines_.erase(it);
-      }
-      return reinterpret_cast<void*>(sb);
-    }
-    // Collision: this canonical page already claimed its slot in the current
-    // generation (a second object on the same page needs a second alias).
-    // Retire eagerly once the generation is mostly claimed — at that point
-    // its remaining value is small and a collision means the allocator has
-    // started *recycling* canonical pages through this window, so one remap
-    // turns the whole reuse stream back into zero-syscall hits. A young,
-    // sparsely-claimed generation instead falls back to the per-object path
-    // (same cost as the paper's scheme) until a miss backstop: densely
-    // packed sub-page objects would otherwise remap — and burn a fresh
-    // window-sized VA — on every second allocation.
-    constexpr std::uint32_t kRetireMissBackstop = 2;
-    ++m.misses;
-    const std::size_t claimed = magazine_slots_ - m.free_slots;
-    if (claimed * 2 < magazine_slots_ && m.misses < kRetireMissBackstop) {
-      return nullptr;
-    }
-    retire_magazine_locked(window_base, m);
-    magazines_.erase(it);
-    // fall through: map a fresh generation
+    return reinterpret_cast<void*>(m->shadow_base + off_in_window);
   }
 
-  // First touch of this window (or a fresh generation after retirement).
-  // Prefer a recycled window-sized VA, never a split of a larger donor.
-  void* fixed = acquire_va_locked(win, /*exact=*/true);
+  void* fixed = acquire_va_locked(win);
   const vm::sys::MapResult res =
       mapper_.try_alias_bulk(reinterpret_cast<void*>(window_base), win, fixed);
   if (!res.ok()) {
@@ -480,6 +484,7 @@ void* ShadowEngine::magazine_claim_locked(std::uintptr_t first_page,
     if (fixed != nullptr) {
       release_va_locked(vm::PageRange{vm::addr(fixed), win});
     }
+    if (gens.empty()) magazines_.erase(window_base);
     // Caller takes the per-object path, which owns failure/degradation.
     return nullptr;
   }
@@ -493,59 +498,69 @@ void* ShadowEngine::magazine_claim_locked(std::uintptr_t first_page,
     gov_->add_vmas(1);
   }
 
-  Magazine m;
-  m.shadow_base = vm::addr(res.ptr);
-  m.free_slots = magazine_slots_;
-  for (std::size_t s = slot0; s < slot0 + nslots; ++s) {
-    m.claimed[s / 64] |= std::uint64_t{1} << (s % 64);
-  }
-  m.free_slots -= nslots;
-  const std::uintptr_t sb = m.shadow_base + off_in_window;
-  magazines_.emplace(window_base, m);
-  if (magazines_.size() > kMaxMagazineWindows) {
-    // Population cap: evict an arbitrary other generation, recycling its
-    // unclaimed slot runs. Claimed slots are owned by live records and are
-    // released with them, so eviction only forfeits future zero-syscall hits
-    // on that window.
-    auto victim = magazines_.begin();
-    if (victim->first == window_base) ++victim;
-    if (victim != magazines_.end()) {
-      retire_magazine_locked(victim->first, victim->second);
-      magazines_.erase(victim);
+  auto* m = new Magazine;
+  m->shadow_base = vm::addr(res.ptr);
+  m->free_slots = magazine_slots_;
+  m->claim(slot0, nslots);
+  *from = m;
+  if (m->free_slots == 0) {
+    if (gens.empty()) magazines_.erase(window_base);
+    retire_magazine_locked(m);
+  } else {
+    gens.push_back(m);
+    if (++magazine_gens_ > magazine_cap_) {
+      evict_fullest_magazine_locked(m);
     }
   }
-  return reinterpret_cast<void*>(sb);
+  return reinterpret_cast<void*>(m->shadow_base + off_in_window);
 }
 
-void ShadowEngine::retire_magazine_locked(std::uintptr_t window_base,
-                                          Magazine& m) {
-  (void)window_base;
-  if (m.free_slots == 0) return;
-  // Recycle maximal runs of never-claimed slots. Safe: no pointer into these
-  // pages was ever handed out, so MAP_FIXED reuse cannot mask a dangling use.
-  std::size_t s = 0;
-  while (s < magazine_slots_) {
-    if ((m.claimed[s / 64] >> (s % 64)) & 1u) {
-      ++s;
-      continue;
+// Population cap: retire the generation with the most claims, the one whose
+// unclaimed slots are worth least. Eviction only forfeits future zero-syscall
+// hits on those slots.
+void ShadowEngine::evict_fullest_magazine_locked(const Magazine* keep) {
+  std::uintptr_t victim_window = 0;
+  std::size_t victim_idx = 0;
+  const Magazine* victim = nullptr;
+  for (const auto& [window, gens] : magazines_) {
+    for (std::size_t i = 0; i < gens.size(); ++i) {
+      if (gens[i] == keep) continue;
+      if (victim == nullptr || gens[i]->free_slots < victim->free_slots) {
+        victim = gens[i];
+        victim_window = window;
+        victim_idx = i;
+      }
     }
-    std::size_t e = s;
-    while (e < magazine_slots_ && !((m.claimed[e / 64] >> (e % 64)) & 1u)) {
-      ++e;
-    }
-    const vm::PageRange run{m.shadow_base + s * vm::kPageSize,
-                            (e - s) * vm::kPageSize};
-    release_va_locked(run);
-    stats_.magazine_slots_recycled.fetch_add(e - s,
-                                             std::memory_order_relaxed);
-    s = e;
   }
-  m.free_slots = 0;
+  if (victim == nullptr) return;
+  std::vector<Magazine*>& gens = magazines_[victim_window];
+  Magazine* m = gens[victim_idx];
+  gens.erase(gens.begin() + static_cast<std::ptrdiff_t>(victim_idx));
+  if (gens.empty()) magazines_.erase(victim_window);
+  --magazine_gens_;
+  retire_magazine_locked(m);
+}
+
+// A retired generation serves no more claims. Its never-claimed slots were
+// never handed out, so no pointer into them exists; the claimed ones belong
+// to records. The whole window returns as one run once the last of those
+// records is released (release_record_locked), or now if there is none.
+void ShadowEngine::retire_magazine_locked(Magazine* m) {
+  m->retired = true;
+  stats_.magazine_slots_recycled.fetch_add(m->free_slots,
+                                           std::memory_order_relaxed);
+  if (m->holders == 0) {
+    release_va_locked(vm::PageRange{m->shadow_base, magazine_bytes_});
+    delete m;
+  }
 }
 
 void ShadowEngine::drop_magazines_locked() {
-  for (auto& [base, m] : magazines_) retire_magazine_locked(base, m);
+  for (auto& [base, gens] : magazines_) {
+    for (Magazine* m : gens) retire_magazine_locked(m);
+  }
   magazines_.clear();
+  magazine_gens_ = 0;
 }
 
 void* ShadowEngine::guarded_alloc_locked(std::size_t size, SiteId site) {
@@ -561,17 +576,18 @@ void* ShadowEngine::guarded_alloc_locked(std::size_t size, SiteId site) {
   const std::size_t guard = cfg_.trailing_guard_page ? vm::kPageSize : 0;
   const std::size_t span_len = data_span + guard;
 
-  // Magazine fast path: carve the shadow span out of the window's current
-  // generation — zero syscalls on a hit. (magazine_slots_ is zero when
+  // Magazine fast path: carve the shadow span out of one of the window's
+  // live generations — zero syscalls on a hit. (magazine_slots_ is zero when
   // trailing_guard_page is set, so guard == 0 on this path.)
   if (magazine_slots_ != 0) {
-    if (void* sb = magazine_claim_locked(first_page, data_span)) {
+    Magazine* from = nullptr;
+    if (void* sb = magazine_claim_locked(first_page, data_span, &from)) {
       return install_record_locked(sb, span_len, guard, canon_addr, first_page,
-                                   size, site);
+                                   size, site, from);
     }
   }
 
-  void* fixed = acquire_va_locked(span_len, /*exact=*/false);
+  void* fixed = acquire_va_locked(span_len);
 
   // Guard-path kernel calls, all Result-returning: any refusal rolls the
   // allocation back, drops the governor one rung, and re-serves the request
@@ -632,7 +648,7 @@ void* ShadowEngine::guarded_alloc_locked(std::size_t size, SiteId site) {
   }
 
   return install_record_locked(alias.ptr, span_len, guard, canon_addr,
-                               first_page, size, site);
+                               first_page, size, site, nullptr);
 }
 
 void ShadowEngine::free(void* p, SiteId site) {
@@ -644,11 +660,11 @@ void ShadowEngine::free(void* p, SiteId site) {
 }
 
 void ShadowEngine::quarantine_locked(void* block, std::size_t bytes) {
-  quarantine_.push_back(QuarantineEntry{block, bytes});
+  quarantine_.push_back(ParkedBlock{block, bytes});
   quarantine_bytes_ += bytes;
   const std::size_t budget = gov_->quarantine_budget();
   while (quarantine_bytes_ > budget && !quarantine_.empty()) {
-    const QuarantineEntry e = quarantine_.front();
+    const ParkedBlock e = quarantine_.front();
     quarantine_.pop_front();
     quarantine_bytes_ -= e.bytes;
     try {
@@ -665,7 +681,7 @@ void ShadowEngine::quarantine_locked(void* block, std::size_t bytes) {
 std::size_t ShadowEngine::drain_quarantine_locked() {
   std::size_t released = 0;
   while (!quarantine_.empty()) {
-    const QuarantineEntry e = quarantine_.front();
+    const ParkedBlock e = quarantine_.front();
     quarantine_.pop_front();
     released += e.bytes;
     try {
@@ -675,6 +691,37 @@ std::size_t ShadowEngine::drain_quarantine_locked() {
     }
   }
   quarantine_bytes_ = 0;
+  return released;
+}
+
+// Every successfully revoked canonical block enters the reuse FIFO and
+// reaches the allocator once reuse_distance_ bytes have been freed after it.
+// The heap's LIFO lists would otherwise hand a block straight back to the
+// next allocation of its size, whose shadow slot the live generation has
+// already spent; held back one window, the allocator walks the whole window
+// before it returns to a page. Bytes, not pages: counted per page, a hot
+// sub-page size class would cycle through one or two canonical pages.
+void ShadowEngine::release_canonical_locked(ObjectRecord* rec) {
+  const std::size_t bytes = rec->user_size + kGuardHeader;
+  reuse_fifo_.push_back(
+      ParkedBlock{reinterpret_cast<void*>(rec->canonical), bytes});
+  reuse_fifo_bytes_ += bytes;
+  while (reuse_fifo_bytes_ - reuse_fifo_.front().bytes >= reuse_distance_) {
+    const ParkedBlock e = reuse_fifo_.front();
+    reuse_fifo_.pop_front();
+    reuse_fifo_bytes_ -= e.bytes;
+    under_.free(e.block);
+    if (reuse_fifo_.empty()) break;
+  }
+  stats_.reuse_delay_bytes.store(reuse_fifo_bytes_, std::memory_order_relaxed);
+}
+
+std::size_t ShadowEngine::drain_reuse_locked() {
+  const std::size_t released = reuse_fifo_bytes_;
+  for (const ParkedBlock& e : reuse_fifo_) under_.free(e.block);
+  reuse_fifo_.clear();
+  reuse_fifo_bytes_ = 0;
+  stats_.reuse_delay_bytes.store(0, std::memory_order_relaxed);
   return released;
 }
 
@@ -714,11 +761,10 @@ void ShadowEngine::revoke_locked(ObjectRecord* rec) {
   const vm::sys::IoResult pr = revoker_.revoke(
       arena_, reinterpret_cast<void*>(rec->shadow_base), rec->span_length);
   stats_.protect_calls.fetch_add(1, std::memory_order_relaxed);
-  freed_bytes_held_ += rec->span_length;
-  rec->revocation_done = true;
+  hold_freed_locked(rec);
   if (pr.ok()) {
     stats_.revoked_spans.fetch_add(1, std::memory_order_relaxed);
-    under_.free(reinterpret_cast<void*>(rec->canonical));
+    release_canonical_locked(rec);
   } else {
     // Revocation refused: the shadow stays readable, so the physical block
     // must NOT be recycled (a new owner's data would leak through the stale
@@ -942,9 +988,21 @@ std::size_t ShadowEngine::quarantine_depth_bytes() const {
   return quarantine_bytes_;
 }
 
+std::size_t ShadowEngine::reuse_delay_bytes() const {
+  std::lock_guard lock(mu_);
+  return reuse_fifo_bytes_;
+}
+
 std::size_t ShadowEngine::magazine_count() const {
   std::lock_guard lock(mu_);
-  return magazines_.size();
+  return magazine_gens_;
+}
+
+std::size_t ShadowEngine::recycle_cache_bytes() const {
+  std::lock_guard lock(mu_);
+  std::size_t bytes = 0;
+  for (const vm::PageRange& r : va_recycle_) bytes += r.length;
+  return bytes;
 }
 
 void ShadowEngine::flush_protections_locked() {
@@ -978,9 +1036,8 @@ void ShadowEngine::flush_protections_locked() {
       stats_.revoked_spans.fetch_add(j - i, std::memory_order_relaxed);
       for (std::size_t k = i; k < j; ++k) {
         ObjectRecord* rec = pending_protect_[k];
-        rec->revocation_done = true;
-        under_.free(reinterpret_cast<void*>(rec->canonical));
-        freed_bytes_held_ += rec->span_length;
+        hold_freed_locked(rec);
+        release_canonical_locked(rec);
       }
     } else {
       // The merged call was refused; fall back to per-record protection so
@@ -992,11 +1049,10 @@ void ShadowEngine::flush_protections_locked() {
             arena_, reinterpret_cast<void*>(rec->shadow_base),
             rec->span_length);
         stats_.protect_calls.fetch_add(1, std::memory_order_relaxed);
-        freed_bytes_held_ += rec->span_length;
-        rec->revocation_done = true;
+        hold_freed_locked(rec);
         if (r2.ok()) {
           stats_.revoked_spans.fetch_add(1, std::memory_order_relaxed);
-          under_.free(reinterpret_cast<void*>(rec->canonical));
+          release_canonical_locked(rec);
         } else {
           stats_.guard_failures.fetch_add(1, std::memory_order_relaxed);
           quarantine_locked(reinterpret_cast<void*>(rec->canonical),
@@ -1022,14 +1078,13 @@ void ShadowEngine::enforce_budget_locked() {
   // Records whose revocation is still in flight (queued or on the remote
   // list) are skipped — releasing them would leave live pointers in those
   // queues.
-  std::size_t target = freed_bytes_held_ - cfg_.freed_va_budget / 2;
-  for (ObjectRecord* it = head_.next; it != &head_ && target > 0;) {
+  const std::size_t target = cfg_.freed_va_budget / 2;
+  for (ObjectRecord* it = head_.next;
+       it != &head_ && freed_bytes_held_ > target;) {
     ObjectRecord* next = it->next;
     if (it->revocation_done &&
         it->state.load(std::memory_order_relaxed) == ObjectState::kFreed) {
-      const std::size_t len = it->span_length;
       release_record_locked(it);
-      target = target > len ? target - len : 0;
     }
     it = next;
   }
@@ -1045,13 +1100,38 @@ void ShadowEngine::unlink_locked(ObjectRecord* rec) noexcept {
   rec->next->prev = rec->prev;
 }
 
+// Freed-VA accounting for the §3.4 budget: a per-object span holds its own
+// bytes, a window-carved span its generation's whole window, charged once
+// while any record carved from it is freed-but-guarded, because that window
+// cannot be recycled before its last record is released.
+void ShadowEngine::hold_freed_locked(ObjectRecord* rec) {
+  rec->revocation_done = true;
+  auto* m = static_cast<Magazine*>(rec->magazine);
+  if (m == nullptr) {
+    freed_bytes_held_ += rec->span_length;
+  } else if (m->freed++ == 0) {
+    freed_bytes_held_ += magazine_bytes_;
+  }
+}
+
 void ShadowEngine::release_record_locked(ObjectRecord* rec) {
   ShadowRegistry::global().erase(*rec);
   const vm::PageRange span{rec->shadow_base, rec->span_length};
-  release_va_locked(span);
-  if (rec->state.load(std::memory_order_relaxed) == ObjectState::kFreed &&
-      rec->revocation_done) {
-    freed_bytes_held_ -= rec->span_length;
+  const bool freed_held =
+      rec->state.load(std::memory_order_relaxed) == ObjectState::kFreed &&
+      rec->revocation_done;
+  if (rec->magazine == nullptr) {
+    if (freed_held) freed_bytes_held_ -= span.length;
+    release_va_locked(span);  // records the kVaReclaim event
+  } else {
+    // The slot stays mapped with its generation; the window returns whole.
+    obs::record_event(obs::EventKind::kVaReclaim, span.base, span.pages());
+    auto* m = static_cast<Magazine*>(rec->magazine);
+    if (freed_held && --m->freed == 0) freed_bytes_held_ -= magazine_bytes_;
+    if (--m->holders == 0 && m->retired) {
+      release_va_locked(vm::PageRange{m->shadow_base, magazine_bytes_});
+      delete m;
+    }
   }
   stats_.va_reclaimed_pages.fetch_add(span.pages(), std::memory_order_relaxed);
   stats_.live_records.fetch_sub(1, std::memory_order_relaxed);
@@ -1066,6 +1146,7 @@ void ShadowEngine::release_all() {
   // free into this engine, so one drain empties the remote list for good.
   drain_remote_locked();
   flush_protections_locked();  // pending canonical blocks must reach under_
+  drain_reuse_locked();
   drain_quarantine_locked();
   while (head_.next != &head_) {
     release_record_locked(head_.next);

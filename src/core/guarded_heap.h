@@ -21,21 +21,25 @@
 //
 // Scaling layers (DESIGN.md §11):
 //
-//   Slot magazines   under batched revocation, one bulk mmap aliases a
-//                    whole window of N = min(protect_batch, 256) canonical
-//                    pages; objects landing in the window carve their shadow
-//                    pages out of it with zero syscalls. A window slot serves
-//                    one object per magazine generation (two objects on the
-//                    same canonical page need two aliases), so collisions
-//                    fall back to the per-object path. Immediate revocation
-//                    hands a freed canonical block straight back for reuse,
-//                    so every window would collide at once: it maps none.
-//   Recycle cache    with magazines, released shadow spans park on a per-
-//                    shard list that merges contiguous neighbours, so a
-//                    retired generation's slots reassemble into the window
-//                    the next generation re-aliases with one MAP_FIXED mmap.
-//                    Overflow, and every span without magazines, goes to the
-//                    shared VA free list.
+//   Slot magazines   one bulk mmap aliases a whole window of canonical pages
+//                    (256 under immediate revocation, min(protect_batch, 256)
+//                    under batched); objects landing in the window carve
+//                    their shadow pages out of it with zero syscalls. A
+//                    window slot serves one object per magazine generation,
+//                    so a window keeps several live generations and k
+//                    objects on one canonical page take k of them.
+//   Reuse distance   under immediate revocation every revoked canonical block
+//                    waits in a per-engine FIFO until 64 pages of canonical
+//                    bytes have been freed after it, so the allocator's LIFO
+//                    lists cannot hand it straight back into a slot the
+//                    current generation already claimed.
+//   Recycle cache    a retired generation's window comes back as one run
+//                    once its last carved record is released, and parks on
+//                    a per-shard list that merges contiguous neighbours, so
+//                    the next generation re-aliases it with one MAP_FIXED
+//                    mmap. Overflow, and every span when there are no
+//                    magazines (a trailing guard page), goes to the shared
+//                    VA free list.
 //   Revocation queue freed spans accumulate (canonical reuse deferred with
 //                    them), are address-sorted, coalesced into maximal runs,
 //                    and revoked with one call per run; flushed when the
@@ -75,7 +79,10 @@ struct GuardConfig {
   bool reuse_shadow_va = true;
   // §3.4 strategy 1: when the bytes held by freed-but-still-guarded spans
   // exceed this budget, the oldest freed spans are recycled (giving up
-  // detection for those objects, as the paper accepts). 0 = unlimited.
+  // detection for those objects, as the paper accepts). A window-carved span
+  // holds its whole magazine window, which cannot be recycled before its last
+  // record is released, so a window with freed records counts once at full
+  // size. 0 = unlimited.
   std::size_t freed_va_budget = 0;
   // Extension (paper §6 future work: combining with spatial checking): place
   // an anonymous PROT_NONE guard page after each object's shadow span, so
@@ -101,8 +108,9 @@ struct GuardConfig {
   // The batch also sizes the slot magazines: a flush hands about
   // protect_batch pages of canonical memory back at once, which is the
   // allocator's reuse distance, so each magazine window spans
-  // min(protect_batch, kMaxMagazineSlots) pages. Immediate revocation maps
-  // no magazines; every allocation takes the paper's per-object alias.
+  // min(protect_batch, kMaxMagazineSlots) pages. Immediate revocation gets
+  // kMaxMagazineSlots-page windows and holds canonical reuse back by
+  // kReuseDistancePages of freed bytes instead (DESIGN.md §11).
   std::size_t protect_batch = 0;
   // Degradation policy (core/degrade.h). nullptr = share the process-wide
   // governor; tests and benches pass their own to pin or observe the ladder.
@@ -208,17 +216,27 @@ class ShadowEngine {
 
   static constexpr std::size_t kGuardHeader = sizeof(std::uintptr_t);
   static constexpr std::size_t kMaxMagazineSlots = 256;
-  // Live-generation population cap. Windows tile the arena's file-offset
-  // space, so a churn-heavy workload keeps first-touching new windows;
-  // without a cap every partially-claimed generation (one window-sized
-  // shadow mapping each) lives until release_all — unbounded RSS/VMA growth
-  // that the endurance soak flags as a leak. Over the cap the fresh-
-  // generation path retires another generation first (its window falls back
-  // to the per-object alias until re-touched).
-  static constexpr std::size_t kMaxMagazineWindows = 256;
-  // Slot-magazine window in pages that `cfg` yields: min(protect_batch,
-  // kMaxMagazineSlots) under batched revocation, 0 (no magazines) under
-  // immediate revocation or with a trailing guard page.
+  // Canonical reuse distance under immediate revocation, in pages of freed
+  // bytes: 64 x 4 KiB x 4 shards holds back 1 MiB at t4.
+  static constexpr std::size_t kReuseDistancePages = 64;
+  // Live-generation population cap, across all windows. Windows tile the
+  // arena's file-offset space, so a churn-heavy workload keeps first-
+  // touching new windows; without a cap every partially-claimed generation
+  // (one window-sized shadow mapping each) lives until release_all —
+  // unbounded RSS/VMA growth that the endurance soak flags as a leak. Over
+  // the cap the engine retires the generation with the most claims. It must
+  // reach the objects one canonical page can hold (128 at the 32-byte
+  // minimum stride of SegregatedHeap and Pool): a burst of k objects on one
+  // page takes k live generations at once, and a lower cap would retire them
+  // nearly empty, each pinning a whole window for one live object. Each live
+  // generation holds a window of VA that the shadow registry pays 8 bytes a
+  // page for, so the cap goes no higher. Under the mprotect backend every
+  // revoked slot splits its generation's VMA, so the engine keeps half the
+  // cap there (magazine_cap()) to stay clear of vm.max_map_count.
+  static constexpr std::size_t kMaxMagazineWindows = 128;
+  // Slot-magazine window in pages that `cfg` yields: kMaxMagazineSlots under
+  // immediate revocation, min(protect_batch, kMaxMagazineSlots) under batched
+  // revocation, 0 (no magazines) with a trailing guard page.
   [[nodiscard]] static std::size_t magazine_window(
       const GuardConfig& cfg) noexcept;
   // Discontiguous runs the engine's MAP_FIXED recycle cache may hold under
@@ -240,10 +258,19 @@ class ShadowEngine {
     return remote_pending_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::size_t pending_revocations() const;
-  // Bytes currently parked in the delayed-reuse quarantine and live magazine
-  // generations — the soak harness samples both for drift.
+  // Bytes currently parked in the delayed-reuse quarantine, canonical bytes
+  // waiting out the reuse distance, and live magazine generations — the
+  // soak harness samples them for drift.
   [[nodiscard]] std::size_t quarantine_depth_bytes() const;
+  [[nodiscard]] std::size_t reuse_delay_bytes() const;
   [[nodiscard]] std::size_t magazine_count() const;
+  // Live-generation cap for the resolved backend (see kMaxMagazineWindows).
+  [[nodiscard]] std::size_t magazine_cap() const noexcept {
+    return magazine_cap_;
+  }
+  // Shadow VA parked in the per-shard recycle cache (not yet on the shared
+  // free list).
+  [[nodiscard]] std::size_t recycle_cache_bytes() const;
 
   // --- oracle introspection (src/fuzz, tests) ---
   // Resolves a pointer previously returned by malloc to its record, or
@@ -264,17 +291,21 @@ class ShadowEngine {
 
  private:
   // One magazine generation: a bulk alias of a whole canonical window. Slots
-  // are claimed (bit set) once and never reused within the generation; the
-  // generation retires when fully claimed or at release_all, recycling any
-  // never-claimed slots.
+  // are claimed (bit set) once and never reused within the generation. It
+  // retires when fully claimed, when evicted at the population cap, or at
+  // release_all; its window VA is recycled as one run once it has retired
+  // and every record carved from it has been released, so a generation never
+  // sheds slot-sized fragments.
   struct Magazine {
     std::uintptr_t shadow_base = 0;
     std::array<std::uint64_t, kMaxMagazineSlots / 64> claimed{};
     std::size_t free_slots = 0;
-    // Collisions (slot already claimed) observed against this generation;
-    // past a threshold the generation retires so heavy canonical-page reuse
-    // gets a fresh set of slots instead of falling back forever.
-    std::uint32_t misses = 0;
+    std::size_t holders = 0;  // carved records not yet released
+    std::size_t freed = 0;    // of those, freed and revoked
+    bool retired = false;
+
+    [[nodiscard]] bool run_free(std::size_t s0, std::size_t n) const noexcept;
+    void claim(std::size_t s0, std::size_t n) noexcept;
   };
 
   void* do_alloc_locked(std::size_t size, SiteId site);
@@ -286,12 +317,16 @@ class ShadowEngine {
   void* install_record_locked(void* shadow_base, std::size_t span_len,
                               std::size_t guard, std::uintptr_t canon_addr,
                               std::uintptr_t first_page, std::size_t size,
-                              SiteId site);
-  void* magazine_claim_locked(std::uintptr_t first_page, std::size_t data_span);
-  void* acquire_va_locked(std::size_t len, bool exact);
+                              SiteId site, Magazine* from);
+  void* magazine_claim_locked(std::uintptr_t first_page, std::size_t data_span,
+                              Magazine** from);
+  void* acquire_va_locked(std::size_t len);
   void release_va_locked(vm::PageRange span);
-  void retire_magazine_locked(std::uintptr_t window_base, Magazine& m);
+  void retire_magazine_locked(Magazine* m);
+  void evict_fullest_magazine_locked(const Magazine* keep);
   void drop_magazines_locked();
+  void release_canonical_locked(ObjectRecord* rec);
+  std::size_t drain_reuse_locked();
   void free_locked(std::unique_lock<std::mutex>& lock, void* p, SiteId site);
   void degraded_free_locked(void* p, SiteId site);
   void quarantine_locked(void* block, std::size_t bytes);
@@ -299,6 +334,7 @@ class ShadowEngine {
   void revoke_locked(ObjectRecord* rec);
   void maybe_flush_locked();
   std::size_t drain_remote_locked();
+  void hold_freed_locked(ObjectRecord* rec);
   void release_record_locked(ObjectRecord* rec);
   void unlink_locked(ObjectRecord* rec) noexcept;
   void flush_protections_locked();
@@ -327,10 +363,13 @@ class ShadowEngine {
   std::vector<vm::PageRange> va_recycle_;
   std::size_t recycle_runs_ = 0;  // derived from the magazine window; 0 = off
 
-  // Slot magazines: canonical-window base -> current generation.
+  // Slot magazines: canonical-window base -> its live generations, oldest
+  // first.
   std::size_t magazine_slots_ = 0;  // derived from protect_batch; 0 = off
   std::size_t magazine_bytes_ = 0;
-  std::unordered_map<std::uintptr_t, Magazine> magazines_;
+  std::unordered_map<std::uintptr_t, std::vector<Magazine*>> magazines_;
+  std::size_t magazine_gens_ = 0;  // live generations across all windows
+  std::size_t magazine_cap_ = 0;   // derived from the resolved backend
 
   // Cross-shard remote-free list (MPSC: producers CAS-push lock-free,
   // consumer exchanges the head under mu_).
@@ -342,12 +381,21 @@ class ShadowEngine {
   // whose revocation mprotect was refused): the physical memory is parked,
   // not recycled, so a stale pointer reads stale-but-unreused data instead of
   // a new owner's — detection is suspended, never falsified (DESIGN.md §10).
-  struct QuarantineEntry {
+  struct ParkedBlock {
     void* block;
     std::size_t bytes;
   };
-  std::deque<QuarantineEntry> quarantine_;
+  std::deque<ParkedBlock> quarantine_;
   std::size_t quarantine_bytes_ = 0;
+
+  // Canonical reuse distance: revoked blocks, oldest first, each returned to
+  // under_ once reuse_distance_ bytes have been freed after it
+  // (kReuseDistancePages under immediate revocation with magazines; 0, a
+  // pass-through, otherwise: a batched flush already defers reuse by
+  // protect_batch pages).
+  std::deque<ParkedBlock> reuse_fifo_;
+  std::size_t reuse_fifo_bytes_ = 0;
+  std::size_t reuse_distance_ = 0;
 
   mutable std::mutex mu_;
   ObjectRecord head_;  // intrusive list sentinel, oldest first

@@ -64,6 +64,10 @@ struct ObjectRecord {
   // revocation queue or on the remote-free list — and must not be released
   // by budget reclamation or handed to the GC.
   bool revocation_done = false;
+  // The owner engine's magazine generation the span was carved from, or
+  // nullptr for a per-object alias. Owner-lock protected: the generation's
+  // window VA is recycled only after its last carved record is released.
+  void* magazine = nullptr;
 
   ObjectRecord* prev = nullptr;  // intrusive owner list
   ObjectRecord* next = nullptr;

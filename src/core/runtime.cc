@@ -86,6 +86,9 @@ void Runtime::export_counters() noexcept {
     ctxs[i] = ShardSumCtx{&heap_, kExported[i].field};
     obs::register_counter_fn(kExported[i].name, &sum_shards, &ctxs[i]);
   }
+  // Revoked canonical bytes waiting out the reuse distance (DESIGN.md §11).
+  static ShardSumCtx reuse_delay{&heap_, &GuardCounters::reuse_delay_bytes};
+  obs::register_gauge_fn("dpg_reuse_delay_bytes", &sum_shards, &reuse_delay);
   // The process governor registers the dpg_degrade_* family on first use;
   // touching it here guarantees those counters exist in every export even if
   // no degradation ever occurs.

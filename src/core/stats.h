@@ -71,9 +71,9 @@ struct GuardStats {
                                            // magazine generation)
   std::uint64_t magazine_hits = 0;        // allocations carved from a live
                                            // magazine: zero syscalls
-  std::uint64_t magazine_slots_recycled = 0;  // never-claimed slots returned
-                                           // to the VA free list when a
-                                           // generation retires
+  std::uint64_t magazine_slots_recycled = 0;  // never-claimed slots of
+                                           // retired generations (their VA
+                                           // returns with the whole window)
   std::uint64_t revoke_batches = 0;       // batched-revocation flushes
   std::uint64_t revoke_coalesced_pages = 0;  // pages covered by merged
                                            // revocation runs
@@ -104,6 +104,8 @@ struct GuardStats {
   std::uint64_t window_recycle_puts = 0;  // spans parked on that cache
   std::size_t live_records = 0;            // live + freed-but-still-guarded
   std::size_t guarded_bytes = 0;           // shadow span bytes currently held
+  std::size_t reuse_delay_bytes = 0;       // revoked canonical bytes waiting
+                                           // out the reuse distance
 
   // Shard rollup (ShardedHeap::stats): field-wise sum.
   GuardStats& operator+=(const GuardStats& o) noexcept {
@@ -136,6 +138,7 @@ struct GuardStats {
     window_recycle_puts += o.window_recycle_puts;
     live_records += o.live_records;
     guarded_bytes += o.guarded_bytes;
+    reuse_delay_bytes += o.reuse_delay_bytes;
     return *this;
   }
 };
@@ -172,6 +175,7 @@ struct GuardCounters {
   alignas(vm::kCacheLine) std::atomic<std::uint64_t> window_recycle_puts{0};
   alignas(vm::kCacheLine) std::atomic<std::uint64_t> live_records{0};
   alignas(vm::kCacheLine) std::atomic<std::uint64_t> guarded_bytes{0};
+  alignas(vm::kCacheLine) std::atomic<std::uint64_t> reuse_delay_bytes{0};
 
   [[nodiscard]] GuardStats snapshot() const noexcept {
     GuardStats s;
@@ -211,6 +215,8 @@ struct GuardCounters {
         live_records.load(std::memory_order_relaxed));
     s.guarded_bytes = static_cast<std::size_t>(
         guarded_bytes.load(std::memory_order_relaxed));
+    s.reuse_delay_bytes = static_cast<std::size_t>(
+        reuse_delay_bytes.load(std::memory_order_relaxed));
     return s;
   }
 };

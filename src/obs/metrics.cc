@@ -1,11 +1,13 @@
 #include "obs/metrics.h"
 
 #include <fcntl.h>
+#include <sched.h>
 #include <signal.h>
 #include <time.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <thread>
@@ -67,6 +69,7 @@ struct NamedCounter {
   const std::atomic<std::uint64_t>* value = nullptr;
   CounterFn fn = nullptr;   // when set, the exported value is fn(ctx)
   const void* ctx = nullptr;
+  bool gauge = false;
 };
 NamedCounter g_counters[kMaxCounters];
 
@@ -201,30 +204,81 @@ LatencyHistogram& hist(Hist h) noexcept {
   return g_hists[static_cast<unsigned>(h)];
 }
 
-bool register_counter(const char* name,
-                      const std::atomic<std::uint64_t>* value) noexcept {
+namespace {
+
+bool add_counter(const NamedCounter& entry) noexcept {
   std::lock_guard lock(g_register_mu);
   const unsigned n = g_counter_count.load(std::memory_order_relaxed);
   if (n >= kMaxCounters) return false;
-  g_counters[n].name = name;
-  g_counters[n].value = value;
+  g_counters[n] = entry;
   // Publish after the entry is complete; lock-free readers acquire the count.
   g_counter_count.store(n + 1, std::memory_order_release);
   return true;
 }
 
+}  // namespace
+
+bool register_counter(const char* name,
+                      const std::atomic<std::uint64_t>* value) noexcept {
+  return add_counter(NamedCounter{name, value, nullptr, nullptr, false});
+}
+
 bool register_counter_fn(const char* name, CounterFn fn,
                          const void* ctx) noexcept {
-  std::lock_guard lock(g_register_mu);
-  const unsigned n = g_counter_count.load(std::memory_order_relaxed);
-  if (n >= kMaxCounters) return false;
-  g_counters[n].name = name;
-  g_counters[n].value = nullptr;
-  g_counters[n].fn = fn;
-  g_counters[n].ctx = ctx;
-  g_counter_count.store(n + 1, std::memory_order_release);
-  return true;
+  return add_counter(NamedCounter{name, nullptr, fn, ctx, false});
 }
+
+bool register_gauge(const char* name,
+                    const std::atomic<std::uint64_t>* value) noexcept {
+  return add_counter(NamedCounter{name, value, nullptr, nullptr, true});
+}
+
+bool register_gauge_fn(const char* name, CounterFn fn,
+                       const void* ctx) noexcept {
+  return add_counter(NamedCounter{name, nullptr, fn, ctx, true});
+}
+
+namespace {
+
+// The host a run had, read once and exported as gauges so the JSON and
+// Prometheus dumps and the .dpgcrash file all record it.
+std::atomic<std::uint64_t> g_host_cpus{0};
+std::atomic<std::uint64_t> g_host_max_map_count{0};
+std::atomic<std::uint64_t> g_host_thp_mode{0};  // never 0, madvise 1, always 2
+
+// Reads up to cap-1 bytes of a small /proc or /sys file; "" when unreadable.
+void read_small_file(const char* path, char* buf, std::size_t cap) noexcept {
+  buf[0] = '\0';
+  const int fd = open(path, O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return;
+  const ssize_t n = read(fd, buf, cap - 1);
+  close(fd);
+  buf[n > 0 ? n : 0] = '\0';
+}
+
+void register_host_gauges() noexcept {
+  cpu_set_t cpus;
+  if (sched_getaffinity(0, sizeof cpus, &cpus) == 0) {
+    g_host_cpus.store(static_cast<std::uint64_t>(CPU_COUNT(&cpus)));
+  }
+  char buf[128];
+  read_small_file("/proc/sys/vm/max_map_count", buf, sizeof buf);
+  g_host_max_map_count.store(std::strtoull(buf, nullptr, 10));
+  // "always [madvise] never": the bracketed word is the active mode. An
+  // unreadable file (no THP support) reads as never.
+  read_small_file("/sys/kernel/mm/transparent_hugepage/enabled", buf,
+                  sizeof buf);
+  if (std::strstr(buf, "[always]") != nullptr) {
+    g_host_thp_mode.store(2);
+  } else if (std::strstr(buf, "[madvise]") != nullptr) {
+    g_host_thp_mode.store(1);
+  }
+  register_gauge("dpg_host_cpus", &g_host_cpus);
+  register_gauge("dpg_host_max_map_count", &g_host_max_map_count);
+  register_gauge("dpg_host_thp_mode", &g_host_thp_mode);
+}
+
+}  // namespace
 
 void init_from_env() noexcept {
   static std::once_flag once;
@@ -232,6 +286,7 @@ void init_from_env() noexcept {
     // Arm the crash-dump writer alongside the exporter so every engine
     // constructor's init_from_env() also honors DPG_REPORT_DIR.
     dump::init_from_env();
+    register_host_gauges();
     // Respect an earlier set_trace_enabled() override.
     int expected = 0;
     const int mode = env_flag("DPG_TRACE", false) ? 2 : 1;
@@ -320,7 +375,8 @@ std::size_t render_prometheus(char* buf, std::size_t cap) noexcept {
   for (unsigned i = 0; i < n; ++i) {
     at = fmt::put_str(buf, cap, at, "# TYPE ");
     at = fmt::put_str(buf, cap, at, g_counters[i].name);
-    at = fmt::put_str(buf, cap, at, " counter\n");
+    at = fmt::put_str(buf, cap, at,
+                      g_counters[i].gauge ? " gauge\n" : " counter\n");
     at = fmt::put_str(buf, cap, at, g_counters[i].name);
     at = fmt::put_str(buf, cap, at, " ");
     at = fmt::put_dec(buf, cap, at, counter_value(g_counters[i]));

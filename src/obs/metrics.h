@@ -121,6 +121,14 @@ using CounterFn = std::uint64_t (*)(const void* ctx);
 bool register_counter_fn(const char* name, CounterFn fn,
                          const void* ctx) noexcept;
 
+// Gauge forms of the two above: a level that can fall (a queue depth, a host
+// fact), exported beside the counters and typed `gauge` in the Prometheus
+// exposition.
+bool register_gauge(const char* name,
+                    const std::atomic<std::uint64_t>* value) noexcept;
+bool register_gauge_fn(const char* name, CounterFn fn,
+                       const void* ctx) noexcept;
+
 // Parses the env knobs and arms the exporter (atexit hook, SIGUSR1 handler,
 // optional periodic thread). Idempotent and cheap after the first call; the
 // guard runtime calls it from every engine constructor.

@@ -309,13 +309,15 @@ SoakResult run_soak(const SoakConfig& cfg) {
     s.vma_count = proc_vma_count();
     s.va_hwm_kb = proc_va_peak_kb();
     s.rss_kb = proc_rss_kb();
-    double quarantine = 0, mags = 0;
+    double quarantine = 0, reuse_delay = 0, mags = 0;
     for (std::size_t i = 0; i < heap.shards(); ++i) {
       quarantine +=
           static_cast<double>(heap.engine(i).quarantine_depth_bytes());
+      reuse_delay += static_cast<double>(heap.engine(i).reuse_delay_bytes());
       mags += static_cast<double>(heap.engine(i).magazine_count());
     }
     s.quarantine_bytes = quarantine;
+    s.reuse_delay_bytes = reuse_delay;
     s.magazines = mags;
     s.freelist_ranges = static_cast<double>(heap.shadow_freelist().ranges() +
                                             pool_ctx.shadow_freelist().ranges());
@@ -393,6 +395,7 @@ SoakResult run_soak(const SoakConfig& cfg) {
       {"va_hwm_kb", &Sample::va_hwm_kb, true},
       {"rss_kb", &Sample::rss_kb, true},
       {"quarantine_bytes", &Sample::quarantine_bytes, false},
+      {"reuse_delay_bytes", &Sample::reuse_delay_bytes, false},
       {"magazines", &Sample::magazines, false},
       {"freelist_ranges", &Sample::freelist_ranges, false},
   };
@@ -451,6 +454,7 @@ std::string SoakResult::to_json() const {
       << ",\"vma_count\":" << s.vma_count << ",\"va_hwm_kb\":" << s.va_hwm_kb
       << ",\"rss_kb\":" << s.rss_kb
       << ",\"quarantine_bytes\":" << s.quarantine_bytes
+      << ",\"reuse_delay_bytes\":" << s.reuse_delay_bytes
       << ",\"magazines\":" << s.magazines
       << ",\"freelist_ranges\":" << s.freelist_ranges
       << ",\"ladder_transitions\":" << s.ladder_transitions

@@ -79,6 +79,7 @@ struct Sample {
   double va_hwm_kb = 0;              // VmPeak (address-space high water)
   double rss_kb = 0;                 // resident set
   double quarantine_bytes = 0;       // sum over shards
+  double reuse_delay_bytes = 0;      // canonical reuse FIFO, sum over shards
   double magazines = 0;              // live magazine count, sum over shards
   double freelist_ranges = 0;        // VaFreeList held ranges
   double ladder_transitions = 0;     // governor transitions counter

@@ -53,6 +53,14 @@ T* launder_ptr(T* p) {
   return p;
 }
 
+// A deliberate store through a null pointer: a fault on no guarded page.
+// Exempt from UBSan's null check, which would otherwise report it before the
+// MMU can.
+__attribute__((no_sanitize("null"), noinline)) void store_through_null() {
+  volatile int* wild = nullptr;
+  *launder_ptr(const_cast<int*>(wild)) = 1;
+}
+
 // A plan that refuses the revocation call of the heap's resolved backend
 // with `err`. A guard-marker install refused with EINVAL falls back to
 // mprotect, so that plan refuses mprotect too.
@@ -386,10 +394,13 @@ TEST_F(FaultInjectionTest, LadderWalksToUnguardedUnderPersistentRefusal) {
   auto* a = static_cast<char*>(heap.malloc(32));  // guarded while healthy
   ASSERT_TRUE(vm::sys::set_fault_plan(
       ("mmap:errno=ENOMEM," + refuse_revocation(heap, "EINVAL")).c_str()));
-  auto* b = static_cast<char*>(heap.malloc(32));  // alias refused: rung 1 down
+  // Wider than a magazine window, so each needs an alias of its own instead
+  // of a slot in a live generation.
+  constexpr std::size_t kOwnAlias = 2u << 20;
+  auto* b = static_cast<char*>(heap.malloc(kOwnAlias));  // rung 1 down
   ASSERT_NE(b, nullptr);
   EXPECT_EQ(gov.mode(), GuardMode::kSampled);
-  auto* c = static_cast<char*>(heap.malloc(32));  // sampled guard refused too
+  auto* c = static_cast<char*>(heap.malloc(kOwnAlias));  // rung 2 down
   ASSERT_NE(c, nullptr);
   EXPECT_EQ(gov.mode(), GuardMode::kQuarantineOnly);  // rung 2 down
   heap.free(a);  // revocation refused: rung 3 down
@@ -406,10 +417,11 @@ TEST_F(FaultInjectionTest, HysteresisRecoveryRestoresDetection) {
   DegradationGovernor gov(cfg);
   vm::PhysArena arena(1u << 24);
   ShardedHeap heap(arena, {.governor = &gov}, 1);
-  // One failure credit: the first alias attempt fails (the freelist is empty
-  // so no relief retry happens) and the refusal then clears — transient
-  // pressure, exactly what hysteresis recovery exists for.
-  ASSERT_TRUE(vm::sys::set_fault_plan("mmap:errno=ENOMEM:count=1"));
+  // Two failure credits: the first allocation's window alias and its
+  // per-object fallback both fail (the freelist is empty so no relief retry
+  // happens) and the refusal then clears — transient pressure, exactly what
+  // hysteresis recovery exists for.
+  ASSERT_TRUE(vm::sys::set_fault_plan("mmap:errno=ENOMEM:count=2"));
   auto* p = static_cast<char*>(heap.malloc(40));
   ASSERT_NE(p, nullptr);
   ASSERT_EQ(gov.mode(), GuardMode::kSampled);
@@ -656,10 +668,8 @@ TEST_F(FaultInjectionTest, NestedFaultInHandlerExitsWithMinimalReport) {
       {
         // A user callback that itself faults: the reentrancy guard must turn
         // the would-be recursion into a minimal report and _exit(134).
-        FaultManager::instance().set_callback(+[](const DanglingReport&) {
-          volatile int* wild = nullptr;
-          *launder_ptr(const_cast<int*>(wild)) = 1;
-        });
+        FaultManager::instance().set_callback(
+            +[](const DanglingReport&) { store_through_null(); });
         vm::PhysArena arena(1u << 24);
         ShardedHeap heap(arena, {}, 1);
         auto* p = static_cast<char*>(heap.malloc(16));
@@ -688,8 +698,7 @@ TEST_F(FaultInjectionTest, ForeignFaultChainsToPreviousHandler) {
         sigemptyset(&sa.sa_mask);
         sigaction(SIGSEGV, &sa, nullptr);
         FaultManager::instance().reinstall_for_testing();
-        volatile int* wild = nullptr;
-        *launder_ptr(const_cast<int*>(wild)) = 1;
+        store_through_null();
       },
       ::testing::ExitedWithCode(7), "previous-owner-handler");
 }

@@ -107,12 +107,20 @@ TEST_F(GcScanTest, LiveObjectsAreNeverReclaimed) {
   heap_.free(live);
 }
 
+// A reclaimed span leaves the registry at once. A window-carved span's VA
+// stays mapped with its magazine generation and re-enters the free list with
+// the whole window once that generation retires and holds no record.
 TEST_F(GcScanTest, ReclaimedSpansReenterTheFreeList) {
-  const std::size_t before = heap_.shadow_freelist().bytes();
+  const std::size_t before = heap_.shadow_freelist().bytes() +
+                             heap_.engine(0).recycle_cache_bytes();
   auto* p = static_cast<char*>(heap_.malloc(16));
   heap_.free(p);
   (void)scanner_.collect(engines_);
-  EXPECT_GT(heap_.shadow_freelist().bytes(), before);
+  EXPECT_EQ(ShadowEngine::record_of(p), nullptr);
+  EXPECT_GT(heap_.stats().va_reclaimed_pages, 0u);
+  heap_.engine(0).release_all();
+  EXPECT_GE(heap_.shadow_freelist().bytes(),
+            before + ShadowEngine::magazine_window({}) * vm::kPageSize);
 }
 
 TEST_F(GcScanTest, ClearRootsForgetsRegistrations) {

@@ -223,8 +223,10 @@ TEST(OneShardHeapBudget, FreedVaBudgetTriggersReclamation) {
   GuardConfig cfg;
   cfg.freed_va_budget = 64 * vm::kPageSize;
   ShardedHeap heap(arena, cfg, 1);
-  // Free far more than the budget; guarded_bytes must stay bounded.
-  for (int i = 0; i < 1000; ++i) {
+  // Free far more than the budget; guarded_bytes must stay bounded. Window-
+  // carved spans come back with their whole window once the generation
+  // retires, so run long enough for the generation population to turn over.
+  for (int i = 0; i < 40000; ++i) {
     void* p = heap.malloc(16);
     heap.free(p);
   }

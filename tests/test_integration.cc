@@ -101,7 +101,9 @@ TEST(Integration, LongLivedPoolWithBudgetAndGc) {
     (void)c;
   });
   EXPECT_TRUE(report.has_value());
-  EXPECT_GT(ctx.recyclable_shadow_bytes(), 0u);
+  // Each reclaimed record released its span (window-carved spans go back to
+  // the free list with their whole window once the generation retires).
+  EXPECT_GE(global_pool.stats().va_reclaimed_pages, 199u);
   held = nullptr;
 }
 
@@ -110,7 +112,9 @@ TEST(Integration, BudgetKeepsLongRunningServerBounded) {
   // page-table entries over days; the budget strategy bounds it.
   core::GuardedPoolContext ctx({.freed_va_budget = 128 * vm::kPageSize});
   core::GuardedPool pool(ctx);
-  for (int request = 0; request < 5000; ++request) {
+  // Window-carved spans come back with their whole window once the
+  // generation retires: run long enough for the generations to turn over.
+  for (int request = 0; request < 40000; ++request) {
     void* p = pool.alloc(48);
     pool.free(p);
   }

@@ -2,6 +2,7 @@
 // histograms, counter snapshots under contention, the metrics exporter, and
 // the fault-time trace enrichment.
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <atomic>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "core/fault_manager.h"
+#include "core/runtime.h"
 #include "core/sharded_heap.h"
 #include "core/stats.h"
 #include "obs/env.h"
@@ -398,6 +400,45 @@ TEST(ExporterTest, DumpsRecordTheRevocationBackend) {
   EXPECT_NE(prom.find("dpg_guard_markers_supported "), std::string::npos);
   EXPECT_NE(prom.find(engines + " "), std::string::npos);
   EXPECT_NE(prom.find("dpg_madvise_ns_count "), std::string::npos);
+}
+
+// Every dump records the host the run had (read once at init) and the
+// runtime's canonical reuse-FIFO depth, both typed as gauges.
+TEST(ExporterTest, DumpsRecordTheHostAndTheReuseDelay) {
+  (void)core::Runtime::instance();  // registers the runtime's series
+  cpu_set_t cpus;
+  ASSERT_EQ(sched_getaffinity(0, sizeof cpus, &cpus), 0);
+  unsigned long long max_map_count = 0;
+  if (std::FILE* f = std::fopen("/proc/sys/vm/max_map_count", "r")) {
+    if (std::fscanf(f, "%llu", &max_map_count) != 1) max_map_count = 0;
+    std::fclose(f);
+  }
+  static char buf[64 * 1024];
+  std::size_t n = obs::render_json(buf, sizeof buf, "test");
+  ASSERT_GT(n, 0u);
+  const std::string js(buf, n);
+  EXPECT_NE(js.find("\"dpg_host_cpus\":" + std::to_string(CPU_COUNT(&cpus))),
+            std::string::npos)
+      << js;
+  EXPECT_NE(js.find("\"dpg_host_max_map_count\":" +
+                    std::to_string(max_map_count)),
+            std::string::npos)
+      << js;
+  const std::size_t thp = js.find("\"dpg_host_thp_mode\":");
+  ASSERT_NE(thp, std::string::npos) << js;
+  const char mode = js[thp + std::strlen("\"dpg_host_thp_mode\":")];
+  EXPECT_TRUE(mode == '0' || mode == '1' || mode == '2') << js;
+  EXPECT_NE(js.find("\"dpg_reuse_delay_bytes\":"), std::string::npos) << js;
+  n = obs::render_prometheus(buf, sizeof buf);
+  ASSERT_GT(n, 0u);
+  const std::string prom(buf, n);
+  for (const char* gauge : {"dpg_host_cpus", "dpg_host_max_map_count",
+                            "dpg_host_thp_mode", "dpg_reuse_delay_bytes"}) {
+    EXPECT_NE(prom.find(std::string("# TYPE ") + gauge + " gauge\n"),
+              std::string::npos)
+        << gauge;
+  }
+  EXPECT_NE(prom.find("# TYPE dpg_frees counter\n"), std::string::npos);
 }
 
 TEST(ExporterTest, RenderJsonReportsOverflowAsZero) {

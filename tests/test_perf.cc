@@ -7,6 +7,7 @@
 // the shard routing under the race detector (see CMakePresets.json).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
@@ -370,69 +371,216 @@ TEST(Magazines, DetectionAcrossGenerationsAndReuse) {
   EXPECT_EQ(s.guard_failures, 0u);
 }
 
+// At release_all every live generation retires and recycles its never-
+// claimed slots; with no record left to hold them, the windows go back to the
+// shared free list whole.
 TEST(Magazines, SlotsRecycledOnRetirement) {
   vm::PhysArena arena;
   DegradationGovernor gov;
   GuardConfig cfg;
   cfg.governor = &gov;
   cfg.protect_batch = 16;
-  {
-    ShardedHeap heap(arena, cfg, 1);
-    // Force collisions: sub-page objects pack several to a canonical page,
-    // so the second object on a page finds its slot already claimed, and
-    // the partially-claimed generation retires.
-    for (int i = 0; i < 200; ++i) {
-      void* p = heap.malloc(512);
-      ASSERT_NE(p, nullptr);
-      heap.free(p);
-    }
-    heap.flush_all();
-    const GuardStats s = heap.stats();
-    EXPECT_GT(s.magazine_slots_recycled, 0u)
-        << "retired generations recycle their never-claimed slots";
-    EXPECT_EQ(s.frees, s.revoked_spans);
-  }  // teardown with magazines live: release_all must drop them cleanly
+  ShardedHeap heap(arena, cfg, 1);
+  // Sub-page objects pack several to a canonical page, so each page takes
+  // several generations and most generations stay partly claimed.
+  for (int i = 0; i < 200; ++i) {
+    void* p = heap.malloc(512);
+    ASSERT_NE(p, nullptr);
+    heap.free(p);
+  }
+  heap.flush_all();
+  ASSERT_GT(heap.engine(0).magazine_count(), 0u);
+  heap.engine(0).release_all();
+  const GuardStats s = heap.stats();
+  EXPECT_GT(s.magazine_slots_recycled, 0u)
+      << "retired generations recycle their never-claimed slots";
+  EXPECT_EQ(heap.engine(0).magazine_count(), 0u);
+  EXPECT_GE(heap.shadow_freelist().bytes(),
+            s.magazine_maps * 16 * vm::kPageSize);
+  EXPECT_EQ(s.frees, s.revoked_spans);
 }
 
-// Immediate revocation hands each freed canonical block straight back, so a
-// magazine slot would collide at once: the engine maps none, and every
-// allocation takes the per-object alias.
-TEST(Magazines, ImmediateRevocationMapsNone) {
+// Past magazine_cap() live generations the fullest one retires. Its
+// records keep their slots: a freed object from a retired generation still
+// traps, and the window comes back whole only once they are all released.
+TEST(Magazines, PopulationCapRetiresTheFullestGeneration) {
+  constexpr std::size_t kSpan = alloc::SegregatedHeap::kSpanPages;
   vm::PhysArena arena;
   DegradationGovernor gov;
-  for (const std::size_t batch : {std::size_t{0}, std::size_t{1}}) {
-    GuardConfig cfg;
-    cfg.governor = &gov;
-    cfg.protect_batch = batch;
-    ShardedHeap heap(arena, cfg, 2);
-    for (int i = 0; i < 300; ++i) {
-      void* p = heap.malloc(i % 2 == 0 ? 4096 : 96);
-      ASSERT_NE(p, nullptr);
-      heap.free(p);
+  GuardConfig cfg;
+  cfg.governor = &gov;
+  cfg.protect_batch = kSpan;  // one window per small-class span
+  ShardedHeap heap(arena, cfg, 1);
+  // Each group is a half-span buffer and then one span of 8-byte objects,
+  // so most windows the groups touch hold buffer pages that only one
+  // generation ever claims. 8-byte objects put 128 on a canonical page, so
+  // each such window needs 128 partly claimed generations, and three groups
+  // touch more windows than the cap can hold generations for.
+  std::vector<char*> live;
+  for (int group = 0; group < 3; ++group) {
+    live.push_back(
+        static_cast<char*>(heap.malloc(kSpan / 2 * vm::kPageSize - 64)));
+    ASSERT_NE(live.back(), nullptr);
+    for (std::size_t i = 0; i < kSpan * 128; ++i) {
+      live.push_back(static_cast<char*>(heap.malloc(8)));
+      ASSERT_NE(live.back(), nullptr);
     }
-    heap.flush_all();
-    // Released spans skip the recycle cache: without magazines it does not
-    // exist, and every span reaches the shared list.
-    for (std::size_t i = 0; i < heap.shards(); ++i) {
-      (void)heap.engine(i).reclaim_freed(SIZE_MAX);
-    }
-    const GuardStats s = heap.stats();
-    EXPECT_EQ(s.magazine_maps, 0u) << "protect_batch=" << batch;
-    EXPECT_EQ(s.magazine_hits, 0u) << "protect_batch=" << batch;
-    EXPECT_EQ(s.window_recycle_puts, 0u) << "protect_batch=" << batch;
-    EXPECT_EQ(s.va_reclaimed_pages * vm::kPageSize,
-              heap.shadow_freelist().bytes());
-    EXPECT_EQ(s.frees, s.revoked_spans);
-    for (std::size_t i = 0; i < heap.shards(); ++i) {
-      EXPECT_EQ(heap.engine(i).magazine_count(), 0u);
-    }
+  }
+  GuardStats s = heap.stats();
+  EXPECT_GT(s.magazine_maps, heap.engine(0).magazine_cap());
+  EXPECT_EQ(heap.engine(0).magazine_count(), heap.engine(0).magazine_cap());
+  EXPECT_GT(s.magazine_slots_recycled, 0u);
+  for (char* p : live) heap.free(p);
+  heap.flush_all();
+  for (char* p : {live.front(), live[live.size() / 2], live.back()}) {
+    auto rep = catch_dangling([&] {
+      volatile char c = *p;
+      (void)c;
+    });
+    ASSERT_TRUE(rep.has_value());
+    EXPECT_EQ(rep->object_base, vm::addr(p));
+  }
+  s = heap.stats();
+  EXPECT_EQ(s.frees, s.revoked_spans);
+}
+
+// (a) Immediate revocation carves from windows too, and every free revokes
+// before it returns: a sub-page and a page-run object report the revocation
+// right after free, with no flush, and a read through either traps.
+TEST(Magazines, ImmediateRevocationRevokesWindowCarvedSpansAtFree) {
+  vm::PhysArena arena;
+  DegradationGovernor gov;
+  GuardConfig cfg;
+  cfg.governor = &gov;
+  cfg.protect_batch = 0;
+  ShardedHeap heap(arena, cfg, 1);
+  auto* sub = static_cast<char*>(heap.malloc(96));
+  auto* run = static_cast<char*>(heap.malloc(4096));
+  ASSERT_NE(sub, nullptr);
+  ASSERT_NE(run, nullptr);
+  const GuardStats s = heap.stats();
+  EXPECT_EQ(s.magazine_maps + s.magazine_hits, 2u)
+      << "both objects carved from a window";
+  for (char* p : {sub, run}) {
+    std::memset(p, 'x', 96);
+    heap.free(p);
+    EXPECT_TRUE(heap.revocation_applied(p));
+    auto rep = catch_dangling([&] {
+      volatile char c = *p;
+      (void)c;
+    });
+    ASSERT_TRUE(rep.has_value());
+    EXPECT_EQ(rep->object_base, vm::addr(p));
   }
 }
 
+// (b) k objects on one canonical page get k distinct shadow pages (one per
+// generation); freeing one revokes only its own page.
+TEST(Magazines, ObjectsSharingACanonicalPageGetDistinctShadowPages) {
+  vm::PhysArena arena;
+  DegradationGovernor gov;
+  GuardConfig cfg;
+  cfg.governor = &gov;
+  ShardedHeap heap(arena, cfg, 1);
+  std::vector<char*> all;
+  for (int i = 0; i < 64; ++i) {
+    all.push_back(static_cast<char*>(heap.malloc(64)));
+    ASSERT_NE(all.back(), nullptr);
+  }
+  // The objects on the first object's canonical page.
+  const std::uintptr_t page =
+      vm::page_down(ShadowEngine::record_of(all[0])->canonical);
+  std::vector<char*> k;
+  std::vector<std::uintptr_t> shadow_pages;
+  for (char* p : all) {
+    if (vm::page_down(ShadowEngine::record_of(p)->canonical) != page) continue;
+    k.push_back(p);
+    shadow_pages.push_back(vm::page_down(vm::addr(p)));
+  }
+  ASSERT_GE(k.size(), 4u);
+  std::sort(shadow_pages.begin(), shadow_pages.end());
+  EXPECT_EQ(std::adjacent_find(shadow_pages.begin(), shadow_pages.end()),
+            shadow_pages.end())
+      << "two objects share a shadow page";
+  for (std::size_t i = 0; i < k.size(); ++i) {
+    std::memset(k[i], static_cast<int>('a' + i), 64);
+  }
+  heap.free(k[0]);
+  auto rep = catch_dangling([&] {
+    volatile char c = *k[0];
+    (void)c;
+  });
+  ASSERT_TRUE(rep.has_value());
+  EXPECT_EQ(rep->object_base, vm::addr(k[0]));
+  for (std::size_t i = 1; i < k.size(); ++i) {
+    rep = catch_dangling([&] {
+      EXPECT_EQ(k[i][63], static_cast<char>('a' + i));
+      k[i][0] = 'z';
+      EXPECT_EQ(k[i][0], 'z');
+    });
+    EXPECT_FALSE(rep.has_value()) << "sibling " << i << " trapped";
+  }
+  for (char* p : all) {
+    if (p != k[0]) heap.free(p);
+  }
+}
+
+// (c) Windows amortize the alias map: a 1-shard churn of mixed sub-page and
+// page-run pairs maps at most one generation per twenty pairs (98 maps for
+// 4000 pairs; 354 without the reuse FIFO, whose LIFO heap then hands each
+// block straight back to a spent slot). One shard and a fixed size sequence
+// make the count deterministic.
+TEST(Magazines, OneShardChurnMapsAtMostOneGenerationPerTwentyPairs) {
+  vm::PhysArena arena;
+  DegradationGovernor gov;
+  GuardConfig cfg;
+  cfg.governor = &gov;
+  ShardedHeap heap(arena, cfg, 1);
+  constexpr std::size_t kSizes[] = {24,  48,  64,   96,   128, 200,  256,
+                                    384, 512, 1024, 2048, 4096, 8192};
+  constexpr std::uint64_t kPairs = 4000;
+  std::uint64_t x = 0x9E3779B97F4A7C15ULL;
+  for (std::uint64_t i = 0; i < kPairs; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    void* p = heap.malloc(kSizes[x % std::size(kSizes)]);
+    ASSERT_NE(p, nullptr);
+    heap.free(p);
+  }
+  const GuardStats s = heap.stats();
+  EXPECT_LE(s.magazine_maps, kPairs / 20)
+      << "hits " << s.magazine_hits << " per " << s.magazine_maps << " maps";
+  EXPECT_EQ(s.frees, s.revoked_spans);
+  EXPECT_EQ(s.protect_calls, s.frees) << "one revocation per free";
+}
+
+// (d) The reuse FIFO holds canonical memory back, so exhaustion must hand it
+// to the allocator before reporting out-of-memory: with a 64-page arena the
+// FIFO's 64-page distance would otherwise wedge every allocation.
+TEST(Magazines, ExhaustionDrainsTheReuseFifo) {
+  vm::PhysArena arena(64 * vm::kPageSize);
+  DegradationGovernor gov;
+  GuardConfig cfg;
+  cfg.governor = &gov;
+  ShardedHeap heap(arena, cfg, 1);
+  for (int i = 0; i < 200; ++i) {
+    void* p = heap.malloc(4096);
+    ASSERT_NE(p, nullptr) << "allocation " << i;
+    ASSERT_NE(ShadowEngine::record_of(p), nullptr) << "allocation " << i;
+    heap.free(p);
+  }
+  EXPECT_GT(gov.counters().arena_failures.load(), 0u)
+      << "the arena ran out at least once";
+  EXPECT_LT(heap.engine(0).reuse_delay_bytes(),
+            ShadowEngine::kReuseDistancePages * vm::kPageSize);
+}
+
 // With magazines the engine keeps a MAP_FIXED recycle cache sized from the
-// window: 4-page windows cap it at 32 discontiguous runs. Spans released
-// past the cap reach the shared list, and an alias placed over cached VA
-// still traps once freed.
+// window: 4-page windows cap it at 32 discontiguous runs. A retired
+// generation's window comes back whole once its last record is released;
+// windows past the cap reach the shared list, and an alias placed over cached
+// VA still traps once freed.
 TEST(Magazines, RecycleCacheCapFollowsTheWindow) {
   vm::PhysArena arena;
   DegradationGovernor gov;
@@ -444,26 +592,31 @@ TEST(Magazines, RecycleCacheCapFollowsTheWindow) {
   ShardedHeap heap(arena, cfg, 1);
 
   // 4 KiB objects take two canonical pages each, so a 4-page window holds
-  // two of them side by side. Freeing every other one leaves each freed span
-  // fenced by a live neighbour: no two released spans coalesce.
-  constexpr std::size_t kObjects = 96;
+  // two of them side by side and its generation is fully claimed. Releasing
+  // both objects of every even window returns those windows; each odd window
+  // keeps one live object, so it stays mapped and fences its neighbours: no
+  // two returned windows coalesce.
+  constexpr std::size_t kWindows = 80;
   std::vector<char*> ptrs;
-  for (std::size_t i = 0; i < kObjects; ++i) {
+  for (std::size_t i = 0; i < 2 * kWindows; ++i) {
     ptrs.push_back(static_cast<char*>(heap.malloc(4096)));
     ASSERT_NE(ptrs.back(), nullptr);
   }
-  for (std::size_t i = 0; i < kObjects; i += 2) heap.free(ptrs[i]);
+  for (std::size_t w = 0; w < kWindows; ++w) {
+    heap.free(ptrs[2 * w]);
+    if (w % 2 == 0) heap.free(ptrs[2 * w + 1]);
+  }
   heap.flush_all();
-  constexpr std::size_t kReleased = kObjects / 2;
+  constexpr std::size_t kReturned = kWindows / 2;
   EXPECT_EQ(heap.engine(0).reclaim_freed(SIZE_MAX),
-            kReleased * 2 * vm::kPageSize);
+            (kWindows + kReturned) * 2 * vm::kPageSize);
   GuardStats s = heap.stats();
   EXPECT_EQ(s.window_recycle_puts, 32u) << "the cache stops at 32 runs";
-  EXPECT_EQ(heap.shadow_freelist().ranges(), kReleased - 32)
+  EXPECT_EQ(heap.engine(0).recycle_cache_bytes(), 32 * 4 * vm::kPageSize);
+  EXPECT_EQ(heap.shadow_freelist().ranges(), kReturned - 32)
       << "the rest reach the shared list";
 
-  // Sub-page objects collide on their canonical pages, so most take the
-  // per-object alias, which splits a cached run.
+  // New generations re-alias cached windows with MAP_FIXED.
   std::vector<char*> small;
   for (int i = 0; i < 16; ++i) {
     small.push_back(static_cast<char*>(heap.malloc(1000)));
@@ -482,7 +635,7 @@ TEST(Magazines, RecycleCacheCapFollowsTheWindow) {
     ASSERT_TRUE(rep.has_value()) << "dangling read over recycled VA";
     EXPECT_EQ(rep->object_base, vm::addr(p));
   }
-  for (std::size_t i = 1; i < kObjects; i += 2) heap.free(ptrs[i]);
+  for (std::size_t w = 1; w < kWindows; w += 2) heap.free(ptrs[2 * w + 1]);
 }
 
 TEST(ShardedHeap, ReallocAndCallocRouteAcrossShards) {

@@ -148,6 +148,14 @@ struct ParsedDump {
   bool has_ladder = false;
 };
 
+// Copies n entries of a section payload into v. An empty vector's data() may
+// be null, and memcpy must not see a null pointer even for zero bytes.
+template <typename T>
+void assign_array(std::vector<T>& v, const char* p, std::size_t n) {
+  v.resize(n);
+  if (n != 0) std::memcpy(v.data(), p, n * sizeof(T));
+}
+
 // Returns kExitOk / kExitUsage (unreadable) / kExitCorrupt. On corruption,
 // *err names the defect so the operator knows which invariant failed.
 int parse_dump(const std::string& path, ParsedDump* out, std::string* err) {
@@ -200,9 +208,7 @@ int parse_dump(const std::string& path, ParsedDump* out, std::string* err) {
         break;
       case dump::Tag::kCounters: {
         const std::size_t n = len / sizeof(dump::CounterEntry);
-        out->counters.resize(n);
-        std::memcpy(out->counters.data(), p,
-                    n * sizeof(dump::CounterEntry));
+        assign_array(out->counters, p, n);
         break;
       }
       case dump::Tag::kHistogram: {
@@ -213,9 +219,7 @@ int parse_dump(const std::string& path, ParsedDump* out, std::string* err) {
             (len - sizeof h.hdr) / sizeof(dump::HistogramBucket);
         const std::size_t n =
             std::min<std::size_t>(h.hdr.n_buckets, avail);
-        h.buckets.resize(n);
-        std::memcpy(h.buckets.data(), p + sizeof h.hdr,
-                    n * sizeof(dump::HistogramBucket));
+        assign_array(h.buckets, p + sizeof h.hdr, n);
         out->hists.push_back(std::move(h));
         break;
       }
@@ -226,9 +230,7 @@ int parse_dump(const std::string& path, ParsedDump* out, std::string* err) {
         const std::size_t avail =
             (len - sizeof r.hdr) / sizeof(dpg::obs::TraceEvent);
         const std::size_t n = std::min<std::size_t>(r.hdr.count, avail);
-        r.events.resize(n);
-        std::memcpy(r.events.data(), p + sizeof r.hdr,
-                    n * sizeof(dpg::obs::TraceEvent));
+        assign_array(r.events, p + sizeof r.hdr, n);
         out->rings.push_back(std::move(r));
         break;
       }
@@ -248,9 +250,7 @@ int parse_dump(const std::string& path, ParsedDump* out, std::string* err) {
             (len - sizeof out->ladder_hdr) / sizeof(dump::LadderEntry);
         const std::size_t n =
             std::min<std::size_t>(out->ladder_hdr.count, avail);
-        out->ladder.resize(n);
-        std::memcpy(out->ladder.data(), p + sizeof out->ladder_hdr,
-                    n * sizeof(dump::LadderEntry));
+        assign_array(out->ladder, p + sizeof out->ladder_hdr, n);
         out->has_ladder = true;
         break;
       }
