@@ -31,9 +31,10 @@
 //     count does not depend on thread interleaving (server keeps objects
 //     live in the rings, scattering frees across magazine generations, so
 //     its ratio is reported but not gated — see EXPERIMENTS.md),
-//   * the immediate run carves from windows (at most 0.1 mmap per pair),
-//     revokes every free with exactly one call, and stays under 2% munmap
-//     per pair,
+//   * the immediate run, on the host's resolved backend, carves from windows
+//     under guard markers (at most 0.1 mmap per pair) and maps none under
+//     mprotect, revokes every free with exactly one call, and stays under 2%
+//     munmap per pair,
 //   * no lost revocations in any run (after flush_all, frees == revoked
 //     spans),
 //   * the t8 server gates, all on counts: tuned (mmap + revocation)/pair
@@ -102,8 +103,9 @@ BenchConfig tuned_config() {
 }
 
 // Tuned shape pinned to one revocation backend; `batched` keeps tuned's
-// page trigger, otherwise every free revokes immediately (256-page windows
-// and the canonical reuse FIFO, DESIGN.md §11).
+// page trigger, otherwise every free revokes immediately (under guard
+// markers 256-page windows and the canonical reuse FIFO, under mprotect the
+// per-object alias; DESIGN.md §11).
 BenchConfig backend_config(const char* name, dpg::vm::RevokeBackend b,
                            bool batched) {
   BenchConfig c = tuned_config();
@@ -407,10 +409,13 @@ int smoke() {
   print_row("churn", 1, cfg, churn);
   const RunResult server = run_workload(cfg, threads, true, pairs);
   print_row("server", threads, cfg, server);
-  // The immediate path (the preload default): window-carved aliases, one
-  // revocation call per free.
+  // The immediate path (the preload default) on the host's resolved backend:
+  // window-carved aliases under guard markers, per-object aliases under
+  // mprotect; one revocation call per free either way.
   const BenchConfig imm =
-      backend_config("mprotect", dpg::vm::RevokeBackend::kMprotect, false);
+      backend_config("auto", dpg::vm::RevokeBackend::kAuto, false);
+  const bool imm_windows =
+      dpg::core::ShadowEngine::magazine_window(imm.guard) != 0;
   const RunResult immediate = run_workload(imm, threads, true, pairs);
   print_row("server", threads, imm, immediate);
 
@@ -424,21 +429,25 @@ int smoke() {
   if (churn_sys_per_pair >= 0.2) {
     return fail("amortized syscalls/pair >= 0.2 on 1-thread churn");
   }
-  if (immediate.sys.mmap * 10 > immediate.pairs) {
+  if (imm_windows && immediate.sys.mmap * 10 > immediate.pairs) {
     std::fprintf(stderr, "immediate: mmap %llu over %llu pairs\n",
                  static_cast<unsigned long long>(immediate.sys.mmap),
                  static_cast<unsigned long long>(immediate.pairs));
     return fail("immediate mmap above 0.1 per pair");
   }
+  if (!imm_windows && immediate.stats.magazine_maps != 0) {
+    return fail("immediate revocation under mprotect mapped a magazine");
+  }
   const std::uint64_t revocation_calls =
       immediate.sys.mprotect + immediate.sys.madvise;
   if (revocation_calls != immediate.stats.frees ||
       immediate.stats.frees != immediate.stats.revoked_spans) {
-    std::fprintf(stderr, "immediate: revocation calls %llu, frees %llu, "
-                 "revoked spans %llu\n",
-                 static_cast<unsigned long long>(revocation_calls),
-                 static_cast<unsigned long long>(immediate.stats.frees),
-                 static_cast<unsigned long long>(immediate.stats.revoked_spans));
+    std::fprintf(
+        stderr, "immediate: revocation calls %llu, frees %llu, "
+        "revoked spans %llu\n",
+        static_cast<unsigned long long>(revocation_calls),
+        static_cast<unsigned long long>(immediate.stats.frees),
+        static_cast<unsigned long long>(immediate.stats.revoked_spans));
     return fail("immediate revocation calls != frees != revoked spans");
   }
   if (immediate.sys.munmap * 50 >= immediate.pairs) {

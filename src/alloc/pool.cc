@@ -77,12 +77,7 @@ std::size_t Pool::size_of(const void* p) const {
 void Pool::destroy() {
   if (destroyed_) return;
   destroyed_ = true;
-  // Newest first: the source's lists hand back the last extent recycled, so
-  // the next pool of the same shape is laid out on the same extents in the
-  // same order.
-  for (auto it = extents_.rbegin(); it != extents_.rend(); ++it) {
-    source_.recycle(*it);
-  }
+  for (const vm::PageRange& extent : extents_) source_.recycle(extent);
   extents_.clear();
   buckets_.clear();
   bump_ = bump_end_ = 0;

@@ -75,15 +75,12 @@ ShadowEngine::ShadowEngine(vm::PhysArena& arena, alloc::MallocLike& under,
   head_.prev = &head_;
   head_.next = &head_;
   revoker_.init(cfg_.revoke_backend);
-  magazine_cap_ = revoker_.active() == vm::RevokeBackend::kGuard
-                      ? kMaxMagazineWindows
-                      : kMaxMagazineWindows / 2;
   magazine_slots_ = magazine_window(cfg_);
   magazine_bytes_ = magazine_slots_ * vm::kPageSize;
   recycle_runs_ = recycle_runs(cfg_);
-  reuse_distance_ = cfg_.protect_batch <= 1 && magazine_slots_ != 0
-                        ? kReuseDistancePages * vm::kPageSize
-                        : 0;
+  stacked_ = cfg_.protect_batch <= 1 && magazine_slots_ != 0;
+  magazine_cap_ = stacked_ ? kMaxImmediateGenerations : kMaxMagazineWindows;
+  reuse_distance_ = stacked_ ? kReuseDistancePages * vm::kPageSize : 0;
   remote_drain_threshold_ =
       std::max<std::size_t>(cfg_.protect_batch * 2, std::size_t{256});
   obs::init_from_env();  // idempotent: arms DPG_TRACE / DPG_METRICS_* knobs
@@ -98,11 +95,17 @@ std::size_t ShadowEngine::magazine_window(const GuardConfig& cfg) noexcept {
   // Immediate revocation takes the widest window: the engine's reuse FIFO
   // spaces out canonical reuse, and a wide window lets the pages of a hot
   // sub-page class share each generation with many other pages (DESIGN.md
-  // §11). Every span page must be an arena alias, so a trailing guard page
-  // rules magazines out.
+  // §11). That needs guard markers: under mprotect each revoked slot splits
+  // its window's VMA, and the generations' split windows cost more memory and
+  // time than one alias per object. Every span page must be an arena alias,
+  // so a trailing guard page rules magazines out.
   if (cfg.trailing_guard_page) return 0;
-  if (cfg.protect_batch <= 1) return kMaxMagazineSlots;
-  return std::min(cfg.protect_batch, kMaxMagazineSlots);
+  if (cfg.protect_batch > 1) {
+    return std::min(cfg.protect_batch, kMaxMagazineSlots);
+  }
+  return vm::Revoker::resolve(cfg.revoke_backend) == vm::RevokeBackend::kGuard
+             ? kMaxMagazineSlots
+             : 0;
 }
 
 std::size_t ShadowEngine::recycle_runs(const GuardConfig& cfg) noexcept {
@@ -346,24 +349,27 @@ void* ShadowEngine::install_record_locked(void* shadow_base,
 // acquire_va_locked and every span it gives up goes through
 // release_va_locked. Both consult the per-shard MAP_FIXED recycle cache
 // (DESIGN.md §16) before the shared VaFreeList. Parked spans are kept sorted
-// by base and merged with contiguous neighbours. A retired generation hands
-// its window back whole once its last record is released, so the *next*
-// generation claims a window-sized run with one MAP_FIXED re-alias and the
-// shared list never sees slot-sized fragments, which would flood it until
-// its high-water trim munmaps them wholesale. The cache exists only
-// with magazines: with a trailing guard page every span is a single-object
-// alias the shared list serves exactly, and the cache would only duplicate
-// it.
+// by base and merged with contiguous neighbours, so the slot-sized spans a
+// dying batched generation sheds — its unclaimed runs at retirement plus
+// each claimed slot as its object is later released — reassemble into the
+// full window-sized run the *next* generation claims with one MAP_FIXED
+// re-alias. Without that closed loop the slot fragments flood the shared
+// list and its high-water trim turns into a munmap storm. An immediate-
+// revocation generation hands its window back whole once its last record is
+// released. The cache exists only with magazines: otherwise every span is a
+// single-object alias the shared list serves exactly, and the cache would
+// only duplicate it.
 //
-// Both prefer an exact fit and otherwise split the smallest larger run
-// (prefix out, remainder stays parked — in the cache the split is transient
-// because released spans coalesce right back). A window request can only
-// split a run of at least a window, such as the merged windows a destroyed
-// pool hands back, so it never shreds single-object spans. Every consumer
-// remaps the returned range with mmap(MAP_FIXED), which atomically replaces
-// whatever dead mapping occupies it; merged runs of mixed provenance
-// (revoked aliases, anonymous guard tails) are therefore interchangeable.
-void* ShadowEngine::acquire_va_locked(std::size_t len) {
+// The cache prefers an exact fit and otherwise splits the smallest larger
+// run (prefix out, remainder stays parked — the split is transient because
+// released spans coalesce right back). `exact` applies to the shared list
+// only: take_exact never splits a larger donor, so a batched window request
+// cannot shred the single-span donors of its per-object fallbacks. Every
+// consumer remaps the returned range with mmap(MAP_FIXED), which atomically
+// replaces whatever dead mapping occupies it; merged runs of mixed
+// provenance (revoked aliases, anonymous guard tails) are therefore
+// interchangeable.
+void* ShadowEngine::acquire_va_locked(std::size_t len, bool exact) {
   if (!cfg_.reuse_shadow_va) return nullptr;
   std::size_t best = va_recycle_.size();
   for (std::size_t i = 0; i < va_recycle_.size(); ++i) {
@@ -390,7 +396,8 @@ void* ShadowEngine::acquire_va_locked(std::size_t len) {
     stats_.window_recycle_hits.fetch_add(1, std::memory_order_relaxed);
     return p;
   }
-  const auto reused = shadow_freelist_.take(len);
+  const auto reused =
+      exact ? shadow_freelist_.take_exact(len) : shadow_freelist_.take(len);
   return reused ? reinterpret_cast<void*>(reused->base) : nullptr;
 }
 
@@ -454,29 +461,58 @@ void* ShadowEngine::magazine_claim_locked(std::uintptr_t first_page,
   const std::size_t nslots = data_span / vm::kPageSize;
 
   // The newest generation whose run is still unclaimed serves the object, so
-  // consecutive allocations stay adjacent in shadow space and a batched flush
-  // still merges their revocations; older generations serve the runs the
-  // newer ones already spent. A run claimed in every live generation is a
-  // canonical page reused since they were mapped (or a second object on it):
-  // the paper needs a distinct alias per object, so that takes a fresh
-  // generation, never a per-object map.
+  // consecutive allocations stay adjacent in shadow space; older generations
+  // serve the runs the newer ones already spent. (A batched window has at
+  // most one generation.) Only an immediate-revocation record pins its
+  // generation: a batched slot goes back to the VA lists with its record.
   std::vector<Magazine*>& gens = magazines_[window_base];
   for (std::size_t i = gens.size(); i-- > 0;) {
     Magazine* m = gens[i];
     if (!m->run_free(slot0, nslots)) continue;
     m->claim(slot0, nslots);
     stats_.magazine_hits.fetch_add(1, std::memory_order_relaxed);
-    *from = m;
+    *from = stacked_ ? m : nullptr;
+    const std::uintptr_t sb = m->shadow_base + off_in_window;
     if (m->free_slots == 0) {
+      // Fully carved: every page of the generation is owned by some record.
       gens.erase(gens.begin() + static_cast<std::ptrdiff_t>(i));
       if (gens.empty()) magazines_.erase(window_base);
       --magazine_gens_;
       retire_magazine_locked(m);
     }
-    return reinterpret_cast<void*>(m->shadow_base + off_in_window);
+    return reinterpret_cast<void*>(sb);
   }
 
-  void* fixed = acquire_va_locked(win);
+  // Immediate revocation: a run claimed in every live generation is a
+  // canonical page reused since they were mapped (or a second object on it).
+  // The paper needs a distinct alias per object, so that takes a fresh
+  // generation, never a per-object map; the reuse FIFO keeps this rare.
+  if (!stacked_ && !gens.empty()) {
+    // Batched collision: this canonical page already claimed its slot in the
+    // current generation (a second object on the same page needs a second
+    // alias). Retire eagerly once the generation is mostly claimed — at that
+    // point its remaining value is small and a collision means the allocator
+    // has started *recycling* canonical pages through this window, so one
+    // remap turns the whole reuse stream back into zero-syscall hits. A
+    // young, sparsely-claimed generation instead falls back to the per-object
+    // path (same cost as the paper's scheme) until a miss backstop: densely
+    // packed sub-page objects would otherwise remap — and burn a fresh
+    // window-sized VA — on every second allocation.
+    constexpr std::uint32_t kRetireMissBackstop = 2;
+    Magazine* m = gens.front();
+    ++m->misses;
+    const std::size_t claimed = magazine_slots_ - m->free_slots;
+    if (claimed * 2 < magazine_slots_ && m->misses < kRetireMissBackstop) {
+      return nullptr;
+    }
+    gens.clear();
+    --magazine_gens_;
+    retire_magazine_locked(m);
+  }
+
+  // A fresh generation. A batched window prefers a recycled window-sized VA,
+  // never a split of a larger donor.
+  void* fixed = acquire_va_locked(win, /*exact=*/!stacked_);
   const vm::sys::MapResult res =
       mapper_.try_alias_bulk(reinterpret_cast<void*>(window_base), win, fixed);
   if (!res.ok()) {
@@ -502,7 +538,8 @@ void* ShadowEngine::magazine_claim_locked(std::uintptr_t first_page,
   m->shadow_base = vm::addr(res.ptr);
   m->free_slots = magazine_slots_;
   m->claim(slot0, nslots);
-  *from = m;
+  *from = stacked_ ? m : nullptr;
+  const std::uintptr_t sb = m->shadow_base + off_in_window;
   if (m->free_slots == 0) {
     if (gens.empty()) magazines_.erase(window_base);
     retire_magazine_locked(m);
@@ -512,7 +549,7 @@ void* ShadowEngine::magazine_claim_locked(std::uintptr_t first_page,
       evict_fullest_magazine_locked(m);
     }
   }
-  return reinterpret_cast<void*>(m->shadow_base + off_in_window);
+  return reinterpret_cast<void*>(sb);
 }
 
 // Population cap: retire the generation with the most claims, the one whose
@@ -543,12 +580,31 @@ void ShadowEngine::evict_fullest_magazine_locked(const Magazine* keep) {
 
 // A retired generation serves no more claims. Its never-claimed slots were
 // never handed out, so no pointer into them exists; the claimed ones belong
-// to records. The whole window returns as one run once the last of those
-// records is released (release_record_locked), or now if there is none.
+// to records. A batched generation recycles maximal runs of never-claimed
+// slots now (each claimed slot returns with its record). An immediate-
+// revocation generation returns its whole window as one run once the last
+// of its records is released (release_record_locked), or now if there is
+// none.
 void ShadowEngine::retire_magazine_locked(Magazine* m) {
   m->retired = true;
   stats_.magazine_slots_recycled.fetch_add(m->free_slots,
                                            std::memory_order_relaxed);
+  if (!stacked_) {
+    std::size_t s = 0;
+    while (s < magazine_slots_) {
+      if (!m->run_free(s, 1)) {
+        ++s;
+        continue;
+      }
+      std::size_t e = s + 1;
+      while (e < magazine_slots_ && m->run_free(e, 1)) ++e;
+      release_va_locked(vm::PageRange{m->shadow_base + s * vm::kPageSize,
+                                      (e - s) * vm::kPageSize});
+      s = e;
+    }
+    delete m;
+    return;
+  }
   if (m->holders == 0) {
     release_va_locked(vm::PageRange{m->shadow_base, magazine_bytes_});
     delete m;
@@ -587,7 +643,7 @@ void* ShadowEngine::guarded_alloc_locked(std::size_t size, SiteId site) {
     }
   }
 
-  void* fixed = acquire_va_locked(span_len);
+  void* fixed = acquire_va_locked(span_len, /*exact=*/false);
 
   // Guard-path kernel calls, all Result-returning: any refusal rolls the
   // allocation back, drops the governor one rung, and re-serves the request
@@ -998,13 +1054,6 @@ std::size_t ShadowEngine::magazine_count() const {
   return magazine_gens_;
 }
 
-std::size_t ShadowEngine::recycle_cache_bytes() const {
-  std::lock_guard lock(mu_);
-  std::size_t bytes = 0;
-  for (const vm::PageRange& r : va_recycle_) bytes += r.length;
-  return bytes;
-}
-
 void ShadowEngine::flush_protections_locked() {
   if (pending_protect_.empty()) return;
   // Address-sort and merge adjacent spans: one mprotect per contiguous run.
@@ -1077,14 +1126,40 @@ void ShadowEngine::enforce_budget_locked() {
   // §3.4 strategy 1: recycle the oldest freed spans down to half budget.
   // Records whose revocation is still in flight (queued or on the remote
   // list) are skipped — releasing them would leave live pointers in those
-  // queues.
+  // queues. An immediate-revocation window's charge drops only with its last
+  // freed record, so windows go whole: the walk picks them by their oldest
+  // freed record, and a second pass releases every freed record of the
+  // picked ones. Released record by record, windows whose frees interleave
+  // in time would all lose their oldest records before any charge dropped,
+  // and hardly a freed record would stay guarded.
+  const auto releasable = [](const ObjectRecord* r) {
+    return r->revocation_done &&
+           r->state.load(std::memory_order_relaxed) == ObjectState::kFreed;
+  };
   const std::size_t target = cfg_.freed_va_budget / 2;
-  for (ObjectRecord* it = head_.next;
-       it != &head_ && freed_bytes_held_ > target;) {
+  std::size_t held = freed_bytes_held_;
+  bool picked_windows = false;
+  for (ObjectRecord* it = head_.next; it != &head_ && held > target;) {
     ObjectRecord* next = it->next;
-    if (it->revocation_done &&
-        it->state.load(std::memory_order_relaxed) == ObjectState::kFreed) {
-      release_record_locked(it);
+    if (releasable(it)) {
+      auto* m = static_cast<Magazine*>(it->magazine);
+      if (m == nullptr) {
+        held -= it->span_length;
+        release_record_locked(it);
+      } else if (!m->draining) {
+        m->draining = true;
+        held -= magazine_bytes_;
+        picked_windows = true;
+      }
+    }
+    it = next;
+  }
+  if (!picked_windows) return;
+  for (ObjectRecord* it = head_.next; it != &head_;) {
+    ObjectRecord* next = it->next;
+    if (releasable(it) && it->magazine != nullptr &&
+        static_cast<Magazine*>(it->magazine)->draining) {
+      release_record_locked(it);  // the window's last one clears draining
     }
     it = next;
   }
@@ -1100,10 +1175,10 @@ void ShadowEngine::unlink_locked(ObjectRecord* rec) noexcept {
   rec->next->prev = rec->prev;
 }
 
-// Freed-VA accounting for the §3.4 budget: a per-object span holds its own
-// bytes, a window-carved span its generation's whole window, charged once
-// while any record carved from it is freed-but-guarded, because that window
-// cannot be recycled before its last record is released.
+// Freed-VA accounting for the §3.4 budget: a per-object or batched span
+// holds its own bytes, an immediate-revocation span its generation's whole
+// window, charged once while any record carved from it is freed-but-guarded,
+// because that window cannot be recycled before its last record is released.
 void ShadowEngine::hold_freed_locked(ObjectRecord* rec) {
   rec->revocation_done = true;
   auto* m = static_cast<Magazine*>(rec->magazine);
@@ -1127,7 +1202,10 @@ void ShadowEngine::release_record_locked(ObjectRecord* rec) {
     // The slot stays mapped with its generation; the window returns whole.
     obs::record_event(obs::EventKind::kVaReclaim, span.base, span.pages());
     auto* m = static_cast<Magazine*>(rec->magazine);
-    if (freed_held && --m->freed == 0) freed_bytes_held_ -= magazine_bytes_;
+    if (freed_held && --m->freed == 0) {
+      freed_bytes_held_ -= magazine_bytes_;
+      m->draining = false;
+    }
     if (--m->holders == 0 && m->retired) {
       release_va_locked(vm::PageRange{m->shadow_base, magazine_bytes_});
       delete m;

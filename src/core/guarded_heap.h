@@ -21,25 +21,30 @@
 //
 // Scaling layers (DESIGN.md §11):
 //
-//   Slot magazines   one bulk mmap aliases a whole window of canonical pages
-//                    (256 under immediate revocation, min(protect_batch, 256)
-//                    under batched); objects landing in the window carve
-//                    their shadow pages out of it with zero syscalls. A
-//                    window slot serves one object per magazine generation,
-//                    so a window keeps several live generations and k
-//                    objects on one canonical page take k of them.
-//   Reuse distance   under immediate revocation every revoked canonical block
-//                    waits in a per-engine FIFO until 64 pages of canonical
-//                    bytes have been freed after it, so the allocator's LIFO
-//                    lists cannot hand it straight back into a slot the
-//                    current generation already claimed.
-//   Recycle cache    a retired generation's window comes back as one run
-//                    once its last carved record is released, and parks on
-//                    a per-shard list that merges contiguous neighbours, so
-//                    the next generation re-aliases it with one MAP_FIXED
-//                    mmap. Overflow, and every span when there are no
-//                    magazines (a trailing guard page), goes to the shared
-//                    VA free list.
+//   Slot magazines   one bulk mmap aliases a whole window of canonical pages;
+//                    objects landing in the window carve their shadow pages
+//                    out of it with zero syscalls. A window slot serves one
+//                    object per magazine generation. Under batched revocation
+//                    a window of min(protect_batch, 256) pages has one live
+//                    generation, and a collision takes the per-object alias
+//                    or retires it. Under immediate revocation with guard
+//                    markers a 256-page window keeps several live
+//                    generations, so k objects on one canonical page take k
+//                    of them. Immediate revocation under mprotect maps none:
+//                    every revoked slot would split its window's VMA.
+//   Reuse distance   with immediate-revocation windows every revoked
+//                    canonical block waits in a per-engine FIFO until 64
+//                    pages of canonical bytes have been freed after it, so
+//                    the allocator's LIFO lists cannot hand it straight back
+//                    into a slot the current generation already claimed.
+//   Recycle cache    with magazines, released shadow spans park on a per-
+//                    shard list that merges contiguous neighbours, so the
+//                    next generation re-aliases a whole window with one
+//                    MAP_FIXED mmap. A batched generation sheds its slots as
+//                    their records go; an immediate-revocation generation
+//                    comes back as one run once its last carved record is
+//                    released. Overflow, and every span without magazines,
+//                    goes to the shared VA free list.
 //   Revocation queue freed spans accumulate (canonical reuse deferred with
 //                    them), are address-sorted, coalesced into maximal runs,
 //                    and revoked with one call per run; flushed when the
@@ -79,10 +84,10 @@ struct GuardConfig {
   bool reuse_shadow_va = true;
   // §3.4 strategy 1: when the bytes held by freed-but-still-guarded spans
   // exceed this budget, the oldest freed spans are recycled (giving up
-  // detection for those objects, as the paper accepts). A window-carved span
-  // holds its whole magazine window, which cannot be recycled before its last
-  // record is released, so a window with freed records counts once at full
-  // size. 0 = unlimited.
+  // detection for those objects, as the paper accepts). An immediate-
+  // revocation window cannot be recycled before its last record is released,
+  // so a window with freed records counts once at full size, and the budget
+  // releases such windows whole, the earliest charged first. 0 = unlimited.
   std::size_t freed_va_budget = 0;
   // Extension (paper §6 future work: combining with spatial checking): place
   // an anonymous PROT_NONE guard page after each object's shadow span, so
@@ -108,9 +113,10 @@ struct GuardConfig {
   // The batch also sizes the slot magazines: a flush hands about
   // protect_batch pages of canonical memory back at once, which is the
   // allocator's reuse distance, so each magazine window spans
-  // min(protect_batch, kMaxMagazineSlots) pages. Immediate revocation gets
-  // kMaxMagazineSlots-page windows and holds canonical reuse back by
-  // kReuseDistancePages of freed bytes instead (DESIGN.md §11).
+  // min(protect_batch, kMaxMagazineSlots) pages. Immediate revocation under
+  // guard markers gets kMaxMagazineSlots-page windows and holds canonical
+  // reuse back by kReuseDistancePages of freed bytes instead; under mprotect
+  // it takes the per-object alias (DESIGN.md §11).
   std::size_t protect_batch = 0;
   // Degradation policy (core/degrade.h). nullptr = share the process-wide
   // governor; tests and benches pass their own to pin or observe the ladder.
@@ -216,27 +222,30 @@ class ShadowEngine {
 
   static constexpr std::size_t kGuardHeader = sizeof(std::uintptr_t);
   static constexpr std::size_t kMaxMagazineSlots = 256;
-  // Canonical reuse distance under immediate revocation, in pages of freed
-  // bytes: 64 x 4 KiB x 4 shards holds back 1 MiB at t4.
+  // Canonical reuse distance of immediate-revocation windows, in pages of
+  // freed bytes: 64 x 4 KiB x 4 shards holds back 1 MiB at t4.
   static constexpr std::size_t kReuseDistancePages = 64;
-  // Live-generation population cap, across all windows. Windows tile the
+  // Live-generation population caps, across all windows. Windows tile the
   // arena's file-offset space, so a churn-heavy workload keeps first-
   // touching new windows; without a cap every partially-claimed generation
   // (one window-sized shadow mapping each) lives until release_all —
   // unbounded RSS/VMA growth that the endurance soak flags as a leak. Over
-  // the cap the engine retires the generation with the most claims. It must
-  // reach the objects one canonical page can hold (128 at the 32-byte
-  // minimum stride of SegregatedHeap and Pool): a burst of k objects on one
-  // page takes k live generations at once, and a lower cap would retire them
-  // nearly empty, each pinning a whole window for one live object. Each live
+  // the cap the engine retires the generation with the most claims.
+  //
+  // Batched revocation keeps one generation per window.
+  static constexpr std::size_t kMaxMagazineWindows = 256;
+  // Immediate-revocation windows keep several. The cap must reach the
+  // objects one canonical page can hold (128 at the 32-byte minimum stride
+  // of SegregatedHeap and Pool): a burst of k objects on one page takes k
+  // live generations at once, and a lower cap would retire them nearly
+  // empty, each pinning a whole window for one live object. Each live
   // generation holds a window of VA that the shadow registry pays 8 bytes a
-  // page for, so the cap goes no higher. Under the mprotect backend every
-  // revoked slot splits its generation's VMA, so the engine keeps half the
-  // cap there (magazine_cap()) to stay clear of vm.max_map_count.
-  static constexpr std::size_t kMaxMagazineWindows = 128;
-  // Slot-magazine window in pages that `cfg` yields: kMaxMagazineSlots under
-  // immediate revocation, min(protect_batch, kMaxMagazineSlots) under batched
-  // revocation, 0 (no magazines) with a trailing guard page.
+  // page for, so the cap goes no higher.
+  static constexpr std::size_t kMaxImmediateGenerations = 128;
+  // Slot-magazine window in pages that `cfg` yields: min(protect_batch,
+  // kMaxMagazineSlots) under batched revocation; under immediate revocation
+  // kMaxMagazineSlots when cfg.revoke_backend resolves to guard markers and
+  // 0 (no magazines) under mprotect; 0 with a trailing guard page.
   [[nodiscard]] static std::size_t magazine_window(
       const GuardConfig& cfg) noexcept;
   // Discontiguous runs the engine's MAP_FIXED recycle cache may hold under
@@ -264,13 +273,6 @@ class ShadowEngine {
   [[nodiscard]] std::size_t quarantine_depth_bytes() const;
   [[nodiscard]] std::size_t reuse_delay_bytes() const;
   [[nodiscard]] std::size_t magazine_count() const;
-  // Live-generation cap for the resolved backend (see kMaxMagazineWindows).
-  [[nodiscard]] std::size_t magazine_cap() const noexcept {
-    return magazine_cap_;
-  }
-  // Shadow VA parked in the per-shard recycle cache (not yet on the shared
-  // free list).
-  [[nodiscard]] std::size_t recycle_cache_bytes() const;
 
   // --- oracle introspection (src/fuzz, tests) ---
   // Resolves a pointer previously returned by malloc to its record, or
@@ -292,17 +294,26 @@ class ShadowEngine {
  private:
   // One magazine generation: a bulk alias of a whole canonical window. Slots
   // are claimed (bit set) once and never reused within the generation. It
-  // retires when fully claimed, when evicted at the population cap, or at
-  // release_all; its window VA is recycled as one run once it has retired
-  // and every record carved from it has been released, so a generation never
+  // retires when fully claimed, when evicted at the population cap, after
+  // repeated collisions (batched), or at release_all. A batched generation
+  // recycles its never-claimed slots when it retires and each claimed slot
+  // with its record. An immediate-revocation generation is pinned by its
+  // records (ObjectRecord::magazine) and its window VA is recycled as one run
+  // once it has retired and the last of them has been released, so it never
   // sheds slot-sized fragments.
   struct Magazine {
     std::uintptr_t shadow_base = 0;
     std::array<std::uint64_t, kMaxMagazineSlots / 64> claimed{};
     std::size_t free_slots = 0;
+    // Batched: collisions (slot already claimed) observed against this
+    // generation; past a threshold it retires so heavy canonical-page reuse
+    // gets a fresh set of slots instead of falling back forever.
+    std::uint32_t misses = 0;
+    // Immediate-revocation windows only.
     std::size_t holders = 0;  // carved records not yet released
     std::size_t freed = 0;    // of those, freed and revoked
     bool retired = false;
+    bool draining = false;  // chosen for release by enforce_budget_locked
 
     [[nodiscard]] bool run_free(std::size_t s0, std::size_t n) const noexcept;
     void claim(std::size_t s0, std::size_t n) noexcept;
@@ -320,7 +331,7 @@ class ShadowEngine {
                               SiteId site, Magazine* from);
   void* magazine_claim_locked(std::uintptr_t first_page, std::size_t data_span,
                               Magazine** from);
-  void* acquire_va_locked(std::size_t len);
+  void* acquire_va_locked(std::size_t len, bool exact);
   void release_va_locked(vm::PageRange span);
   void retire_magazine_locked(Magazine* m);
   void evict_fullest_magazine_locked(const Magazine* keep);
@@ -364,12 +375,16 @@ class ShadowEngine {
   std::size_t recycle_runs_ = 0;  // derived from the magazine window; 0 = off
 
   // Slot magazines: canonical-window base -> its live generations, oldest
-  // first.
-  std::size_t magazine_slots_ = 0;  // derived from protect_batch; 0 = off
+  // first (at most one under batched revocation).
+  std::size_t magazine_slots_ = 0;  // derived from cfg; 0 = off
   std::size_t magazine_bytes_ = 0;
+  // Immediate-revocation windows: several generations per window, each
+  // pinned by its records, and the reuse FIFO below.
+  bool stacked_ = false;
   std::unordered_map<std::uintptr_t, std::vector<Magazine*>> magazines_;
   std::size_t magazine_gens_ = 0;  // live generations across all windows
-  std::size_t magazine_cap_ = 0;   // derived from the resolved backend
+  std::size_t magazine_cap_ = 0;   // kMaxMagazineWindows or
+                                   // kMaxImmediateGenerations
 
   // Cross-shard remote-free list (MPSC: producers CAS-push lock-free,
   // consumer exchanges the head under mu_).
@@ -390,9 +405,9 @@ class ShadowEngine {
 
   // Canonical reuse distance: revoked blocks, oldest first, each returned to
   // under_ once reuse_distance_ bytes have been freed after it
-  // (kReuseDistancePages under immediate revocation with magazines; 0, a
+  // (kReuseDistancePages with immediate-revocation windows; 0, a
   // pass-through, otherwise: a batched flush already defers reuse by
-  // protect_batch pages).
+  // protect_batch pages, and the per-object alias needs no distance).
   std::deque<ParkedBlock> reuse_fifo_;
   std::size_t reuse_fifo_bytes_ = 0;
   std::size_t reuse_distance_ = 0;

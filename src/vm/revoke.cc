@@ -95,15 +95,18 @@ RevokeBackend backend_from_env() noexcept {
   return b;
 }
 
-void Revoker::init(RevokeBackend requested) noexcept {
+RevokeBackend Revoker::resolve(RevokeBackend requested) noexcept {
   const RevokeBackend want =
       requested == RevokeBackend::kAuto ? backend_from_env() : requested;
   // Probed on every request, so the exported support flag holds for
   // mprotect-pinned runs too.
   const bool guard = guard_supported();
-  active_ = want != RevokeBackend::kMprotect && guard
-                ? RevokeBackend::kGuard
-                : RevokeBackend::kMprotect;
+  return want != RevokeBackend::kMprotect && guard ? RevokeBackend::kGuard
+                                                   : RevokeBackend::kMprotect;
+}
+
+void Revoker::init(RevokeBackend requested) noexcept {
+  active_ = resolve(requested);
   (active_ == RevokeBackend::kGuard ? g_resolved_guard : g_resolved_mprotect)
       .fetch_add(1, std::memory_order_relaxed);
 }

@@ -54,6 +54,9 @@ class Revoker {
   // the dpg_revoke_backend_{mprotect,guard} metrics.
   void init(RevokeBackend requested) noexcept;
 
+  // The backend init(requested) would make active, without counting it.
+  [[nodiscard]] static RevokeBackend resolve(RevokeBackend requested) noexcept;
+
   [[nodiscard]] RevokeBackend active() const noexcept { return active_; }
 
   // Revokes [p, p+len): PROT_NONE through the arena (with its ENOMEM

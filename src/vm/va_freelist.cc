@@ -99,6 +99,20 @@ std::optional<PageRange> VaFreeList::take(std::size_t len) {
   return PageRange{base, want};
 }
 
+std::optional<PageRange> VaFreeList::take_exact(std::size_t len) {
+  const std::size_t want = page_up(len);
+  const std::size_t want_pages = want / kPageSize;
+  std::lock_guard lock(mu_);
+  auto it = buckets_.find(want_pages);
+  if (it == buckets_.end() || it->second.empty()) return std::nullopt;
+  const std::uintptr_t base = it->second.back();
+  it->second.pop_back();
+  if (it->second.empty()) buckets_.erase(it);
+  bytes_ -= want;
+  --count_;
+  return PageRange{base, want};
+}
+
 void VaFreeList::set_release_hook(ReleaseHook hook, void* ctx) noexcept {
   std::lock_guard lock(mu_);
   hook_ = hook;

@@ -59,6 +59,14 @@ class VaFreeList {
   // page_up(len) bytes, splitting a larger donor if needed.
   [[nodiscard]] std::optional<PageRange> take(std::size_t len);
 
+  // Exact-fit take: returns a range of exactly page_up(len) bytes or nothing —
+  // never splits a larger donor. The magazine path uses this for
+  // magazine-sized spans so a miss falls through to a fresh mmap instead of
+  // shredding a big recycled run into slot-sized fragments (and, symmetrically,
+  // single-page takes keep their existing split-the-smallest behaviour: the
+  // two request streams coexist in one list without fragmenting each other).
+  [[nodiscard]] std::optional<PageRange> take_exact(std::size_t len);
+
   // Total recyclable bytes currently held.
   [[nodiscard]] std::size_t bytes() const;
 

@@ -417,11 +417,15 @@ TEST_F(FaultInjectionTest, HysteresisRecoveryRestoresDetection) {
   DegradationGovernor gov(cfg);
   vm::PhysArena arena(1u << 24);
   ShardedHeap heap(arena, {.governor = &gov}, 1);
-  // Two failure credits: the first allocation's window alias and its
+  // One failure credit per alias the first allocation tries: its window
+  // (when immediate revocation maps windows, under guard markers) and its
   // per-object fallback both fail (the freelist is empty so no relief retry
   // happens) and the refusal then clears — transient pressure, exactly what
   // hysteresis recovery exists for.
-  ASSERT_TRUE(vm::sys::set_fault_plan("mmap:errno=ENOMEM:count=2"));
+  const int credits =
+      heap.engine(0).revoke_backend() == vm::RevokeBackend::kGuard ? 2 : 1;
+  ASSERT_TRUE(vm::sys::set_fault_plan(
+      ("mmap:errno=ENOMEM:count=" + std::to_string(credits)).c_str()));
   auto* p = static_cast<char*>(heap.malloc(40));
   ASSERT_NE(p, nullptr);
   ASSERT_EQ(gov.mode(), GuardMode::kSampled);

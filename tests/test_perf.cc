@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <thread>
 #include <vector>
 
@@ -372,8 +373,8 @@ TEST(Magazines, DetectionAcrossGenerationsAndReuse) {
 }
 
 // At release_all every live generation retires and recycles its never-
-// claimed slots; with no record left to hold them, the windows go back to the
-// shared free list whole.
+// claimed slots, and every record its claimed one, so the windows' VA all
+// reaches the shared free list.
 TEST(Magazines, SlotsRecycledOnRetirement) {
   vm::PhysArena arena;
   DegradationGovernor gov;
@@ -381,8 +382,8 @@ TEST(Magazines, SlotsRecycledOnRetirement) {
   cfg.governor = &gov;
   cfg.protect_batch = 16;
   ShardedHeap heap(arena, cfg, 1);
-  // Sub-page objects pack several to a canonical page, so each page takes
-  // several generations and most generations stay partly claimed.
+  // Sub-page objects pack several to a canonical page, so their reuse
+  // collides with claimed slots and leaves generations partly claimed.
   for (int i = 0; i < 200; ++i) {
     void* p = heap.malloc(512);
     ASSERT_NE(p, nullptr);
@@ -400,39 +401,82 @@ TEST(Magazines, SlotsRecycledOnRetirement) {
   EXPECT_EQ(s.frees, s.revoked_spans);
 }
 
-// Past magazine_cap() live generations the fullest one retires. Its
-// records keep their slots: a freed object from a retired generation still
-// traps, and the window comes back whole only once they are all released.
+// Immediate-revocation windows need guard markers: under mprotect every
+// revoked slot would split its window's VMA, and the engine takes the
+// per-object alias instead. Pins the backend; false when the host cannot
+// install guard markers on the arena's aliases.
+bool pin_guard_markers(GuardConfig& cfg) {
+  cfg.revoke_backend = vm::RevokeBackend::kGuard;
+  return vm::Revoker::guard_supported();
+}
+
+#define REQUIRE_GUARD_MARKERS(cfg)                                    \
+  if (!pin_guard_markers(cfg)) {                                      \
+    GTEST_SKIP() << "no guard markers: immediate revocation maps no " \
+                    "windows on this host";                           \
+  }
+
+// Under mprotect immediate revocation keeps the paper's per-object alias:
+// no window, no reuse FIFO, and every released span reaches the shared list.
+TEST(Magazines, ImmediateRevocationUnderMprotectMapsNone) {
+  vm::PhysArena arena;
+  DegradationGovernor gov;
+  GuardConfig cfg;
+  cfg.governor = &gov;
+  cfg.revoke_backend = vm::RevokeBackend::kMprotect;
+  ASSERT_EQ(ShadowEngine::magazine_window(cfg), 0u);
+  ShardedHeap heap(arena, cfg, 2);
+  for (int i = 0; i < 300; ++i) {
+    void* p = heap.malloc(i % 2 == 0 ? 4096 : 96);
+    ASSERT_NE(p, nullptr);
+    heap.free(p);
+  }
+  for (std::size_t i = 0; i < heap.shards(); ++i) {
+    EXPECT_EQ(heap.engine(i).reuse_delay_bytes(), 0u);
+    (void)heap.engine(i).reclaim_freed(SIZE_MAX);
+  }
+  const GuardStats s = heap.stats();
+  EXPECT_EQ(s.magazine_maps, 0u);
+  EXPECT_EQ(s.magazine_hits, 0u);
+  EXPECT_EQ(s.window_recycle_puts, 0u);
+  EXPECT_EQ(s.va_reclaimed_pages * vm::kPageSize,
+            heap.shadow_freelist().bytes());
+  EXPECT_EQ(s.frees, s.revoked_spans);
+}
+
+// Past kMaxImmediateGenerations live generations the fullest one retires.
+// Its records keep their slots: a freed object from a retired generation
+// still traps.
 TEST(Magazines, PopulationCapRetiresTheFullestGeneration) {
   constexpr std::size_t kSpan = alloc::SegregatedHeap::kSpanPages;
   vm::PhysArena arena;
   DegradationGovernor gov;
   GuardConfig cfg;
   cfg.governor = &gov;
-  cfg.protect_batch = kSpan;  // one window per small-class span
+  REQUIRE_GUARD_MARKERS(cfg);
   ShardedHeap heap(arena, cfg, 1);
-  // Each group is a half-span buffer and then one span of 8-byte objects,
-  // so most windows the groups touch hold buffer pages that only one
-  // generation ever claims. 8-byte objects put 128 on a canonical page, so
-  // each such window needs 128 partly claimed generations, and three groups
-  // touch more windows than the cap can hold generations for.
+  // 8-byte objects put 128 on a canonical page, and the heap hands a span's
+  // blocks out one page after another, so one span of them takes 128
+  // generations of its window, each claiming one slot per page. A buffer a
+  // window wide pushes the second span into another window, whose
+  // generations exceed the cap.
   std::vector<char*> live;
-  for (int group = 0; group < 3; ++group) {
-    live.push_back(
-        static_cast<char*>(heap.malloc(kSpan / 2 * vm::kPageSize - 64)));
-    ASSERT_NE(live.back(), nullptr);
+  for (int group = 0; group < 2; ++group) {
     for (std::size_t i = 0; i < kSpan * 128; ++i) {
       live.push_back(static_cast<char*>(heap.malloc(8)));
       ASSERT_NE(live.back(), nullptr);
     }
+    live.push_back(static_cast<char*>(
+        heap.malloc(ShadowEngine::kMaxMagazineSlots * vm::kPageSize)));
+    ASSERT_NE(live.back(), nullptr);
   }
   GuardStats s = heap.stats();
-  EXPECT_GT(s.magazine_maps, heap.engine(0).magazine_cap());
-  EXPECT_EQ(heap.engine(0).magazine_count(), heap.engine(0).magazine_cap());
+  EXPECT_GT(s.magazine_maps, ShadowEngine::kMaxImmediateGenerations);
+  EXPECT_EQ(heap.engine(0).magazine_count(),
+            ShadowEngine::kMaxImmediateGenerations);
   EXPECT_GT(s.magazine_slots_recycled, 0u);
   for (char* p : live) heap.free(p);
-  heap.flush_all();
-  for (char* p : {live.front(), live[live.size() / 2], live.back()}) {
+  for (char* p : {live.front(), live[live.size() / 2], live[live.size() - 2]}) {
     auto rep = catch_dangling([&] {
       volatile char c = *p;
       (void)c;
@@ -453,6 +497,7 @@ TEST(Magazines, ImmediateRevocationRevokesWindowCarvedSpansAtFree) {
   GuardConfig cfg;
   cfg.governor = &gov;
   cfg.protect_batch = 0;
+  REQUIRE_GUARD_MARKERS(cfg);
   ShardedHeap heap(arena, cfg, 1);
   auto* sub = static_cast<char*>(heap.malloc(96));
   auto* run = static_cast<char*>(heap.malloc(4096));
@@ -481,6 +526,7 @@ TEST(Magazines, ObjectsSharingACanonicalPageGetDistinctShadowPages) {
   DegradationGovernor gov;
   GuardConfig cfg;
   cfg.governor = &gov;
+  REQUIRE_GUARD_MARKERS(cfg);
   ShardedHeap heap(arena, cfg, 1);
   std::vector<char*> all;
   for (int i = 0; i < 64; ++i) {
@@ -535,6 +581,7 @@ TEST(Magazines, OneShardChurnMapsAtMostOneGenerationPerTwentyPairs) {
   DegradationGovernor gov;
   GuardConfig cfg;
   cfg.governor = &gov;
+  REQUIRE_GUARD_MARKERS(cfg);
   ShardedHeap heap(arena, cfg, 1);
   constexpr std::size_t kSizes[] = {24,  48,  64,   96,   128, 200,  256,
                                     384, 512, 1024, 2048, 4096, 8192};
@@ -563,6 +610,7 @@ TEST(Magazines, ExhaustionDrainsTheReuseFifo) {
   DegradationGovernor gov;
   GuardConfig cfg;
   cfg.governor = &gov;
+  REQUIRE_GUARD_MARKERS(cfg);
   ShardedHeap heap(arena, cfg, 1);
   for (int i = 0; i < 200; ++i) {
     void* p = heap.malloc(4096);
@@ -576,11 +624,84 @@ TEST(Magazines, ExhaustionDrainsTheReuseFifo) {
             ShadowEngine::kReuseDistancePages * vm::kPageSize);
 }
 
+// The freed-VA budget releases immediate-revocation windows whole. Eight
+// windows, charged once each, fill the budget with frees that interleave in
+// allocation order; one free in a ninth window crosses it. The budget drops
+// the five windows whose freed records are oldest, and every freed object of
+// the other three still traps. Released record by record, oldest first, the
+// walk would have emptied those three too before five charges dropped.
+TEST(Magazines, FreedVaBudgetReleasesWholeWindows) {
+  constexpr std::size_t kWindowBytes =
+      ShadowEngine::kMaxMagazineSlots * vm::kPageSize;
+  // Nine size classes. A window-wide buffer after each class's first object
+  // puts the next class's span in the next window, and a class's first 16
+  // objects sit one per span page: one generation per class.
+  constexpr std::size_t kSizes[] = {100, 150, 200, 300, 400,
+                                    600, 900, 1400, 2000};
+  constexpr std::size_t kClasses = std::size(kSizes);
+  constexpr std::size_t kPerClass = 16;
+  vm::PhysArena arena;
+  DegradationGovernor gov;
+  GuardConfig cfg;
+  cfg.governor = &gov;
+  cfg.freed_va_budget = 8 * kWindowBytes;
+  REQUIRE_GUARD_MARKERS(cfg);
+  ShardedHeap heap(arena, cfg, 1);
+  std::vector<std::vector<char*>> objs(kClasses);
+  std::vector<char*> buffers;
+  for (std::size_t c = 0; c < kClasses; ++c) {
+    objs[c].push_back(static_cast<char*>(heap.malloc(kSizes[c])));
+    buffers.push_back(static_cast<char*>(heap.malloc(kWindowBytes)));
+  }
+  for (std::size_t r = 1; r < kPerClass; ++r) {
+    for (std::size_t c = 0; c < kClasses; ++c) {
+      objs[c].push_back(static_cast<char*>(heap.malloc(kSizes[c])));
+    }
+  }
+  std::vector<const void*> gens;
+  for (const std::vector<char*>& cls : objs) {
+    const void* m = ShadowEngine::record_of(cls[0])->magazine;
+    ASSERT_NE(m, nullptr);
+    for (char* p : cls) ASSERT_EQ(ShadowEngine::record_of(p)->magazine, m);
+    gens.push_back(m);
+  }
+  std::sort(gens.begin(), gens.end());
+  ASSERT_EQ(std::unique(gens.begin(), gens.end()), gens.end());
+
+  for (std::size_t r = 0; r < kPerClass; ++r) {
+    for (std::size_t c = 0; c < 8; ++c) heap.free(objs[c][r]);
+  }
+  for (std::size_t c = 0; c < 8; ++c) {
+    for (char* p : objs[c]) {
+      ASSERT_NE(ShadowEngine::record_of(p), nullptr) << "within budget";
+    }
+  }
+  heap.free(objs[8][0]);
+  for (std::size_t c = 0; c < 5; ++c) {
+    for (char* p : objs[c]) {
+      EXPECT_EQ(ShadowEngine::record_of(p), nullptr) << "class " << c;
+    }
+  }
+  std::vector<char*> guarded(objs[5].begin(), objs[5].end());
+  guarded.insert(guarded.end(), objs[6].begin(), objs[6].end());
+  guarded.insert(guarded.end(), objs[7].begin(), objs[7].end());
+  guarded.push_back(objs[8][0]);
+  for (char* p : guarded) {
+    const auto rep = catch_dangling([&] {
+      volatile char c = *p;
+      (void)c;
+    });
+    ASSERT_TRUE(rep.has_value()) << "a freed object lost its guard";
+    EXPECT_EQ(rep->object_base, vm::addr(p));
+  }
+  for (std::size_t r = 1; r < kPerClass; ++r) heap.free(objs[8][r]);
+  for (char* p : buffers) heap.free(p);
+}
+
 // With magazines the engine keeps a MAP_FIXED recycle cache sized from the
-// window: 4-page windows cap it at 32 discontiguous runs. A retired
-// generation's window comes back whole once its last record is released;
-// windows past the cap reach the shared list, and an alias placed over cached
-// VA still traps once freed.
+// window: 4-page windows cap it at 32 discontiguous runs. Spans released
+// past the cap reach the shared list, and an alias placed over cached VA
+// still traps once freed.
 TEST(Magazines, RecycleCacheCapFollowsTheWindow) {
   vm::PhysArena arena;
   DegradationGovernor gov;
@@ -592,41 +713,38 @@ TEST(Magazines, RecycleCacheCapFollowsTheWindow) {
   ShardedHeap heap(arena, cfg, 1);
 
   // 4 KiB objects take two canonical pages each, so a 4-page window holds
-  // two of them side by side and its generation is fully claimed. Releasing
-  // both objects of every even window returns those windows; each odd window
-  // keeps one live object, so it stays mapped and fences its neighbours: no
-  // two returned windows coalesce.
-  constexpr std::size_t kWindows = 80;
+  // two of them side by side. Freeing every other one leaves each freed span
+  // fenced by a live neighbour: no two released spans coalesce.
+  constexpr std::size_t kObjects = 96;
   std::vector<char*> ptrs;
-  for (std::size_t i = 0; i < 2 * kWindows; ++i) {
+  for (std::size_t i = 0; i < kObjects; ++i) {
     ptrs.push_back(static_cast<char*>(heap.malloc(4096)));
     ASSERT_NE(ptrs.back(), nullptr);
   }
-  for (std::size_t w = 0; w < kWindows; ++w) {
-    heap.free(ptrs[2 * w]);
-    if (w % 2 == 0) heap.free(ptrs[2 * w + 1]);
-  }
+  for (std::size_t i = 0; i < kObjects; i += 2) heap.free(ptrs[i]);
   heap.flush_all();
-  constexpr std::size_t kReturned = kWindows / 2;
+  constexpr std::size_t kReleased = kObjects / 2;
   EXPECT_EQ(heap.engine(0).reclaim_freed(SIZE_MAX),
-            (kWindows + kReturned) * 2 * vm::kPageSize);
+            kReleased * 2 * vm::kPageSize);
   GuardStats s = heap.stats();
   EXPECT_EQ(s.window_recycle_puts, 32u) << "the cache stops at 32 runs";
-  EXPECT_EQ(heap.engine(0).recycle_cache_bytes(), 32 * 4 * vm::kPageSize);
-  EXPECT_EQ(heap.shadow_freelist().ranges(), kReturned - 32)
+  EXPECT_EQ(heap.shadow_freelist().ranges(), kReleased - 32)
       << "the rest reach the shared list";
 
-  // New generations re-alias cached windows with MAP_FIXED.
+  // A canonical block handed back while its generation is still sparse
+  // collides with its own slot and takes the per-object alias, which splits
+  // a cached run: each object is freed, and its block returned, before the
+  // next is allocated.
   std::vector<char*> small;
   for (int i = 0; i < 16; ++i) {
     small.push_back(static_cast<char*>(heap.malloc(1000)));
     ASSERT_NE(small.back(), nullptr);
     small.back()[0] = 'x';
+    heap.free(small.back());
+    heap.flush_all();
   }
   s = heap.stats();
   EXPECT_GT(s.window_recycle_hits, 0u) << "an alias reused cached VA";
-  for (char* p : small) heap.free(p);
-  heap.flush_all();
   for (char* p : small) {
     auto rep = catch_dangling([&] {
       volatile char c = *p;
@@ -635,7 +753,7 @@ TEST(Magazines, RecycleCacheCapFollowsTheWindow) {
     ASSERT_TRUE(rep.has_value()) << "dangling read over recycled VA";
     EXPECT_EQ(rep->object_base, vm::addr(p));
   }
-  for (std::size_t w = 1; w < kWindows; w += 2) heap.free(ptrs[2 * w + 1]);
+  for (std::size_t i = 1; i < kObjects; i += 2) heap.free(ptrs[i]);
 }
 
 TEST(ShardedHeap, ReallocAndCallocRouteAcrossShards) {
