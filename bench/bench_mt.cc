@@ -14,10 +14,10 @@
 //
 //   seed     1 shard, immediate revocation (one revocation call per free)
 //            at the library defaults — the single-mutex paper path.
-//   tuned    one shard per thread, batched revocation and the slot
-//            magazines and MAP_FIXED recycle cache it sizes, at the default
-//            batch (see tuned_config()). DPG_PROTECT_BATCH overrides the
-//            batch, and DPG_REVOKE_BACKEND the backend.
+//   tuned    one shard per thread and batched revocation at the default
+//            batch (see tuned_config()), on 256-page slot magazines under
+//            either backend. DPG_PROTECT_BATCH overrides the batch, and
+//            DPG_REVOKE_BACKEND the backend.
 //
 // Reported per row: pairs/sec, amortized (mmap + revocation)/pair from the
 // vm::sys counters (revocation = mprotect + madvise), frees per
@@ -38,8 +38,8 @@
 //   * no lost revocations in any run (after flush_all, frees == revoked
 //     spans),
 //   * the t8 server gates, all on counts: tuned (mmap + revocation)/pair
-//     below seed's, and no tuned munmap storm — the MAP_FIXED recycle cache
-//     the magazines bring is what buys the second,
+//     below seed's, and no tuned munmap storm — generations that return
+//     their windows whole are what buys the second,
 //   * a dangling read still traps, a cross-thread double free still raises,
 //   * a remotely-freed object's dangling read traps after the drain.
 //
@@ -47,11 +47,13 @@
 // (BENCH_baseline.json) on stdout: the server workload at 1/4/8 threads in
 // the tuned shape under mprotect and guard markers, each immediate and
 // batched, plus the seed-vs-tuned t8 rows. The knob overrides above apply to
-// every row but seed. Per row: the resolved knobs, the derived magazine
-// window and recycle cache runs, the backend, pairs/sec, frees per
-// revocation call and the split syscall counters (mmap/munmap/mprotect/
-// madvise). On a kernel without guard markers the guard rows record
-// backend_resolved == "mprotect" — the fallback is measured, never faked.
+// every row but seed. Every row runs 3 times, the rows interleaved (all rows
+// once, then again), and reports the median run's values with the quartiles
+// of pairs/sec and p99 across the 3. Per row: the resolved knobs, the
+// derived magazine window, the backend, pairs/sec, frees per revocation call
+// and the split syscall counters (mmap/munmap/mprotect/madvise). On a kernel
+// without guard markers the guard rows record backend_resolved ==
+// "mprotect" — the fallback is measured, never faked.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -95,16 +97,16 @@ BenchConfig tuned_config() {
   GuardConfig g;
   // Flush at 576 pending pages: matches the earlier 256-free / 4 MiB pair on
   // 4/8 KiB traffic (frees per flush and per revocation call); sub-page
-  // objects wait ~2x longer (EXPERIMENTS.md § Multi-thread scaling). The
-  // batch sizes 256-page magazine windows (the cap) and a 2048-run MAP_FIXED
-  // recycle cache per shard (DESIGN.md §16).
+  // objects wait ~2x longer (EXPERIMENTS.md § Multi-thread scaling). A batch
+  // of at least 256 pages keeps 256-page windows under mprotect too
+  // (DESIGN.md §11).
   g.protect_batch = knob("DPG_PROTECT_BATCH", 576);
   return BenchConfig{"tuned", 1, g};
 }
 
 // Tuned shape pinned to one revocation backend; `batched` keeps tuned's
 // page trigger, otherwise every free revokes immediately (under guard
-// markers 256-page windows and the canonical reuse FIFO, under mprotect the
+// markers with the canonical reuse FIFO, under mprotect through the
 // per-object alias; DESIGN.md §11).
 BenchConfig backend_config(const char* name, dpg::vm::RevokeBackend b,
                            bool batched) {
@@ -293,7 +295,7 @@ void print_row(const char* workload, unsigned threads, const BenchConfig& cfg,
       "frees/revoke  p99 %7.2f us  "
       "(magazine hits %llu/%llu maps, batches %llu, remote %llu, "
       "mprotect %llu, madvise %llu, munmap %llu, recycled %llu, "
-      "reused %llu, fixed-recycle %llu)\n",
+      "reused %llu)\n",
       workload, threads, cfg.name, pairs_per_sec, sys_per_pair,
       r.frees_per_revoke(), r.p99_us,
       static_cast<unsigned long long>(r.stats.magazine_hits),
@@ -304,8 +306,7 @@ void print_row(const char* workload, unsigned threads, const BenchConfig& cfg,
       static_cast<unsigned long long>(r.sys.madvise),
       static_cast<unsigned long long>(r.sys.munmap),
       static_cast<unsigned long long>(r.stats.magazine_slots_recycled),
-      static_cast<unsigned long long>(r.stats.shadow_pages_reused),
-      static_cast<unsigned long long>(r.stats.window_recycle_hits));
+      static_cast<unsigned long long>(r.stats.shadow_pages_reused));
   dpg::bench::Sample sample;
   sample.seconds = r.seconds;
   sample.checksum = r.pairs;
@@ -318,33 +319,58 @@ void print_row(const char* workload, unsigned threads, const BenchConfig& cfg,
 
 // --- backend x threads baseline (--backends) -------------------------------
 
+// Quartile q (0.25, 0.5, 0.75) of `v`, linearly interpolated between ranks.
+double quartile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+}
+
+// One row from a cell's repeated runs: the counts and seconds of the run
+// with the median pairs/sec, plus the quartiles of pairs/sec and p99.
 void json_row(std::FILE* f, const char* workload, unsigned threads,
-              const BenchConfig& cfg, const RunResult& r, bool last) {
+              const BenchConfig& cfg, const std::vector<RunResult>& runs,
+              bool last) {
+  std::vector<double> rates;
+  std::vector<double> p99s;
+  for (const RunResult& r : runs) {
+    rates.push_back(r.pairs / r.seconds);
+    p99s.push_back(r.p99_us);
+  }
+  std::vector<const RunResult*> order;
+  for (const RunResult& r : runs) order.push_back(&r);
+  std::sort(order.begin(), order.end(),
+            [](const RunResult* a, const RunResult* b) {
+              return a->pairs / a->seconds < b->pairs / b->seconds;
+            });
+  const RunResult& r = *order[order.size() / 2];
   std::fprintf(
       f,
       "    {\"workload\":\"%s\",\"threads\":%u,\"config\":\"%s\","
       "\"backend_requested\":\"%s\",\"backend_resolved\":\"%s\","
       "\"magazine_slots\":%zu,\"protect_batch\":%zu,"
-      "\"recycle_runs\":%zu,\"frees_per_revoke\":%.2f,"
+      "\"frees_per_revoke\":%.2f,\"reps\":%zu,"
       "\"seconds\":%.6f,\"pairs\":%llu,\"pairs_per_sec\":%.0f,"
+      "\"pairs_per_sec_q1\":%.0f,\"pairs_per_sec_q3\":%.0f,"
       "\"mmap\":%llu,\"munmap\":%llu,\"mprotect\":%llu,\"madvise\":%llu,"
       "\"revoke_batches\":%llu,\"magazine_hits\":%llu,"
-      "\"window_recycle_hits\":%llu,\"p99_us\":%.2f}%s\n",
+      "\"p99_us\":%.2f,\"p99_us_q1\":%.2f,\"p99_us_q3\":%.2f}%s\n",
       workload, threads, cfg.name,
       dpg::vm::backend_name(cfg.guard.revoke_backend),
       dpg::vm::backend_name(r.resolved),
       dpg::core::ShadowEngine::magazine_window(cfg.guard),
-      cfg.guard.protect_batch,
-      dpg::core::ShadowEngine::recycle_runs(cfg.guard),
-      r.frees_per_revoke(), r.seconds,
-      static_cast<unsigned long long>(r.pairs), r.pairs / r.seconds,
+      cfg.guard.protect_batch, r.frees_per_revoke(), runs.size(), r.seconds,
+      static_cast<unsigned long long>(r.pairs), quartile(rates, 0.5),
+      quartile(rates, 0.25), quartile(rates, 0.75),
       static_cast<unsigned long long>(r.sys.mmap),
       static_cast<unsigned long long>(r.sys.munmap),
       static_cast<unsigned long long>(r.sys.mprotect),
       static_cast<unsigned long long>(r.sys.madvise),
       static_cast<unsigned long long>(r.stats.revoke_batches),
       static_cast<unsigned long long>(r.stats.magazine_hits),
-      static_cast<unsigned long long>(r.stats.window_recycle_hits), r.p99_us,
+      quartile(p99s, 0.5), quartile(p99s, 0.25), quartile(p99s, 0.75),
       last ? "" : ",");
 }
 
@@ -352,13 +378,14 @@ void json_row(std::FILE* f, const char* workload, unsigned threads,
 // 1/4/8 threads plus the seed/tuned t8 rows the smoke gate is calibrated
 // against. Progress goes to stderr so `bench_mt --backends > file` is clean.
 int backends() {
+  constexpr std::size_t kReps = 3;
   const std::uint64_t pairs = static_cast<std::uint64_t>(
       dpg::obs::env_long("DPG_BENCH_MT_PAIRS", 20000, 100, 10'000'000));
   const bool guard = dpg::vm::Revoker::guard_supported();
 
   std::printf("{\n");
   std::printf("  \"type\": \"dpg_backend_baseline\",\n");
-  std::printf("  \"schema\": 4,\n");
+  std::printf("  \"schema\": 5,\n");
   std::printf("  \"workload\": \"server\",\n");
   std::printf("  \"pairs_per_thread\": %llu,\n",
               static_cast<unsigned long long>(pairs));
@@ -379,11 +406,19 @@ int backends() {
   cells.emplace_back(8, seed_config());
   cells.emplace_back(8, tuned_config());
 
+  std::vector<std::vector<RunResult>> runs(cells.size());
+  for (std::size_t rep = 0; rep < kReps; ++rep) {
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      const auto& [threads, bench] = cells[i];
+      std::fprintf(stderr, "backends: rep %zu %s t%u...\n", rep + 1,
+                   bench.name, threads);
+      runs[i].push_back(run_workload(bench, threads, true, pairs));
+    }
+  }
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const auto& [threads, bench] = cells[i];
-    std::fprintf(stderr, "backends: %s t%u...\n", bench.name, threads);
-    const RunResult r = run_workload(bench, threads, true, pairs);
-    json_row(stdout, "server", threads, bench, r, i + 1 == cells.size());
+    json_row(stdout, "server", threads, bench, runs[i],
+             i + 1 == cells.size());
   }
   std::printf("  ]\n}\n");
   return 0;
@@ -472,15 +507,16 @@ int smoke() {
 
   // t8 server gates. The tuned configuration used to trade throughput for
   // syscalls at 8 threads (167k munmaps to the seed's 73k — the
-  // shared-freelist trim storm); the MAP_FIXED recycle cache starves that
-  // storm, since parked slot spans reassemble into window runs instead of
-  // overflowing the freelist. Every gate is a deterministic count: same-config
-  // throughput swings +-20% under a parallel ctest, so the tuned >= 0.6x seed
-  // pairs/s ratio is gated by the nightly workflow on serial runs instead:
+  // shared-freelist trim storm). Generations now return their windows whole,
+  // so no slot-sized fragment reaches the freelist to trim. Every gate is a
+  // deterministic count: same-config throughput swings +-20% under a
+  // parallel ctest, so the tuned >= 0.6x seed pairs/s ratio is gated by the
+  // nightly workflow on serial runs instead:
   //   1. amortization — tuned (mmap + revocation)/pair below seed's (about
   //      0.93 vs 2.0 when measured),
   //   2. absolute storm ceiling — tuned munmap must stay under 2% of pairs
-  //      (pre-recycle it was 35-47%; with the cache it measures literal 0),
+  //      (with slot fragments it was 35-47%; whole windows measure literal
+  //      0),
   //   3. comparative — when the seed run itself storms (>=1000 munmaps),
   //      tuned must stay under half of it.
   const std::uint64_t t8_pairs = pairs / 2 < 100 ? 100 : pairs / 2;

@@ -75,12 +75,10 @@ ShadowEngine::ShadowEngine(vm::PhysArena& arena, alloc::MallocLike& under,
   head_.prev = &head_;
   head_.next = &head_;
   revoker_.init(cfg_.revoke_backend);
-  magazine_slots_ = magazine_window(cfg_);
-  magazine_bytes_ = magazine_slots_ * vm::kPageSize;
-  recycle_runs_ = recycle_runs(cfg_);
-  stacked_ = cfg_.protect_batch <= 1 && magazine_slots_ != 0;
-  magazine_cap_ = stacked_ ? kMaxImmediateGenerations : kMaxMagazineWindows;
-  reuse_distance_ = stacked_ ? kReuseDistancePages * vm::kPageSize : 0;
+  windows_ = magazine_window(cfg_) != 0;
+  reuse_distance_ = windows_ && cfg_.protect_batch <= 1
+                        ? kReuseDistancePages * vm::kPageSize
+                        : 0;
   remote_drain_threshold_ =
       std::max<std::size_t>(cfg_.protect_batch * 2, std::size_t{256});
   obs::init_from_env();  // idempotent: arms DPG_TRACE / DPG_METRICS_* knobs
@@ -90,32 +88,22 @@ ShadowEngine::ShadowEngine(vm::PhysArena& arena, alloc::MallocLike& under,
 ShadowEngine::~ShadowEngine() { release_all(); }
 
 std::size_t ShadowEngine::magazine_window(const GuardConfig& cfg) noexcept {
-  // Magazines follow the canonical reuse distance. Batched revocation defers
-  // reuse by about protect_batch pages, the window that magazines can fill.
-  // Immediate revocation takes the widest window: the engine's reuse FIFO
-  // spaces out canonical reuse, and a wide window lets the pages of a hot
-  // sub-page class share each generation with many other pages (DESIGN.md
-  // §11). That needs guard markers: under mprotect each revoked slot splits
-  // its window's VMA, and the generations' split windows cost more memory and
-  // time than one alias per object. Every span page must be an arena alias,
-  // so a trailing guard page rules magazines out.
+  // A wide window lets the pages of a hot sub-page class share each
+  // generation with many other pages (DESIGN.md §11); the reuse FIFO, or a
+  // batched flush, spaces out canonical reuse across it. Under mprotect each
+  // revoked run splits its window's VMA, and a generation keeps its splits
+  // while any record pins it: revoked one object at a time, or in flushes
+  // of fewer pages than a window, the split windows cost more VMAs, memory
+  // and time than one alias per object. A flush of at least a window of
+  // pages revokes long merged runs, so it keeps windows under mprotect too.
+  // Every span page must be an arena alias, so a trailing guard page rules
+  // magazines out.
   if (cfg.trailing_guard_page) return 0;
-  if (cfg.protect_batch > 1) {
-    return std::min(cfg.protect_batch, kMaxMagazineSlots);
+  if (cfg.protect_batch >= kWindowPages ||
+      vm::Revoker::resolve(cfg.revoke_backend) == vm::RevokeBackend::kGuard) {
+    return kWindowPages;
   }
-  return vm::Revoker::resolve(cfg.revoke_backend) == vm::RevokeBackend::kGuard
-             ? kMaxMagazineSlots
-             : 0;
-}
-
-std::size_t ShadowEngine::recycle_runs(const GuardConfig& cfg) noexcept {
-  // A dying generation sheds its slots as up to window/2 discontiguous runs
-  // while its live objects drain; 8 runs per window page lets several
-  // generations reassemble at once (2048 at the tuned 256-page window, where
-  // the t8 server's munmap count reaches zero). Sized to the window rather
-  // than fixed because the cache lookup is linear in its runs: a fixed
-  // 2048-run cap slowed small-window churn.
-  return cfg.reuse_shadow_va ? 8 * magazine_window(cfg) : 0;
+  return 0;
 }
 
 void* ShadowEngine::malloc(std::size_t size, SiteId site) {
@@ -345,89 +333,15 @@ void* ShadowEngine::install_record_locked(void* shadow_base,
   return reinterpret_cast<void*>(rec->user_shadow);
 }
 
-// Shadow-VA acquire/release: every span the engine re-aliases comes from
-// acquire_va_locked and every span it gives up goes through
-// release_va_locked. Both consult the per-shard MAP_FIXED recycle cache
-// (DESIGN.md §16) before the shared VaFreeList. Parked spans are kept sorted
-// by base and merged with contiguous neighbours, so the slot-sized spans a
-// dying batched generation sheds — its unclaimed runs at retirement plus
-// each claimed slot as its object is later released — reassemble into the
-// full window-sized run the *next* generation claims with one MAP_FIXED
-// re-alias. Without that closed loop the slot fragments flood the shared
-// list and its high-water trim turns into a munmap storm. An immediate-
-// revocation generation hands its window back whole once its last record is
-// released. The cache exists only with magazines: otherwise every span is a
-// single-object alias the shared list serves exactly, and the cache would
-// only duplicate it.
-//
-// The cache prefers an exact fit and otherwise splits the smallest larger
-// run (prefix out, remainder stays parked — the split is transient because
-// released spans coalesce right back). `exact` applies to the shared list
-// only: take_exact never splits a larger donor, so a batched window request
-// cannot shred the single-span donors of its per-object fallbacks. Every
-// consumer remaps the returned range with mmap(MAP_FIXED), which atomically
-// replaces whatever dead mapping occupies it; merged runs of mixed
-// provenance (revoked aliases, anonymous guard tails) are therefore
-// interchangeable.
-void* ShadowEngine::acquire_va_locked(std::size_t len, bool exact) {
+// Every span the engine re-aliases comes from the shared VaFreeList, and
+// every span it gives up goes back there: per-object spans one by one, a
+// generation's window whole once it has retired and its last record is
+// released. Every consumer remaps the returned range with mmap(MAP_FIXED),
+// which atomically replaces whatever dead mapping occupies it.
+void* ShadowEngine::acquire_va_locked(std::size_t len) {
   if (!cfg_.reuse_shadow_va) return nullptr;
-  std::size_t best = va_recycle_.size();
-  for (std::size_t i = 0; i < va_recycle_.size(); ++i) {
-    const std::size_t l = va_recycle_[i].length;
-    if (l == len) {
-      best = i;
-      break;
-    }
-    if (l > len &&
-        (best == va_recycle_.size() || l < va_recycle_[best].length)) {
-      best = i;
-    }
-  }
-  if (best != va_recycle_.size()) {
-    vm::PageRange& r = va_recycle_[best];
-    void* p = reinterpret_cast<void*>(r.base);
-    if (r.length == len) {
-      va_recycle_.erase(va_recycle_.begin() +
-                        static_cast<std::ptrdiff_t>(best));
-    } else {
-      r.base += len;  // prefix out; remainder keeps its sort position
-      r.length -= len;
-    }
-    stats_.window_recycle_hits.fetch_add(1, std::memory_order_relaxed);
-    return p;
-  }
-  const auto reused =
-      exact ? shadow_freelist_.take_exact(len) : shadow_freelist_.take(len);
+  const auto reused = shadow_freelist_.take(len);
   return reused ? reinterpret_cast<void*>(reused->base) : nullptr;
-}
-
-// Callers have proved no pointer into `span` remains (a released per-object
-// record, a retired generation's window with no record left, or a MAP_FIXED
-// target whose remap failed and left the old mapping intact), so the span is
-// as dead as a freelist span.
-void ShadowEngine::release_va_locked(vm::PageRange span) {
-  auto it = std::lower_bound(
-      va_recycle_.begin(), va_recycle_.end(), span.base,
-      [](const vm::PageRange& r, std::uintptr_t b) { return r.base < b; });
-  if (it != va_recycle_.begin() && std::prev(it)->end() == span.base) {
-    auto prev = std::prev(it);
-    prev->length += span.length;
-    // The span may bridge prev and it into one run.
-    if (it != va_recycle_.end() && prev->end() == it->base) {
-      prev->length += it->length;
-      va_recycle_.erase(it);
-    }
-  } else if (it != va_recycle_.end() && span.end() == it->base) {
-    it->base = span.base;
-    it->length += span.length;
-  } else if (va_recycle_.size() < recycle_runs_) {
-    va_recycle_.insert(it, span);
-  } else {
-    shadow_freelist_.put(span);  // records the kVaReclaim event
-    return;
-  }
-  stats_.window_recycle_puts.fetch_add(1, std::memory_order_relaxed);
-  obs::record_event(obs::EventKind::kVaReclaim, span.base, span.pages());
 }
 
 bool ShadowEngine::Magazine::run_free(std::size_t s0,
@@ -452,26 +366,25 @@ void* ShadowEngine::magazine_claim_locked(std::uintptr_t first_page,
   // Windows tile the arena's *file-offset* space, so a window's slab in the
   // memfd is contiguous and one mmap aliases all of it. (The canonical VA of
   // the window base follows from the arena being one contiguous mapping.)
-  const std::size_t win = magazine_bytes_;
   const std::size_t off_in_window =
-      arena_.offset_of(reinterpret_cast<void*>(first_page)) % win;
-  if (off_in_window + data_span > win) return nullptr;  // straddles windows
+      arena_.offset_of(reinterpret_cast<void*>(first_page)) % kWindowBytes;
+  if (off_in_window + data_span > kWindowBytes) {
+    return nullptr;  // straddles windows
+  }
   const std::uintptr_t window_base = first_page - off_in_window;
   const std::size_t slot0 = off_in_window / vm::kPageSize;
   const std::size_t nslots = data_span / vm::kPageSize;
 
   // The newest generation whose run is still unclaimed serves the object, so
   // consecutive allocations stay adjacent in shadow space; older generations
-  // serve the runs the newer ones already spent. (A batched window has at
-  // most one generation.) Only an immediate-revocation record pins its
-  // generation: a batched slot goes back to the VA lists with its record.
+  // serve the runs the newer ones already spent.
   std::vector<Magazine*>& gens = magazines_[window_base];
   for (std::size_t i = gens.size(); i-- > 0;) {
     Magazine* m = gens[i];
     if (!m->run_free(slot0, nslots)) continue;
     m->claim(slot0, nslots);
     stats_.magazine_hits.fetch_add(1, std::memory_order_relaxed);
-    *from = stacked_ ? m : nullptr;
+    *from = m;
     const std::uintptr_t sb = m->shadow_base + off_in_window;
     if (m->free_slots == 0) {
       // Fully carved: every page of the generation is owned by some record.
@@ -483,42 +396,18 @@ void* ShadowEngine::magazine_claim_locked(std::uintptr_t first_page,
     return reinterpret_cast<void*>(sb);
   }
 
-  // Immediate revocation: a run claimed in every live generation is a
-  // canonical page reused since they were mapped (or a second object on it).
-  // The paper needs a distinct alias per object, so that takes a fresh
-  // generation, never a per-object map; the reuse FIFO keeps this rare.
-  if (!stacked_ && !gens.empty()) {
-    // Batched collision: this canonical page already claimed its slot in the
-    // current generation (a second object on the same page needs a second
-    // alias). Retire eagerly once the generation is mostly claimed — at that
-    // point its remaining value is small and a collision means the allocator
-    // has started *recycling* canonical pages through this window, so one
-    // remap turns the whole reuse stream back into zero-syscall hits. A
-    // young, sparsely-claimed generation instead falls back to the per-object
-    // path (same cost as the paper's scheme) until a miss backstop: densely
-    // packed sub-page objects would otherwise remap — and burn a fresh
-    // window-sized VA — on every second allocation.
-    constexpr std::uint32_t kRetireMissBackstop = 2;
-    Magazine* m = gens.front();
-    ++m->misses;
-    const std::size_t claimed = magazine_slots_ - m->free_slots;
-    if (claimed * 2 < magazine_slots_ && m->misses < kRetireMissBackstop) {
-      return nullptr;
-    }
-    gens.clear();
-    --magazine_gens_;
-    retire_magazine_locked(m);
-  }
-
-  // A fresh generation. A batched window prefers a recycled window-sized VA,
-  // never a split of a larger donor.
-  void* fixed = acquire_va_locked(win, /*exact=*/!stacked_);
+  // A run claimed in every live generation is a canonical page reused since
+  // they were mapped (or a second object on it). The paper needs a distinct
+  // alias per object, so that takes a fresh generation, never a per-object
+  // map; the reuse FIFO, or the batched flush, keeps this rare.
+  void* fixed = acquire_va_locked(kWindowBytes);
   const vm::sys::MapResult res =
-      mapper_.try_alias_bulk(reinterpret_cast<void*>(window_base), win, fixed);
+      mapper_.try_alias_bulk(reinterpret_cast<void*>(window_base),
+                             kWindowBytes, fixed);
   if (!res.ok()) {
     // MAP_FIXED failure leaves the old mapping intact: still reusable.
     if (fixed != nullptr) {
-      release_va_locked(vm::PageRange{vm::addr(fixed), win});
+      shadow_freelist_.put(vm::PageRange{vm::addr(fixed), kWindowBytes});
     }
     if (gens.empty()) magazines_.erase(window_base);
     // Caller takes the per-object path, which owns failure/degradation.
@@ -526,43 +415,50 @@ void* ShadowEngine::magazine_claim_locked(std::uintptr_t first_page,
   }
   stats_.magazine_maps.fetch_add(1, std::memory_order_relaxed);
   if (fixed != nullptr) {
-    stats_.shadow_pages_reused.fetch_add(win / vm::kPageSize,
+    stats_.shadow_pages_reused.fetch_add(kWindowPages,
                                          std::memory_order_relaxed);
   } else {
-    stats_.shadow_pages_mapped.fetch_add(win / vm::kPageSize,
+    stats_.shadow_pages_mapped.fetch_add(kWindowPages,
                                          std::memory_order_relaxed);
     gov_->add_vmas(1);
   }
 
   auto* m = new Magazine;
   m->shadow_base = vm::addr(res.ptr);
-  m->free_slots = magazine_slots_;
+  m->free_slots = kWindowPages;
   m->claim(slot0, nslots);
-  *from = stacked_ ? m : nullptr;
+  *from = m;
   const std::uintptr_t sb = m->shadow_base + off_in_window;
   if (m->free_slots == 0) {
     if (gens.empty()) magazines_.erase(window_base);
     retire_magazine_locked(m);
   } else {
     gens.push_back(m);
-    if (++magazine_gens_ > magazine_cap_) {
-      evict_fullest_magazine_locked(m);
+    if (++magazine_gens_ > kMaxGenerations) {
+      evict_magazine_locked(m);
     }
   }
   return reinterpret_cast<void*>(sb);
 }
 
-// Population cap: retire the generation with the most claims, the one whose
-// unclaimed slots are worth least. Eviction only forfeits future zero-syscall
-// hits on those slots.
-void ShadowEngine::evict_fullest_magazine_locked(const Magazine* keep) {
+// Population cap: retire a generation that no live record holds if there is
+// one, and among those the one with the most claims, whose unclaimed slots
+// are worth least. A retired generation keeps its window mapped while any of
+// its records remains, so one with a live record stays for that object's
+// lifetime, where one with only freed records goes back once the freed-VA
+// budget releases them. Eviction only forfeits future zero-syscall hits on
+// the unclaimed slots.
+void ShadowEngine::evict_magazine_locked(const Magazine* keep) {
+  const auto live = [](const Magazine* m) { return m->holders > m->freed; };
   std::uintptr_t victim_window = 0;
   std::size_t victim_idx = 0;
   const Magazine* victim = nullptr;
   for (const auto& [window, gens] : magazines_) {
     for (std::size_t i = 0; i < gens.size(); ++i) {
       if (gens[i] == keep) continue;
-      if (victim == nullptr || gens[i]->free_slots < victim->free_slots) {
+      if (victim == nullptr || live(gens[i]) < live(victim) ||
+          (live(gens[i]) == live(victim) &&
+           gens[i]->free_slots < victim->free_slots)) {
         victim = gens[i];
         victim_window = window;
         victim_idx = i;
@@ -580,33 +476,14 @@ void ShadowEngine::evict_fullest_magazine_locked(const Magazine* keep) {
 
 // A retired generation serves no more claims. Its never-claimed slots were
 // never handed out, so no pointer into them exists; the claimed ones belong
-// to records. A batched generation recycles maximal runs of never-claimed
-// slots now (each claimed slot returns with its record). An immediate-
-// revocation generation returns its whole window as one run once the last
-// of its records is released (release_record_locked), or now if there is
-// none.
+// to records. Its whole window returns as one run once the last of its
+// records is released (release_record_locked), or now if there is none.
 void ShadowEngine::retire_magazine_locked(Magazine* m) {
   m->retired = true;
   stats_.magazine_slots_recycled.fetch_add(m->free_slots,
                                            std::memory_order_relaxed);
-  if (!stacked_) {
-    std::size_t s = 0;
-    while (s < magazine_slots_) {
-      if (!m->run_free(s, 1)) {
-        ++s;
-        continue;
-      }
-      std::size_t e = s + 1;
-      while (e < magazine_slots_ && m->run_free(e, 1)) ++e;
-      release_va_locked(vm::PageRange{m->shadow_base + s * vm::kPageSize,
-                                      (e - s) * vm::kPageSize});
-      s = e;
-    }
-    delete m;
-    return;
-  }
   if (m->holders == 0) {
-    release_va_locked(vm::PageRange{m->shadow_base, magazine_bytes_});
+    shadow_freelist_.put(vm::PageRange{m->shadow_base, kWindowBytes});
     delete m;
   }
 }
@@ -633,9 +510,9 @@ void* ShadowEngine::guarded_alloc_locked(std::size_t size, SiteId site) {
   const std::size_t span_len = data_span + guard;
 
   // Magazine fast path: carve the shadow span out of one of the window's
-  // live generations — zero syscalls on a hit. (magazine_slots_ is zero when
+  // live generations — zero syscalls on a hit. (windows_ is false when
   // trailing_guard_page is set, so guard == 0 on this path.)
-  if (magazine_slots_ != 0) {
+  if (windows_) {
     Magazine* from = nullptr;
     if (void* sb = magazine_claim_locked(first_page, data_span, &from)) {
       return install_record_locked(sb, span_len, guard, canon_addr, first_page,
@@ -643,7 +520,7 @@ void* ShadowEngine::guarded_alloc_locked(std::size_t size, SiteId site) {
     }
   }
 
-  void* fixed = acquire_va_locked(span_len, /*exact=*/false);
+  void* fixed = acquire_va_locked(span_len);
 
   // Guard-path kernel calls, all Result-returning: any refusal rolls the
   // allocation back, drops the governor one rung, and re-serves the request
@@ -687,7 +564,7 @@ void* ShadowEngine::guarded_alloc_locked(std::size_t size, SiteId site) {
     // MAP_FIXED failure leaves the old mapping intact: the range is still
     // reusable, so it is released rather than leaked.
     if (fixed != nullptr) {
-      release_va_locked(vm::PageRange{vm::addr(fixed), span_len});
+      shadow_freelist_.put(vm::PageRange{vm::addr(fixed), span_len});
     }
     stats_.guard_failures.fetch_add(1, std::memory_order_relaxed);
     gov_->on_syscall_failure("shadow-alias", alias.err);
@@ -1126,12 +1003,12 @@ void ShadowEngine::enforce_budget_locked() {
   // §3.4 strategy 1: recycle the oldest freed spans down to half budget.
   // Records whose revocation is still in flight (queued or on the remote
   // list) are skipped — releasing them would leave live pointers in those
-  // queues. An immediate-revocation window's charge drops only with its last
-  // freed record, so windows go whole: the walk picks them by their oldest
-  // freed record, and a second pass releases every freed record of the
-  // picked ones. Released record by record, windows whose frees interleave
-  // in time would all lose their oldest records before any charge dropped,
-  // and hardly a freed record would stay guarded.
+  // queues. A window's charge drops only with its last freed record, so
+  // windows go whole: the walk picks them by their oldest freed record, and
+  // a second pass releases every freed record of the picked ones. Released
+  // record by record, windows whose frees interleave in time would all lose
+  // their oldest records before any charge dropped, and hardly a freed
+  // record would stay guarded.
   const auto releasable = [](const ObjectRecord* r) {
     return r->revocation_done &&
            r->state.load(std::memory_order_relaxed) == ObjectState::kFreed;
@@ -1148,7 +1025,7 @@ void ShadowEngine::enforce_budget_locked() {
         release_record_locked(it);
       } else if (!m->draining) {
         m->draining = true;
-        held -= magazine_bytes_;
+        held -= kWindowBytes;
         picked_windows = true;
       }
     }
@@ -1175,9 +1052,9 @@ void ShadowEngine::unlink_locked(ObjectRecord* rec) noexcept {
   rec->next->prev = rec->prev;
 }
 
-// Freed-VA accounting for the §3.4 budget: a per-object or batched span
-// holds its own bytes, an immediate-revocation span its generation's whole
-// window, charged once while any record carved from it is freed-but-guarded,
+// Freed-VA accounting for the §3.4 budget: a per-object span holds its own
+// bytes, a window-carved span its generation's whole window, charged once
+// while any record carved from it is freed-but-guarded,
 // because that window cannot be recycled before its last record is released.
 void ShadowEngine::hold_freed_locked(ObjectRecord* rec) {
   rec->revocation_done = true;
@@ -1185,7 +1062,7 @@ void ShadowEngine::hold_freed_locked(ObjectRecord* rec) {
   if (m == nullptr) {
     freed_bytes_held_ += rec->span_length;
   } else if (m->freed++ == 0) {
-    freed_bytes_held_ += magazine_bytes_;
+    freed_bytes_held_ += kWindowBytes;
   }
 }
 
@@ -1197,17 +1074,17 @@ void ShadowEngine::release_record_locked(ObjectRecord* rec) {
       rec->revocation_done;
   if (rec->magazine == nullptr) {
     if (freed_held) freed_bytes_held_ -= span.length;
-    release_va_locked(span);  // records the kVaReclaim event
+    shadow_freelist_.put(span);  // records the kVaReclaim event
   } else {
     // The slot stays mapped with its generation; the window returns whole.
     obs::record_event(obs::EventKind::kVaReclaim, span.base, span.pages());
     auto* m = static_cast<Magazine*>(rec->magazine);
     if (freed_held && --m->freed == 0) {
-      freed_bytes_held_ -= magazine_bytes_;
+      freed_bytes_held_ -= kWindowBytes;
       m->draining = false;
     }
     if (--m->holders == 0 && m->retired) {
-      release_va_locked(vm::PageRange{m->shadow_base, magazine_bytes_});
+      shadow_freelist_.put(vm::PageRange{m->shadow_base, kWindowBytes});
       delete m;
     }
   }
@@ -1230,8 +1107,6 @@ void ShadowEngine::release_all() {
     release_record_locked(head_.next);
   }
   drop_magazines_locked();
-  for (const vm::PageRange& span : va_recycle_) shadow_freelist_.put(span);
-  va_recycle_.clear();
 }
 
 std::size_t ShadowEngine::reclaim_freed(std::size_t bytes) {

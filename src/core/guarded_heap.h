@@ -21,30 +21,21 @@
 //
 // Scaling layers (DESIGN.md §11):
 //
-//   Slot magazines   one bulk mmap aliases a whole window of canonical pages;
-//                    objects landing in the window carve their shadow pages
-//                    out of it with zero syscalls. A window slot serves one
-//                    object per magazine generation. Under batched revocation
-//                    a window of min(protect_batch, 256) pages has one live
-//                    generation, and a collision takes the per-object alias
-//                    or retires it. Under immediate revocation with guard
-//                    markers a 256-page window keeps several live
-//                    generations, so k objects on one canonical page take k
-//                    of them. Immediate revocation under mprotect maps none:
-//                    every revoked slot would split its window's VMA.
-//   Reuse distance   with immediate-revocation windows every revoked
-//                    canonical block waits in a per-engine FIFO until 64
-//                    pages of canonical bytes have been freed after it, so
-//                    the allocator's LIFO lists cannot hand it straight back
-//                    into a slot the current generation already claimed.
-//   Recycle cache    with magazines, released shadow spans park on a per-
-//                    shard list that merges contiguous neighbours, so the
-//                    next generation re-aliases a whole window with one
-//                    MAP_FIXED mmap. A batched generation sheds its slots as
-//                    their records go; an immediate-revocation generation
-//                    comes back as one run once its last carved record is
-//                    released. Overflow, and every span without magazines,
-//                    goes to the shared VA free list.
+//   Slot magazines   one bulk mmap aliases a 256-page window of canonical
+//                    pages; objects landing in the window carve their shadow
+//                    pages out of it with zero syscalls. A window slot serves
+//                    one object per magazine generation, and a window keeps
+//                    several live generations, so k objects on one canonical
+//                    page take k of them. Windows need guard markers or
+//                    flushes of at least a window of pages: under mprotect
+//                    smaller revocations split the window's VMA at every
+//                    revoked slot, so they take the per-object alias.
+//   Reuse distance   under immediate revocation every revoked canonical
+//                    block waits in a per-engine FIFO until 64 pages of
+//                    canonical bytes have been freed after it, so the
+//                    allocator's LIFO lists cannot hand it straight back
+//                    into a slot the current generation already claimed (a
+//                    batched flush already defers reuse).
 //   Revocation queue freed spans accumulate (canonical reuse deferred with
 //                    them), are address-sorted, coalesced into maximal runs,
 //                    and revoked with one call per run; flushed when the
@@ -84,9 +75,9 @@ struct GuardConfig {
   bool reuse_shadow_va = true;
   // §3.4 strategy 1: when the bytes held by freed-but-still-guarded spans
   // exceed this budget, the oldest freed spans are recycled (giving up
-  // detection for those objects, as the paper accepts). An immediate-
-  // revocation window cannot be recycled before its last record is released,
-  // so a window with freed records counts once at full size, and the budget
+  // detection for those objects, as the paper accepts). A magazine window
+  // cannot be recycled before its last record is released, so a window with
+  // freed records counts once at full size, and the budget
   // releases such windows whole, the earliest charged first. 0 = unlimited.
   std::size_t freed_va_budget = 0;
   // Extension (paper §6 future work: combining with spatial checking): place
@@ -110,13 +101,10 @@ struct GuardConfig {
   // protection, detects them). 0 or 1 = protect immediately (the paper's
   // configuration).
   //
-  // The batch also sizes the slot magazines: a flush hands about
-  // protect_batch pages of canonical memory back at once, which is the
-  // allocator's reuse distance, so each magazine window spans
-  // min(protect_batch, kMaxMagazineSlots) pages. Immediate revocation under
-  // guard markers gets kMaxMagazineSlots-page windows and holds canonical
-  // reuse back by kReuseDistancePages of freed bytes instead; under mprotect
-  // it takes the per-object alias (DESIGN.md §11).
+  // The batch decides when revocation happens. Where shadow pages come from
+  // follows the backend: windows under guard markers, and under mprotect
+  // only with a batch of at least kWindowPages; otherwise the per-object
+  // alias (DESIGN.md §11).
   std::size_t protect_batch = 0;
   // Degradation policy (core/degrade.h). nullptr = share the process-wide
   // governor; tests and benches pass their own to pin or observe the ladder.
@@ -137,8 +125,7 @@ struct GuardConfig {
 class ShadowEngine {
  public:
   // `shadow_freelist` may be shared across engines (the paper's free list is
-  // "shared across pools"); released spans the engine does not keep for
-  // itself go there.
+  // "shared across pools"); every shadow span the engine releases goes there.
   ShadowEngine(vm::PhysArena& arena, alloc::MallocLike& under,
                vm::VaFreeList& shadow_freelist, GuardConfig cfg = {});
   ~ShadowEngine();
@@ -221,37 +208,29 @@ class ShadowEngine {
   }
 
   static constexpr std::size_t kGuardHeader = sizeof(std::uintptr_t);
-  static constexpr std::size_t kMaxMagazineSlots = 256;
-  // Canonical reuse distance of immediate-revocation windows, in pages of
-  // freed bytes: 64 x 4 KiB x 4 shards holds back 1 MiB at t4.
+  static constexpr std::size_t kWindowPages = 256;
+  static constexpr std::size_t kWindowBytes = kWindowPages * vm::kPageSize;
+  // Canonical reuse distance of immediate revocation with windows, in pages
+  // of freed bytes: 64 x 4 KiB x 4 shards holds back 1 MiB at t4.
   static constexpr std::size_t kReuseDistancePages = 64;
-  // Live-generation population caps, across all windows. Windows tile the
+  // Live-generation population cap, across all windows. Windows tile the
   // arena's file-offset space, so a churn-heavy workload keeps first-
   // touching new windows; without a cap every partially-claimed generation
   // (one window-sized shadow mapping each) lives until release_all —
   // unbounded RSS/VMA growth that the endurance soak flags as a leak. Over
-  // the cap the engine retires the generation with the most claims.
-  //
-  // Batched revocation keeps one generation per window.
-  static constexpr std::size_t kMaxMagazineWindows = 256;
-  // Immediate-revocation windows keep several. The cap must reach the
-  // objects one canonical page can hold (128 at the 32-byte minimum stride
-  // of SegregatedHeap and Pool): a burst of k objects on one page takes k
-  // live generations at once, and a lower cap would retire them nearly
-  // empty, each pinning a whole window for one live object. Each live
+  // the cap the engine retires a generation (evict_magazine_locked). The cap
+  // must reach the objects one canonical page can hold (128 at the 32-byte
+  // minimum stride of SegregatedHeap and Pool): a burst of k objects on one
+  // page takes k live generations at once, and a lower cap would retire them
+  // nearly empty, each pinning a whole window for one live object. Each live
   // generation holds a window of VA that the shadow registry pays 8 bytes a
   // page for, so the cap goes no higher.
-  static constexpr std::size_t kMaxImmediateGenerations = 128;
-  // Slot-magazine window in pages that `cfg` yields: min(protect_batch,
-  // kMaxMagazineSlots) under batched revocation; under immediate revocation
-  // kMaxMagazineSlots when cfg.revoke_backend resolves to guard markers and
-  // 0 (no magazines) under mprotect; 0 with a trailing guard page.
+  static constexpr std::size_t kMaxGenerations = 128;
+  // Slot-magazine window in pages that `cfg` yields: kWindowPages when
+  // cfg.revoke_backend resolves to guard markers or protect_batch >=
+  // kWindowPages, else 0 (mprotect with smaller or no batches takes the
+  // per-object alias); 0 with a trailing guard page.
   [[nodiscard]] static std::size_t magazine_window(
-      const GuardConfig& cfg) noexcept;
-  // Discontiguous runs the engine's MAP_FIXED recycle cache may hold under
-  // `cfg`: 8 per magazine-window page, 0 (no cache) without magazines or
-  // with shadow-VA reuse off. See DESIGN.md §16.
-  [[nodiscard]] static std::size_t recycle_runs(
       const GuardConfig& cfg) noexcept;
 
   // The engine's governor (never null after construction).
@@ -294,22 +273,14 @@ class ShadowEngine {
  private:
   // One magazine generation: a bulk alias of a whole canonical window. Slots
   // are claimed (bit set) once and never reused within the generation. It
-  // retires when fully claimed, when evicted at the population cap, after
-  // repeated collisions (batched), or at release_all. A batched generation
-  // recycles its never-claimed slots when it retires and each claimed slot
-  // with its record. An immediate-revocation generation is pinned by its
-  // records (ObjectRecord::magazine) and its window VA is recycled as one run
-  // once it has retired and the last of them has been released, so it never
-  // sheds slot-sized fragments.
+  // retires when fully claimed, when evicted at the population cap, or at
+  // release_all. Its records pin it (ObjectRecord::magazine), and its window
+  // VA is recycled as one run once it has retired and the last of them has
+  // been released, so it never sheds slot-sized fragments.
   struct Magazine {
     std::uintptr_t shadow_base = 0;
-    std::array<std::uint64_t, kMaxMagazineSlots / 64> claimed{};
+    std::array<std::uint64_t, kWindowPages / 64> claimed{};
     std::size_t free_slots = 0;
-    // Batched: collisions (slot already claimed) observed against this
-    // generation; past a threshold it retires so heavy canonical-page reuse
-    // gets a fresh set of slots instead of falling back forever.
-    std::uint32_t misses = 0;
-    // Immediate-revocation windows only.
     std::size_t holders = 0;  // carved records not yet released
     std::size_t freed = 0;    // of those, freed and revoked
     bool retired = false;
@@ -331,10 +302,9 @@ class ShadowEngine {
                               SiteId site, Magazine* from);
   void* magazine_claim_locked(std::uintptr_t first_page, std::size_t data_span,
                               Magazine** from);
-  void* acquire_va_locked(std::size_t len, bool exact);
-  void release_va_locked(vm::PageRange span);
+  void* acquire_va_locked(std::size_t len);
   void retire_magazine_locked(Magazine* m);
-  void evict_fullest_magazine_locked(const Magazine* keep);
+  void evict_magazine_locked(const Magazine* keep);
   void drop_magazines_locked();
   void release_canonical_locked(ObjectRecord* rec);
   std::size_t drain_reuse_locked();
@@ -367,24 +337,11 @@ class ShadowEngine {
   // Revocation backend, resolved in the constructor.
   vm::Revoker revoker_;
 
-  // Per-shard MAP_FIXED recycle cache (recycle_runs_ runs max, sorted by
-  // base, contiguous neighbours merged): released shadow spans and retired
-  // magazine runs wait here to be re-aliased, bypassing the shared freelist.
-  // Drained to the freelist at release_all.
-  std::vector<vm::PageRange> va_recycle_;
-  std::size_t recycle_runs_ = 0;  // derived from the magazine window; 0 = off
-
   // Slot magazines: canonical-window base -> its live generations, oldest
-  // first (at most one under batched revocation).
-  std::size_t magazine_slots_ = 0;  // derived from cfg; 0 = off
-  std::size_t magazine_bytes_ = 0;
-  // Immediate-revocation windows: several generations per window, each
-  // pinned by its records, and the reuse FIFO below.
-  bool stacked_ = false;
+  // first.
+  bool windows_ = false;  // derived from cfg
   std::unordered_map<std::uintptr_t, std::vector<Magazine*>> magazines_;
   std::size_t magazine_gens_ = 0;  // live generations across all windows
-  std::size_t magazine_cap_ = 0;   // kMaxMagazineWindows or
-                                   // kMaxImmediateGenerations
 
   // Cross-shard remote-free list (MPSC: producers CAS-push lock-free,
   // consumer exchanges the head under mu_).
@@ -405,7 +362,7 @@ class ShadowEngine {
 
   // Canonical reuse distance: revoked blocks, oldest first, each returned to
   // under_ once reuse_distance_ bytes have been freed after it
-  // (kReuseDistancePages with immediate-revocation windows; 0, a
+  // (kReuseDistancePages under immediate revocation with windows; 0, a
   // pass-through, otherwise: a batched flush already defers reuse by
   // protect_batch pages, and the per-object alias needs no distance).
   std::deque<ParkedBlock> reuse_fifo_;

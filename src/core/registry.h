@@ -64,9 +64,9 @@ struct ObjectRecord {
   // revocation queue or on the remote-free list — and must not be released
   // by budget reclamation or handed to the GC.
   bool revocation_done = false;
-  // The owner engine's immediate-revocation magazine generation the span
-  // was carved from, or nullptr (a per-object alias or a batched slot, whose
-  // VA goes back with the record). Owner-lock protected: the generation's
+  // The owner engine's magazine generation the span was carved from, or
+  // nullptr (a per-object alias, whose VA goes back with the record).
+  // Owner-lock protected: the generation's
   // window VA is recycled only after its last carved record is released.
   void* magazine = nullptr;
 

@@ -98,10 +98,6 @@ struct GuardStats {
                                            // the generation check
   std::uint64_t tag_mismatches = 0;       // lock-and-key detections: pointer
                                            // tag != slot generation word
-  std::uint64_t window_recycle_hits = 0;  // aliases placed MAP_FIXED over a
-                                           // span from the per-shard recycle
-                                           // cache (no freelist round trip)
-  std::uint64_t window_recycle_puts = 0;  // spans parked on that cache
   std::size_t live_records = 0;            // live + freed-but-still-guarded
   std::size_t guarded_bytes = 0;           // shadow span bytes currently held
   std::size_t reuse_delay_bytes = 0;       // revoked canonical bytes waiting
@@ -134,8 +130,6 @@ struct GuardStats {
     tagged_allocs += o.tagged_allocs;
     tagged_frees += o.tagged_frees;
     tag_mismatches += o.tag_mismatches;
-    window_recycle_hits += o.window_recycle_hits;
-    window_recycle_puts += o.window_recycle_puts;
     live_records += o.live_records;
     guarded_bytes += o.guarded_bytes;
     reuse_delay_bytes += o.reuse_delay_bytes;
@@ -171,8 +165,6 @@ struct GuardCounters {
   alignas(vm::kCacheLine) std::atomic<std::uint64_t> tagged_allocs{0};
   alignas(vm::kCacheLine) std::atomic<std::uint64_t> tagged_frees{0};
   alignas(vm::kCacheLine) std::atomic<std::uint64_t> tag_mismatches{0};
-  alignas(vm::kCacheLine) std::atomic<std::uint64_t> window_recycle_hits{0};
-  alignas(vm::kCacheLine) std::atomic<std::uint64_t> window_recycle_puts{0};
   alignas(vm::kCacheLine) std::atomic<std::uint64_t> live_records{0};
   alignas(vm::kCacheLine) std::atomic<std::uint64_t> guarded_bytes{0};
   alignas(vm::kCacheLine) std::atomic<std::uint64_t> reuse_delay_bytes{0};
@@ -207,10 +199,6 @@ struct GuardCounters {
     s.tagged_allocs = tagged_allocs.load(std::memory_order_relaxed);
     s.tagged_frees = tagged_frees.load(std::memory_order_relaxed);
     s.tag_mismatches = tag_mismatches.load(std::memory_order_relaxed);
-    s.window_recycle_hits =
-        window_recycle_hits.load(std::memory_order_relaxed);
-    s.window_recycle_puts =
-        window_recycle_puts.load(std::memory_order_relaxed);
     s.live_records = static_cast<std::size_t>(
         live_records.load(std::memory_order_relaxed));
     s.guarded_bytes = static_cast<std::size_t>(

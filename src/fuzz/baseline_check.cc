@@ -231,6 +231,10 @@ std::vector<Divergence> baseline_cross_check(std::uint64_t seed,
           continue;
       }
     }
+    // Objects the trace never freed: hand them back, or each leaks.
+    for (const auto& [obj, o] : rt) {
+      if (o.live) mc.deallocate(o.ptr);
+    }
   }
 
   if (log != nullptr) {

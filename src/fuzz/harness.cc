@@ -950,8 +950,8 @@ std::vector<FuzzConfig> smoke_matrix(std::size_t n_ops) {
     v.push_back(c);
   }
   {
-    // A 4-page batch sizes 4-page magazine windows: generations fill,
-    // collide and retire every few allocations.
+    // A 4-page batch flushes every few frees, so canonical blocks come back
+    // fast and their reuse stacks generations on one window.
     FuzzConfig c = base("batch4-1shard");
     c.protect_batch = 4;
     v.push_back(c);
@@ -1088,10 +1088,10 @@ std::vector<FuzzConfig> matrix(std::size_t n_ops) {
     v.push_back(c);
   }
   {
-    // MAP_FIXED recycle cache (DESIGN.md §16) under shard-parallel churn:
-    // 4-page windows cap each cache at 32 runs, so four caches coalesce,
-    // split and overflow to the shared freelist while remote frees cross
-    // shard boundaries, and none of it may perturb detection.
+    // Shared-freelist VA reuse under shard-parallel churn: four shards
+    // return whole windows and per-object spans to one list and re-alias
+    // them while remote frees cross shard boundaries, and none of it may
+    // perturb detection.
     FuzzConfig c = base("batch4-4shard-mt");
     c.shards = 4;
     c.protect_batch = 4;

@@ -240,7 +240,7 @@ bool from_replay(const std::string& text, FuzzConfig* cfg, Trace* trace,
       in >> c.shards;
     } else if (tag == "magazines" || tag == "recycle_cap") {
       // Older files carry an explicit magazine window or recycle-cache cap;
-      // both now follow the batch, so the value is read and dropped.
+      // neither is configurable any more, so the value is read and dropped.
       std::size_t ignored = 0;
       in >> ignored;
     } else if (tag == "batch") {

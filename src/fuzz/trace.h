@@ -93,8 +93,8 @@ struct FuzzConfig {
   std::string name = "immediate-1shard";
   HarnessMode mode = HarnessMode::kHeap;
   std::size_t shards = 1;
-  // GuardConfig::protect_batch, in pages; > 1 also turns on slot magazines
-  // of min(batch, 256) pages.
+  // GuardConfig::protect_batch, in pages (magazine windows follow
+  // ShadowEngine::magazine_window).
   std::size_t protect_batch = 0;
   std::string fault_plan;  // DPG_FAULT_INJECT grammar; "" = none
   int forced_mode = -1;    // core::GuardMode to pin, -1 = ladder off-forced

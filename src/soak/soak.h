@@ -34,11 +34,11 @@ struct SoakConfig {
   std::uint32_t threads = 4;        // worker threads (>= 1)
   std::uint64_t interval_ms = 500;  // sampler period
   std::size_t shards = 4;           // guarded-heap shards
-  // Batched-revocation config under test. It also sizes the slot magazines
-  // (16 pages each). Each cached slot keeps its VA mapping for MAP_FIXED
-  // reuse, so magazine population * depth is the soak's dominant VMA term —
-  // deep production magazines would park steady state on vm.max_map_count and
-  // turn the run into a ladder-thrash test instead of a drift test.
+  // Batched-revocation config under test. Under guard markers every shard
+  // carves 256-page slot magazines, and each live or still-pinned generation
+  // keeps one window mapped, so the magazine population is the soak's
+  // dominant VMA term; under mprotect a batch this small takes per-object
+  // aliases.
   std::size_t protect_batch = 16;
   std::size_t max_live = 512;       // live objects per worker (soft cap)
   std::uint32_t max_size = 2048;    // payload bytes per object

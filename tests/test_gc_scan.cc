@@ -111,8 +111,7 @@ TEST_F(GcScanTest, LiveObjectsAreNeverReclaimed) {
 // A reclaimed span leaves the registry at once. A per-object span re-enters
 // the free list then; a window-carved span's VA stays mapped with its
 // magazine generation and re-enters the free list with the whole window once
-// that generation retires and holds no record (release_all drains the
-// engine's recycle cache to the shared list).
+// that generation retires and holds no record.
 TEST_F(GcScanTest, ReclaimedSpansReenterTheFreeList) {
   const std::size_t before = heap_.shadow_freelist().bytes();
   auto* p = static_cast<char*>(heap_.malloc(16));

@@ -579,7 +579,7 @@ TEST(ObsIntegration, GuardedWorkloadFillsHistogramsAndRing) {
 }
 
 // Every released shadow span is one va-reclaim event, whichever way its VA
-// goes (recycle cache, shared free list, or munmap).
+// goes (straight to the shared free list, or later with its window).
 TEST(ObsIntegration, EachReleasedSpanRecordsOneVaReclaim) {
   constexpr std::size_t kSpans = 16;
   vm::PhysArena arena(1u << 26);

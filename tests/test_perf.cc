@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstring>
 #include <iterator>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -39,7 +40,7 @@ TEST(ShardedHeap, CrossThreadFreeTrapsAfterDrain) {
   DegradationGovernor gov;
   GuardConfig cfg;
   cfg.governor = &gov;
-  cfg.protect_batch = 8;  // also 8-page magazines
+  cfg.protect_batch = 8;
   ShardedHeap heap(arena, cfg, 2);
 
   char* p = static_cast<char*>(heap.malloc(256, /*site=*/11));
@@ -331,18 +332,29 @@ TEST(BatchedRevocation, SurvivesGovernorDemotionMidBatch) {
   heap.free(live);
 }
 
-// Magazines: under batched revocation, allocations carve shadow pages from
-// bulk-aliased windows of protect_batch pages, and detection after the flush
-// is byte-for-byte identical to the per-object path — across generation
-// retirement and canonical reuse.
+// Magazines: with a window-sized batch, allocations carve shadow pages from
+// bulk-aliased 256-page windows on either backend, and detection after the
+// flush is byte-for-byte identical to the per-object path — across
+// generations, canonical reuse, and aliases placed over recycled VA.
 TEST(Magazines, DetectionAcrossGenerationsAndReuse) {
   vm::PhysArena arena;
   DegradationGovernor gov;
   GuardConfig cfg;
   cfg.governor = &gov;
-  cfg.protect_batch = 16;  // 16-page windows: exercises retirement quickly
+  cfg.protect_batch = ShadowEngine::kWindowPages;
   ShardedHeap heap(arena, cfg, 1);
 
+  const auto expect_traps = [](const std::vector<char*>& ptrs) {
+    for (char* p : ptrs) {
+      auto rep = catch_dangling([&] {
+        volatile char c = *p;
+        (void)c;
+      });
+      ASSERT_TRUE(rep.has_value())
+          << "magazine-carved span must trap after the flush";
+      EXPECT_EQ(rep->object_base, vm::addr(p));
+    }
+  };
   constexpr int kRounds = 6;
   constexpr int kPerRound = 12;
   for (int round = 0; round < kRounds; ++round) {
@@ -355,37 +367,45 @@ TEST(Magazines, DetectionAcrossGenerationsAndReuse) {
     }
     for (char* p : ptrs) heap.free(p);
     heap.flush_all();
-    for (char* p : ptrs) {
-      auto rep = catch_dangling([&] {
-        volatile char c = *p;
-        (void)c;
-      });
-      ASSERT_TRUE(rep.has_value())
-          << "magazine-carved span must trap after the flush";
-      EXPECT_EQ(rep->object_base, vm::addr(p));
-    }
+    expect_traps(ptrs);
   }
-  const GuardStats s = heap.stats();
+  GuardStats s = heap.stats();
   EXPECT_GT(s.magazine_hits, 0u) << "the magazine path was exercised";
   EXPECT_GT(s.magazine_maps, 0u);
+
+  // Every window goes back to the shared list; the next aliases reuse it,
+  // and a dangling read over recycled VA traps like any other.
+  heap.engine(0).release_all();
+  const std::uint64_t reused = s.shadow_pages_reused;
+  std::vector<char*> small;
+  for (int i = 0; i < 16; ++i) {
+    small.push_back(static_cast<char*>(heap.malloc(1000)));
+    ASSERT_NE(small.back(), nullptr);
+    small.back()[0] = 'x';
+    heap.free(small.back());
+    heap.flush_all();
+  }
+  s = heap.stats();
+  EXPECT_GT(s.shadow_pages_reused, reused) << "an alias reused recycled VA";
+  expect_traps(small);
   EXPECT_EQ(s.frees, s.revoked_spans);
   EXPECT_EQ(s.guard_failures, 0u);
 }
 
-// At release_all every live generation retires and recycles its never-
-// claimed slots, and every record its claimed one, so the windows' VA all
-// reaches the shared free list.
+// A generation retires at release_all and, once its last record goes,
+// returns its window to the shared list as one run: the list then holds
+// whole windows and no slot-sized fragment.
 TEST(Magazines, SlotsRecycledOnRetirement) {
   vm::PhysArena arena;
   DegradationGovernor gov;
   GuardConfig cfg;
   cfg.governor = &gov;
-  cfg.protect_batch = 16;
+  cfg.protect_batch = ShadowEngine::kWindowPages;
   ShardedHeap heap(arena, cfg, 1);
   // Sub-page objects pack several to a canonical page, so their reuse
   // collides with claimed slots and leaves generations partly claimed.
   for (int i = 0; i < 200; ++i) {
-    void* p = heap.malloc(512);
+    void* p = heap.malloc(504);
     ASSERT_NE(p, nullptr);
     heap.free(p);
   }
@@ -393,11 +413,15 @@ TEST(Magazines, SlotsRecycledOnRetirement) {
   ASSERT_GT(heap.engine(0).magazine_count(), 0u);
   heap.engine(0).release_all();
   const GuardStats s = heap.stats();
+  ASSERT_EQ(s.allocations, s.magazine_hits + s.magazine_maps)
+      << "every object carved from a window";
   EXPECT_GT(s.magazine_slots_recycled, 0u)
-      << "retired generations recycle their never-claimed slots";
+      << "retired generations count their never-claimed slots";
   EXPECT_EQ(heap.engine(0).magazine_count(), 0u);
-  EXPECT_GE(heap.shadow_freelist().bytes(),
-            s.magazine_maps * 16 * vm::kPageSize);
+  const vm::VaFreeList& list = heap.shadow_freelist();
+  EXPECT_GE(list.bytes(), ShadowEngine::kWindowBytes);
+  EXPECT_EQ(list.bytes(), list.ranges() * ShadowEngine::kWindowBytes)
+      << "every range is a whole window";
   EXPECT_EQ(s.frees, s.revoked_spans);
 }
 
@@ -415,6 +439,26 @@ bool pin_guard_markers(GuardConfig& cfg) {
     GTEST_SKIP() << "no guard markers: immediate revocation maps no " \
                     "windows on this host";                           \
   }
+
+// The window cells: guard markers, immediate and at batch 16, and mprotect at
+// a batch of a whole window (smaller mprotect batches take per-object
+// aliases). Hosts without guard markers run only the mprotect cell.
+struct WindowCell {
+  const char* name;
+  vm::RevokeBackend backend;
+  std::size_t protect_batch;
+};
+constexpr WindowCell kWindowCells[] = {
+    {"guard", vm::RevokeBackend::kGuard, 0},
+    {"guard+batch16", vm::RevokeBackend::kGuard, 16},
+    {"mprotect+batch256", vm::RevokeBackend::kMprotect,
+     ShadowEngine::kWindowPages},
+};
+
+bool cell_runs_here(const WindowCell& cell) {
+  return cell.backend != vm::RevokeBackend::kGuard ||
+         vm::Revoker::guard_supported();
+}
 
 // Under mprotect immediate revocation keeps the paper's per-object alias:
 // no window, no reuse FIFO, and every released span reaches the shared list.
@@ -438,13 +482,13 @@ TEST(Magazines, ImmediateRevocationUnderMprotectMapsNone) {
   const GuardStats s = heap.stats();
   EXPECT_EQ(s.magazine_maps, 0u);
   EXPECT_EQ(s.magazine_hits, 0u);
-  EXPECT_EQ(s.window_recycle_puts, 0u);
   EXPECT_EQ(s.va_reclaimed_pages * vm::kPageSize,
             heap.shadow_freelist().bytes());
   EXPECT_EQ(s.frees, s.revoked_spans);
 }
 
-// Past kMaxImmediateGenerations live generations the fullest one retires.
+// Past kMaxGenerations live generations one retires; with a live record in
+// every generation, the fullest.
 // Its records keep their slots: a freed object from a retired generation
 // still traps.
 TEST(Magazines, PopulationCapRetiresTheFullestGeneration) {
@@ -467,13 +511,13 @@ TEST(Magazines, PopulationCapRetiresTheFullestGeneration) {
       ASSERT_NE(live.back(), nullptr);
     }
     live.push_back(static_cast<char*>(
-        heap.malloc(ShadowEngine::kMaxMagazineSlots * vm::kPageSize)));
+        heap.malloc(ShadowEngine::kWindowBytes)));
     ASSERT_NE(live.back(), nullptr);
   }
   GuardStats s = heap.stats();
-  EXPECT_GT(s.magazine_maps, ShadowEngine::kMaxImmediateGenerations);
+  EXPECT_GT(s.magazine_maps, ShadowEngine::kMaxGenerations);
   EXPECT_EQ(heap.engine(0).magazine_count(),
-            ShadowEngine::kMaxImmediateGenerations);
+            ShadowEngine::kMaxGenerations);
   EXPECT_GT(s.magazine_slots_recycled, 0u);
   for (char* p : live) heap.free(p);
   for (char* p : {live.front(), live[live.size() / 2], live[live.size() - 2]}) {
@@ -486,6 +530,51 @@ TEST(Magazines, PopulationCapRetiresTheFullestGeneration) {
   }
   s = heap.stats();
   EXPECT_EQ(s.frees, s.revoked_spans);
+}
+
+// Over the cap, a generation whose records are all freed retires before an
+// equally full one that holds live objects: released, its freed records then
+// hand the whole window back, where a retired generation with a live record
+// would stay mapped for that object's lifetime.
+TEST(Magazines, PopulationCapRetiresAGenerationNoLiveRecordHolds) {
+  constexpr std::size_t kSpan = alloc::SegregatedHeap::kSpanPages;
+  vm::PhysArena arena;
+  DegradationGovernor gov;
+  GuardConfig cfg;
+  cfg.governor = &gov;
+  REQUIRE_GUARD_MARKERS(cfg);
+  ShardedHeap heap(arena, cfg, 1);
+  // As above: one span of 8-byte objects fills the cap with generations of
+  // one window, each claiming one slot per span page.
+  std::vector<char*> objs;
+  for (std::size_t i = 0; i < kSpan * 128; ++i) {
+    objs.push_back(static_cast<char*>(heap.malloc(8)));
+    ASSERT_NE(objs.back(), nullptr);
+  }
+  ASSERT_EQ(heap.engine(0).magazine_count(), ShadowEngine::kMaxGenerations);
+  // Free every object of the newest generation; the others stay live.
+  const void* newest = ShadowEngine::record_of(objs.back())->magazine;
+  std::vector<char*> live;
+  for (char* p : objs) {
+    if (ShadowEngine::record_of(p)->magazine == newest) {
+      heap.free(p);
+    } else {
+      live.push_back(p);
+    }
+  }
+  // A window-wide buffer moves the next object to another window, whose new
+  // generation crosses the cap.
+  char* buffer = static_cast<char*>(heap.malloc(ShadowEngine::kWindowBytes));
+  char* next = static_cast<char*>(heap.malloc(8));
+  ASSERT_NE(next, nullptr);
+  const std::size_t before = heap.shadow_freelist().bytes();
+  (void)heap.engine(0).reclaim_freed(SIZE_MAX);
+  EXPECT_EQ(heap.shadow_freelist().bytes(),
+            before + ShadowEngine::kWindowBytes)
+      << "the retired generation held no live record";
+  for (char* p : live) heap.free(p);
+  heap.free(buffer);
+  heap.free(next);
 }
 
 // (a) Immediate revocation carves from windows too, and every free revokes
@@ -522,84 +611,121 @@ TEST(Magazines, ImmediateRevocationRevokesWindowCarvedSpansAtFree) {
 // (b) k objects on one canonical page get k distinct shadow pages (one per
 // generation); freeing one revokes only its own page.
 TEST(Magazines, ObjectsSharingACanonicalPageGetDistinctShadowPages) {
-  vm::PhysArena arena;
-  DegradationGovernor gov;
-  GuardConfig cfg;
-  cfg.governor = &gov;
-  REQUIRE_GUARD_MARKERS(cfg);
-  ShardedHeap heap(arena, cfg, 1);
-  std::vector<char*> all;
-  for (int i = 0; i < 64; ++i) {
-    all.push_back(static_cast<char*>(heap.malloc(64)));
-    ASSERT_NE(all.back(), nullptr);
-  }
-  // The objects on the first object's canonical page.
-  const std::uintptr_t page =
-      vm::page_down(ShadowEngine::record_of(all[0])->canonical);
-  std::vector<char*> k;
-  std::vector<std::uintptr_t> shadow_pages;
-  for (char* p : all) {
-    if (vm::page_down(ShadowEngine::record_of(p)->canonical) != page) continue;
-    k.push_back(p);
-    shadow_pages.push_back(vm::page_down(vm::addr(p)));
-  }
-  ASSERT_GE(k.size(), 4u);
-  std::sort(shadow_pages.begin(), shadow_pages.end());
-  EXPECT_EQ(std::adjacent_find(shadow_pages.begin(), shadow_pages.end()),
-            shadow_pages.end())
-      << "two objects share a shadow page";
-  for (std::size_t i = 0; i < k.size(); ++i) {
-    std::memset(k[i], static_cast<int>('a' + i), 64);
-  }
-  heap.free(k[0]);
-  auto rep = catch_dangling([&] {
-    volatile char c = *k[0];
-    (void)c;
-  });
-  ASSERT_TRUE(rep.has_value());
-  EXPECT_EQ(rep->object_base, vm::addr(k[0]));
-  for (std::size_t i = 1; i < k.size(); ++i) {
-    rep = catch_dangling([&] {
-      EXPECT_EQ(k[i][63], static_cast<char>('a' + i));
-      k[i][0] = 'z';
-      EXPECT_EQ(k[i][0], 'z');
+  for (const WindowCell& cell : kWindowCells) {
+    if (!cell_runs_here(cell)) continue;
+    SCOPED_TRACE(cell.name);
+    vm::PhysArena arena;
+    DegradationGovernor gov;
+    GuardConfig cfg;
+    cfg.governor = &gov;
+    cfg.revoke_backend = cell.backend;
+    cfg.protect_batch = cell.protect_batch;
+    ShardedHeap heap(arena, cfg, 1);
+    std::vector<char*> all;
+    for (int i = 0; i < 64; ++i) {
+      all.push_back(static_cast<char*>(heap.malloc(64)));
+      ASSERT_NE(all.back(), nullptr);
+    }
+    // The objects on the first object's canonical page.
+    const std::uintptr_t page =
+        vm::page_down(ShadowEngine::record_of(all[0])->canonical);
+    std::vector<char*> k;
+    std::vector<std::uintptr_t> shadow_pages;
+    for (char* p : all) {
+      ASSERT_NE(ShadowEngine::record_of(p)->magazine, nullptr);
+      if (vm::page_down(ShadowEngine::record_of(p)->canonical) != page) {
+        continue;
+      }
+      k.push_back(p);
+      shadow_pages.push_back(vm::page_down(vm::addr(p)));
+    }
+    ASSERT_GE(k.size(), 4u);
+    std::sort(shadow_pages.begin(), shadow_pages.end());
+    EXPECT_EQ(std::adjacent_find(shadow_pages.begin(), shadow_pages.end()),
+              shadow_pages.end())
+        << "two objects share a shadow page";
+    for (std::size_t i = 0; i < k.size(); ++i) {
+      std::memset(k[i], static_cast<int>('a' + i), 64);
+    }
+    heap.free(k[0]);
+    heap.flush_all();
+    auto rep = catch_dangling([&] {
+      volatile char c = *k[0];
+      (void)c;
     });
-    EXPECT_FALSE(rep.has_value()) << "sibling " << i << " trapped";
-  }
-  for (char* p : all) {
-    if (p != k[0]) heap.free(p);
+    ASSERT_TRUE(rep.has_value());
+    EXPECT_EQ(rep->object_base, vm::addr(k[0]));
+    for (std::size_t i = 1; i < k.size(); ++i) {
+      rep = catch_dangling([&] {
+        EXPECT_EQ(k[i][63], static_cast<char>('a' + i));
+        k[i][0] = 'z';
+        EXPECT_EQ(k[i][0], 'z');
+      });
+      EXPECT_FALSE(rep.has_value()) << "sibling " << i << " trapped";
+    }
+    for (char* p : all) {
+      if (p != k[0]) heap.free(p);
+    }
   }
 }
 
 // (c) Windows amortize the alias map: a 1-shard churn of mixed sub-page and
-// page-run pairs maps at most one generation per twenty pairs (98 maps for
-// 4000 pairs; 354 without the reuse FIFO, whose LIFO heap then hands each
-// block straight back to a spent slot). One shard and a fixed size sequence
-// make the count deterministic.
+// page-run pairs maps at most one generation per twenty pairs under
+// immediate guard markers (51 maps for 4000 pairs) and at most one per
+// sixteen under batching (207 at batch 16, 36 at batch 576; 1,238 and 72
+// when a batched window held one generation and sent collisions to the
+// per-object alias). Engines without windows (mprotect below a window-sized
+// batch) map none. One shard and a fixed size sequence make the counts
+// deterministic.
 TEST(Magazines, OneShardChurnMapsAtMostOneGenerationPerTwentyPairs) {
-  vm::PhysArena arena;
-  DegradationGovernor gov;
-  GuardConfig cfg;
-  cfg.governor = &gov;
-  REQUIRE_GUARD_MARKERS(cfg);
-  ShardedHeap heap(arena, cfg, 1);
   constexpr std::size_t kSizes[] = {24,  48,  64,   96,   128, 200,  256,
                                     384, 512, 1024, 2048, 4096, 8192};
   constexpr std::uint64_t kPairs = 4000;
-  std::uint64_t x = 0x9E3779B97F4A7C15ULL;
-  for (std::uint64_t i = 0; i < kPairs; ++i) {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    void* p = heap.malloc(kSizes[x % std::size(kSizes)]);
-    ASSERT_NE(p, nullptr);
-    heap.free(p);
+  constexpr std::size_t kBatches[] = {0, 16, 576};
+  for (const vm::RevokeBackend backend :
+       {vm::RevokeBackend::kGuard, vm::RevokeBackend::kMprotect}) {
+    if (backend == vm::RevokeBackend::kGuard &&
+        !vm::Revoker::guard_supported()) {
+      continue;
+    }
+    for (const std::size_t batch : kBatches) {
+      SCOPED_TRACE(std::string(vm::backend_name(backend)) + " batch " +
+                   std::to_string(batch));
+      vm::PhysArena arena;
+      DegradationGovernor gov;
+      GuardConfig cfg;
+      cfg.governor = &gov;
+      cfg.revoke_backend = backend;
+      cfg.protect_batch = batch;
+      ShardedHeap heap(arena, cfg, 1);
+      std::uint64_t x = 0x9E3779B97F4A7C15ULL;
+      for (std::uint64_t i = 0; i < kPairs; ++i) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        void* p = heap.malloc(kSizes[x % std::size(kSizes)]);
+        ASSERT_NE(p, nullptr);
+        heap.free(p);
+      }
+      heap.flush_all();
+      const GuardStats s = heap.stats();
+      if (ShadowEngine::magazine_window(cfg) == 0) {
+        EXPECT_EQ(s.magazine_maps, 0u);
+      } else if (batch == 0) {
+        EXPECT_LE(s.magazine_maps, kPairs / 20)
+            << "hits " << s.magazine_hits << " per " << s.magazine_maps
+            << " maps";
+      } else {
+        EXPECT_LE(s.magazine_maps, kPairs / 16)
+            << "hits " << s.magazine_hits << " per " << s.magazine_maps
+            << " maps";
+      }
+      EXPECT_EQ(s.frees, s.revoked_spans);
+      if (batch == 0) {
+        EXPECT_EQ(s.protect_calls, s.frees) << "one revocation per free";
+      }
+    }
   }
-  const GuardStats s = heap.stats();
-  EXPECT_LE(s.magazine_maps, kPairs / 20)
-      << "hits " << s.magazine_hits << " per " << s.magazine_maps << " maps";
-  EXPECT_EQ(s.frees, s.revoked_spans);
-  EXPECT_EQ(s.protect_calls, s.frees) << "one revocation per free";
 }
 
 // (d) The reuse FIFO holds canonical memory back, so exhaustion must hand it
@@ -624,15 +750,14 @@ TEST(Magazines, ExhaustionDrainsTheReuseFifo) {
             ShadowEngine::kReuseDistancePages * vm::kPageSize);
 }
 
-// The freed-VA budget releases immediate-revocation windows whole. Eight
-// windows, charged once each, fill the budget with frees that interleave in
-// allocation order; one free in a ninth window crosses it. The budget drops
-// the five windows whose freed records are oldest, and every freed object of
-// the other three still traps. Released record by record, oldest first, the
-// walk would have emptied those three too before five charges dropped.
+// The freed-VA budget releases windows whole. Eight windows, charged once
+// each, fill the budget with frees that interleave in allocation order; one
+// free in a ninth window crosses it. The budget drops the five windows whose
+// freed records are oldest, and every freed object of the other three still
+// traps. Released record by record, oldest first, the walk would have
+// emptied those three too before five charges dropped.
 TEST(Magazines, FreedVaBudgetReleasesWholeWindows) {
-  constexpr std::size_t kWindowBytes =
-      ShadowEngine::kMaxMagazineSlots * vm::kPageSize;
+  constexpr std::size_t kWindowBytes = ShadowEngine::kWindowBytes;
   // Nine size classes. A window-wide buffer after each class's first object
   // puts the next class's span in the next window, and a class's first 16
   // objects sit one per span page: one generation per class.
@@ -640,120 +765,69 @@ TEST(Magazines, FreedVaBudgetReleasesWholeWindows) {
                                     600, 900, 1400, 2000};
   constexpr std::size_t kClasses = std::size(kSizes);
   constexpr std::size_t kPerClass = 16;
-  vm::PhysArena arena;
-  DegradationGovernor gov;
-  GuardConfig cfg;
-  cfg.governor = &gov;
-  cfg.freed_va_budget = 8 * kWindowBytes;
-  REQUIRE_GUARD_MARKERS(cfg);
-  ShardedHeap heap(arena, cfg, 1);
-  std::vector<std::vector<char*>> objs(kClasses);
-  std::vector<char*> buffers;
-  for (std::size_t c = 0; c < kClasses; ++c) {
-    objs[c].push_back(static_cast<char*>(heap.malloc(kSizes[c])));
-    buffers.push_back(static_cast<char*>(heap.malloc(kWindowBytes)));
-  }
-  for (std::size_t r = 1; r < kPerClass; ++r) {
+  for (const WindowCell& cell : kWindowCells) {
+    if (!cell_runs_here(cell)) continue;
+    SCOPED_TRACE(cell.name);
+    vm::PhysArena arena;
+    DegradationGovernor gov;
+    GuardConfig cfg;
+    cfg.governor = &gov;
+    cfg.freed_va_budget = 8 * kWindowBytes;
+    cfg.revoke_backend = cell.backend;
+    cfg.protect_batch = cell.protect_batch;
+    ShardedHeap heap(arena, cfg, 1);
+    std::vector<std::vector<char*>> objs(kClasses);
+    std::vector<char*> buffers;
     for (std::size_t c = 0; c < kClasses; ++c) {
       objs[c].push_back(static_cast<char*>(heap.malloc(kSizes[c])));
+      buffers.push_back(static_cast<char*>(heap.malloc(kWindowBytes)));
     }
-  }
-  std::vector<const void*> gens;
-  for (const std::vector<char*>& cls : objs) {
-    const void* m = ShadowEngine::record_of(cls[0])->magazine;
-    ASSERT_NE(m, nullptr);
-    for (char* p : cls) ASSERT_EQ(ShadowEngine::record_of(p)->magazine, m);
-    gens.push_back(m);
-  }
-  std::sort(gens.begin(), gens.end());
-  ASSERT_EQ(std::unique(gens.begin(), gens.end()), gens.end());
-
-  for (std::size_t r = 0; r < kPerClass; ++r) {
-    for (std::size_t c = 0; c < 8; ++c) heap.free(objs[c][r]);
-  }
-  for (std::size_t c = 0; c < 8; ++c) {
-    for (char* p : objs[c]) {
-      ASSERT_NE(ShadowEngine::record_of(p), nullptr) << "within budget";
+    for (std::size_t r = 1; r < kPerClass; ++r) {
+      for (std::size_t c = 0; c < kClasses; ++c) {
+        objs[c].push_back(static_cast<char*>(heap.malloc(kSizes[c])));
+      }
     }
-  }
-  heap.free(objs[8][0]);
-  for (std::size_t c = 0; c < 5; ++c) {
-    for (char* p : objs[c]) {
-      EXPECT_EQ(ShadowEngine::record_of(p), nullptr) << "class " << c;
+    std::vector<const void*> gens;
+    for (const std::vector<char*>& cls : objs) {
+      const void* m = ShadowEngine::record_of(cls[0])->magazine;
+      ASSERT_NE(m, nullptr);
+      for (char* p : cls) ASSERT_EQ(ShadowEngine::record_of(p)->magazine, m);
+      gens.push_back(m);
     }
-  }
-  std::vector<char*> guarded(objs[5].begin(), objs[5].end());
-  guarded.insert(guarded.end(), objs[6].begin(), objs[6].end());
-  guarded.insert(guarded.end(), objs[7].begin(), objs[7].end());
-  guarded.push_back(objs[8][0]);
-  for (char* p : guarded) {
-    const auto rep = catch_dangling([&] {
-      volatile char c = *p;
-      (void)c;
-    });
-    ASSERT_TRUE(rep.has_value()) << "a freed object lost its guard";
-    EXPECT_EQ(rep->object_base, vm::addr(p));
-  }
-  for (std::size_t r = 1; r < kPerClass; ++r) heap.free(objs[8][r]);
-  for (char* p : buffers) heap.free(p);
-}
+    std::sort(gens.begin(), gens.end());
+    ASSERT_EQ(std::unique(gens.begin(), gens.end()), gens.end());
 
-// With magazines the engine keeps a MAP_FIXED recycle cache sized from the
-// window: 4-page windows cap it at 32 discontiguous runs. Spans released
-// past the cap reach the shared list, and an alias placed over cached VA
-// still traps once freed.
-TEST(Magazines, RecycleCacheCapFollowsTheWindow) {
-  vm::PhysArena arena;
-  DegradationGovernor gov;
-  GuardConfig cfg;
-  cfg.governor = &gov;
-  cfg.protect_batch = 4;
-  ASSERT_EQ(ShadowEngine::magazine_window(cfg), 4u);
-  ASSERT_EQ(ShadowEngine::recycle_runs(cfg), 32u);
-  ShardedHeap heap(arena, cfg, 1);
-
-  // 4 KiB objects take two canonical pages each, so a 4-page window holds
-  // two of them side by side. Freeing every other one leaves each freed span
-  // fenced by a live neighbour: no two released spans coalesce.
-  constexpr std::size_t kObjects = 96;
-  std::vector<char*> ptrs;
-  for (std::size_t i = 0; i < kObjects; ++i) {
-    ptrs.push_back(static_cast<char*>(heap.malloc(4096)));
-    ASSERT_NE(ptrs.back(), nullptr);
-  }
-  for (std::size_t i = 0; i < kObjects; i += 2) heap.free(ptrs[i]);
-  heap.flush_all();
-  constexpr std::size_t kReleased = kObjects / 2;
-  EXPECT_EQ(heap.engine(0).reclaim_freed(SIZE_MAX),
-            kReleased * 2 * vm::kPageSize);
-  GuardStats s = heap.stats();
-  EXPECT_EQ(s.window_recycle_puts, 32u) << "the cache stops at 32 runs";
-  EXPECT_EQ(heap.shadow_freelist().ranges(), kReleased - 32)
-      << "the rest reach the shared list";
-
-  // A canonical block handed back while its generation is still sparse
-  // collides with its own slot and takes the per-object alias, which splits
-  // a cached run: each object is freed, and its block returned, before the
-  // next is allocated.
-  std::vector<char*> small;
-  for (int i = 0; i < 16; ++i) {
-    small.push_back(static_cast<char*>(heap.malloc(1000)));
-    ASSERT_NE(small.back(), nullptr);
-    small.back()[0] = 'x';
-    heap.free(small.back());
+    for (std::size_t r = 0; r < kPerClass; ++r) {
+      for (std::size_t c = 0; c < 8; ++c) heap.free(objs[c][r]);
+    }
     heap.flush_all();
+    for (std::size_t c = 0; c < 8; ++c) {
+      for (char* p : objs[c]) {
+        ASSERT_NE(ShadowEngine::record_of(p), nullptr) << "within budget";
+      }
+    }
+    heap.free(objs[8][0]);
+    heap.flush_all();
+    for (std::size_t c = 0; c < 5; ++c) {
+      for (char* p : objs[c]) {
+        EXPECT_EQ(ShadowEngine::record_of(p), nullptr) << "class " << c;
+      }
+    }
+    std::vector<char*> guarded(objs[5].begin(), objs[5].end());
+    guarded.insert(guarded.end(), objs[6].begin(), objs[6].end());
+    guarded.insert(guarded.end(), objs[7].begin(), objs[7].end());
+    guarded.push_back(objs[8][0]);
+    for (char* p : guarded) {
+      const auto rep = catch_dangling([&] {
+        volatile char c = *p;
+        (void)c;
+      });
+      ASSERT_TRUE(rep.has_value()) << "a freed object lost its guard";
+      EXPECT_EQ(rep->object_base, vm::addr(p));
+    }
+    for (std::size_t r = 1; r < kPerClass; ++r) heap.free(objs[8][r]);
+    for (char* p : buffers) heap.free(p);
   }
-  s = heap.stats();
-  EXPECT_GT(s.window_recycle_hits, 0u) << "an alias reused cached VA";
-  for (char* p : small) {
-    auto rep = catch_dangling([&] {
-      volatile char c = *p;
-      (void)c;
-    });
-    ASSERT_TRUE(rep.has_value()) << "dangling read over recycled VA";
-    EXPECT_EQ(rep->object_base, vm::addr(p));
-  }
-  for (std::size_t i = 1; i < kObjects; i += 2) heap.free(ptrs[i]);
 }
 
 TEST(ShardedHeap, ReallocAndCallocRouteAcrossShards) {
