@@ -97,9 +97,8 @@ BenchConfig tuned_config() {
   GuardConfig g;
   // Flush at 576 pending pages: matches the earlier 256-free / 4 MiB pair on
   // 4/8 KiB traffic (frees per flush and per revocation call); sub-page
-  // objects wait ~2x longer (EXPERIMENTS.md § Multi-thread scaling). A batch
-  // of at least 256 pages keeps 256-page windows under mprotect too
-  // (DESIGN.md §11).
+  // objects wait ~2x longer (EXPERIMENTS.md § Multi-thread scaling). Any
+  // batch carves 256-page windows on either backend (DESIGN.md §11).
   g.protect_batch = knob("DPG_PROTECT_BATCH", 576);
   return BenchConfig{"tuned", 1, g};
 }

@@ -90,16 +90,16 @@ ShadowEngine::~ShadowEngine() { release_all(); }
 std::size_t ShadowEngine::magazine_window(const GuardConfig& cfg) noexcept {
   // A wide window lets the pages of a hot sub-page class share each
   // generation with many other pages (DESIGN.md §11); the reuse FIFO, or a
-  // batched flush, spaces out canonical reuse across it. Under mprotect each
-  // revoked run splits its window's VMA, and a generation keeps its splits
-  // while any record pins it: revoked one object at a time, or in flushes
-  // of fewer pages than a window, the split windows cost more VMAs, memory
-  // and time than one alias per object. A flush of at least a window of
-  // pages revokes long merged runs, so it keeps windows under mprotect too.
-  // Every span page must be an arena alias, so a trailing guard page rules
+  // batched flush, spaces out canonical reuse across it. Under mprotect
+  // each revoked slot would split its window's VMA: revoked one object at a
+  // time, the split windows cost more VMAs, memory and time than one alias
+  // per object, so immediate mprotect revocation keeps the paper's
+  // per-object alias. A batched flush revokes merged runs, and a retired
+  // generation seals its unclaimed runs (retire_magazine_locked). Every
+  // span page must be an arena alias, so a trailing guard page rules
   // magazines out.
   if (cfg.trailing_guard_page) return 0;
-  if (cfg.protect_batch >= kWindowPages ||
+  if (cfg.protect_batch > 1 ||
       vm::Revoker::resolve(cfg.revoke_backend) == vm::RevokeBackend::kGuard) {
     return kWindowPages;
   }
@@ -478,6 +478,13 @@ void ShadowEngine::evict_magazine_locked(const Magazine* keep) {
 // never handed out, so no pointer into them exists; the claimed ones belong
 // to records. Its whole window returns as one run once the last of its
 // records is released (release_record_locked), or now if there is none.
+//
+// Under mprotect a window that records still pin keeps a VMA for every run
+// of revoked slots and every readable run between them, and a long-lived
+// object can hold it for the rest of the run. Revoking the never-claimed
+// runs too (sealing) merges them with their revoked neighbours, so the
+// window keeps about two VMAs per run of slots still in use. Guard markers
+// split no VMA, and a failed seal only leaves unreachable pages readable.
 void ShadowEngine::retire_magazine_locked(Magazine* m) {
   m->retired = true;
   stats_.magazine_slots_recycled.fetch_add(m->free_slots,
@@ -485,6 +492,23 @@ void ShadowEngine::retire_magazine_locked(Magazine* m) {
   if (m->holders == 0) {
     shadow_freelist_.put(vm::PageRange{m->shadow_base, kWindowBytes});
     delete m;
+    return;
+  }
+  if (m->free_slots == 0 ||
+      revoker_.active() != vm::RevokeBackend::kMprotect) {
+    return;
+  }
+  for (std::size_t s = 0; s < kWindowPages;) {
+    if (!m->run_free(s, 1)) {
+      ++s;
+      continue;
+    }
+    std::size_t e = s + 1;
+    while (e < kWindowPages && m->run_free(e, 1)) ++e;
+    (void)revoker_.revoke(
+        arena_, reinterpret_cast<void*>(m->shadow_base + s * vm::kPageSize),
+        (e - s) * vm::kPageSize);
+    s = e;
   }
 }
 

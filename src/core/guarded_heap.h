@@ -101,10 +101,9 @@ struct GuardConfig {
   // protection, detects them). 0 or 1 = protect immediately (the paper's
   // configuration).
   //
-  // The batch decides when revocation happens. Where shadow pages come from
-  // follows the backend: windows under guard markers, and under mprotect
-  // only with a batch of at least kWindowPages; otherwise the per-object
-  // alias (DESIGN.md §11).
+  // The batch decides when revocation happens. Shadow pages come from
+  // windows under guard markers or with any batch; only immediate
+  // revocation under mprotect takes the per-object alias (DESIGN.md §11).
   std::size_t protect_batch = 0;
   // Degradation policy (core/degrade.h). nullptr = share the process-wide
   // governor; tests and benches pass their own to pin or observe the ladder.
@@ -227,9 +226,9 @@ class ShadowEngine {
   // page for, so the cap goes no higher.
   static constexpr std::size_t kMaxGenerations = 128;
   // Slot-magazine window in pages that `cfg` yields: kWindowPages when
-  // cfg.revoke_backend resolves to guard markers or protect_batch >=
-  // kWindowPages, else 0 (mprotect with smaller or no batches takes the
-  // per-object alias); 0 with a trailing guard page.
+  // cfg.revoke_backend resolves to guard markers or protect_batch > 1, else
+  // 0 (immediate mprotect revocation takes the per-object alias); 0 with a
+  // trailing guard page.
   [[nodiscard]] static std::size_t magazine_window(
       const GuardConfig& cfg) noexcept;
 

@@ -9,6 +9,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -370,10 +371,9 @@ std::unique_ptr<Sut> make_sut(const FuzzConfig& cfg) {
   return std::make_unique<HeapSut>(cfg);
 }
 
-}  // namespace
-
-RunResult run_trace(const FuzzConfig& cfg, const Trace& trace,
-                    std::ostream* log) {
+// run_trace's body, on the calling thread.
+RunResult run_trace_here(const FuzzConfig& cfg, const Trace& trace,
+                         std::ostream* log) {
   register_fuzz_counters();
   RunResult res;
   Oracle oracle(cfg);
@@ -859,6 +859,32 @@ RunResult run_trace(const FuzzConfig& cfg, const Trace& trace,
       }
     }
   }
+  return res;
+}
+
+}  // namespace
+
+// A caught trap leaves the fault handler by siglongjmp from the alternate
+// signal stack. Under AddressSanitizer that jump looks up the default
+// stack's bounds, and for the main thread glibc finds them by reading all of
+// /proc/self/maps: one trap then costs time linear in the VMA count, which
+// under mprotect grows with the objects a cell has allocated, and a cell's
+// run time grows with the square of its ops. Any other thread's bounds come
+// from its descriptor, so the cell runs on a thread of its own.
+RunResult run_trace(const FuzzConfig& cfg, const Trace& trace,
+                    std::ostream* log) {
+  RunResult res;
+  std::exception_ptr error;
+  std::thread worker([&] {
+    core::FaultManager::ensure_altstack();
+    try {
+      res = run_trace_here(cfg, trace, log);
+    } catch (...) {
+      error = std::current_exception();
+    }
+  });
+  worker.join();
+  if (error) std::rethrow_exception(error);
   return res;
 }
 

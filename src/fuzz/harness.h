@@ -47,8 +47,8 @@ struct RunResult {
   [[nodiscard]] bool ok() const noexcept { return divergences.empty(); }
 };
 
-// Runs one (config, trace) cell. `log` (may be null) receives a one-line
-// summary plus every divergence.
+// Runs one (config, trace) cell on a thread of its own and waits for it.
+// `log` (may be null) receives a one-line summary plus every divergence.
 [[nodiscard]] RunResult run_trace(const FuzzConfig& cfg, const Trace& trace,
                                   std::ostream* log = nullptr);
 
@@ -63,9 +63,11 @@ struct RunResult {
                                          std::ostream* log = nullptr);
 
 // The full config matrix: protect_batch pages {0,4,16} (256-page magazine
-// windows under guard markers, per-object aliases under mprotect) x 1/4 shards x fault-injection plans x degradation
-// forced/off x heap/pool modes x the lock-and-key tag lane (full-width and
-// wrap-forcing 2-bit cells). `n_ops` sizes every cell's generator.
+// windows on either backend, except immediate revocation under mprotect,
+// which takes per-object aliases) x 1/4 shards x fault-injection plans x
+// degradation forced/off x heap/pool modes x the lock-and-key tag lane
+// (full-width and wrap-forcing 2-bit cells). `n_ops` sizes every cell's
+// generator.
 [[nodiscard]] std::vector<FuzzConfig> matrix(std::size_t n_ops);
 
 // The bounded 7-config subset the ctest `fuzz` label runs (includes one

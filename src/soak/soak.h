@@ -34,11 +34,11 @@ struct SoakConfig {
   std::uint32_t threads = 4;        // worker threads (>= 1)
   std::uint64_t interval_ms = 500;  // sampler period
   std::size_t shards = 4;           // guarded-heap shards
-  // Batched-revocation config under test. Under guard markers every shard
-  // carves 256-page slot magazines, and each live or still-pinned generation
-  // keeps one window mapped, so the magazine population is the soak's
-  // dominant VMA term; under mprotect a batch this small takes per-object
-  // aliases.
+  // Batched-revocation config under test. Every shard carves 256-page slot
+  // magazines, and each live or still-pinned generation keeps its window
+  // mapped, so the magazine population is the soak's dominant VMA term:
+  // one VMA per window under guard markers, and under mprotect one per run
+  // of revoked or live slots.
   std::size_t protect_batch = 16;
   std::size_t max_live = 512;       // live objects per worker (soft cap)
   std::uint32_t max_size = 2048;    // payload bytes per object

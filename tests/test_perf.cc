@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <iterator>
 #include <string>
 #include <thread>
@@ -332,7 +333,7 @@ TEST(BatchedRevocation, SurvivesGovernorDemotionMidBatch) {
   heap.free(live);
 }
 
-// Magazines: with a window-sized batch, allocations carve shadow pages from
+// Magazines: with batched revocation, allocations carve shadow pages from
 // bulk-aliased 256-page windows on either backend, and detection after the
 // flush is byte-for-byte identical to the per-object path — across
 // generations, canonical reuse, and aliases placed over recycled VA.
@@ -341,7 +342,7 @@ TEST(Magazines, DetectionAcrossGenerationsAndReuse) {
   DegradationGovernor gov;
   GuardConfig cfg;
   cfg.governor = &gov;
-  cfg.protect_batch = ShadowEngine::kWindowPages;
+  cfg.protect_batch = 16;
   ShardedHeap heap(arena, cfg, 1);
 
   const auto expect_traps = [](const std::vector<char*>& ptrs) {
@@ -400,7 +401,7 @@ TEST(Magazines, SlotsRecycledOnRetirement) {
   DegradationGovernor gov;
   GuardConfig cfg;
   cfg.governor = &gov;
-  cfg.protect_batch = ShadowEngine::kWindowPages;
+  cfg.protect_batch = 16;
   ShardedHeap heap(arena, cfg, 1);
   // Sub-page objects pack several to a canonical page, so their reuse
   // collides with claimed slots and leaves generations partly claimed.
@@ -419,7 +420,8 @@ TEST(Magazines, SlotsRecycledOnRetirement) {
       << "retired generations count their never-claimed slots";
   EXPECT_EQ(heap.engine(0).magazine_count(), 0u);
   const vm::VaFreeList& list = heap.shadow_freelist();
-  EXPECT_GE(list.bytes(), ShadowEngine::kWindowBytes);
+  EXPECT_EQ(list.bytes(), s.shadow_pages_mapped * vm::kPageSize)
+      << "every freshly mapped window page is back on the list";
   EXPECT_EQ(list.bytes(), list.ranges() * ShadowEngine::kWindowBytes)
       << "every range is a whole window";
   EXPECT_EQ(s.frees, s.revoked_spans);
@@ -441,8 +443,8 @@ bool pin_guard_markers(GuardConfig& cfg) {
   }
 
 // The window cells: guard markers, immediate and at batch 16, and mprotect at
-// a batch of a whole window (smaller mprotect batches take per-object
-// aliases). Hosts without guard markers run only the mprotect cell.
+// batch 16 (immediate mprotect revocation takes per-object aliases). Hosts
+// without guard markers run only the mprotect cell.
 struct WindowCell {
   const char* name;
   vm::RevokeBackend backend;
@@ -451,8 +453,7 @@ struct WindowCell {
 constexpr WindowCell kWindowCells[] = {
     {"guard", vm::RevokeBackend::kGuard, 0},
     {"guard+batch16", vm::RevokeBackend::kGuard, 16},
-    {"mprotect+batch256", vm::RevokeBackend::kMprotect,
-     ShadowEngine::kWindowPages},
+    {"mprotect+batch16", vm::RevokeBackend::kMprotect, 16},
 };
 
 bool cell_runs_here(const WindowCell& cell) {
@@ -577,6 +578,69 @@ TEST(Magazines, PopulationCapRetiresAGenerationNoLiveRecordHolds) {
   heap.free(next);
 }
 
+// VMAs of this process that overlap [lo, hi).
+std::size_t vmas_overlapping(std::uintptr_t lo, std::uintptr_t hi) {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t n = 0;
+  std::string line;
+  while (std::getline(maps, line)) {
+    const std::uintptr_t start = std::stoull(line, nullptr, 16);
+    const std::uintptr_t end =
+        std::stoull(line.substr(line.find('-') + 1), nullptr, 16);
+    if (start < hi && end > lo) ++n;
+  }
+  return n;
+}
+
+// Under mprotect a generation that retires with live records seals its
+// never-claimed slots, so once its records are freed its whole window is one
+// PROT_NONE VMA instead of a revoked run beside a readable remainder.
+TEST(Magazines, RetiredGenerationUnderMprotectSealsItsUnclaimedSlots) {
+  constexpr std::size_t kSpan = alloc::SegregatedHeap::kSpanPages;
+  vm::PhysArena arena;
+  DegradationGovernor gov;
+  GuardConfig cfg;
+  cfg.governor = &gov;
+  cfg.revoke_backend = vm::RevokeBackend::kMprotect;
+  cfg.protect_batch = 16;
+  ShardedHeap heap(arena, cfg, 1);
+  // As above: one span of 8-byte objects fills the cap with generations of
+  // one window, each claiming the span's pages; a window-wide buffer and one
+  // more object cross it, and the oldest generation, as full and as live as
+  // the rest, retires.
+  std::vector<char*> objs;
+  for (std::size_t i = 0; i < kSpan * 128; ++i) {
+    objs.push_back(static_cast<char*>(heap.malloc(8)));
+    ASSERT_NE(objs.back(), nullptr);
+  }
+  const ObjectRecord* first = ShadowEngine::record_of(objs.front());
+  const void* oldest = first->magazine;
+  char* buffer = static_cast<char*>(heap.malloc(ShadowEngine::kWindowBytes));
+  char* next = static_cast<char*>(heap.malloc(8));
+  ASSERT_NE(next, nullptr);
+  ASSERT_EQ(heap.engine(0).magazine_count(), ShadowEngine::kMaxGenerations);
+  // The generation's window: the shadow page of a slot sits as far into it
+  // as the slot's canonical page sits into its arena window.
+  const std::uintptr_t window =
+      vm::page_down(first->shadow_base) -
+      vm::page_down(arena.offset_of(reinterpret_cast<void*>(
+          first->canonical))) % ShadowEngine::kWindowBytes;
+  std::vector<char*> rest;
+  for (char* p : objs) {
+    if (ShadowEngine::record_of(p)->magazine == oldest) {
+      heap.free(p);
+    } else {
+      rest.push_back(p);
+    }
+  }
+  heap.flush_all();
+  ASSERT_EQ(rest.size(), objs.size() - kSpan);
+  EXPECT_EQ(vmas_overlapping(window, window + ShadowEngine::kWindowBytes), 1u);
+  for (char* p : rest) heap.free(p);
+  heap.free(buffer);
+  heap.free(next);
+}
+
 // (a) Immediate revocation carves from windows too, and every free revokes
 // before it returns: a sub-page and a page-run object report the revocation
 // right after free, with no flush, and a read through either traps.
@@ -674,9 +738,8 @@ TEST(Magazines, ObjectsSharingACanonicalPageGetDistinctShadowPages) {
 // immediate guard markers (51 maps for 4000 pairs) and at most one per
 // sixteen under batching (207 at batch 16, 36 at batch 576; 1,238 and 72
 // when a batched window held one generation and sent collisions to the
-// per-object alias). Engines without windows (mprotect below a window-sized
-// batch) map none. One shard and a fixed size sequence make the counts
-// deterministic.
+// per-object alias). Engines without windows (immediate mprotect) map none.
+// One shard and a fixed size sequence make the counts deterministic.
 TEST(Magazines, OneShardChurnMapsAtMostOneGenerationPerTwentyPairs) {
   constexpr std::size_t kSizes[] = {24,  48,  64,   96,   128, 200,  256,
                                     384, 512, 1024, 2048, 4096, 8192};
