@@ -1,6 +1,7 @@
 // Ablation bench for the design choices DESIGN.md calls out plus the §6
-// extensions: VA-reuse on/off, aliasing strategy, batched protection sweep,
-// and the trailing-guard-page cost.
+// extensions: VA reuse on/off, batched protection sweep, and the
+// trailing-guard-page cost. Every row runs on the resolved revocation
+// backend; DPG_REVOKE_BACKEND=mprotect|guard pins it.
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -29,9 +30,13 @@ struct Result {
 
 constexpr int kPairs = 20000;
 
-Result churn(const core::GuardConfig& cfg, std::size_t size) {
+// `trim_limit` is the shadow VA list's high-water range count; 1 munmaps
+// every released span at once, the never-reuse scheme of §3.3.
+Result churn(const core::GuardConfig& cfg, std::size_t size,
+             std::size_t trim_limit = vm::VaFreeList::kDefaultTrimLimit) {
   vm::PhysArena arena(std::size_t{1} << 31);
   core::ShardedHeap heap(arena, cfg, 1);
+  heap.shadow_freelist().set_trim_limit(trim_limit);
   // Warm the free list so steady-state reuse (not first-touch mmap) is
   // measured, as in a long-running server.
   for (int i = 0; i < 256; ++i) heap.free(heap.malloc(size));
@@ -192,18 +197,9 @@ int main() {
 
   core::GuardConfig base;
   base.freed_va_budget = 32u << 20;
-  row("baseline (memfd, reuse, no batch)", churn(base, 64));
+  row("baseline (reuse, no batch)", churn(base, 64));
   row("guards elided (static SAFE site)", churn_elided(base, 64));
-
-  core::GuardConfig no_reuse = base;
-  no_reuse.reuse_shadow_va = false;
-  row("VA reuse OFF (fresh mmap each)", churn(no_reuse, 64));
-
-  if (vm::ShadowMapper::mremap_alias_supported()) {
-    core::GuardConfig mremap_cfg = base;
-    mremap_cfg.strategy = vm::AliasStrategy::kMremap;
-    row("mremap(old_size=0) strategy", churn(mremap_cfg, 64));
-  }
+  row("VA reuse OFF (munmap each release)", churn(base, 64, 1));
 
   core::GuardConfig guard = base;
   guard.trailing_guard_page = true;
@@ -300,7 +296,7 @@ int main() {
   std::printf("\nInterpretation: alloc/free cost is syscall-bound; batching\n"
               "pays when frees cluster (adjacent shadow spans merge into one\n"
               "mprotect), at the cost of a bounded detection-delay window.\n"
-              "Guard pages add ~one mmap per allocation for spatial traps.\n"
+              "Guard pages add one tail revocation per allocation.\n"
               "The elided row is the static-analysis dividend: a SAFE site\n"
               "skips the shadow alias and the PROT_NONE revocation entirely.\n"
               "Degraded rungs trade detection for survival: quarantine-only\n"

@@ -1,7 +1,8 @@
 // Micro/ablation benchmarks (google-benchmark): the cost anatomy behind
-// Tables 1 & 3 — per-operation allocator costs, the two aliasing strategies,
-// the syscall components, registry operations, per-access software-check
-// costs, and the TLB penalty of scattering objects across shadow pages.
+// Tables 1 & 3 — per-operation allocator costs, the arena alias against the
+// paper's mremap(old_size = 0) trick, the syscall components, registry
+// operations, per-access software-check costs, and the TLB penalty of
+// scattering objects across shadow pages.
 #include <benchmark/benchmark.h>
 #include <sys/mman.h>
 
@@ -15,7 +16,7 @@
 #include "baseline/memcheck.h"
 #include "core/guarded_pool.h"
 #include "core/sharded_heap.h"
-#include "vm/shadow_map.h"
+#include "vm/sys.h"
 
 using namespace dpg;
 
@@ -116,10 +117,9 @@ BENCHMARK(BM_Alloc_Memcheck);
 
 static void BM_Alias_Memfd(benchmark::State& state) {
   vm::PhysArena arena(std::size_t{1} << 28);
-  vm::ShadowMapper mapper(arena, vm::AliasStrategy::kMemfd);
   void* canonical = arena.extend(vm::kPageSize);
   for (auto _ : state) {
-    void* shadow = mapper.alias(canonical, vm::kPageSize);
+    void* shadow = arena.map_shadow(canonical, vm::kPageSize);
     benchmark::DoNotOptimize(shadow);
     arena.unmap(shadow, vm::kPageSize);
   }
@@ -127,17 +127,18 @@ static void BM_Alias_Memfd(benchmark::State& state) {
 BENCHMARK(BM_Alias_Memfd);
 
 static void BM_Alias_Mremap(benchmark::State& state) {
-  if (!vm::ShadowMapper::mremap_alias_supported()) {
-    state.SkipWithError("mremap aliasing unsupported");
-    return;
-  }
+  // The paper's alias: mremap(old_size = 0) duplicates the canonical view.
   vm::PhysArena arena(std::size_t{1} << 28);
-  vm::ShadowMapper mapper(arena, vm::AliasStrategy::kMremap);
   void* canonical = arena.extend(vm::kPageSize);
   for (auto _ : state) {
-    void* shadow = mapper.alias(canonical, vm::kPageSize);
-    benchmark::DoNotOptimize(shadow);
-    arena.unmap(shadow, vm::kPageSize);
+    const vm::sys::MapResult shadow =
+        vm::sys::remap_dup(canonical, vm::kPageSize);
+    if (!shadow.ok()) {
+      state.SkipWithError("kernel refuses mremap(old_size = 0) duplication");
+      return;
+    }
+    benchmark::DoNotOptimize(shadow.ptr);
+    arena.unmap(shadow.ptr, vm::kPageSize);
   }
 }
 BENCHMARK(BM_Alias_Mremap);
@@ -145,11 +146,10 @@ BENCHMARK(BM_Alias_Mremap);
 static void BM_Alias_FixedReuse(benchmark::State& state) {
   // The §3.3 fast path: MAP_FIXED over a recycled shadow address.
   vm::PhysArena arena(std::size_t{1} << 28);
-  vm::ShadowMapper mapper(arena, vm::AliasStrategy::kMemfd);
   void* canonical = arena.extend(vm::kPageSize);
-  void* slot = mapper.alias(canonical, vm::kPageSize);
+  void* slot = arena.map_shadow(canonical, vm::kPageSize);
   for (auto _ : state) {
-    slot = mapper.alias(canonical, vm::kPageSize, slot);
+    slot = arena.map_shadow(canonical, vm::kPageSize, slot);
     benchmark::DoNotOptimize(slot);
   }
   arena.unmap(slot, vm::kPageSize);

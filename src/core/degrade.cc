@@ -14,6 +14,10 @@ namespace {
 
 constexpr std::size_t kKernelDefaultMapCount = 65530;
 constexpr std::uint64_t kMaxBackoff = 64;
+// Fractions of the VMA budget: the live-VMA estimate degrades the ladder
+// when it crosses the high mark, and recovery needs it below the low one.
+constexpr double kHighWater = 0.85;
+constexpr double kLowWater = 0.50;
 
 // Reads /proc/sys/vm/max_map_count without touching the heap (this can run
 // during the first allocation under the preload depth guard).
@@ -41,10 +45,10 @@ std::uint64_t now_ns() noexcept {
 
 DegradationGovernor::DegradationGovernor(GovernorConfig cfg) : cfg_(cfg) {
   budget_ = cfg_.vma_budget != 0 ? cfg_.vma_budget : read_max_map_count();
-  high_mark_ = static_cast<std::size_t>(static_cast<double>(budget_) *
-                                        cfg_.high_water);
-  low_mark_ = static_cast<std::size_t>(static_cast<double>(budget_) *
-                                       cfg_.low_water);
+  high_mark_ =
+      static_cast<std::size_t>(static_cast<double>(budget_) * kHighWater);
+  low_mark_ =
+      static_cast<std::size_t>(static_cast<double>(budget_) * kLowWater);
   if (high_mark_ == 0) high_mark_ = 1;
   if (cfg_.sample_rate == 0) cfg_.sample_rate = 1;
   if (cfg_.sample_rate_max < cfg_.sample_rate) {

@@ -36,10 +36,10 @@
 //
 // Triggers down: a shim syscall failure on the guard path, arena growth
 // failure (after the relief retry), or the live-VMA estimate crossing the
-// high-water fraction of the budget (parsed from /proc/sys/vm/max_map_count,
+// high-water mark, 85% of the budget (parsed from /proc/sys/vm/max_map_count,
 // overridable via DPG_VMA_BUDGET). Recovery up: after `recover_after`
 // consecutive clean allocations with the VMA estimate below the low-water
-// mark, one rung is retried; each relapse doubles the required streak
+// mark, 50% of the budget, one rung is retried; each relapse doubles the required streak
 // (bounded exponential backoff), so a persistently refusing kernel costs one
 // probe per epoch, not a flap per request.
 #pragma once
@@ -90,8 +90,6 @@ struct GovernorConfig {
   // (DPG_VMA_BUDGET overrides for the process-wide governor); if neither is
   // available, a conservative 65530 (the kernel default) is assumed.
   std::size_t vma_budget = 0;
-  double high_water = 0.85;  // degrade when estimate/budget crosses this
-  double low_water = 0.50;   // recovery requires estimate below this
   // Clean allocations required before retrying one rung up. 0 disables
   // recovery (sticky degradation).
   std::uint64_t recover_after = 4096;

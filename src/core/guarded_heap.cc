@@ -1,7 +1,5 @@
 #include "core/guarded_heap.h"
 
-#include <sys/mman.h>
-
 #include <algorithm>
 #include <cassert>
 #include <cstring>
@@ -66,7 +64,6 @@ ShadowEngine::ShadowEngine(vm::PhysArena& arena, alloc::MallocLike& under,
     : arena_(arena),
       under_(under),
       shadow_freelist_(shadow_freelist),
-      mapper_(arena, cfg.strategy),
       cfg_(cfg),
       gov_(cfg.governor != nullptr ? cfg.governor
                                    : &DegradationGovernor::process()),
@@ -95,9 +92,9 @@ std::size_t ShadowEngine::magazine_window(const GuardConfig& cfg) noexcept {
   // time, the split windows cost more VMAs, memory and time than one alias
   // per object, so immediate mprotect revocation keeps the paper's
   // per-object alias. A batched flush revokes merged runs, and a retired
-  // generation seals its unclaimed runs (retire_magazine_locked). Every
-  // span page must be an arena alias, so a trailing guard page rules
-  // magazines out.
+  // generation seals its unclaimed runs (retire_magazine_locked). A
+  // trailing guard page takes the page after each span, which in a window
+  // is the next slot, so it rules magazines out.
   if (cfg.trailing_guard_page) return 0;
   if (cfg.protect_batch > 1 ||
       vm::Revoker::resolve(cfg.revoke_backend) == vm::RevokeBackend::kGuard) {
@@ -339,7 +336,6 @@ void* ShadowEngine::install_record_locked(void* shadow_base,
 // released. Every consumer remaps the returned range with mmap(MAP_FIXED),
 // which atomically replaces whatever dead mapping occupies it.
 void* ShadowEngine::acquire_va_locked(std::size_t len) {
-  if (!cfg_.reuse_shadow_va) return nullptr;
   const auto reused = shadow_freelist_.take(len);
   return reused ? reinterpret_cast<void*>(reused->base) : nullptr;
 }
@@ -401,9 +397,11 @@ void* ShadowEngine::magazine_claim_locked(std::uintptr_t first_page,
   // alias per object, so that takes a fresh generation, never a per-object
   // map; the reuse FIFO, or the batched flush, keeps this rare.
   void* fixed = acquire_va_locked(kWindowBytes);
-  const vm::sys::MapResult res =
-      mapper_.try_alias_bulk(reinterpret_cast<void*>(window_base),
-                             kWindowBytes, fixed);
+  // Offsets past the memfd's end are legal: those slots become usable once
+  // the arena grows over them, and only slots whose canonical pages exist
+  // are ever carved.
+  const vm::sys::MapResult res = arena_.try_map_shadow(
+      reinterpret_cast<void*>(window_base), kWindowBytes, fixed);
   if (!res.ok()) {
     // MAP_FIXED failure leaves the old mapping intact: still reusable.
     if (fixed != nullptr) {
@@ -413,6 +411,8 @@ void* ShadowEngine::magazine_claim_locked(std::uintptr_t first_page,
     // Caller takes the per-object path, which owns failure/degradation.
     return nullptr;
   }
+  obs::record_event(obs::EventKind::kMagazineMap, vm::addr(res.ptr),
+                    kWindowPages);
   stats_.magazine_maps.fetch_add(1, std::memory_order_relaxed);
   if (fixed != nullptr) {
     stats_.shadow_pages_reused.fetch_add(kWindowPages,
@@ -549,38 +549,22 @@ void* ShadowEngine::guarded_alloc_locked(std::size_t size, SiteId site) {
   // Guard-path kernel calls, all Result-returning: any refusal rolls the
   // allocation back, drops the governor one rung, and re-serves the request
   // through the degraded path — the caller never sees the failure.
-  long fresh_vmas = 0;
-  vm::sys::MapResult alias{};
-  if (guard == 0) {
-    alias = mapper_.try_alias(reinterpret_cast<void*>(first_page), data_span,
-                              fixed);
-    if (alias.ok() && fixed == nullptr) fresh_vmas = 1;
-  } else if (fixed == nullptr) {
-    // Reserve data + guard in one anonymous PROT_NONE mapping, then place
-    // the aliased data pages over its head; the tail page stays as the
-    // unmapped-equivalent guard.
-    const vm::sys::MapResult region = vm::sys::map(
-        nullptr, span_len, PROT_NONE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (!region.ok()) {
-      alias = region;
-    } else {
-      alias = mapper_.try_alias(reinterpret_cast<void*>(first_page), data_span,
-                                region.ptr);
-      if (alias.ok()) {
-        fresh_vmas = 2;  // aliased head + PROT_NONE tail
-      } else {
-        (void)vm::sys::unmap(region.ptr, span_len);
-      }
-    }
-  } else {
-    // Recycled range: alias the data part in place and convert the tail page
-    // (whatever old mapping occupied it) into a fresh guard.
-    alias = mapper_.try_alias(reinterpret_cast<void*>(first_page), data_span,
-                              fixed);
-    if (alias.ok()) {
-      const vm::sys::IoResult g = vm::PhysArena::try_map_guard(
-          static_cast<std::byte*>(alias.ptr) + data_span, guard);
-      if (!g.ok()) alias = vm::sys::MapResult{nullptr, g.err};
+  //
+  // A trailing guard page is the alias's last page, revoked before the
+  // object is handed out. It aliases the canonical page after the span (a
+  // neighbour's, or one past the memfd's end), but no access through the
+  // revoked page reaches it. Under mprotect the revocation splits the alias
+  // into two VMAs.
+  vm::sys::MapResult alias = arena_.try_map_shadow(
+      reinterpret_cast<void*>(first_page), span_len, fixed);
+  if (alias.ok() && guard != 0) {
+    const vm::sys::IoResult g = revoker_.revoke(
+        arena_, static_cast<std::byte*>(alias.ptr) + data_span, guard);
+    if (!g.ok()) {
+      // A readable tail is no guard: drop a fresh alias; a recycled range
+      // goes back to the list below, as after a MAP_FIXED failure.
+      if (fixed == nullptr) (void)vm::sys::unmap(alias.ptr, span_len);
+      alias = vm::sys::MapResult{nullptr, g.err};
     }
   }
   if (!alias.ok()) {
@@ -594,14 +578,17 @@ void* ShadowEngine::guarded_alloc_locked(std::size_t size, SiteId site) {
     gov_->on_syscall_failure("shadow-alias", alias.err);
     return fallback_alloc_locked(size, site);
   }
-  gov_->add_vmas(fresh_vmas);
-
+  obs::record_event(obs::EventKind::kShadowMap, vm::addr(alias.ptr),
+                    span_len);
   if (fixed != nullptr) {
     stats_.shadow_pages_reused.fetch_add(span_len / vm::kPageSize,
                                          std::memory_order_relaxed);
   } else {
     stats_.shadow_pages_mapped.fetch_add(span_len / vm::kPageSize,
                                          std::memory_order_relaxed);
+    gov_->add_vmas(
+        guard != 0 && revoker_.active() == vm::RevokeBackend::kMprotect ? 2
+                                                                        : 1);
   }
 
   return install_record_locked(alias.ptr, span_len, guard, canon_addr,
@@ -1206,5 +1193,19 @@ GuardStats ShadowEngine::stats() const {
   std::lock_guard lock(mu_);
   return stats_.snapshot();
 }
+
+ShadowListLink::ShadowListLink(vm::PhysArena& arena, vm::VaFreeList& list,
+                               DegradationGovernor* gov)
+    : arena_(arena), list_(list) {
+  arena_.add_relief_source(&list_);
+  list_.set_release_hook(
+      +[](void* g, std::size_t ranges) {
+        static_cast<DegradationGovernor*>(g)->add_vmas(
+            -static_cast<long>(ranges));
+      },
+      gov != nullptr ? gov : &DegradationGovernor::process());
+}
+
+ShadowListLink::~ShadowListLink() { arena_.remove_relief_source(&list_); }
 
 }  // namespace dpg::core

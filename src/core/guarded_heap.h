@@ -26,10 +26,10 @@
 //                    pages out of it with zero syscalls. A window slot serves
 //                    one object per magazine generation, and a window keeps
 //                    several live generations, so k objects on one canonical
-//                    page take k of them. Windows need guard markers or
-//                    flushes of at least a window of pages: under mprotect
-//                    smaller revocations split the window's VMA at every
-//                    revoked slot, so they take the per-object alias.
+//                    page take k of them. Windows need guard markers or a
+//                    batched flush: immediate mprotect revocation would
+//                    split the window's VMA at every revoked slot, so it
+//                    takes the per-object alias.
 //   Reuse distance   under immediate revocation every revoked canonical
 //                    block waits in a per-engine FIFO until 64 pages of
 //                    canonical bytes have been freed after it, so the
@@ -62,17 +62,13 @@
 #include "core/registry.h"
 #include "core/sampled.h"
 #include "core/stats.h"
+#include "vm/phys_arena.h"
 #include "vm/revoke.h"
-#include "vm/shadow_map.h"
 #include "vm/va_freelist.h"
 
 namespace dpg::core {
 
 struct GuardConfig {
-  vm::AliasStrategy strategy = vm::AliasStrategy::kMemfd;
-  // Reuse shadow VAs from the shared free list (MAP_FIXED path). Disable to
-  // model the naive never-reuse scheme.
-  bool reuse_shadow_va = true;
   // §3.4 strategy 1: when the bytes held by freed-but-still-guarded spans
   // exceed this budget, the oldest freed spans are recycled (giving up
   // detection for those objects, as the paper accepts). A magazine window
@@ -80,14 +76,16 @@ struct GuardConfig {
   // freed records counts once at full size, and the budget
   // releases such windows whole, the earliest charged first. 0 = unlimited.
   std::size_t freed_va_budget = 0;
-  // Extension (paper §6 future work: combining with spatial checking): place
-  // an anonymous PROT_NONE guard page after each object's shadow span, so
-  // any access past the span's end traps as an overflow while the object is
-  // still live. Page-granular: tail slack within the last data page is not
-  // covered (the aliasing constraint pins the object's in-page offset).
-  // Costs one extra virtual page per allocation, zero physical memory.
-  // Incompatible with magazines (the guard page must NOT alias the arena);
-  // when set, allocations take the per-object path.
+  // Extension (paper §6 future work: combining with spatial checking): end
+  // each object's shadow span with a guard page, so any access past the
+  // span's end traps as an overflow while the object is still live. The
+  // guard is one more page of the span's alias, revoked through the
+  // revocation backend before the object is handed out. Page-granular: tail
+  // slack within the last data page is not covered (the aliasing constraint
+  // pins the object's in-page offset). Costs one extra virtual page per
+  // allocation and no physical memory. Incompatible with magazines (a
+  // window's next slot is another object's page); when set, allocations
+  // take the per-object path.
   bool trailing_guard_page = false;
   // Extension (paper §6: reducing the per-deallocation syscall cost): defer
   // protection of freed objects and apply it in address-sorted batches,
@@ -324,7 +322,6 @@ class ShadowEngine {
   vm::PhysArena& arena_;
   alloc::MallocLike& under_;
   vm::VaFreeList& shadow_freelist_;
-  vm::ShadowMapper mapper_;
   GuardConfig cfg_;
   DegradationGovernor* gov_;
   std::uint32_t shard_id_ = 0;
@@ -374,6 +371,25 @@ class ShadowEngine {
   std::size_t pending_protect_pages_ = 0;
   std::size_t freed_bytes_held_ = 0;
   GuardCounters stats_;
+};
+
+// Links the shadow VA list that a heap's or a pool context's engines share
+// to their arena and governor for the list's lifetime: the list is the
+// arena's emergency VMA-relief source, and each range it munmaps was a live
+// guard VMA the governor stops counting. Declare it after the list.
+class ShadowListLink {
+ public:
+  // `gov` nullptr = the process-wide governor.
+  ShadowListLink(vm::PhysArena& arena, vm::VaFreeList& list,
+                 DegradationGovernor* gov);
+  ~ShadowListLink();
+
+  ShadowListLink(const ShadowListLink&) = delete;
+  ShadowListLink& operator=(const ShadowListLink&) = delete;
+
+ private:
+  vm::PhysArena& arena_;
+  vm::VaFreeList& list_;
 };
 
 }  // namespace dpg::core

@@ -31,21 +31,10 @@ class GuardedPoolContext {
   explicit GuardedPoolContext(GuardConfig cfg = {},
                               std::size_t arena_window =
                                   vm::PhysArena::kDefaultWindow)
-      : arena_(arena_window), source_(arena_), cfg_(cfg) {
-    // The shared shadow VA list is the arena's emergency VMA-relief source.
-    arena_.add_relief_source(&shadow_va_);
-    // Spans it munmaps were live guard VMAs: settle them with the governor
-    // so the pressure estimate does not ratchet up across pool contexts.
-    shadow_va_.set_release_hook(
-        +[](void* gov, std::size_t ranges) {
-          static_cast<DegradationGovernor*>(gov)->add_vmas(
-              -static_cast<long>(ranges));
-        },
-        cfg_.governor != nullptr ? cfg_.governor
-                                 : &DegradationGovernor::process());
-  }
-
-  ~GuardedPoolContext() { arena_.remove_relief_source(&shadow_va_); }
+      : arena_(arena_window),
+        source_(arena_),
+        link_(arena_, shadow_va_, cfg.governor),
+        cfg_(cfg) {}
 
   GuardedPoolContext(const GuardedPoolContext&) = delete;
   GuardedPoolContext& operator=(const GuardedPoolContext&) = delete;
@@ -64,6 +53,7 @@ class GuardedPoolContext {
   vm::PhysArena arena_;
   alloc::ArenaSource source_;
   vm::VaFreeList shadow_va_;
+  ShadowListLink link_;
   GuardConfig cfg_;
 };
 

@@ -19,7 +19,7 @@ std::size_t default_shards() noexcept {
 
 ShardedHeap::ShardedHeap(vm::PhysArena& arena, GuardConfig cfg,
                          std::size_t shards)
-    : source_(arena), heap_(source_) {
+    : source_(arena), heap_(source_), link_(arena, shadow_va_, cfg.governor) {
   const std::size_t n =
       std::clamp<std::size_t>(shards == 0 ? default_shards() : shards, 1,
                               kMaxShards);
@@ -45,21 +45,6 @@ ShardedHeap::ShardedHeap(vm::PhysArena& arena, GuardConfig cfg,
         std::make_unique<ShadowEngine>(arena, heap_, shadow_va_, cfg));
     engines_.back()->set_shard_id(static_cast<std::uint32_t>(i));
   }
-  // The shared shadow VA list is the arena's emergency VMA-relief source, and
-  // ranges it munmaps were live guard VMAs the governor stops counting.
-  arena.add_relief_source(&shadow_va_);
-  shadow_va_.set_release_hook(
-      +[](void* gov, std::size_t ranges) {
-        static_cast<DegradationGovernor*>(gov)->add_vmas(
-            -static_cast<long>(ranges));
-      },
-      cfg.governor);
-}
-
-ShardedHeap::~ShardedHeap() {
-  source_.arena().remove_relief_source(&shadow_va_);
-  // engines_ (declared last) is destroyed first; each engine's release_all
-  // drains its own remote list and returns its spans to shadow_va_.
 }
 
 std::uint32_t ShardedHeap::home_shard() const noexcept {

@@ -48,7 +48,6 @@ class ShardedHeap {
   // [1, kMaxShards].
   explicit ShardedHeap(vm::PhysArena& arena, GuardConfig cfg = {},
                        std::size_t shards = 0);
-  ~ShardedHeap();
 
   ShardedHeap(const ShardedHeap&) = delete;
   ShardedHeap& operator=(const ShardedHeap&) = delete;
@@ -101,10 +100,13 @@ class ShardedHeap {
   alloc::ArenaSource source_;
   alloc::SegregatedHeap heap_;  // internally mutexed; shared by all shards
   vm::VaFreeList shadow_va_;
+  ShadowListLink link_;
   // Sampled-rung ledger, shared like the heap: a fast-path object allocated
   // on one shard may be freed through any shard's registry-miss path.
   SampledTable sampled_;
   // Engines must be destroyed before the members they reference; keep last.
+  // Each engine's release_all drains its own remote list and returns its
+  // spans to shadow_va_.
   std::vector<std::unique_ptr<ShadowEngine>> engines_;
 };
 

@@ -74,7 +74,7 @@ enum class Hist : unsigned {
   kMmapNs,       // vm-layer mmap
   kMprotectNs,   // vm-layer mprotect
   kMunmapNs,     // vm-layer munmap
-  kMremapNs,     // vm-layer mremap (alias strategy)
+  kMremapNs,     // vm-layer mremap (sys::remap_dup)
   kMadviseNs,    // vm-layer madvise (guard-marker revocation)
   kCount,
 };

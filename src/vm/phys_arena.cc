@@ -149,18 +149,6 @@ void PhysArena::protect_rw(void* p, std::size_t len) {
   if (!r.ok()) throw_errno("mprotect RW", r.err);
 }
 
-sys::IoResult PhysArena::try_map_guard(void* fixed, std::size_t len) noexcept {
-  const sys::MapResult r =
-      sys::map(fixed, page_up(len), PROT_NONE,
-               MAP_PRIVATE | MAP_ANONYMOUS | MAP_FIXED, -1, 0);
-  return {r.err};
-}
-
-void PhysArena::map_guard(void* fixed, std::size_t len) {
-  const sys::IoResult r = try_map_guard(fixed, len);
-  if (!r.ok()) throw std::bad_alloc{};
-}
-
 void PhysArena::add_relief_source(VaFreeList* fl) {
   std::lock_guard lock(relief_mu_);
   relief_.push_back(fl);

@@ -18,8 +18,11 @@
 // The paper used Linux's (then undocumented) mremap(old_size = 0) to create
 // the alias and noted that "on systems where this feature is not available,
 // we can use mmap with an in-memory file system". memfd_create is the modern
-// in-memory file system, so this is the primary strategy; shadow_map.h also
-// provides the mremap flavour for comparison benchmarks.
+// in-memory file system, and try_map_shadow is the one way an alias is made:
+// mremap duplicates a whole mapping at a kernel-chosen address, while an
+// mmap of the memfd can alias any window of the heap, fresh or MAP_FIXED
+// over a recycled range. sys::remap_dup keeps the paper's trick for
+// bench_micro's cost comparison.
 //
 // All kernel calls go through vm/sys.h (EINTR retry, fault injection, Result
 // returns). The try_* entry points surface failures as errno Results for the
@@ -97,12 +100,6 @@ class PhysArena {
   static sys::IoResult try_protect_rw(void* p, std::size_t len) noexcept;
   static void protect_none(void* p, std::size_t len);  // throws system_error
   static void protect_rw(void* p, std::size_t len);    // throws system_error
-
-  // Places an anonymous PROT_NONE page exactly at `fixed` (used for trailing
-  // guard pages: it must NOT alias the arena, so a stray access can never
-  // reach a neighbour's physical memory).
-  static sys::IoResult try_map_guard(void* fixed, std::size_t len) noexcept;
-  static void map_guard(void* fixed, std::size_t len);  // throws bad_alloc
 
   // --- VA pressure relief -----------------------------------------------
   // Shadow-VA free lists registered here are drained (coalesce + munmap)

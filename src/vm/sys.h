@@ -86,7 +86,8 @@ struct FdResult {
 [[nodiscard]] MapResult map(void* hint, std::size_t len, int prot, int flags,
                             int fd, off_t offset) noexcept;
 
-// mremap(old, 0, len, MREMAP_MAYMOVE): duplicate a MAP_SHARED mapping.
+// mremap(old, 0, len, MREMAP_MAYMOVE): duplicate a MAP_SHARED mapping (the
+// paper's alias trick; only bench_micro and test_vm use it).
 [[nodiscard]] MapResult remap_dup(void* old_addr, std::size_t len) noexcept;
 
 IoResult unmap(void* p, std::size_t len) noexcept;

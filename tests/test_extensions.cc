@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/fault_manager.h"
@@ -18,14 +20,28 @@ namespace {
 
 // --- trailing guard pages ---------------------------------------------------
 
-class GuardPageTest : public ::testing::Test {
+// The guard page is revoked through the engine's backend, so every case runs
+// under each one.
+class GuardPageTest : public ::testing::TestWithParam<vm::RevokeBackend> {
  protected:
+  void SetUp() override {
+    if (GetParam() == vm::RevokeBackend::kGuard &&
+        !vm::Revoker::guard_supported()) {
+      GTEST_SKIP() << "kernel lacks guard markers on shared memfd aliases";
+    }
+    heap_.emplace(arena_,
+                  GuardConfig{.trailing_guard_page = true,
+                              .revoke_backend = GetParam()},
+                  1);
+    ASSERT_EQ(heap_->engine(0).revoke_backend(), GetParam());
+  }
+
   vm::PhysArena arena_{1u << 28};
-  ShardedHeap heap_{arena_, GuardConfig{.trailing_guard_page = true}, 1};
+  std::optional<ShardedHeap> heap_;
 };
 
-TEST_F(GuardPageTest, LinearOverflowPastSpanTraps) {
-  auto* p = static_cast<char*>(heap_.malloc(64, 5));
+TEST_P(GuardPageTest, LinearOverflowPastSpanTraps) {
+  auto* p = static_cast<char*>(heap_->malloc(64, 5));
   std::memset(p, 'a', 64);  // in-bounds writes fine
   // The object ends somewhere inside its last data page; the first byte of
   // the following (guard) page must trap even though the object is LIVE.
@@ -42,13 +58,13 @@ TEST_F(GuardPageTest, LinearOverflowPastSpanTraps) {
   ASSERT_TRUE(report.has_value());
   EXPECT_EQ(report->kind, AccessKind::kOverflow);
   EXPECT_EQ(report->alloc_site, 5u);
-  heap_.free(p);
+  heap_->free(p);
 }
 
-TEST_F(GuardPageTest, PageSizedObjectOverflowByOneTraps) {
+TEST_P(GuardPageTest, PageSizedObjectOverflowByOneTraps) {
   // A 4096-byte object fills its pages exactly (modulo the header offset);
   // running one element past a page-aligned end must hit the guard.
-  auto* p = static_cast<char*>(heap_.malloc(2 * vm::kPageSize));
+  auto* p = static_cast<char*>(heap_->malloc(2 * vm::kPageSize));
   const ObjectRecord* rec = ShadowRegistry::global().lookup(vm::addr(p));
   char* past_span = reinterpret_cast<char*>(rec->shadow_base +
                                             rec->span_length -
@@ -56,22 +72,22 @@ TEST_F(GuardPageTest, PageSizedObjectOverflowByOneTraps) {
   const auto report = catch_dangling([&] { *past_span = 'x'; });
   ASSERT_TRUE(report.has_value());
   EXPECT_EQ(report->kind, AccessKind::kOverflow);
-  heap_.free(p);
+  heap_->free(p);
 }
 
-TEST_F(GuardPageTest, GuardDoesNotAliasPhysicalMemory) {
-  // Guard pages are anonymous PROT_NONE: they never touch the memfd, so the
+TEST_P(GuardPageTest, GuardDoesNotAliasPhysicalMemory) {
+  // A guard page is a revoked alias: it never grows the memfd, so the
   // arena's physical length is the same as without guards.
   const std::size_t before = arena_.physical_bytes();
   std::vector<void*> ptrs;
-  for (int i = 0; i < 100; ++i) ptrs.push_back(heap_.malloc(32));
+  for (int i = 0; i < 100; ++i) ptrs.push_back(heap_->malloc(32));
   EXPECT_LT(arena_.physical_bytes() - before, 20 * vm::kPageSize);
-  for (void* p : ptrs) heap_.free(p);
+  for (void* p : ptrs) heap_->free(p);
 }
 
-TEST_F(GuardPageTest, DanglingDetectionStillWorks) {
-  auto* p = static_cast<char*>(heap_.malloc(24));
-  heap_.free(p);
+TEST_P(GuardPageTest, DanglingDetectionStillWorks) {
+  auto* p = static_cast<char*>(heap_->malloc(24));
+  heap_->free(p);
   const auto report = catch_dangling([&] {
     volatile char c = *p;
     (void)c;
@@ -80,16 +96,16 @@ TEST_F(GuardPageTest, DanglingDetectionStillWorks) {
   EXPECT_EQ(report->kind, AccessKind::kRead);  // temporal, not overflow
 }
 
-TEST_F(GuardPageTest, GuardedSpanRecyclesThroughFreeList) {
-  auto* p = static_cast<char*>(heap_.malloc(16));
+TEST_P(GuardPageTest, GuardedSpanRecyclesThroughFreeList) {
+  auto* p = static_cast<char*>(heap_->malloc(16));
   const ObjectRecord* rec = ShadowRegistry::global().lookup(vm::addr(p));
   const std::uintptr_t base = rec->shadow_base;
   const std::size_t span = rec->span_length;
-  heap_.free(p);
-  heap_.engine(0).reclaim_freed(span);
-  EXPECT_GE(heap_.shadow_freelist().bytes(), span);
+  heap_->free(p);
+  heap_->engine(0).reclaim_freed(span);
+  EXPECT_GE(heap_->shadow_freelist().bytes(), span);
   // A new allocation reuses the recycled (data+guard) range and re-arms it.
-  auto* q = static_cast<char*>(heap_.malloc(16));
+  auto* q = static_cast<char*>(heap_->malloc(16));
   const ObjectRecord* rec2 = ShadowRegistry::global().lookup(vm::addr(q));
   EXPECT_EQ(rec2->shadow_base, base);
   q[0] = 'q';  // data page is RW again
@@ -100,8 +116,15 @@ TEST_F(GuardPageTest, GuardedSpanRecyclesThroughFreeList) {
     (void)c;
   });
   EXPECT_TRUE(report.has_value());  // guard re-armed after MAP_FIXED reuse
-  heap_.free(q);
+  heap_->free(q);
 }
+
+INSTANTIATE_TEST_SUITE_P(Backends, GuardPageTest,
+                         ::testing::Values(vm::RevokeBackend::kMprotect,
+                                           vm::RevokeBackend::kGuard),
+                         [](const auto& backend) {
+                           return std::string(vm::backend_name(backend.param));
+                         });
 
 TEST(GuardPagePool, WorksUnderPools) {
   GuardedPoolContext ctx({.trailing_guard_page = true});

@@ -523,6 +523,14 @@ TEST(ExporterTest, PrometheusFileIsRewrittenEachDump) {
 // Guarded-heap integration: trace hooks and fault enrichment
 // ---------------------------------------------------------------------------
 
+// The clock the flight recorder stamps events with.
+std::uint64_t monotonic_ns() {
+  timespec ts{};
+  clock_gettime(CLOCK_MONOTONIC, &ts);
+  return static_cast<std::uint64_t>(ts.tv_sec) * 1000000000u +
+         static_cast<std::uint64_t>(ts.tv_nsec);
+}
+
 TEST(ObsIntegration, DisabledPathRecordsNothing) {
   obs::set_trace_enabled(false);
   TraceEvent before_events[TraceRing::kCapacity];
@@ -592,10 +600,7 @@ TEST(ObsIntegration, EachReleasedSpanRecordsOneVaReclaim) {
     spans.push_back(rec->shadow_base);
     heap.free(p);
   }
-  timespec ts{};
-  clock_gettime(CLOCK_MONOTONIC, &ts);
-  const std::uint64_t t0 = static_cast<std::uint64_t>(ts.tv_sec) * 1000000000u +
-                           static_cast<std::uint64_t>(ts.tv_nsec);
+  const std::uint64_t t0 = monotonic_ns();
   obs::set_trace_enabled(true);
   EXPECT_GT(heap.engine(0).reclaim_freed(SIZE_MAX), 0u);
   obs::set_trace_enabled(false);
@@ -612,6 +617,50 @@ TEST(ObsIntegration, EachReleasedSpanRecordsOneVaReclaim) {
     ++reclaims;
   }
   EXPECT_EQ(reclaims, kSpans);
+}
+
+// The engine records one shadow-map event per per-object alias and one
+// magazine-map event per window generation it maps.
+TEST(ObsIntegration, EachAliasRecordsOneMapEvent) {
+  constexpr std::size_t kObjects = 32;
+  const auto events_since = [](std::uint64_t t0, EventKind kind) {
+    TraceEvent out[TraceRing::kCapacity];
+    const std::size_t n = obs::capture_recent(out, TraceRing::kCapacity);
+    std::size_t hits = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      hits += out[i].ns >= t0 &&
+              out[i].kind == static_cast<std::uint16_t>(kind);
+    }
+    return hits;
+  };
+
+  // Immediate mprotect revocation: every object takes its own alias.
+  vm::PhysArena arena(1u << 26);
+  core::ShardedHeap per_object(
+      arena, {.revoke_backend = vm::RevokeBackend::kMprotect}, 1);
+  std::uint64_t t0 = monotonic_ns();
+  obs::set_trace_enabled(true);
+  for (std::size_t i = 0; i < kObjects; ++i) {
+    per_object.free(per_object.malloc(64));
+  }
+  obs::set_trace_enabled(false);
+  EXPECT_EQ(per_object.stats().magazine_maps, 0u);
+  EXPECT_EQ(events_since(t0, EventKind::kShadowMap), kObjects);
+  EXPECT_EQ(events_since(t0, EventKind::kMagazineMap), 0u);
+
+  // A batched flush: objects carve their pages from window generations.
+  vm::PhysArena window_arena(1u << 26);
+  core::ShardedHeap windowed(window_arena, {.protect_batch = 16}, 1);
+  t0 = monotonic_ns();
+  obs::set_trace_enabled(true);
+  for (std::size_t i = 0; i < kObjects; ++i) {
+    windowed.free(windowed.malloc(64));
+  }
+  windowed.flush_all();
+  obs::set_trace_enabled(false);
+  const core::GuardStats s = windowed.stats();
+  EXPECT_GT(s.magazine_maps, 0u);
+  EXPECT_EQ(events_since(t0, EventKind::kMagazineMap), s.magazine_maps);
 }
 
 TEST(ObsIntegration, FaultReportCarriesFlightRecorderTrace) {

@@ -1,6 +1,6 @@
 // Unit tests for the virtual-memory substrate: page math, the memfd arena,
-// physical aliasing, page protection, MAP_FIXED reuse, the mremap strategy,
-// and the VA free list.
+// physical aliasing, page protection, MAP_FIXED reuse, the paper's mremap
+// alias trick, and the VA free list.
 #include <gtest/gtest.h>
 #include <sys/mman.h>
 
@@ -9,7 +9,7 @@
 #include "vm/page.h"
 #include "vm/phys_arena.h"
 #include "vm/revoke.h"
-#include "vm/shadow_map.h"
+#include "vm/sys.h"
 #include "vm/va_freelist.h"
 #include "vm/vm_stats.h"
 
@@ -130,41 +130,26 @@ TEST(PhysArena, ExhaustionThrowsBadAlloc) {
   EXPECT_THROW((void)arena.extend(2 * kPageSize), std::bad_alloc);
 }
 
-TEST(ShadowMapper, MemfdStrategyAliases) {
+TEST(RemapDup, DuplicatesTheCanonicalView) {
+  // The paper's §3.2 trick: mremap(old_size = 0) on a MAP_SHARED mapping
+  // yields a second virtual page over the same physical page.
   PhysArena arena(1u << 24);
-  ShadowMapper mapper(arena, AliasStrategy::kMemfd);
   auto* canonical = static_cast<char*>(arena.extend(kPageSize));
-  auto* shadow = static_cast<char*>(mapper.alias(canonical, kPageSize));
-  canonical[7] = 'q';
-  EXPECT_EQ(shadow[7], 'q');
-  arena.unmap(shadow, kPageSize);
-}
-
-TEST(ShadowMapper, MremapStrategyAliasesWhenSupported) {
-  if (!ShadowMapper::mremap_alias_supported()) {
-    GTEST_SKIP() << "kernel rejects mremap(old_size=0) duplication";
-  }
-  PhysArena arena(1u << 24);
-  ShadowMapper mapper(arena, AliasStrategy::kMremap);
   const auto mremaps_before =
       syscall_counters().mremap.load(std::memory_order_relaxed);
-  auto* canonical = static_cast<char*>(arena.extend(kPageSize));
-  auto* shadow = static_cast<char*>(mapper.alias(canonical, kPageSize));
-  canonical[3] = 'm';
-  EXPECT_EQ(shadow[3], 'm');
+  const sys::MapResult dup = sys::remap_dup(canonical, kPageSize);
   EXPECT_GT(syscall_counters().mremap.load(std::memory_order_relaxed),
             mremaps_before);
+  if (!dup.ok()) {
+    GTEST_SKIP() << "kernel rejects mremap(old_size=0) duplication";
+  }
+  auto* shadow = static_cast<char*>(dup.ptr);
+  EXPECT_NE(shadow, canonical);
+  canonical[3] = 'm';
+  EXPECT_EQ(shadow[3], 'm');
+  shadow[5] = 's';
+  EXPECT_EQ(canonical[5], 's');
   arena.unmap(shadow, kPageSize);
-}
-
-TEST(ShadowMapper, FixedPlacementAlwaysUsesMemfd) {
-  PhysArena arena(1u << 24);
-  ShadowMapper mapper(arena, AliasStrategy::kMremap);
-  auto* canonical = static_cast<char*>(arena.extend(kPageSize));
-  auto* first = static_cast<char*>(mapper.alias(canonical, kPageSize));
-  auto* second = static_cast<char*>(mapper.alias(canonical, kPageSize, first));
-  EXPECT_EQ(first, second);
-  arena.unmap(first, kPageSize);
 }
 
 TEST(VaFreeList, PutTakeExact) {
