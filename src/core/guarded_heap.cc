@@ -57,6 +57,29 @@ void consume_free_stage(ObjectRecord& rec) noexcept {
                              std::memory_order_release);
 }
 
+// A double free of `user`, attributed to the object's first free: the
+// record's on a guarded pointer, the ledger entry's on a fast-path one.
+DanglingReport double_free_report(std::uintptr_t user, std::uintptr_t base,
+                                  std::size_t size, SiteId alloc_site,
+                                  SiteId free_site) noexcept {
+  return {.kind = AccessKind::kFree,
+          .fault_address = user,
+          .object_base = base,
+          .object_size = size,
+          .alloc_site = alloc_site,
+          .free_site = free_site};
+}
+
+// Counts a software report, drops the caller's engine lock, if any (dispatch
+// may longjmp; never hold the lock across it), and raises.
+[[noreturn]] void raise_report(std::unique_lock<std::mutex>* lock,
+                               std::atomic<std::uint64_t>& count,
+                               const DanglingReport& report) {
+  count.fetch_add(1, std::memory_order_relaxed);
+  if (lock != nullptr) lock->unlock();
+  FaultManager::instance().raise_software(report);
+}
+
 }  // namespace
 
 ShadowEngine::ShadowEngine(vm::PhysArena& arena, alloc::MallocLike& under,
@@ -152,42 +175,32 @@ void* ShadowEngine::realloc(void* p, std::size_t new_size, SiteId site) {
     free_locked(lock, p, site);
     return nullptr;
   }
-  const ObjectRecord* rec = ShadowRegistry::global().lookup(vm::addr(p));
-  if (rec == nullptr && !sampled_->empty()) {
-    SampledTable::Entry ent;
-    if (sampled_->lookup_live(vm::addr(p), &ent)) {
-      // Fast-path object: move via whatever the current rung dictates; the
-      // old block then takes the exact ledger free (quarantined above).
-      void* fresh = do_alloc_locked(new_size, site);
-      if (fresh == nullptr) return nullptr;  // old block stays valid
-      std::memcpy(fresh, p, ent.size < new_size ? ent.size : new_size);
-      free_locked(lock, p, site);
-      return fresh;
+  // The old size, from whichever source has it: a live guarded record, a
+  // live ledger entry, then a degraded block (the allocator's own header).
+  // Any other pointer — stale, interior, foreign — moves nothing, and
+  // free_locked raises for it.
+  constexpr std::size_t kUnknown = std::numeric_limits<std::size_t>::max();
+  std::size_t old_size = kUnknown;
+  const std::uintptr_t user = vm::addr(p);
+  const ObjectRecord* rec = ShadowRegistry::global().lookup(user);
+  SampledTable::Entry ent;
+  if (rec != nullptr) {
+    if (rec->user_shadow == user &&
+        rec->state.load(std::memory_order_acquire) == ObjectState::kLive) {
+      old_size = rec->user_size;
     }
-    if (sampled_->is_freed(vm::addr(p))) {
-      // Stale fast-path pointer: same disposition as a double free.
-      free_locked(lock, p, site);  // raises; does not return
-    }
+  } else if (!sampled_->empty() && sampled_->lookup_live(user, &ent)) {
+    old_size = ent.size;
+  } else if (degraded_pointers_possible() &&
+             (sampled_->empty() || !sampled_->is_freed(user))) {
+    old_size = under_.size_of(p);
   }
-  if (rec == nullptr && degraded_pointers_possible()) {
-    // Pointer from a degraded allocation: move it through whatever path the
-    // current mode dictates. size_of reads the allocator's own header.
-    const std::size_t old_size = under_.size_of(p);
-    void* fresh = do_alloc_locked(new_size, site);
-    if (fresh == nullptr) return nullptr;  // old block stays valid (contract)
-    std::memcpy(fresh, p, old_size < new_size ? old_size : new_size);
-    degraded_free_locked(p, site);
-    return fresh;
+  void* fresh = nullptr;
+  if (old_size != kUnknown) {
+    fresh = do_alloc_locked(new_size, site);
+    if (fresh == nullptr) return nullptr;  // old block stays valid
+    std::memcpy(fresh, p, std::min(old_size, new_size));
   }
-  if (rec == nullptr || rec->user_shadow != vm::addr(p) ||
-      rec->state.load(std::memory_order_acquire) == ObjectState::kFreed) {
-    // Stale or foreign pointer: same disposition as an invalid/double free.
-    free_locked(lock, p, site);  // raises; does not return
-  }
-  const std::size_t old_size = rec->user_size;
-  void* fresh = do_alloc_locked(new_size, site);
-  if (fresh == nullptr) return nullptr;  // old block stays valid (contract)
-  std::memcpy(fresh, p, old_size < new_size ? old_size : new_size);
   // The old pointer is now a guarded dangling pointer (realloc's contract:
   // any use of `p` after this point is a temporal error and will trap).
   free_locked(lock, p, site);
@@ -229,7 +242,7 @@ void* ShadowEngine::alloc_canonical_locked(std::size_t bytes) {
     gov_->on_arena_exhausted();
   }
   if (p == nullptr) {
-    if (drain_reuse_locked() + drain_quarantine_locked() == 0) return nullptr;
+    if (drain_held_locked() == 0) return nullptr;
     try {
       p = under_.malloc(bytes);
     } catch (const std::bad_alloc&) {
@@ -283,9 +296,9 @@ bool ShadowEngine::degraded_pointers_possible() const noexcept {
   // A registry miss at free time can only be a degraded pointer if SOME
   // engine sharing this governor has served one: shards share the underlying
   // heap, so a degraded canonical pointer may be freed on any shard, not just
-  // the one that allocated it.
-  return stats_.degraded_allocs.load(std::memory_order_relaxed) != 0 ||
-         gov_->counters().degraded_allocs.load(std::memory_order_relaxed) != 0;
+  // the one that allocated it. Every degraded allocation bumps the
+  // governor's counter (degraded_alloc_locked).
+  return gov_->counters().degraded_allocs.load(std::memory_order_relaxed) != 0;
 }
 
 void* ShadowEngine::install_record_locked(void* shadow_base,
@@ -603,39 +616,23 @@ void ShadowEngine::free(void* p, SiteId site) {
   free_locked(lock, p, site);
 }
 
-void ShadowEngine::quarantine_locked(void* block, std::size_t bytes) {
-  quarantine_.push_back(ParkedBlock{block, bytes});
-  quarantine_bytes_ += bytes;
-  const std::size_t budget = gov_->quarantine_budget();
-  while (quarantine_bytes_ > budget && !quarantine_.empty()) {
-    const ParkedBlock e = quarantine_.front();
-    quarantine_.pop_front();
-    quarantine_bytes_ -= e.bytes;
-    try {
-      under_.free(e.block);
-    } catch (const std::logic_error&) {
-      // Quarantined garbage: an invalid free absorbed in degraded mode. The
-      // allocator's magic check caught it; attribution is lost, the count
-      // is not.
-      stats_.invalid_frees.fetch_add(1, std::memory_order_relaxed);
-    }
+// Returns a parked degraded block to the allocator. A garbage pointer
+// absorbed in degraded mode fails the allocator's magic check: attribution
+// is lost, the count is not.
+void ShadowEngine::release_parked_locked(void* block) {
+  try {
+    under_.free(block);
+  } catch (const std::logic_error&) {
+    stats_.invalid_frees.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
-std::size_t ShadowEngine::drain_quarantine_locked() {
-  std::size_t released = 0;
-  while (!quarantine_.empty()) {
-    const ParkedBlock e = quarantine_.front();
-    quarantine_.pop_front();
-    released += e.bytes;
-    try {
-      under_.free(e.block);
-    } catch (const std::logic_error&) {
-      stats_.invalid_frees.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  quarantine_bytes_ = 0;
-  return released;
+void ShadowEngine::quarantine_locked(void* block, std::size_t bytes) {
+  quarantine_.push(block, bytes);
+  const std::size_t budget = gov_->quarantine_budget();
+  quarantine_.release_while(
+      [&](std::size_t) { return quarantine_.bytes() > budget; },
+      [this](void* b) { release_parked_locked(b); });
 }
 
 // Every successfully revoked canonical block enters the reuse FIFO and
@@ -646,46 +643,44 @@ std::size_t ShadowEngine::drain_quarantine_locked() {
 // before it returns to a page. Bytes, not pages: counted per page, a hot
 // sub-page size class would cycle through one or two canonical pages.
 void ShadowEngine::release_canonical_locked(ObjectRecord* rec) {
-  const std::size_t bytes = rec->user_size + kGuardHeader;
-  reuse_fifo_.push_back(
-      ParkedBlock{reinterpret_cast<void*>(rec->canonical), bytes});
-  reuse_fifo_bytes_ += bytes;
-  while (reuse_fifo_bytes_ - reuse_fifo_.front().bytes >= reuse_distance_) {
-    const ParkedBlock e = reuse_fifo_.front();
-    reuse_fifo_.pop_front();
-    reuse_fifo_bytes_ -= e.bytes;
-    under_.free(e.block);
-    if (reuse_fifo_.empty()) break;
-  }
-  stats_.reuse_delay_bytes.store(reuse_fifo_bytes_, std::memory_order_relaxed);
+  reuse_fifo_.push(reinterpret_cast<void*>(rec->canonical),
+                   rec->user_size + kGuardHeader);
+  reuse_fifo_.release_while(
+      [this](std::size_t front) {
+        return reuse_fifo_.bytes() - front >= reuse_distance_;
+      },
+      [this](void* b) { under_.free(b); });
+  stats_.reuse_delay_bytes.store(reuse_fifo_.bytes(),
+                                 std::memory_order_relaxed);
 }
 
-std::size_t ShadowEngine::drain_reuse_locked() {
-  const std::size_t released = reuse_fifo_bytes_;
-  for (const ParkedBlock& e : reuse_fifo_) under_.free(e.block);
-  reuse_fifo_.clear();
-  reuse_fifo_bytes_ = 0;
+// Empties both hold-back queues into the allocator, the reuse FIFO first;
+// returns the bytes released.
+std::size_t ShadowEngine::drain_held_locked() {
+  std::size_t released = reuse_fifo_.drain([this](void* b) { under_.free(b); });
   stats_.reuse_delay_bytes.store(0, std::memory_order_relaxed);
+  released += quarantine_.drain([this](void* b) { release_parked_locked(b); });
   return released;
 }
 
 void ShadowEngine::degraded_free_locked(void* p, SiteId site) {
   obs::record_event(obs::EventKind::kFree, vm::addr(p), 0, site);
   if (gov_->mode() == GuardMode::kUnguarded) {
-    try {
-      under_.free(p);
-    } catch (const std::logic_error&) {
-      stats_.invalid_frees.fetch_add(1, std::memory_order_relaxed);
-    }
+    release_parked_locked(p);
     return;
   }
   // Delayed reuse: the block sits in FIFO quarantine so a stale pointer to it
-  // dereferences stale-but-unreused memory, not a new owner's data. The size
-  // comes from the allocator header; a garbage pointer yields a garbage size,
-  // so clamp to keep one bad entry from flushing the whole quarantine.
+  // dereferences stale-but-unreused memory, not a new owner's data.
+  stats_.quarantined_frees.fetch_add(1, std::memory_order_relaxed);
+  park_locked(p);
+}
+
+// Quarantines a canonical block by the size in its allocator header. A
+// garbage pointer yields a garbage size, so clamp to keep one bad entry from
+// flushing the whole quarantine.
+void ShadowEngine::park_locked(void* p) {
   std::size_t bytes = under_.size_of(p);
   if (bytes == 0 || bytes > (std::size_t{1} << 32)) bytes = vm::kPageSize;
-  stats_.quarantined_frees.fetch_add(1, std::memory_order_relaxed);
   quarantine_locked(p, bytes);
 }
 
@@ -700,25 +695,30 @@ void ShadowEngine::revoke_locked(ObjectRecord* rec) {
     pending_protect_pages_ += rec->span_length / vm::kPageSize;
     return;
   }
-  // Backend dispatch: PROT_NONE through the arena, or guard markers
-  // (vm/revoke.h) — either way the span traps from here on.
-  const vm::sys::IoResult pr = revoker_.revoke(
+  const vm::sys::IoResult r = revoke_record_locked(rec);
+  if (!r.ok()) gov_->on_syscall_failure("protect-none", r.err);
+}
+
+// Revokes one record's span — PROT_NONE through the arena, or guard markers
+// (vm/revoke.h); either way the span traps from here on — and hands its
+// canonical block on. Refused, the shadow stays readable, so the physical
+// block must NOT be recycled (a new owner's data would leak through the
+// stale alias): it parks in quarantine instead, and the record stays
+// registered, so a double free of this pointer is still caught exactly.
+vm::sys::IoResult ShadowEngine::revoke_record_locked(ObjectRecord* rec) {
+  const vm::sys::IoResult r = revoker_.revoke(
       arena_, reinterpret_cast<void*>(rec->shadow_base), rec->span_length);
   stats_.protect_calls.fetch_add(1, std::memory_order_relaxed);
   hold_freed_locked(rec);
-  if (pr.ok()) {
+  if (r.ok()) {
     stats_.revoked_spans.fetch_add(1, std::memory_order_relaxed);
     release_canonical_locked(rec);
   } else {
-    // Revocation refused: the shadow stays readable, so the physical block
-    // must NOT be recycled (a new owner's data would leak through the stale
-    // alias). Park it in quarantine instead; the record stays registered, so
-    // a double free of this pointer is still caught exactly.
     stats_.guard_failures.fetch_add(1, std::memory_order_relaxed);
-    gov_->on_syscall_failure("protect-none", pr.err);
     quarantine_locked(reinterpret_cast<void*>(rec->canonical),
                       rec->user_size + kGuardHeader);
   }
+  return r;
 }
 
 void ShadowEngine::maybe_flush_locked() {
@@ -742,34 +742,20 @@ void ShadowEngine::free_locked(std::unique_lock<std::mutex>& lock, void* p,
     switch (sampled_->on_free(user, site, &ent)) {
       case SampledTable::FreeResult::kMiss:
         break;
-      case SampledTable::FreeResult::kFreed: {
+      case SampledTable::FreeResult::kFreed:
         // First free of a fast-path object: ledger transition done; the block
         // parks in quarantine so the address cannot be rebound while the
         // freed entry could still catch a double free.
-        std::size_t bytes = under_.size_of(p);
-        if (bytes == 0 || bytes > (std::size_t{1} << 32)) {
-          bytes = vm::kPageSize;
-        }
         stats_.sampled_frees.fetch_add(1, std::memory_order_relaxed);
         obs::record_event(obs::EventKind::kFree, user, ent.size, site);
-        quarantine_locked(p, bytes);
+        park_locked(p);
         return;
-      }
-      case SampledTable::FreeResult::kDoubleFree: {
+      case SampledTable::FreeResult::kDoubleFree:
         // Exact double free of an unsampled object — the rung's headline
         // guarantee. The entry carries the first free's attribution.
-        stats_.double_frees.fetch_add(1, std::memory_order_relaxed);
-        DanglingReport report;
-        report.kind = AccessKind::kFree;
-        report.fault_address = user;
-        report.object_base = user;
-        report.object_size = ent.size;
-        report.alloc_site = ent.alloc_site;
-        report.free_site = ent.free_site;
-        lock.unlock();
-        FaultManager::instance().raise_software(report);
-        return;
-      }
+        raise_report(&lock, stats_.double_frees,
+                     double_free_report(user, user, ent.size, ent.alloc_site,
+                                        ent.free_site));
     }
   }
   const ObjectRecord* found = ShadowRegistry::global().lookup(user);
@@ -782,46 +768,48 @@ void ShadowEngine::free_locked(std::unique_lock<std::mutex>& lock, void* p,
     degraded_free_locked(p, site);
     return;
   }
+  revoke_locked(admit_free(&lock, found, user, site));
+  maybe_flush_locked();
+}
+
+// Admission, shared by every guarded free (the owner's locked path and the
+// lock-free remote one): checks the pointer, takes the kLive->kFreed ticket
+// and stamps the free. `found` is the registry's record for the page of
+// `user`; `lock` is the engine lock the caller holds, nullptr on the remote
+// path. Returns the record the caller now owns the revocation of.
+ObjectRecord* ShadowEngine::admit_free(std::unique_lock<std::mutex>* lock,
+                                       const ObjectRecord* found,
+                                       std::uintptr_t user, SiteId site) {
   // Objects never share a shadow page, so a page hit identifies the object;
   // still require the exact pointer, as free() of an interior pointer is an
   // error in its own right.
   if (found == nullptr || found->user_shadow != user) {
-    stats_.invalid_frees.fetch_add(1, std::memory_order_relaxed);
-    DanglingReport report;
-    report.kind = AccessKind::kInvalidFree;
-    report.fault_address = user;
-    lock.unlock();  // dispatch may longjmp; never hold the lock across it
-    FaultManager::instance().raise_software(report);
+    raise_report(lock, stats_.invalid_frees,
+                 {.kind = AccessKind::kInvalidFree, .fault_address = user});
   }
   auto* rec = const_cast<ObjectRecord*>(found);
 
-  // The kLive->kFreed CAS is the single admission ticket for the free path:
-  // a loser — same thread, another thread on this shard, or a cross-shard
-  // free_remote racing us — sees kFreed and reports a deterministic double
-  // free. (The paper's formulation — the header-word read trapping on the
-  // protected page — also holds here, but the record check yields a precise
-  // report and stays exact while the revocation is still queued.)
+  // The CAS is the single admission ticket: a loser — same thread, another
+  // thread on this shard, or a cross-shard free racing us — sees kFreed and
+  // reports a deterministic double free, even while the winner's revocation
+  // is still queued. (The paper's formulation — the header-word read
+  // trapping on the protected page — also holds here, but the record check
+  // yields a precise report.)
   ObjectState expected = ObjectState::kLive;
   if (!rec->state.compare_exchange_strong(expected, ObjectState::kFreed,
                                           std::memory_order_acq_rel,
                                           std::memory_order_acquire)) {
-    stats_.double_frees.fetch_add(1, std::memory_order_relaxed);
-    DanglingReport report;
-    report.kind = AccessKind::kFree;
-    report.fault_address = user;
-    report.object_base = rec->user_shadow;
-    report.object_size = rec->user_size;
-    report.alloc_site = rec->alloc_site;
-    report.free_site = rec->free_site.load(std::memory_order_relaxed);
+    DanglingReport report = double_free_report(
+        user, rec->user_shadow, rec->user_size, rec->alloc_site,
+        rec->free_site.load(std::memory_order_relaxed));
     // The report carries the FIRST free's stack; the second free (this call)
     // becomes the use stack at dispatch.
     copy_site_stacks(*rec, report);
-    lock.unlock();
-    FaultManager::instance().raise_software(report);
+    raise_report(lock, stats_.double_frees, report);
   }
 
   // Consistency check: the header word must still name the canonical address
-  // (its page is readable until the revocation mprotect).
+  // (its page is readable until the revocation).
   assert(*reinterpret_cast<std::uintptr_t*>(user - kGuardHeader) ==
          rec->canonical);
 
@@ -829,50 +817,19 @@ void ShadowEngine::free_locked(std::unique_lock<std::mutex>& lock, void* p,
   consume_free_stage(*rec);
   stats_.frees.fetch_add(1, std::memory_order_relaxed);
   obs::record_event(obs::EventKind::kFree, user, rec->user_size, site);
-
-  revoke_locked(rec);
-  maybe_flush_locked();
+  return rec;
 }
 
 void ShadowEngine::free_remote(void* p, SiteId site) {
   if (p == nullptr) return;
   obs::ScopedLatency lat(obs::Hist::kFreeNs);
   stage_free_stack();
+  // The router (ShardedHeap) resolved `p` to a record of this engine by
+  // page; admission still rejects an interior or stale pointer.
   const std::uintptr_t user = vm::addr(p);
-  const ObjectRecord* found = ShadowRegistry::global().lookup(user);
-  // The router (ShardedHeap) only sends pointers it resolved to a record of
-  // this engine, so a miss here means the pointer went stale in between —
-  // report it like any invalid free. No lock is held on this path.
-  if (found == nullptr || found->user_shadow != user) {
-    stats_.invalid_frees.fetch_add(1, std::memory_order_relaxed);
-    DanglingReport report;
-    report.kind = AccessKind::kInvalidFree;
-    report.fault_address = user;
-    FaultManager::instance().raise_software(report);
-  }
-  auto* rec = const_cast<ObjectRecord*>(found);
-  ObjectState expected = ObjectState::kLive;
-  if (!rec->state.compare_exchange_strong(expected, ObjectState::kFreed,
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_acquire)) {
-    // Exact cross-thread double free: the CAS loser raises immediately, even
-    // though the winner's revocation may still be queued on the owner.
-    stats_.double_frees.fetch_add(1, std::memory_order_relaxed);
-    DanglingReport report;
-    report.kind = AccessKind::kFree;
-    report.fault_address = user;
-    report.object_base = rec->user_shadow;
-    report.object_size = rec->user_size;
-    report.alloc_site = rec->alloc_site;
-    report.free_site = rec->free_site.load(std::memory_order_relaxed);
-    copy_site_stacks(*rec, report);
-    FaultManager::instance().raise_software(report);
-  }
-  rec->free_site.store(site, std::memory_order_relaxed);
-  consume_free_stage(*rec);
-  stats_.frees.fetch_add(1, std::memory_order_relaxed);
+  ObjectRecord* rec =
+      admit_free(nullptr, ShadowRegistry::global().lookup(user), user, site);
   stats_.remote_frees.fetch_add(1, std::memory_order_relaxed);
-  obs::record_event(obs::EventKind::kFree, user, rec->user_size, site);
 
   // Lock-free MPSC push; the release CAS publishes free_site and the state
   // transition to the owner's acquire exchange in drain_remote_locked.
@@ -887,19 +844,15 @@ void ShadowEngine::free_remote(void* p, SiteId site) {
   // freed-but-unrevoked memory the queue can accumulate.
   if (remote_pending_.fetch_add(1, std::memory_order_relaxed) + 1 >=
       remote_drain_threshold_) {
-    drain_remote();
+    std::lock_guard lock(mu_);
+    drain_remote_locked();
   }
 }
 
-std::size_t ShadowEngine::drain_remote() {
-  std::lock_guard lock(mu_);
-  return drain_remote_locked();
-}
-
-std::size_t ShadowEngine::drain_remote_locked() {
+void ShadowEngine::drain_remote_locked() {
   ObjectRecord* node = remote_head_.exchange(nullptr,
                                              std::memory_order_acquire);
-  if (node == nullptr) return 0;
+  if (node == nullptr) return;
   std::size_t n = 0;
   while (node != nullptr) {
     ObjectRecord* next = node->remote_next.load(std::memory_order_relaxed);
@@ -911,7 +864,6 @@ std::size_t ShadowEngine::drain_remote_locked() {
   remote_pending_.fetch_sub(n, std::memory_order_relaxed);
   obs::record_event(obs::EventKind::kRemoteDrain, shard_id_, n);
   maybe_flush_locked();
-  return n;
 }
 
 void ShadowEngine::flush_protections() {
@@ -929,12 +881,12 @@ std::size_t ShadowEngine::pending_revocations() const {
 
 std::size_t ShadowEngine::quarantine_depth_bytes() const {
   std::lock_guard lock(mu_);
-  return quarantine_bytes_;
+  return quarantine_.bytes();
 }
 
 std::size_t ShadowEngine::reuse_delay_bytes() const {
   std::lock_guard lock(mu_);
-  return reuse_fifo_bytes_;
+  return reuse_fifo_.bytes();
 }
 
 std::size_t ShadowEngine::magazine_count() const {
@@ -979,22 +931,10 @@ void ShadowEngine::flush_protections_locked() {
     } else {
       // The merged call was refused; fall back to per-record protection so
       // one bad span cannot leave a whole run revocable-but-unprotected.
+      // A refused record is not retried.
       gov_->on_syscall_failure("protect-batch", r.err);
       for (std::size_t k = i; k < j; ++k) {
-        ObjectRecord* rec = pending_protect_[k];
-        const vm::sys::IoResult r2 = revoker_.revoke(
-            arena_, reinterpret_cast<void*>(rec->shadow_base),
-            rec->span_length);
-        stats_.protect_calls.fetch_add(1, std::memory_order_relaxed);
-        hold_freed_locked(rec);
-        if (r2.ok()) {
-          stats_.revoked_spans.fetch_add(1, std::memory_order_relaxed);
-          release_canonical_locked(rec);
-        } else {
-          stats_.guard_failures.fetch_add(1, std::memory_order_relaxed);
-          quarantine_locked(reinterpret_cast<void*>(rec->canonical),
-                            rec->user_size + kGuardHeader);
-        }
+        (void)revoke_record_locked(pending_protect_[k]);
       }
     }
     i = j;
@@ -1112,8 +1052,7 @@ void ShadowEngine::release_all() {
   // free into this engine, so one drain empties the remote list for good.
   drain_remote_locked();
   flush_protections_locked();  // pending canonical blocks must reach under_
-  drain_reuse_locked();
-  drain_quarantine_locked();
+  drain_held_locked();
   while (head_.next != &head_) {
     release_record_locked(head_.next);
   }

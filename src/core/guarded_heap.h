@@ -55,6 +55,7 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "alloc/alloc_iface.h"
@@ -154,18 +155,15 @@ class ShadowEngine {
 
   // Cross-shard free: callable from ANY thread, lock-free on this engine.
   // The record must be one of this engine's (rec->owner_shard routing is
-  // ShardedHeap's job). Transitions kLive->kFreed via CAS right here — a
+  // ShardedHeap's job). Takes the same admission as free() right here — a
   // double free, including one racing the owner, raises immediately with an
   // exact report — then pushes the record onto the MPSC remote list; the
-  // revocation mprotect and the canonical return happen when the owner (or
-  // any caller, via drain_remote) next drains. Until that drain the span is
-  // freed-but-unprotected: the same bounded detection-delay window as the
-  // revocation queue, shrunk to zero by draining.
+  // revocation and the canonical return happen when the owner next
+  // allocates or flushes, or when a producer crossing the backstop drains
+  // under the lock. Until that drain the span is freed-but-unprotected: the
+  // same bounded detection-delay window as the revocation queue, shrunk to
+  // zero by flush_protections().
   void free_remote(void* p, SiteId site = 0);
-
-  // Drains the remote-free list now (takes the engine lock; any thread may
-  // call). Returns the number of remote frees revoked.
-  std::size_t drain_remote();
 
   // Applies any deferred batched protections now (no-op when the revocation
   // queue is disabled or empty). Also drains the remote-free list first, so
@@ -178,8 +176,11 @@ class ShadowEngine {
   // (including concurrent remote frees: callers must quiesce other threads).
   void release_all();
 
-  // Recycles freed spans until at least `bytes` are reclaimed (oldest first).
-  // Returns bytes actually reclaimed. Used by the VA-budget strategy and GC.
+  // Recycles freed spans, oldest first, until at least `bytes` of guarded
+  // span are given up; returns the span bytes given up. A window-carved span
+  // keeps its VA until its window's last record goes, so the VA returned may
+  // lag. Tests use it; the §3.4 budget runs enforce_budget_locked and the GC
+  // freed_records()/reclaim().
   std::size_t reclaim_freed(std::size_t bytes);
 
   // --- conservative-GC support (advanced; see gc_scan.h) ---
@@ -304,14 +305,19 @@ class ShadowEngine {
   void evict_magazine_locked(const Magazine* keep);
   void drop_magazines_locked();
   void release_canonical_locked(ObjectRecord* rec);
-  std::size_t drain_reuse_locked();
   void free_locked(std::unique_lock<std::mutex>& lock, void* p, SiteId site);
+  ObjectRecord* admit_free(std::unique_lock<std::mutex>* lock,
+                           const ObjectRecord* found, std::uintptr_t user,
+                           SiteId site);
   void degraded_free_locked(void* p, SiteId site);
+  void release_parked_locked(void* block);
+  void park_locked(void* p);
   void quarantine_locked(void* block, std::size_t bytes);
-  std::size_t drain_quarantine_locked();
+  std::size_t drain_held_locked();
   void revoke_locked(ObjectRecord* rec);
+  vm::sys::IoResult revoke_record_locked(ObjectRecord* rec);
   void maybe_flush_locked();
-  std::size_t drain_remote_locked();
+  void drain_remote_locked();
   void hold_freed_locked(ObjectRecord* rec);
   void release_record_locked(ObjectRecord* rec);
   void unlink_locked(ObjectRecord* rec) noexcept;
@@ -345,24 +351,51 @@ class ShadowEngine {
   std::atomic<std::size_t> remote_pending_{0};
   std::size_t remote_drain_threshold_ = 256;
 
-  // Delayed-reuse quarantine for degraded frees (and for canonical blocks
-  // whose revocation mprotect was refused): the physical memory is parked,
-  // not recycled, so a stale pointer reads stale-but-unreused data instead of
-  // a new owner's — detection is suspended, never falsified (DESIGN.md §10).
-  struct ParkedBlock {
-    void* block;
-    std::size_t bytes;
-  };
-  std::deque<ParkedBlock> quarantine_;
-  std::size_t quarantine_bytes_ = 0;
+  // Canonical blocks held back from the allocator, oldest first, with their
+  // byte total. Each instance keeps its own release rule and accounting.
+  class HoldBack {
+   public:
+    void push(void* block, std::size_t bytes) {
+      blocks_.emplace_back(block, bytes);
+      bytes_ += bytes;
+    }
+    // Hands the front block to `release` while `more(front's bytes)` holds.
+    template <class More, class Release>
+    void release_while(More more, Release release) {
+      while (!blocks_.empty() && more(blocks_.front().second)) {
+        const auto [block, bytes] = blocks_.front();
+        blocks_.pop_front();
+        bytes_ -= bytes;
+        release(block);
+      }
+    }
+    // Releases every block; returns the bytes released.
+    template <class Release>
+    std::size_t drain(Release release) {
+      const std::size_t released = bytes_;
+      release_while([](std::size_t) { return true; }, release);
+      return released;
+    }
+    [[nodiscard]] std::size_t bytes() const noexcept { return bytes_; }
 
-  // Canonical reuse distance: revoked blocks, oldest first, each returned to
-  // under_ once reuse_distance_ bytes have been freed after it
-  // (kReuseDistancePages under immediate revocation with windows; 0, a
-  // pass-through, otherwise: a batched flush already defers reuse by
-  // protect_batch pages, and the per-object alias needs no distance).
-  std::deque<ParkedBlock> reuse_fifo_;
-  std::size_t reuse_fifo_bytes_ = 0;
+   private:
+    std::deque<std::pair<void*, std::size_t>> blocks_;
+    std::size_t bytes_ = 0;
+  };
+
+  // Delayed-reuse quarantine for degraded frees (and for canonical blocks
+  // whose revocation was refused): the physical memory is parked, not
+  // recycled, so a stale pointer reads stale-but-unreused data instead of a
+  // new owner's — detection is suspended, never falsified (DESIGN.md §10).
+  // Released while its bytes exceed the governor's quarantine budget.
+  HoldBack quarantine_;
+
+  // Canonical reuse distance: revoked blocks, each returned to under_ once
+  // reuse_distance_ bytes have been freed after it (kReuseDistancePages
+  // under immediate revocation with windows; 0, a pass-through, otherwise:
+  // a batched flush already defers reuse by protect_batch pages, and the
+  // per-object alias needs no distance).
+  HoldBack reuse_fifo_;
   std::size_t reuse_distance_ = 0;
 
   mutable std::mutex mu_;

@@ -256,10 +256,13 @@ TEST(BatchedProtect, BudgetInteraction) {
 
 // --- calloc / realloc ----------------------------------------------------------
 
+// A private governor, so a case can pin the rung with force_mode; no
+// recovery, so the pinned rung holds for the whole case.
 class CallocReallocTest : public ::testing::Test {
  protected:
   vm::PhysArena arena_{1u << 28};
-  ShardedHeap heap_{arena_, {}, 1};
+  DegradationGovernor gov_{GovernorConfig{.recover_after = 0}};
+  ShardedHeap heap_{arena_, GuardConfig{.governor = &gov_}, 1};
 };
 
 TEST_F(CallocReallocTest, CallocZeroesRecycledMemory) {
@@ -329,6 +332,65 @@ TEST_F(CallocReallocTest, ReallocOfFreedPointerReported) {
   const auto report = catch_dangling([&] { (void)heap_.realloc(p, 32); });
   ASSERT_TRUE(report.has_value());
   EXPECT_EQ(report->kind, AccessKind::kFree);
+}
+
+// realloc takes the old size from whichever source has it: the guarded
+// record (above), the sampled rung's ledger, or the degraded block's
+// allocator header. Any other pointer is an error.
+TEST_F(CallocReallocTest, ReallocMovesSampledFastPathPointer) {
+  gov_.force_mode(GuardMode::kSampled);
+  // The first allocation after arming is guarded; the next ones take the
+  // ledgered fast path (canonical pointer, no record).
+  std::vector<void*> guarded;
+  char* p = nullptr;
+  for (int i = 0; i < 8 && p == nullptr; ++i) {
+    auto* q = static_cast<char*>(heap_.malloc(24, /*site=*/1));
+    if (ShardedHeap::record_of(q) == nullptr) {
+      p = q;
+    } else {
+      guarded.push_back(q);
+    }
+  }
+  ASSERT_NE(p, nullptr) << "no fast-path allocation on the sampled rung";
+  std::strcpy(p, "fast path");
+  auto* q = static_cast<char*>(heap_.realloc(p, 4000, /*site=*/2));
+  ASSERT_NE(q, nullptr);
+  EXPECT_STREQ(q, "fast path");
+  // The realloc was the old pointer's first free; the ledger catches this
+  // second one with the object's attribution.
+  const auto report = catch_dangling([&] { heap_.free(p, /*site=*/3); });
+  ASSERT_TRUE(report.has_value());
+  EXPECT_EQ(report->kind, AccessKind::kFree);
+  EXPECT_EQ(report->object_base, vm::addr(p));
+  EXPECT_EQ(report->object_size, 24u);
+  EXPECT_EQ(report->alloc_site, 1u);
+  EXPECT_EQ(report->free_site, 2u);
+  heap_.free(q);
+  for (void* g : guarded) heap_.free(g);
+}
+
+TEST_F(CallocReallocTest, ReallocMovesDegradedPointer) {
+  gov_.force_mode(GuardMode::kQuarantineOnly);
+  auto* p = static_cast<char*>(heap_.malloc(40));
+  ASSERT_NE(p, nullptr);
+  ASSERT_EQ(ShardedHeap::record_of(p), nullptr);  // canonical pointer
+  std::strcpy(p, "degraded");
+  auto* q = static_cast<char*>(heap_.realloc(p, 3000));
+  ASSERT_NE(q, nullptr);
+  EXPECT_STREQ(q, "degraded");
+  EXPECT_EQ(heap_.stats().quarantined_frees, 1u);  // the old block parked
+  heap_.free(q);
+}
+
+TEST_F(CallocReallocTest, ReallocOfInteriorPointerIsInvalidFree) {
+  auto* p = static_cast<char*>(heap_.malloc(64));
+  const auto report =
+      catch_dangling([&] { (void)heap_.realloc(p + 16, 128); });
+  ASSERT_TRUE(report.has_value());
+  EXPECT_EQ(report->kind, AccessKind::kInvalidFree);
+  EXPECT_EQ(report->fault_address, vm::addr(p + 16));
+  EXPECT_EQ(heap_.stats().allocations, 1u) << "nothing was moved";
+  heap_.free(p);  // the object itself is still live
 }
 
 TEST_F(CallocReallocTest, DropInEntryPoints) {

@@ -114,6 +114,46 @@ TEST(ShardedHeap, CrossThreadDoubleFreeIsExact) {
   EXPECT_EQ(heap.stats().double_frees, 1u);
 }
 
+// A cross-thread free of an interior pointer resolves to the owner by page.
+// Whichever path takes it — the owner's locked free or the lock-free remote
+// one — admission must reject it as an invalid free and leave the object
+// live.
+TEST(ShardedHeap, CrossThreadInteriorFreeIsInvalid) {
+  vm::PhysArena arena;
+  DegradationGovernor gov;
+  GuardConfig cfg;
+  cfg.governor = &gov;
+  ShardedHeap heap(arena, cfg, 2);
+
+  char* p = static_cast<char*>(heap.malloc(512, /*site=*/5));
+  const ObjectRecord* rec = ShardedHeap::record_of(p);
+  ASSERT_NE(rec, nullptr);
+  // Two fresh threads: with two shards at least one of them has a home shard
+  // other than the owner, so at least one free takes free_remote.
+  int remote = 0;
+  for (int t = 0; t < 2; ++t) {
+    std::thread th([&] {
+      if (&heap.home_engine() != &heap.engine(rec->owner_shard)) ++remote;
+      auto rep = catch_dangling([&] { heap.free(p + 8, /*site=*/6); });
+      ASSERT_TRUE(rep.has_value());
+      EXPECT_EQ(rep->kind, AccessKind::kInvalidFree);
+      EXPECT_EQ(rep->fault_address, vm::addr(p + 8));
+    });
+    th.join();
+  }
+  EXPECT_GE(remote, 1);
+  GuardStats s = heap.stats();
+  EXPECT_EQ(s.invalid_frees, 2u);
+  EXPECT_EQ(s.frees, 0u);
+  EXPECT_EQ(s.remote_frees, 0u);
+
+  heap.free(p);  // the object itself is still live
+  heap.flush_all();
+  s = heap.stats();
+  EXPECT_EQ(s.frees, 1u);
+  EXPECT_EQ(s.revoked_spans, 1u);
+}
+
 TEST(ShardedHeap, RacingFreesProduceExactlyOneDoubleFreeReport) {
   vm::PhysArena arena;
   DegradationGovernor gov;
