@@ -50,8 +50,8 @@ struct InterpOptions {
   bool honor_schemes = true;
   // Degradation-ladder A/B knobs (pirc --rung / --sample-rate). forced_rung
   // pins a private governor to one rung for the interpreter's lifetime
-  // (core::GuardMode numbering: 0 full-guard, 1 sampled, 2 quarantine-only,
-  // 3 unguarded; -1 = adaptive process default). sample_rate fixes the
+  // (core::GuardMode numbering: 0 full-guard, 1 sampled, 2 quarantine-only;
+  // -1 = adaptive process default). sample_rate fixes the
   // sampled rung's 1-in-N; 0 keeps the governor default (or DPG_SAMPLE_RATE).
   // Setting either knob gives the run its own governor, so A/B comparisons
   // do not perturb — or inherit pressure from — the process-wide ladder.

@@ -113,13 +113,6 @@ DegradationGovernor& DegradationGovernor::process() {
               GuardMode::kQuarantineOnly);
         },
         gov);
-    obs::register_counter_fn(
-        "dpg_rung_residency_ns_unguarded",
-        +[](const void* ctx) noexcept {
-          return static_cast<const DegradationGovernor*>(ctx)->residency_ns(
-              GuardMode::kUnguarded);
-        },
-        gov);
     // Contribute the ladder history to crash dumps. The section renderer is
     // async-signal-safe: history_consistent() is lock-free and the payload
     // is plain struct copies into the writer's scratch buffer. The
@@ -190,7 +183,7 @@ void DegradationGovernor::shift_mode(GuardMode to, const char* why,
   const std::uint64_t now = now_ns();
   const std::uint64_t since =
       last_transition_ns_.load(std::memory_order_relaxed);
-  residency_ns_[static_cast<int>(from) & 3].fetch_add(
+  residency_ns_[static_cast<int>(from)].fetch_add(
       now > since ? now - since : 0, std::memory_order_relaxed);
   last_transition_ns_.store(now, std::memory_order_relaxed);
   // A demotion onto the sampled rung starts at the base rate; a promotion
@@ -355,7 +348,7 @@ void DegradationGovernor::on_syscall_failure(const char* what,
   (void)err;
   ctr_.syscall_failures.fetch_add(1, std::memory_order_relaxed);
   const GuardMode m = mode();
-  if (m == GuardMode::kUnguarded) return;  // already at the bottom
+  if (m == GuardMode::kQuarantineOnly) return;  // already at the bottom
   // The sampled rung absorbs refusals by widening N until the ceiling.
   if (m == GuardMode::kSampled && widen_sample_rate(what)) return;
   shift_mode(static_cast<GuardMode>(static_cast<int>(m) + 1), what,
@@ -402,7 +395,8 @@ bool DegradationGovernor::sample_this_alloc() noexcept {
 }
 
 std::uint64_t DegradationGovernor::residency_ns(GuardMode r) const noexcept {
-  const int idx = static_cast<int>(r) & 3;
+  const int idx = static_cast<int>(r);
+  if (idx < 0 || idx >= kRungCount) return 0;
   std::uint64_t total = residency_ns_[idx].load(std::memory_order_relaxed);
   if (static_cast<int>(r) == mode_.load(std::memory_order_relaxed)) {
     const std::uint64_t since =
@@ -414,6 +408,7 @@ std::uint64_t DegradationGovernor::residency_ns(GuardMode r) const noexcept {
 }
 
 void DegradationGovernor::force_mode(GuardMode m) noexcept {
+  if (static_cast<int>(m) < 0 || static_cast<int>(m) >= kRungCount) return;
   shift_mode(m, "forced", static_cast<int>(m) < static_cast<int>(mode()));
 }
 

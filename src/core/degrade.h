@@ -10,25 +10,25 @@
 //
 // The ladder (one-way rungs downward, hysteresis upward):
 //
-//   kFullGuard       every allocation gets a shadow alias; frees revoke via
-//                    PROT_NONE. Full detection (the paper's mode).
+//   kFullGuard       every allocation gets a shadow alias; frees revoke the
+//                    span. Full detection (the paper's mode).
 //   kSampled         guard 1-in-N allocations (GWP-ASan style per-thread
-//                    decrementing counter). Unsampled allocations take a
-//                    fast unguarded path that still records alloc/free, so
-//                    double frees stay exactly detected; dangling *uses* of
+//                    decrementing counter). Unsampled allocations take the
+//                    ledgered fast path: canonical pointer, no alias, but
+//                    alloc/free are recorded (core/sampled.h), so double and
+//                    invalid frees stay exactly detected; dangling *uses* of
 //                    unsampled objects go undetected. Under continued
 //                    pressure the governor widens N (doubling up to
 //                    sample_rate_max) before demoting further; hysteresis
 //                    relief re-tightens N back toward the base rate before
 //                    promoting to full guarding.
-//   kQuarantineOnly  no new shadow aliases (no mmap, no new VMAs); frees of
-//                    degraded objects enter a delayed-reuse quarantine so
-//                    stale pointers dereference stale-but-unreused memory
-//                    instead of a neighbour's data. Already-guarded objects
-//                    keep their guarantees.
-//   kUnguarded       straight passthrough to the underlying allocator —
-//                    last resort when even bookkeeping-free operation is all
-//                    the kernel will give us.
+//   kQuarantineOnly  the sampled rung with no winners: no new shadow aliases
+//                    (no mmap, no new VMAs); every allocation takes the
+//                    ledgered fast path and every free enters the delayed-
+//                    reuse quarantine, so stale pointers dereference stale-
+//                    but-unreused memory instead of a neighbour's data.
+//                    Already-guarded objects keep their guarantees. The
+//                    bottom rung: a refusal here changes nothing.
 //
 // Invariant (DESIGN.md §10): degradation may *suspend* detection, never
 // falsify it — no mode ever produces a false positive, and objects guarded
@@ -57,8 +57,9 @@ enum class GuardMode : int {
   kFullGuard = 0,
   kSampled = 1,
   kQuarantineOnly = 2,
-  kUnguarded = 3,
 };
+
+inline constexpr int kRungCount = 3;
 
 // One degradation-ladder transition, kept in a bounded ring for postmortem
 // dumps (the kLadder section of a .dpgcrash file — see obs/dump.h). Field
@@ -80,7 +81,6 @@ struct LadderRecord {
     case GuardMode::kFullGuard: return "full-guard";
     case GuardMode::kSampled: return "sampled";
     case GuardMode::kQuarantineOnly: return "quarantine-only";
-    case GuardMode::kUnguarded: return "unguarded";
   }
   return "?";
 }
@@ -93,7 +93,8 @@ struct GovernorConfig {
   // Clean allocations required before retrying one rung up. 0 disables
   // recovery (sticky degradation).
   std::uint64_t recover_after = 4096;
-  // Delayed-reuse quarantine budget for degraded frees (bytes).
+  // Delayed-reuse quarantine budget (bytes): ledgered frees and refused
+  // revocations park here.
   std::size_t quarantine_bytes = std::size_t{64} << 20;
   // Base 1-in-N guard rate on the kSampled rung (DPG_SAMPLE_RATE for the
   // process-wide governor). Clamped to >= 1; N == 1 guards everything.
@@ -112,7 +113,7 @@ struct GovernorCounters {
   std::atomic<std::uint64_t> arena_failures{0};
   std::atomic<std::uint64_t> recoveries{0};       // promotions only
   std::atomic<std::uint64_t> vma_estimate{0};     // live guard VMAs (gauge)
-  std::atomic<std::uint64_t> degraded_allocs{0};  // served without a guard
+  std::atomic<std::uint64_t> degraded_allocs{0};  // served on the bottom rung
   std::atomic<std::uint64_t> guard_errors{0};     // C-boundary catches
   std::atomic<std::uint64_t> sample_rate_effective{0};  // current N (gauge)
   std::atomic<std::uint64_t> sample_widens{0};    // N doublings under pressure
@@ -142,9 +143,8 @@ class DegradationGovernor {
   // sampled rung, otherwise drop one rung.
   void on_syscall_failure(const char* what, int err) noexcept;
 
-  // Arena growth failed even after relief: physical exhaustion. Drops to
-  // kUnguarded only if quarantined memory cannot be returned (the engine
-  // drains its quarantine first and retries; this is the last-resort note).
+  // Arena growth failed: physical exhaustion. Counted only; no rung change
+  // (the engine drains its hold-back queues and retries once).
   void on_arena_exhausted() noexcept;
 
   // Guard-VMA accounting from the engines (coarse: one per fresh shadow
@@ -196,7 +196,7 @@ class DegradationGovernor {
                                  std::uint32_t* mode_out) const noexcept;
 
   // Test/bench hook: pin the ladder to a rung (counts as a transition when
-  // the rung actually changes).
+  // the rung actually changes). A value outside the ladder is ignored.
   void force_mode(GuardMode m) noexcept;
 
   // Renders this governor's state as a kLadder dump section (LadderHeader +
@@ -244,7 +244,7 @@ class DegradationGovernor {
   std::atomic<std::uint64_t> sample_n_{64};        // effective 1-in-N
   std::atomic<std::uint64_t> pressure_ticks_{0};   // sampled-rung pressure
   std::atomic<std::uint64_t> last_transition_ns_{0};
-  std::atomic<std::uint64_t> residency_ns_[4] = {};
+  std::atomic<std::uint64_t> residency_ns_[kRungCount] = {};
   SampleSlot sample_slots_[kSampleSlots];
   std::mutex transition_mu_;
   GovernorCounters ctr_;

@@ -4,7 +4,7 @@
 #include <cassert>
 #include <cstring>
 #include <limits>
-#include <stdexcept>
+#include <new>
 
 #include "core/fault_manager.h"
 #include "obs/backtrace.h"
@@ -175,10 +175,9 @@ void* ShadowEngine::realloc(void* p, std::size_t new_size, SiteId site) {
     free_locked(lock, p, site);
     return nullptr;
   }
-  // The old size, from whichever source has it: a live guarded record, a
-  // live ledger entry, then a degraded block (the allocator's own header).
-  // Any other pointer — stale, interior, foreign — moves nothing, and
-  // free_locked raises for it.
+  // The old size, from whichever source has it: a live guarded record or a
+  // live ledger entry. Any other pointer — stale, interior, foreign — moves
+  // nothing, and free_locked raises for it.
   constexpr std::size_t kUnknown = std::numeric_limits<std::size_t>::max();
   std::size_t old_size = kUnknown;
   const std::uintptr_t user = vm::addr(p);
@@ -191,9 +190,6 @@ void* ShadowEngine::realloc(void* p, std::size_t new_size, SiteId site) {
     }
   } else if (!sampled_->empty() && sampled_->lookup_live(user, &ent)) {
     old_size = ent.size;
-  } else if (degraded_pointers_possible() &&
-             (sampled_->empty() || !sampled_->is_freed(user))) {
-    old_size = under_.size_of(p);
   }
   void* fresh = nullptr;
   if (old_size != kUnknown) {
@@ -221,13 +217,12 @@ void* ShadowEngine::do_alloc_locked(std::size_t size, SiteId site) {
     case GuardMode::kSampled:
       // 1-in-N winners get the full shadow alias; the rest take the ledgered
       // fast path (exact double-free detection, no VMA, no syscall).
-      return gov_->sample_this_alloc() ? guarded_alloc_locked(size, site)
-                                       : sampled_fast_alloc_locked(size, site);
+      if (gov_->sample_this_alloc()) return guarded_alloc_locked(size, site);
+      break;
     case GuardMode::kQuarantineOnly:
-    case GuardMode::kUnguarded:
       break;
   }
-  return degraded_alloc_locked(size, site);
+  return ledgered_alloc_locked(size, site);
 }
 
 // Underlying allocation with exhaustion handling: on bad_alloc the governor
@@ -256,49 +251,24 @@ void* ShadowEngine::alloc_canonical_locked(std::size_t bytes) {
   return p;
 }
 
-void* ShadowEngine::degraded_alloc_locked(std::size_t size, SiteId site) {
-  // No shadow alias, no registry record, no new VMA: the canonical pointer
-  // itself is handed out. Recognized at free time by registry miss (see
-  // free_locked), which is unambiguous only because every guarded user
-  // pointer lives on a shadow page.
-  void* p = alloc_canonical_locked(size);
-  if (p == nullptr) return nullptr;
-  stats_.degraded_allocs.fetch_add(1, std::memory_order_relaxed);
-  gov_->count_degraded_alloc();
-  obs::record_event(obs::EventKind::kAlloc, vm::addr(p), size, site);
-  return p;
-}
-
-void* ShadowEngine::sampled_fast_alloc_locked(std::size_t size, SiteId site) {
-  // Sampled rung, unsampled allocation: canonical pointer out, no alias, no
-  // registry record — but unlike the degraded path the ledger keeps the
-  // {site, size} binding so a double free of this pointer is still exact.
+// Every allocation without a shadow alias — a sampled-rung loser, the
+// bottom rung, the re-serve after a guard refusal — takes this path: the
+// canonical pointer goes out with no alias, no registry record and no VMA,
+// and the ledger keeps its {site, size} binding so its free, a double free
+// and an interior free all stay exact. It counts on the rung the ladder is
+// on now, so a re-serve counts where the refusal moved the ladder.
+void* ShadowEngine::ledgered_alloc_locked(std::size_t size, SiteId site) {
   void* p = alloc_canonical_locked(size);
   if (p == nullptr) return nullptr;
   sampled_->insert(vm::addr(p), size, site);
-  stats_.sampled_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (gov_->mode() == GuardMode::kQuarantineOnly) {
+    stats_.degraded_allocs.fetch_add(1, std::memory_order_relaxed);
+    gov_->count_degraded_alloc();
+  } else {
+    stats_.sampled_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
   obs::record_event(obs::EventKind::kAlloc, vm::addr(p), size, site);
   return p;
-}
-
-void* ShadowEngine::fallback_alloc_locked(std::size_t size, SiteId site) {
-  // A guard-path refusal just moved the ladder; re-serve through whatever
-  // rung it landed on. The oracle classifies pointers by the POST-op rung,
-  // so the fallback must take the same branch an ordinary allocation under
-  // the new rung would (sampled rung: this allocation was not guarded, so it
-  // is a fast-path object regardless of what the next sample draw says).
-  return gov_->mode() == GuardMode::kSampled
-             ? sampled_fast_alloc_locked(size, site)
-             : degraded_alloc_locked(size, site);
-}
-
-bool ShadowEngine::degraded_pointers_possible() const noexcept {
-  // A registry miss at free time can only be a degraded pointer if SOME
-  // engine sharing this governor has served one: shards share the underlying
-  // heap, so a degraded canonical pointer may be freed on any shard, not just
-  // the one that allocated it. Every degraded allocation bumps the
-  // governor's counter (degraded_alloc_locked).
-  return gov_->counters().degraded_allocs.load(std::memory_order_relaxed) != 0;
 }
 
 void* ShadowEngine::install_record_locked(void* shadow_base,
@@ -560,8 +530,8 @@ void* ShadowEngine::guarded_alloc_locked(std::size_t size, SiteId site) {
   void* fixed = acquire_va_locked(span_len);
 
   // Guard-path kernel calls, all Result-returning: any refusal rolls the
-  // allocation back, drops the governor one rung, and re-serves the request
-  // through the degraded path — the caller never sees the failure.
+  // allocation back, moves the governor down, and re-serves the request on
+  // the ledgered fast path — the caller never sees the failure.
   //
   // A trailing guard page is the alias's last page, revoked before the
   // object is handed out. It aliases the canonical page after the span (a
@@ -589,7 +559,7 @@ void* ShadowEngine::guarded_alloc_locked(std::size_t size, SiteId site) {
     }
     stats_.guard_failures.fetch_add(1, std::memory_order_relaxed);
     gov_->on_syscall_failure("shadow-alias", alias.err);
-    return fallback_alloc_locked(size, site);
+    return ledgered_alloc_locked(size, site);
   }
   obs::record_event(obs::EventKind::kShadowMap, vm::addr(alias.ptr),
                     span_len);
@@ -616,23 +586,16 @@ void ShadowEngine::free(void* p, SiteId site) {
   free_locked(lock, p, site);
 }
 
-// Returns a parked degraded block to the allocator. A garbage pointer
-// absorbed in degraded mode fails the allocator's magic check: attribution
-// is lost, the count is not.
-void ShadowEngine::release_parked_locked(void* block) {
-  try {
-    under_.free(block);
-  } catch (const std::logic_error&) {
-    stats_.invalid_frees.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
+// Parks a canonical block whose reuse must wait: a ledgered free, or a
+// record whose revocation was refused. Every parked block was admitted
+// exactly once — by the ledger's live->freed transition or by the record's
+// kLive->kFreed CAS — so it is a live allocator block until released here.
 void ShadowEngine::quarantine_locked(void* block, std::size_t bytes) {
   quarantine_.push(block, bytes);
   const std::size_t budget = gov_->quarantine_budget();
   quarantine_.release_while(
       [&](std::size_t) { return quarantine_.bytes() > budget; },
-      [this](void* b) { release_parked_locked(b); });
+      [this](void* b) { under_.free(b); });
 }
 
 // Every successfully revoked canonical block enters the reuse FIFO and
@@ -659,29 +622,8 @@ void ShadowEngine::release_canonical_locked(ObjectRecord* rec) {
 std::size_t ShadowEngine::drain_held_locked() {
   std::size_t released = reuse_fifo_.drain([this](void* b) { under_.free(b); });
   stats_.reuse_delay_bytes.store(0, std::memory_order_relaxed);
-  released += quarantine_.drain([this](void* b) { release_parked_locked(b); });
+  released += quarantine_.drain([this](void* b) { under_.free(b); });
   return released;
-}
-
-void ShadowEngine::degraded_free_locked(void* p, SiteId site) {
-  obs::record_event(obs::EventKind::kFree, vm::addr(p), 0, site);
-  if (gov_->mode() == GuardMode::kUnguarded) {
-    release_parked_locked(p);
-    return;
-  }
-  // Delayed reuse: the block sits in FIFO quarantine so a stale pointer to it
-  // dereferences stale-but-unreused memory, not a new owner's data.
-  stats_.quarantined_frees.fetch_add(1, std::memory_order_relaxed);
-  park_locked(p);
-}
-
-// Quarantines a canonical block by the size in its allocator header. A
-// garbage pointer yields a garbage size, so clamp to keep one bad entry from
-// flushing the whole quarantine.
-void ShadowEngine::park_locked(void* p) {
-  std::size_t bytes = under_.size_of(p);
-  if (bytes == 0 || bytes > (std::size_t{1} << 32)) bytes = vm::kPageSize;
-  quarantine_locked(p, bytes);
 }
 
 // Revocation of one freed record: protect the span and return the canonical
@@ -732,12 +674,11 @@ void ShadowEngine::free_locked(std::unique_lock<std::mutex>& lock, void* p,
                                SiteId site) {
   const std::uintptr_t user = vm::addr(p);
   if (!sampled_->empty()) {
-    // Sampled-rung ledger first: it has EXACT knowledge of fast-path
-    // pointers, so it must win over the best-effort degraded disposition —
-    // and since ledgered (canonical) and guarded (shadow-page) addresses are
-    // disjoint by construction, a hit is definitive without consulting the
-    // registry at all. A miss (guarded or degraded pointer) pays one hash
-    // find extra, only while the ledger is non-empty.
+    // Ledger first: it has exact knowledge of fast-path pointers, and since
+    // ledgered (canonical) and guarded (shadow-page) addresses are disjoint
+    // by construction, a hit is definitive without consulting the registry
+    // at all. A miss pays one hash find extra, only while the ledger is
+    // non-empty.
     SampledTable::Entry ent;
     switch (sampled_->on_free(user, site, &ent)) {
       case SampledTable::FreeResult::kMiss:
@@ -745,30 +686,24 @@ void ShadowEngine::free_locked(std::unique_lock<std::mutex>& lock, void* p,
       case SampledTable::FreeResult::kFreed:
         // First free of a fast-path object: ledger transition done; the block
         // parks in quarantine so the address cannot be rebound while the
-        // freed entry could still catch a double free.
+        // freed entry could still catch a double free, and a stale pointer
+        // reads stale-but-unreused memory, not a new owner's data.
         stats_.sampled_frees.fetch_add(1, std::memory_order_relaxed);
         obs::record_event(obs::EventKind::kFree, user, ent.size, site);
-        park_locked(p);
+        quarantine_locked(p, under_.size_of(p));
         return;
       case SampledTable::FreeResult::kDoubleFree:
-        // Exact double free of an unsampled object — the rung's headline
-        // guarantee. The entry carries the first free's attribution.
+        // Exact double free of a fast-path object. The entry carries the
+        // first free's attribution.
         raise_report(&lock, stats_.double_frees,
                      double_free_report(user, user, ent.size, ent.alloc_site,
                                         ent.free_site));
     }
   }
-  const ObjectRecord* found = ShadowRegistry::global().lookup(user);
-  if (found == nullptr && degraded_pointers_possible()) {
-    // Once any engine under this governor has served a degraded allocation, a
-    // registry miss is (almost surely) such a pointer coming back. Before the
-    // first degraded allocation a miss is still reported as an invalid free
-    // exactly as in full-guard mode — degradation never weakens a run it
-    // never touched.
-    degraded_free_locked(p, site);
-    return;
-  }
-  revoke_locked(admit_free(&lock, found, user, site));
+  // A pointer that misses both the ledger and the registry is an invalid
+  // free on every rung.
+  revoke_locked(
+      admit_free(&lock, ShadowRegistry::global().lookup(user), user, site));
   maybe_flush_locked();
 }
 

@@ -107,8 +107,8 @@ struct GuardConfig {
   // Degradation policy (core/degrade.h). nullptr = share the process-wide
   // governor; tests and benches pass their own to pin or observe the ladder.
   DegradationGovernor* governor = nullptr;
-  // Exact double-free ledger for the sampled rung's unguarded fast path
-  // (core/sampled.h). Must be shared across every engine that shares an
+  // Exact alloc/free ledger for the fast path every allocation without a
+  // shadow alias takes (core/sampled.h). Must be shared across every engine that shares an
   // underlying heap (ShardedHeap wires its own in); nullptr = the engine
   // keeps a private table, correct for pools, whose frees route back to the
   // allocating pool.
@@ -253,7 +253,7 @@ class ShadowEngine {
 
   // --- oracle introspection (src/fuzz, tests) ---
   // Resolves a pointer previously returned by malloc to its record, or
-  // nullptr for degraded/unguarded/foreign pointers. Interior pointers
+  // nullptr for fast-path (canonical) and foreign pointers. Interior pointers
   // resolve to nullptr too: the fuzzer uses this to learn whether an
   // allocation ended up guarded, so only exact user pointers count.
   [[nodiscard]] static const ObjectRecord* record_of(const void* p);
@@ -290,9 +290,7 @@ class ShadowEngine {
 
   void* do_alloc_locked(std::size_t size, SiteId site);
   void* guarded_alloc_locked(std::size_t size, SiteId site);
-  void* degraded_alloc_locked(std::size_t size, SiteId site);
-  void* sampled_fast_alloc_locked(std::size_t size, SiteId site);
-  void* fallback_alloc_locked(std::size_t size, SiteId site);
+  void* ledgered_alloc_locked(std::size_t size, SiteId site);
   void* alloc_canonical_locked(std::size_t bytes);
   void* install_record_locked(void* shadow_base, std::size_t span_len,
                               std::size_t guard, std::uintptr_t canon_addr,
@@ -309,9 +307,6 @@ class ShadowEngine {
   ObjectRecord* admit_free(std::unique_lock<std::mutex>* lock,
                            const ObjectRecord* found, std::uintptr_t user,
                            SiteId site);
-  void degraded_free_locked(void* p, SiteId site);
-  void release_parked_locked(void* block);
-  void park_locked(void* p);
   void quarantine_locked(void* block, std::size_t bytes);
   std::size_t drain_held_locked();
   void revoke_locked(ObjectRecord* rec);
@@ -323,7 +318,6 @@ class ShadowEngine {
   void unlink_locked(ObjectRecord* rec) noexcept;
   void flush_protections_locked();
   void enforce_budget_locked();
-  [[nodiscard]] bool degraded_pointers_possible() const noexcept;
 
   vm::PhysArena& arena_;
   alloc::MallocLike& under_;
@@ -383,7 +377,7 @@ class ShadowEngine {
     std::size_t bytes_ = 0;
   };
 
-  // Delayed-reuse quarantine for degraded frees (and for canonical blocks
+  // Delayed-reuse quarantine for fast-path frees (and for canonical blocks
   // whose revocation was refused): the physical memory is parked, not
   // recycled, so a stale pointer reads stale-but-unreused data instead of a
   // new owner's — detection is suspended, never falsified (DESIGN.md §10).

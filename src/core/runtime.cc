@@ -61,7 +61,6 @@ constexpr NamedField kExported[] = {
     {"dpg_tagged_frees", &GuardCounters::tagged_frees},
     {"dpg_tag_mismatches", &GuardCounters::tag_mismatches},
     {"dpg_heap_degraded_allocs", &GuardCounters::degraded_allocs},
-    {"dpg_quarantined_frees", &GuardCounters::quarantined_frees},
     {"dpg_sampled_allocs", &GuardCounters::sampled_allocs},
     {"dpg_sampled_frees", &GuardCounters::sampled_frees},
     {"dpg_guard_failures", &GuardCounters::guard_failures},

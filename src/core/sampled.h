@@ -1,17 +1,18 @@
-// SampledTable — the exact alloc/free ledger behind the governor's kSampled
-// rung (core/degrade.h).
+// SampledTable — the exact alloc/free ledger behind the governor's lower
+// rungs (core/degrade.h).
 //
-// On the sampled rung only 1-in-N allocations get a shadow alias; the other
-// N-1 are served straight from the underlying allocator. The ladder invariant
-// (DESIGN.md §10) still demands that no mode falsify detection, and the rung's
-// contract additionally promises that *double frees stay exactly detected*
-// even for unsampled objects: GWP-ASan pays the same cost for the same reason.
-// This table is that bookkeeping — a canonical-address -> {site, size, freed}
-// map populated by the sampled fast path and consulted on every registry-miss
-// free. A live entry makes the free exact (marked freed, block quarantined so
-// the address cannot be recycled out from under the ledger); a freed entry is
-// a caught double free with the original allocation site attached; a miss
-// falls through to the pre-existing degraded/invalid-free disposition.
+// On the sampled rung only 1-in-N allocations get a shadow alias, and on the
+// quarantine-only rung none do; the rest are served straight from the
+// underlying allocator. The ladder invariant (DESIGN.md §10) still demands
+// that no mode falsify detection, and the fast path additionally promises
+// that *double and invalid frees stay exactly detected* for objects without
+// an alias: GWP-ASan pays the same cost for the same reason. This table is
+// that bookkeeping — a canonical-address -> {site, size, freed} map
+// populated by the fast path and consulted first on every free. A live entry
+// makes the free exact (marked freed, block quarantined so the address
+// cannot be recycled out from under the ledger); a freed entry is a caught
+// double free with the original allocation site attached; a miss falls
+// through to the registry, where a second miss is an invalid free.
 //
 // Sharing: ShardedHeap threads allocate on their home shard but may free on
 // any (the underlying heap is shared), so the table must be shared across
@@ -25,7 +26,7 @@
 // tracks at most the set of addresses the allocator has not yet recycled.
 // A freed entry whose block leaves quarantine early (budget eviction) can
 // therefore be recycled before its entry is consulted again — the same
-// bounded-quarantine trade the degraded rungs already make.
+// bounded-quarantine trade every rung below full guard makes.
 #pragma once
 
 #include <atomic>
@@ -86,15 +87,6 @@ class SampledTable {
     if (it == sh.map.end() || it->second.freed) return false;
     *out = it->second;
     return true;
-  }
-
-  // True when addr has a freed entry (a pointer whose reuse is a caught
-  // double free / stale realloc).
-  bool is_freed(std::uintptr_t addr) const {
-    Shard& sh = shard_of(addr);
-    std::lock_guard lock(sh.mu);
-    auto it = sh.map.find(addr);
-    return it != sh.map.end() && it->second.freed;
   }
 
   // The underlying allocator recycled addr to a new owner: any stale entry

@@ -72,8 +72,8 @@ void ShardedHeap::free(void* p, SiteId site) {
       ShadowRegistry::global().lookup(vm::addr(p));
   const std::uint32_t home = home_shard();
   if (rec == nullptr) {
-    // Degraded pointer (any shard's — the underlying heap is shared) or an
-    // invalid free; the home engine owns that disposition.
+    // Fast-path pointer (any shard's — the underlying heap and the ledger
+    // are shared) or an invalid free; the home engine owns that disposition.
     engines_[home]->free(p, site);
     return;
   }

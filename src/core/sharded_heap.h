@@ -10,9 +10,10 @@
 // quarantine, counters) across DPG_SHARDS engines. Deliberately shared:
 //
 //   PhysArena + SegregatedHeap  one canonical address space and allocator —
-//                               required so a degraded canonical pointer, or
+//                               required so a fast-path canonical pointer, or
 //                               a block freed on a different thread than its
-//                               allocator, still resolves correctly.
+//                               allocator, still resolves correctly (the
+//                               fast path's ledger is shared the same way).
 //   VaFreeList                  shadow VAs recycled by any shard serve all
 //                               shards (the paper's shared free list).
 //   DegradationGovernor         one global ladder; a syscall refusal on one
@@ -101,8 +102,8 @@ class ShardedHeap {
   alloc::SegregatedHeap heap_;  // internally mutexed; shared by all shards
   vm::VaFreeList shadow_va_;
   ShadowListLink link_;
-  // Sampled-rung ledger, shared like the heap: a fast-path object allocated
-  // on one shard may be freed through any shard's registry-miss path.
+  // Fast-path ledger, shared like the heap: a fast-path object allocated on
+  // one shard may be freed on any shard.
   SampledTable sampled_;
   // Engines must be destroyed before the members they reference; keep last.
   // Each engine's release_all drains its own remote list and returns its

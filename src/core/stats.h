@@ -58,11 +58,10 @@ struct GuardStats {
                                            // (static analysis proved the
                                            // site SAFE; no shadow alias, no
                                            // PROT_NONE at free)
-  std::uint64_t degraded_allocs = 0;      // served without a guard because
-                                           // the DegradationGovernor demoted
-                                           // the engine (core/degrade.h)
-  std::uint64_t quarantined_frees = 0;    // degraded frees parked in the
-                                           // delayed-reuse quarantine
+  std::uint64_t degraded_allocs = 0;      // served on the ledgered fast
+                                           // path because the governor sits
+                                           // on its bottom rung
+                                           // (core/degrade.h)
   std::uint64_t guard_failures = 0;       // kernel refused a guard syscall
                                            // (alias mmap / revocation
                                            // mprotect); detection suspended
@@ -79,16 +78,17 @@ struct GuardStats {
                                            // revocation runs
   std::uint64_t revoked_spans = 0;        // freed records whose shadow span
                                            // was revoked (exactness
-                                           // audit: frees - quarantined
-                                           // frees - pending == revoked)
+                                           // audit: frees - refused
+                                           // revocations - pending ==
+                                           // revoked)
   std::uint64_t remote_frees = 0;         // frees queued cross-shard onto
                                            // the owner's MPSC list
   std::uint64_t sampled_allocs = 0;       // sampled-rung allocations served
-                                           // on the unguarded fast path (the
+                                           // on the ledgered fast path (the
                                            // 1-in-N winners count under
                                            // allocations like any guard)
-  std::uint64_t sampled_frees = 0;        // frees of those fast-path objects
-                                           // resolved via the sampled ledger
+  std::uint64_t sampled_frees = 0;        // frees of fast-path objects, on
+                                           // any rung, resolved via the ledger
                                            // (exact double-free detection
                                            // kept; block quarantined)
   std::uint64_t tagged_allocs = 0;        // lock-and-key lane allocations
@@ -116,7 +116,6 @@ struct GuardStats {
     protect_calls_saved += o.protect_calls_saved;
     guards_elided += o.guards_elided;
     degraded_allocs += o.degraded_allocs;
-    quarantined_frees += o.quarantined_frees;
     guard_failures += o.guard_failures;
     magazine_maps += o.magazine_maps;
     magazine_hits += o.magazine_hits;
@@ -151,7 +150,6 @@ struct GuardCounters {
   alignas(vm::kCacheLine) std::atomic<std::uint64_t> protect_calls_saved{0};
   alignas(vm::kCacheLine) std::atomic<std::uint64_t> guards_elided{0};
   alignas(vm::kCacheLine) std::atomic<std::uint64_t> degraded_allocs{0};
-  alignas(vm::kCacheLine) std::atomic<std::uint64_t> quarantined_frees{0};
   alignas(vm::kCacheLine) std::atomic<std::uint64_t> guard_failures{0};
   alignas(vm::kCacheLine) std::atomic<std::uint64_t> magazine_maps{0};
   alignas(vm::kCacheLine) std::atomic<std::uint64_t> magazine_hits{0};
@@ -183,7 +181,6 @@ struct GuardCounters {
         protect_calls_saved.load(std::memory_order_relaxed);
     s.guards_elided = guards_elided.load(std::memory_order_relaxed);
     s.degraded_allocs = degraded_allocs.load(std::memory_order_relaxed);
-    s.quarantined_frees = quarantined_frees.load(std::memory_order_relaxed);
     s.guard_failures = guard_failures.load(std::memory_order_relaxed);
     s.magazine_maps = magazine_maps.load(std::memory_order_relaxed);
     s.magazine_hits = magazine_hits.load(std::memory_order_relaxed);

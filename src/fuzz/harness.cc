@@ -324,20 +324,15 @@ Outcome classify_outcome(const std::optional<core::DanglingReport>& rep) {
   }
 }
 
-Guardness classify_guard(const void* p, core::GuardMode mode) {
+Guardness classify_guard(const void* p) {
   if (core::LockAndKeyLane::is_tagged(reinterpret_cast<std::uint64_t>(p))) {
     return Guardness::kTagged;
   }
-  if (core::ShadowEngine::record_of(p) != nullptr) return Guardness::kGuarded;
-  // No registry record: the rung at return tells the rest apart. On the
-  // sampled rung an unguarded allocation is ledgered (fast path), and a
-  // sampled WINNER was already caught by the record_of check above — the
-  // per-allocation sampling decision is introspected, never re-modelled.
-  switch (mode) {
-    case core::GuardMode::kUnguarded: return Guardness::kPassthrough;
-    case core::GuardMode::kSampled: return Guardness::kSampledFast;
-    default: return Guardness::kQuarantined;
-  }
+  // A sampled WINNER has a registry record — the per-allocation sampling
+  // decision is introspected, never re-modelled. Every other allocation
+  // took the ledgered fast path, on whichever rung.
+  return core::ShadowEngine::record_of(p) != nullptr ? Guardness::kGuarded
+                                                     : Guardness::kSampledFast;
 }
 
 // Strips and key-checks a tag-lane pointer before a raw access; pointers
@@ -389,7 +384,6 @@ RunResult run_trace_here(const FuzzConfig& cfg, const Trace& trace,
   std::uint64_t degraded_allocs = 0;
   std::uint64_t sampled_allocs = 0;
   std::uint64_t guarded_frees = 0;
-  std::uint64_t quarantined_frees = 0;
   std::uint64_t sampled_frees = 0;
   std::uint64_t observed_df = 0;
   std::uint64_t observed_if = 0;
@@ -441,6 +435,29 @@ RunResult run_trace_here(const FuzzConfig& cfg, const Trace& trace,
         diverge(idx, std::string(op_name(op.kind)) + " obj " +
                          std::to_string(op.obj) +
                          ": report names a different object base");
+      }
+    };
+
+    // Mirrors of the engine's lane counters. A fast-path allocation counts
+    // as sampled, except on the bottom rung, where the engine counts it as
+    // degraded.
+    auto count_alloc = [&](Guardness g) {
+      switch (g) {
+        case Guardness::kGuarded: ++guarded_allocs; break;
+        case Guardness::kTagged: ++tagged_allocs; break;
+        case Guardness::kSampledFast:
+          ++(sut->mode() == core::GuardMode::kQuarantineOnly ? degraded_allocs
+                                                             : sampled_allocs);
+          break;
+      }
+    };
+    // An admitted free: the record's CAS, the lock's key check or the
+    // ledger's live->freed transition let it through.
+    auto count_free = [&](Guardness g) {
+      switch (g) {
+        case Guardness::kGuarded: ++guarded_frees; break;
+        case Guardness::kTagged: ++tagged_frees; break;
+        case Guardness::kSampledFast: ++sampled_frees; break;
       }
     };
 
@@ -635,15 +652,12 @@ RunResult run_trace_here(const FuzzConfig& cfg, const Trace& trace,
             << ", want 0x" << unsigned{expect_fill} << ") — " << pred.why;
           diverge(idx, d.str());
         }
-        // 3. Report precision. Tag-lane reports carry no alloc site (the
-        // slot header describes the current generation's owner, not the
-        // stale pointer's), but the object base must still be the probed
-        // pointer. Sampled fast-path double-free reports come from the
-        // ledger, which recorded both — they are held to the same bar.
-        if (rt.count(op.obj) != 0 && model != nullptr &&
-            (model->guard == Guardness::kGuarded ||
-             model->guard == Guardness::kTagged ||
-             model->guard == Guardness::kSampledFast)) {
+        // 3. Report precision, on every lane. Tag-lane reports carry no
+        // alloc site (the slot header describes the current generation's
+        // owner, not the stale pointer's), but the object base must still
+        // be the probed pointer. Fast-path double-free reports come from
+        // the ledger, which recorded both — they are held to the same bar.
+        if (rt.count(op.obj) != 0 && model != nullptr) {
           check_precision(idx, op, rt.at(op.obj), r);
         }
       }
@@ -657,17 +671,9 @@ RunResult run_trace_here(const FuzzConfig& cfg, const Trace& trace,
                                " returned nullptr (arena exhausted?)");
               break;
             }
-            const Guardness g = classify_guard(r.new_ptr, sut->mode());
+            const Guardness g = classify_guard(r.new_ptr);
             const std::uint32_t pool = sut->current_pool();
-            if (g == Guardness::kGuarded) {
-              ++guarded_allocs;
-            } else if (g == Guardness::kTagged) {
-              ++tagged_allocs;
-            } else if (g == Guardness::kSampledFast) {
-              ++sampled_allocs;
-            } else {
-              ++degraded_allocs;
-            }
+            count_alloc(g);
             oracle.on_alloc(op.obj, op.size, g, pool);
             rt[op.obj] = ObjRt{r.new_ptr, op.size, pool};
           }
@@ -675,15 +681,7 @@ RunResult run_trace_here(const FuzzConfig& cfg, const Trace& trace,
         case OpKind::kFree:
         case OpKind::kDoubleFree:
           if (r.outcome == Outcome::kSilent) {
-            if (model->guard == Guardness::kGuarded) {
-              ++guarded_frees;  // phase was live: the CAS admitted this free
-            } else if (model->guard == Guardness::kQuarantined) {
-              ++quarantined_frees;  // live free AND absorbed double free
-            } else if (model->guard == Guardness::kSampledFast) {
-              ++sampled_frees;  // the ledger admitted this free exactly
-            } else if (model->guard == Guardness::kTagged) {
-              ++tagged_frees;  // the key matched: the lock advanced
-            }
+            count_free(model->guard);
             oracle.on_free(op.obj);
           }
           break;
@@ -694,27 +692,11 @@ RunResult run_trace_here(const FuzzConfig& cfg, const Trace& trace,
                                " returned nullptr");
               break;
             }
-            if (model->guard == Guardness::kGuarded) {
-              ++guarded_frees;
-            } else if (model->guard == Guardness::kQuarantined) {
-              ++quarantined_frees;
-            } else if (model->guard == Guardness::kSampledFast) {
-              ++sampled_frees;
-            } else if (model->guard == Guardness::kTagged) {
-              ++tagged_frees;
-            }
+            count_free(model->guard);
             oracle.on_free(op.obj);
-            const Guardness g = classify_guard(r.new_ptr, sut->mode());
+            const Guardness g = classify_guard(r.new_ptr);
             const std::uint32_t pool = rt.at(op.obj).pool;
-            if (g == Guardness::kGuarded) {
-              ++guarded_allocs;
-            } else if (g == Guardness::kTagged) {
-              ++tagged_allocs;
-            } else if (g == Guardness::kSampledFast) {
-              ++sampled_allocs;
-            } else {
-              ++degraded_allocs;
-            }
+            count_alloc(g);
             oracle.on_alloc(op.obj2, op.size, g, pool);
             rt[op.obj2] = ObjRt{r.new_ptr, op.size, pool};
           }
@@ -780,12 +762,10 @@ RunResult run_trace_here(const FuzzConfig& cfg, const Trace& trace,
                               std::to_string(id) + " did not report (" +
                               outcome_name(r.outcome) + ")");
         }
-      } else if (o.guard == Guardness::kQuarantined ||
-                 o.guard == Guardness::kSampledFast) {
-        // Suspension, not falsification: the quarantined block still holds
-        // the object's last fill — it was never handed to a new owner. The
-        // sampled fast path frees through the same quarantine, so it makes
-        // the identical promise.
+      } else if (o.guard == Guardness::kSampledFast) {
+        // Suspension, not falsification: the ledger free parked the block in
+        // the quarantine, so it still holds the object's last fill — it was
+        // never handed to a new owner.
         ExecResult r;
         auto rep = core::catch_dangling([&] {
           r.value = *reinterpret_cast<volatile unsigned char*>(ro.ptr);
@@ -816,8 +796,6 @@ RunResult run_trace_here(const FuzzConfig& cfg, const Trace& trace,
     expect_eq(st.frees, guarded_frees, "stats.frees");
     expect_eq(st.double_frees, observed_df, "stats.double_frees");
     expect_eq(st.invalid_frees, observed_if, "stats.invalid_frees");
-    expect_eq(st.quarantined_frees, quarantined_frees,
-              "stats.quarantined_frees");
     expect_eq(st.sampled_allocs, sampled_allocs, "stats.sampled_allocs");
     expect_eq(st.sampled_frees, sampled_frees, "stats.sampled_frees");
     expect_eq(st.tagged_allocs, tagged_allocs, "stats.tagged_allocs");
@@ -990,6 +968,8 @@ std::vector<FuzzConfig> smoke_matrix(std::size_t n_ops) {
     v.push_back(c);
   }
   {
+    // The bottom rung: every allocation takes the ledgered fast path, so
+    // double and interior frees still report exactly.
     FuzzConfig c = base("forced-quarantine");
     c.forced_mode = 2;  // core::GuardMode::kQuarantineOnly
     v.push_back(c);
@@ -1059,12 +1039,6 @@ std::vector<FuzzConfig> matrix(std::size_t n_ops) {
     FuzzConfig c = base("pool-immediate");
     c.mode = HarnessMode::kPool;
     c.gen.pools = true;
-    v.push_back(c);
-  }
-  {
-    FuzzConfig c = base("forced-unguarded");
-    c.forced_mode = 3;  // core::GuardMode::kUnguarded
-    c.gen.plant_bugs = false;  // probing a plain heap would be UB, not a test
     v.push_back(c);
   }
   {

@@ -136,18 +136,11 @@ Prediction Oracle::predict(const Op& op, bool revocation_applied,
                      ? trap("freed guarded read, revocation applied")
                      : silent("freed guarded read inside revocation window",
                               /*check_stale=*/true);
-        case Guardness::kQuarantined:
-          // Quarantine delays reuse: silent AND stale — never another
-          // owner's bytes, never a trap.
-          return silent("freed quarantined read", /*check_stale=*/true);
         case Guardness::kSampledFast:
-          // The ledger free parked the block in the same delayed-reuse
-          // quarantine, so the read is silent AND observes the stale fill.
+          // The ledger free parked the block in the delayed-reuse
+          // quarantine, so the read is silent AND observes the stale fill —
+          // never another owner's bytes, never a trap.
           return silent("freed sampled fast-path read", /*check_stale=*/true);
-        case Guardness::kPassthrough:
-          // The block may have been recycled: the read must not trap, but
-          // no value is promised.
-          return silent("freed unguarded read");
         case Guardness::kTagged:
           // Lock-and-key: a stale key disagrees with the slot's lock — exact
           // synchronous report, no batching window. After a generation wrap
@@ -168,14 +161,9 @@ Prediction Oracle::predict(const Op& op, bool revocation_applied,
           return revocation_applied
                      ? trap("freed guarded write, revocation applied")
                      : silent("freed guarded write inside revocation window");
-        case Guardness::kQuarantined:
-          return silent("freed quarantined write");
         case Guardness::kSampledFast:
           // Quarantined block: writing cannot corrupt a new owner.
           return silent("freed sampled fast-path write");
-        case Guardness::kPassthrough:
-          // Writing a possibly-recycled block would corrupt a live object.
-          return skip("freed unguarded write");
         case Guardness::kTagged:
           // Inside the reuse window the slot may already belong to a new
           // owner — writing would corrupt it, so the probe is skipped.
@@ -193,17 +181,10 @@ Prediction Oracle::predict(const Op& op, bool revocation_applied,
           // The kLive->kFreed CAS makes this exact in EVERY config: batched,
           // remote, mid-window — the report never waits for the mprotect.
           return report_double_free("guarded double free");
-        case Guardness::kQuarantined:
-          // Registry miss with degraded allocs present: absorbed silently
-          // into quarantine (the allocator's magic check attributes it
-          // later, without a user-facing report).
-          return silent("degraded double free absorbed");
         case Guardness::kSampledFast:
-          // The rung's headline guarantee: the ledger's freed entry makes
-          // this double free exact — report, never absorb.
+          // The ledger's freed entry makes this double free exact — report,
+          // never absorb.
           return report_double_free("sampled fast-path double free");
-        case Guardness::kPassthrough:
-          return skip("unguarded double free (heap UB)");
         case Guardness::kTagged:
           // A stale free fails the key check exactly; the lane reports one
           // kind (it cannot tell double free from UAF-free). Inside the
@@ -222,11 +203,10 @@ Prediction Oracle::predict(const Op& op, bool revocation_applied,
         // the magic check fails deterministically.
         return report_invalid_free("interior pointer free (tagged)");
       }
-      if (o->guard != Guardness::kGuarded) {
-        // A degraded interior pointer is quarantined as garbage (absorbed);
-        // exercising that would make quarantine byte-accounting depend on
-        // uninitialized header reads, so the fuzzer only probes guarded ones.
-        return skip("interior free of unguarded object");
+      if (o->guard == Guardness::kSampledFast) {
+        // Misses the ledger (no object starts there) and the registry (a
+        // canonical address is never a shadow page).
+        return report_invalid_free("interior pointer free (fast path)");
       }
       return report_invalid_free("interior pointer free");
 

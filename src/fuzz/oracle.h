@@ -3,9 +3,9 @@
 // The oracle maintains the abstract state the paper's exactness claim is
 // stated over: every object is live, freed, or released, and carries the
 // *guardedness* the real stack gave it at allocation time (guarded with a
-// shadow alias / degraded-quarantined / unguarded passthrough — the three
-// governor rungs). From that state it predicts, for each trace op, the exact
-// set of permitted outcomes:
+// shadow alias, ledgered on the fast path, or tagged on the lock-and-key
+// lane). From that state it predicts, for each trace op, the exact set of
+// permitted outcomes:
 //
 //   rung kFullGuard   a freed object's use MUST trap once its revocation is
 //                     applied, MUST silently read the stale (unreused) fill
@@ -17,16 +17,12 @@
 //                     exactly like kFullGuard objects; the unsampled rest
 //                     take the ledgered fast path: dangling reads/writes are
 //                     silent (the ledger free quarantines the block, so reads
-//                     still observe the stale fill) but a double free MUST
-//                     report — the ledger keeps that one guarantee exact.
-//   kQuarantineOnly   detection suspended, never falsified: uses of a freed
-//                     degraded object MUST succeed silently and MUST observe
-//                     the stale fill (quarantine delays reuse); frees are
-//                     absorbed silently — no reports, no traps.
-//   kUnguarded        passthrough: no traps, no reports; reads succeed with
-//                     no value guarantee. Probe ops that would be undefined
-//                     behaviour on a plain heap (double free, freed write)
-//                     are not executed at all.
+//                     still observe the stale fill) but a double free and an
+//                     interior free MUST report — the ledger keeps both
+//                     exact.
+//   kQuarantineOnly   the sampled rung with no winners: every allocation is
+//                     a fast-path object with exactly the promises above —
+//                     detection of uses suspended, never falsified.
 //   lock-and-key      (tag_lane configs) a freed object's use MUST raise a
 //                     tag-mismatch report synchronously — no batching window
 //                     exists on this lane — UNLESS the slot's generation has
@@ -55,17 +51,15 @@ namespace dpg::fuzz {
 
 // Guardedness the real stack assigned to an allocation (executor feedback:
 // tagged pointer -> kTagged (lock-and-key lane); registry record present ->
-// kGuarded; else the governor rung at return).
+// kGuarded; else kSampledFast).
 enum class Guardness : std::uint8_t {
   kGuarded,
-  kQuarantined,
-  kPassthrough,
   kTagged,
-  // Sampled rung, unsampled allocation: canonical pointer + exact double-free
-  // ledger (core/sampled.h). The sampled WINNERS classify as kGuarded — the
-  // per-allocation decision is introspected from the stack (registry record
-  // present), never re-modelled, so the oracle stays exact whatever the
-  // sampling pattern was.
+  // No shadow alias (a sampled-rung loser, or any allocation on the bottom
+  // rung): canonical pointer + exact alloc/free ledger (core/sampled.h). The
+  // sampled WINNERS classify as kGuarded — the per-allocation decision is
+  // introspected from the stack (registry record present), never
+  // re-modelled, so the oracle stays exact whatever the sampling pattern was.
   kSampledFast,
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "core/degrade.h"
 #include "workloads/common.h"
 
 namespace dpg::fuzz {
@@ -64,7 +65,6 @@ Trace generate(std::uint64_t seed, const GenParams& params) {
   std::uint32_t next_pool = 1;
 
   const bool pools_on = params.pools && !params.static_compatible;
-  const bool bugs = params.plant_bugs;
 
   auto lane = [&]() -> std::uint8_t {
     return params.static_compatible
@@ -131,26 +131,26 @@ Trace generate(std::uint64_t seed, const GenParams& params) {
       op.kind = OpKind::kFlush;
       op.thread = lane();
     } else if (roll < 87) {  // UAF read probe
-      if (!bugs || freed.empty()) continue;
+      if (freed.empty()) continue;
       const GObj& o = freed[rng.below(freed.size())];
       op.kind = OpKind::kUafRead;
       op.thread = lane();
       op.obj = o.id;
       op.offset = static_cast<std::uint32_t>(rng.below(o.size));
     } else if (roll < 90) {  // UAF write probe
-      if (!bugs || freed.empty()) continue;
+      if (freed.empty()) continue;
       const GObj& o = freed[rng.below(freed.size())];
       op.kind = OpKind::kUafWrite;
       op.thread = lane();
       op.obj = o.id;
       op.offset = static_cast<std::uint32_t>(rng.below(o.size));
     } else if (roll < 93) {  // double free
-      if (!bugs || freed.empty()) continue;
+      if (freed.empty()) continue;
       op.kind = OpKind::kDoubleFree;
       op.thread = lane();
       op.obj = freed[rng.below(freed.size())].id;
     } else if (roll < 95) {  // invalid (interior) free
-      if (!bugs || params.static_compatible || live.empty()) continue;
+      if (params.static_compatible || live.empty()) continue;
       const GObj& o = live[rng.below(live.size())];
       if (o.size < 2) continue;  // need a distinct interior byte
       op.kind = OpKind::kInvalidFree;
@@ -249,7 +249,11 @@ bool from_replay(const std::string& text, FuzzConfig* cfg, Trace* trace,
       in >> c.fault_plan;
       if (c.fault_plan == "-") c.fault_plan.clear();
     } else if (tag == "forced_mode") {
-      in >> c.forced_mode;
+      // A rung index reaches GuardMode unchecked: keep it on the ladder.
+      if (!(in >> c.forced_mode) || c.forced_mode < -1 ||
+          c.forced_mode >= core::kRungCount) {
+        return fail("bad forced_mode");
+      }
     } else if (tag == "sample_rate") {
       in >> c.sample_rate;
     } else if (tag == "oracle_bug") {

@@ -70,10 +70,6 @@ struct GenParams {
   std::uint32_t max_size = 1024;  // payload bytes per object, >= 1
   std::size_t max_live = 256;     // soft cap on simultaneously live objects
   bool pools = false;             // emit kPoolCreate/kPoolDestroy (lanes == 1)
-  // Plant temporal bugs (UAF probes, double frees, interior frees). Off for
-  // configs where probing would be unsound (forced kUnguarded: a "double
-  // free" would free a recycled live block of the shared canonical heap).
-  bool plant_bugs = true;
   // Restrict to the op subset expressible as straight-line PIR for the
   // static-analyzer cross-check: no realloc, no invalid frees, no pools, no
   // flush, lane 0 only, and a bounded object count.
@@ -97,7 +93,8 @@ struct FuzzConfig {
   // ShadowEngine::magazine_window).
   std::size_t protect_batch = 0;
   std::string fault_plan;  // DPG_FAULT_INJECT grammar; "" = none
-  int forced_mode = -1;    // core::GuardMode to pin, -1 = ladder off-forced
+  // core::GuardMode to pin (0..2), -1 = ladder unforced.
+  int forced_mode = -1;
   // Base 1-in-N guard probability for sampled-rung cells (forced_mode ==
   // kSampled). 0 = governor default. The per-allocation decision is made by
   // the real governor and introspected back (classify_guard), so any N stays

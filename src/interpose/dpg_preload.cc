@@ -80,7 +80,7 @@ dpg::core::Runtime& runtime() {
 dpg::core::ShardedHeap& heap() { return runtime().heap(); }
 
 // True when `p` belongs to the guard runtime: either a guarded (shadow-page)
-// pointer, or a degraded allocation served straight from the canonical
+// pointer, or a fast-path allocation served straight from the canonical
 // window. Neither may ever reach __libc_free.
 bool is_ours(const void* p) {
   const auto* rec =

@@ -7,7 +7,7 @@
 // grows, a magazine that never recycles, quarantine accounting that drifts —
 // is invisible to the unit tests and fatal over a production week: the
 // process walks into vm.max_map_count and the governor rides the ladder to
-// unguarded permanently.
+// quarantine-only permanently.
 //
 // run_soak() is the bounded-wall-clock version of that week: a steady-state
 // allocation mix (heap churn + pool create/destroy + cross-thread frees +

@@ -335,8 +335,8 @@ TEST_F(CallocReallocTest, ReallocOfFreedPointerReported) {
 }
 
 // realloc takes the old size from whichever source has it: the guarded
-// record (above), the sampled rung's ledger, or the degraded block's
-// allocator header. Any other pointer is an error.
+// record (above) or the fast path's ledger, on the sampled rung or the
+// bottom one. Any other pointer is an error.
 TEST_F(CallocReallocTest, ReallocMovesSampledFastPathPointer) {
   gov_.force_mode(GuardMode::kSampled);
   // The first allocation after arming is guarded; the next ones take the
@@ -378,8 +378,37 @@ TEST_F(CallocReallocTest, ReallocMovesDegradedPointer) {
   auto* q = static_cast<char*>(heap_.realloc(p, 3000));
   ASSERT_NE(q, nullptr);
   EXPECT_STREQ(q, "degraded");
-  EXPECT_EQ(heap_.stats().quarantined_frees, 1u);  // the old block parked
+  const GuardStats s = heap_.stats();
+  EXPECT_EQ(s.degraded_allocs, 2u);
+  EXPECT_EQ(s.sampled_frees, 1u);  // the old block left through the ledger
   heap_.free(q);
+}
+
+// The bottom rung keeps the fast path's ledger: a second free is an exact
+// double free naming the first free, and an interior pointer misses both
+// the ledger and the registry.
+TEST_F(CallocReallocTest, BottomRungFreesAreExact) {
+  gov_.force_mode(GuardMode::kQuarantineOnly);
+  auto* p = static_cast<char*>(heap_.malloc(48, /*site=*/1));
+  auto* q = static_cast<char*>(heap_.malloc(48, /*site=*/1));
+  ASSERT_EQ(ShardedHeap::record_of(p), nullptr);  // canonical pointer
+  heap_.free(p, /*site=*/2);
+  auto report = catch_dangling([&] { heap_.free(p, /*site=*/3); });
+  ASSERT_TRUE(report.has_value());
+  EXPECT_EQ(report->kind, AccessKind::kFree);
+  EXPECT_EQ(report->object_base, vm::addr(p));
+  EXPECT_EQ(report->object_size, 48u);
+  EXPECT_EQ(report->alloc_site, 1u);
+  EXPECT_EQ(report->free_site, 2u);
+
+  report = catch_dangling([&] { heap_.free(q + 8); });
+  ASSERT_TRUE(report.has_value());
+  EXPECT_EQ(report->kind, AccessKind::kInvalidFree);
+  EXPECT_EQ(report->fault_address, vm::addr(q + 8));
+  const GuardStats s = heap_.stats();
+  EXPECT_EQ(s.double_frees, 1u);
+  EXPECT_EQ(s.invalid_frees, 1u);
+  heap_.free(q);  // the object itself is still live
 }
 
 TEST_F(CallocReallocTest, ReallocOfInteriorPointerIsInvalidFree) {

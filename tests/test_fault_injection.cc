@@ -252,7 +252,7 @@ TEST_F(FaultInjectionTest, GovernorRungResidencyIsMonotone) {
   const std::uint64_t samp1 = gov.residency_ns(GuardMode::kSampled);
   EXPECT_GE(samp1, samp0);
   EXPECT_GE(gov.residency_ns(GuardMode::kFullGuard), full1);
-  EXPECT_EQ(gov.residency_ns(GuardMode::kUnguarded), 0u);
+  EXPECT_EQ(gov.residency_ns(GuardMode::kQuarantineOnly), 0u);  // not visited
 }
 
 TEST_F(FaultInjectionTest, GovernorForceModeAndStickyDegradation) {
@@ -267,8 +267,18 @@ TEST_F(FaultInjectionTest, GovernorForceModeAndStickyDegradation) {
   EXPECT_EQ(gov.counters().recoveries.load(), 0u);
   EXPECT_EQ(gov.counters().sample_tightens.load(), 0u);
 
-  gov.force_mode(GuardMode::kUnguarded);
-  EXPECT_EQ(gov.mode(), GuardMode::kUnguarded);
+  gov.force_mode(GuardMode::kQuarantineOnly);
+  EXPECT_EQ(gov.mode(), GuardMode::kQuarantineOnly);
+  // The bottom rung has nowhere lower to go: a refusal there moves nothing.
+  const std::uint64_t moves = gov.counters().transitions.load();
+  gov.on_syscall_failure("test", ENOMEM);
+  EXPECT_EQ(gov.mode(), GuardMode::kQuarantineOnly);
+  EXPECT_EQ(gov.counters().transitions.load(), moves);
+  // A rung index off the ladder is ignored, not stored.
+  gov.force_mode(static_cast<GuardMode>(kRungCount));
+  EXPECT_EQ(gov.mode(), GuardMode::kQuarantineOnly);
+  EXPECT_EQ(gov.counters().transitions.load(), moves);
+  EXPECT_EQ(gov.residency_ns(static_cast<GuardMode>(kRungCount)), 0u);
   gov.force_mode(GuardMode::kFullGuard);
   EXPECT_EQ(gov.mode(), GuardMode::kFullGuard);
 }
@@ -344,10 +354,9 @@ TEST_F(FaultInjectionTest, MidBatchDemotionQuarantinesQueuedRevocations) {
   vm::sys::clear_fault_plan();
   EXPECT_EQ(heap.engine(0).pending_revocations(), 0u);
   EXPECT_GE(heap.stats().guard_failures, static_cast<std::uint64_t>(kObjs));
-  // One rung down per failed merged run: adjacent spans coalesce to one run
-  // (quarantine-only), a scattered layout to several (unguarded). Either way
-  // the ladder left full guarding — the quarantine contract below is the
-  // same on both rungs.
+  // One governor notice per failed merged run: the first leaves full
+  // guarding, later ones widen the sampled rate. The quarantine contract
+  // below is the same on every rung below full guard.
   EXPECT_NE(gov.mode(), GuardMode::kFullGuard);
 
   // Same-size churn in the demoted mode: if any parked canonical block were
@@ -381,10 +390,10 @@ TEST_F(FaultInjectionTest, MidBatchDemotionQuarantinesQueuedRevocations) {
   for (char* p : churn) heap.free(p);
 }
 
-TEST_F(FaultInjectionTest, LadderWalksToUnguardedUnderPersistentRefusal) {
+TEST_F(FaultInjectionTest, LadderWalksToBottomRungUnderPersistentRefusal) {
   // No widening headroom (max == base) and N == 1, so every sampled-rung
   // allocation attempts a guard and every refusal costs a whole rung: the
-  // shortest path that still walks every rung of the 4-step ladder.
+  // shortest path that walks every rung of the 3-step ladder.
   GovernorConfig cfg;
   cfg.sample_rate = 1;
   cfg.sample_rate_max = 1;
@@ -403,11 +412,15 @@ TEST_F(FaultInjectionTest, LadderWalksToUnguardedUnderPersistentRefusal) {
   auto* c = static_cast<char*>(heap.malloc(kOwnAlias));  // rung 2 down
   ASSERT_NE(c, nullptr);
   EXPECT_EQ(gov.mode(), GuardMode::kQuarantineOnly);  // rung 2 down
-  heap.free(a);  // revocation refused: rung 3 down
-  EXPECT_EQ(gov.mode(), GuardMode::kUnguarded);
-  EXPECT_EQ(gov.counters().transitions.load(), 3u);
-  heap.free(b);  // unguarded passthrough still works
+  heap.free(a);  // revocation refused: parked, and no rung left to drop
+  EXPECT_EQ(gov.mode(), GuardMode::kQuarantineOnly);
+  EXPECT_EQ(gov.counters().transitions.load(), 2u);
+  EXPECT_GE(heap.stats().guard_failures, 3u);  // two aliases, one revocation
+  heap.free(b);  // the ledgered fast path still frees exactly
   heap.free(c);
+  const auto report = catch_dangling([&] { heap.free(launder_ptr(c)); });
+  ASSERT_TRUE(report.has_value());
+  EXPECT_EQ(report->kind, AccessKind::kFree);
   vm::sys::clear_fault_plan();
 }
 
@@ -452,22 +465,22 @@ TEST_F(FaultInjectionTest, DegradedFreeNeverRaisesAFalsePositive) {
   ASSERT_TRUE(vm::sys::set_fault_plan("mmap:errno=ENOMEM"));
   auto* p = static_cast<char*>(heap.malloc(80));  // refusal: lands on sampled
   ASSERT_NE(p, nullptr);
-  // Force the ladder below the sampled rung so q is a true degraded pointer
-  // (canonical handed out, no ledger entry, no registry record).
+  // Force the ladder to the bottom rung: q is a canonical pointer with a
+  // ledger entry and no registry record.
   gov.force_mode(GuardMode::kQuarantineOnly);
   auto* q = static_cast<char*>(heap.malloc(48));
   ASSERT_NE(q, nullptr);
   vm::sys::clear_fault_plan();
-  // Freeing unguarded (canonical) pointers must not be mistaken for invalid
-  // frees: detection in degraded modes is suspended, never wrong. The
-  // sampled-fast pointer resolves through the ledger, the degraded one
-  // through the quarantine disposition.
+  // Freeing fast-path (canonical) pointers must not be mistaken for invalid
+  // frees: detection in degraded modes is suspended, never wrong. Both
+  // resolve through the ledger, whichever rung served them.
   const auto r1 = catch_dangling([&] { heap.free(launder_ptr(p)); });
   EXPECT_FALSE(r1.has_value());
   const auto r2 = catch_dangling([&] { heap.free(launder_ptr(q)); });
   EXPECT_FALSE(r2.has_value());
-  EXPECT_GE(heap.stats().sampled_frees, 1u);
-  EXPECT_GE(heap.stats().quarantined_frees, 1u);
+  const GuardStats s = heap.stats();
+  EXPECT_EQ(s.sampled_frees, 2u);
+  EXPECT_EQ(s.invalid_frees, 0u);
 }
 
 // --- revocation backends (DESIGN.md §16) ----------------------------------

@@ -113,6 +113,15 @@ TEST(FuzzTrace, ReplayParserRejectsMalformedInput) {
     EXPECT_FALSE(from_replay(bad, &cfg, &t, &err)) << name;
     EXPECT_NE(err.find("revoke_backend"), std::string::npos) << err;
   }
+  // forced_mode indexes the three-rung ladder; -1 leaves it unforced.
+  for (const char* mode : {"3", "7", "-2", "x"}) {
+    std::string bad = good;
+    const auto pos = bad.find("forced_mode -1");
+    ASSERT_NE(pos, std::string::npos);
+    bad.replace(pos, 14, std::string("forced_mode ") + mode);
+    EXPECT_FALSE(from_replay(bad, &cfg, &t, &err)) << mode;
+    EXPECT_NE(err.find("forced_mode"), std::string::npos) << err;
+  }
   // v1 files carried batch_bytes and numeric backends: rejected with a
   // pointer to re-record, never half-parsed.
   std::string v1 = good;

@@ -357,13 +357,13 @@ TEST(BatchedRevocation, SurvivesGovernorDemotionMidBatch) {
   });
   ASSERT_TRUE(rep.has_value()) << "queued revocation landed despite demotion";
 
-  // Degraded pointers take the degraded free path (registry miss) — no
+  // Bottom-rung pointers free through the fast path's ledger — no
   // invalid-free report, and the quarantine parks the block.
   rep = catch_dangling([&] { heap.free(degraded); });
   EXPECT_FALSE(rep.has_value());
   const GuardStats s = heap.stats();
   EXPECT_EQ(s.invalid_frees, 0u);
-  EXPECT_GE(s.quarantined_frees, 1u);
+  EXPECT_GE(s.sampled_frees, 1u);
 
   gov.force_mode(GuardMode::kFullGuard);
   rep = catch_dangling([&] {

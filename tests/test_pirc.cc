@@ -180,7 +180,7 @@ TEST(Pirc, QuarantineRungRunsFigure1ToCompletion) {
 
 TEST(Pirc, RungKnobDoesNotChangeCleanProgramOutput) {
   const RunResult full = run_pirc(kSumtree + " -- 5");
-  for (const char* rung : {"full", "sampled", "quarantine", "unguarded"}) {
+  for (const char* rung : {"full", "sampled", "quarantine"}) {
     const RunResult r =
         run_pirc("--rung=" + std::string(rung) + " " + kSumtree + " -- 5");
     EXPECT_EQ(r.exit_code, 0) << rung << ": " << r.output;
@@ -193,7 +193,8 @@ TEST(Pirc, RungKnobDoesNotChangeCleanProgramOutput) {
 
 TEST(Pirc, BadRungOrSampleRateIsUsageError) {
   for (const char* flag :
-       {"--rung=bogus", "--sample-rate=0", "--sample-rate=abc"}) {
+       {"--rung=bogus", "--rung=unguarded", "--sample-rate=0",
+        "--sample-rate=abc"}) {
     const RunResult r = run_pirc(std::string(flag) + " " + kSumtree);
     EXPECT_EQ(r.exit_code, 1) << flag << ": " << r.output;
     EXPECT_NE(r.output.find("usage"), std::string::npos) << flag;

@@ -152,8 +152,8 @@ TEST(Preload, SurvivesInjectedMmapExhaustionDegraded) {
   unlink(path_tmpl);
   EXPECT_GE(metric_value(json, "dpg_degrade_transitions"), 1) << json;
   // The first rung off full-guard is sampled: most allocations take the
-  // unguarded fast path (dpg_sampled_allocs). Only if the pressure persists
-  // past the widening ceiling do quarantine-only/unguarded allocations
+  // ledgered fast path (dpg_sampled_allocs). Only if the pressure persists
+  // past the widening ceiling do quarantine-only allocations
   // (dpg_degraded_allocs) appear — either proves the ladder engaged.
   EXPECT_GE(metric_value(json, "dpg_sampled_allocs") +
                 metric_value(json, "dpg_degraded_allocs"),

@@ -58,9 +58,8 @@ const char* kind_name(std::uint32_t k) {
 
 // Mirrors core::GuardMode.
 const char* mode_name(std::uint32_t m) {
-  static const char* names[] = {"full-guard", "sampled", "quarantine-only",
-                                "unguarded"};
-  return m < 4 ? names[m] : "?";
+  static const char* names[] = {"full-guard", "sampled", "quarantine-only"};
+  return m < 3 ? names[m] : "?";
 }
 
 // Rung label for fleet aggregation: the sampled rung is only meaningful

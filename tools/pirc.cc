@@ -15,9 +15,9 @@
 //                     on the lock-and-key lane), auto (chooser policy;
 //                     default)
 //     --rung=R        pin the degradation governor to one rung for the run:
-//                     full | sampled | quarantine | unguarded. The run gets
-//                     a private sticky governor, so it neither reads nor
-//                     perturbs process-wide ladder pressure — the A/B knob
+//                     full | sampled | quarantine. The run gets a private
+//                     sticky governor, so it neither reads nor perturbs
+//                     process-wide ladder pressure — the A/B knob
 //                     for overhead-vs-detection sweeps.
 //     --sample-rate=N sampled rung guards 1-in-N allocations (with --rung=
 //                     sampled, or as the adaptive ladder's base rate)
@@ -59,7 +59,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: pirc [--dump|--transform|--pools|--lint|--lint-json|"
                "--native|--run] [--scheme=guard|tag|auto] "
-               "[--rung=full|sampled|quarantine|unguarded] [--sample-rate=N] "
+               "[--rung=full|sampled|quarantine] [--sample-rate=N] "
                "[--no-elide] [--no-verify] program.pir [-- main-args...]\n");
   return kExitUsage;
 }
@@ -206,8 +206,6 @@ int main(int argc, char** argv) {
         forced_rung = 1;
       } else if (rung == "quarantine") {
         forced_rung = 2;
-      } else if (rung == "unguarded") {
-        forced_rung = 3;
       } else {
         return usage();
       }
