@@ -44,12 +44,7 @@ Interpreter::Interpreter(const Module& module, InterpOptions options)
       // recover_after = 0 disables upward hysteresis, so a pinned rung never
       // drifts. With --sample-rate alone the ladder stays adaptive.
       if (opts_.forced_rung >= 0) gov_cfg.recover_after = 0;
-      if (opts_.sample_rate != 0) {
-        gov_cfg.sample_rate = opts_.sample_rate;
-        if (gov_cfg.sample_rate_max < opts_.sample_rate) {
-          gov_cfg.sample_rate_max = opts_.sample_rate;
-        }
-      }
+      if (opts_.sample_rate != 0) gov_cfg.sample_rate = opts_.sample_rate;
       governor_ = std::make_unique<core::DegradationGovernor>(gov_cfg);
       if (opts_.forced_rung >= 0) {
         governor_->force_mode(

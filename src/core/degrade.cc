@@ -1,5 +1,6 @@
 #include "core/degrade.h"
 
+#include <algorithm>
 #include <ctime>
 #include <cstdio>
 #include <cstring>
@@ -54,7 +55,8 @@ DegradationGovernor::DegradationGovernor(GovernorConfig cfg) : cfg_(cfg) {
   if (cfg_.sample_rate_max < cfg_.sample_rate) {
     cfg_.sample_rate_max = cfg_.sample_rate;
   }
-  sample_n_.store(cfg_.sample_rate, std::memory_order_relaxed);
+  // One sampled notch per doubling, the last at sample_rate_max.
+  while (rate_at(bottom_ - 1) < cfg_.sample_rate_max) ++bottom_;
   ctr_.sample_rate_effective.store(cfg_.sample_rate,
                                    std::memory_order_relaxed);
   last_transition_ns_.store(now_ns(), std::memory_order_relaxed);
@@ -174,30 +176,47 @@ void DegradationGovernor::record_ladder(GuardMode from, GuardMode to,
   ladder_head_.store(head + 1, std::memory_order_release);
 }
 
-void DegradationGovernor::shift_mode(GuardMode to, const char* why,
-                                     bool is_recovery) noexcept {
+std::size_t DegradationGovernor::rate_at(int notch) const noexcept {
+  std::size_t n = cfg_.sample_rate;
+  for (int k = 1; k < notch && n < cfg_.sample_rate_max; ++k) {
+    n = n > cfg_.sample_rate_max / 2 ? cfg_.sample_rate_max : n * 2;
+  }
+  return n;
+}
+
+void DegradationGovernor::step(int seen, int delta, const char* why) noexcept {
   std::lock_guard lock(transition_mu_);
-  const GuardMode from = mode();
-  if (from == to) return;
+  const int from = notch_.load(std::memory_order_relaxed);
+  const int to = std::clamp(from + delta, 0, bottom_);
+  if (from != seen || to == from) return;
+  const bool is_recovery = to < from;
+  const GuardMode rung_from = rung_of(from);
+  const GuardMode rung_to = rung_of(to);
+  const std::size_t n = rate_at(to);
+  ctr_.sample_rate_effective.store(n, std::memory_order_relaxed);
+  if (rung_from == rung_to) {
+    // A step within the sampled rung: N changes, the rung does not.
+    notch_.store(to, std::memory_order_relaxed);
+    (is_recovery ? ctr_.sample_tightens : ctr_.sample_widens)
+        .fetch_add(1, std::memory_order_relaxed);
+    record_ladder(rung_from, rung_to,
+                  is_recovery ? "sample-tighten" : "sample-widen",
+                  is_recovery);
+    std::fprintf(stderr, "dpguard: sampled guard rate 1-in-%llu (%s)\n",
+                 static_cast<unsigned long long>(n), why);
+    return;
+  }
   // Settle the residency clock on the rung being left.
   const std::uint64_t now = now_ns();
   const std::uint64_t since =
       last_transition_ns_.load(std::memory_order_relaxed);
-  residency_ns_[static_cast<int>(from)].fetch_add(
+  residency_ns_[static_cast<int>(rung_from)].fetch_add(
       now > since ? now - since : 0, std::memory_order_relaxed);
   last_transition_ns_.store(now, std::memory_order_relaxed);
-  // A demotion onto the sampled rung starts at the base rate; a promotion
-  // from below keeps the widened N (pressure was recent — tighten under the
-  // normal hysteresis before guarding 1-in-base again).
-  if (to == GuardMode::kSampled &&
-      static_cast<int>(to) > static_cast<int>(from)) {
-    sample_n_.store(cfg_.sample_rate, std::memory_order_relaxed);
-    ctr_.sample_rate_effective.store(cfg_.sample_rate,
-                                     std::memory_order_relaxed);
-  }
   pressure_ticks_.store(0, std::memory_order_relaxed);
-  mode_.store(static_cast<int>(to), std::memory_order_relaxed);
-  ctr_.mode.store(static_cast<std::uint64_t>(to), std::memory_order_relaxed);
+  notch_.store(to, std::memory_order_relaxed);
+  ctr_.mode.store(static_cast<std::uint64_t>(rung_to),
+                  std::memory_order_relaxed);
   ctr_.transitions.fetch_add(1, std::memory_order_relaxed);
   if (is_recovery) {
     ctr_.recoveries.fetch_add(1, std::memory_order_relaxed);
@@ -211,11 +230,11 @@ void DegradationGovernor::shift_mode(GuardMode to, const char* why,
     }
   }
   obs::record_event(obs::EventKind::kDegrade,
-                    static_cast<std::uint64_t>(to),
-                    static_cast<std::uint64_t>(from));
-  record_ladder(from, to, why, is_recovery);
+                    static_cast<std::uint64_t>(rung_to),
+                    static_cast<std::uint64_t>(rung_from));
+  record_ladder(rung_from, rung_to, why, is_recovery);
   std::fprintf(stderr, "dpguard: guard policy %s -> %s (%s)\n",
-               to_string(from), to_string(to), why);
+               to_string(rung_from), to_string(rung_to), why);
   // A real demotion is a fleet-visible event worth a postmortem snapshot.
   // Recoveries are routine; "forced" rungs (tests, fuzz configs) would only
   // add noise. write_crash_dump no-ops when DPG_REPORT_DIR is not armed and
@@ -223,40 +242,6 @@ void DegradationGovernor::shift_mode(GuardMode to, const char* why,
   if (!is_recovery && std::strcmp(why, "forced") != 0) {
     obs::dump::write_crash_dump("demotion", nullptr);
   }
-}
-
-bool DegradationGovernor::widen_sample_rate(const char* why) noexcept {
-  std::lock_guard lock(transition_mu_);
-  if (mode() != GuardMode::kSampled) return true;  // raced past the rung
-  const std::uint64_t n = sample_n_.load(std::memory_order_relaxed);
-  if (n >= cfg_.sample_rate_max) return false;  // widest already: demote
-  std::uint64_t nn = n * 2;
-  if (nn > cfg_.sample_rate_max) nn = cfg_.sample_rate_max;
-  sample_n_.store(nn, std::memory_order_relaxed);
-  ctr_.sample_rate_effective.store(nn, std::memory_order_relaxed);
-  ctr_.sample_widens.fetch_add(1, std::memory_order_relaxed);
-  record_ladder(GuardMode::kSampled, GuardMode::kSampled, "sample-widen",
-                /*is_recovery=*/false);
-  std::fprintf(stderr, "dpguard: sampled guard rate 1-in-%llu (%s)\n",
-               static_cast<unsigned long long>(nn), why);
-  return true;
-}
-
-bool DegradationGovernor::tighten_sample_rate(const char* why) noexcept {
-  std::lock_guard lock(transition_mu_);
-  if (mode() != GuardMode::kSampled) return true;
-  const std::uint64_t n = sample_n_.load(std::memory_order_relaxed);
-  if (n <= cfg_.sample_rate) return false;  // at base: promote instead
-  std::uint64_t nn = n / 2;
-  if (nn < cfg_.sample_rate) nn = cfg_.sample_rate;
-  sample_n_.store(nn, std::memory_order_relaxed);
-  ctr_.sample_rate_effective.store(nn, std::memory_order_relaxed);
-  ctr_.sample_tightens.fetch_add(1, std::memory_order_relaxed);
-  record_ladder(GuardMode::kSampled, GuardMode::kSampled, "sample-tighten",
-                /*is_recovery=*/true);
-  std::fprintf(stderr, "dpguard: sampled guard rate 1-in-%llu (%s)\n",
-               static_cast<unsigned long long>(nn), why);
-  return true;
 }
 
 std::size_t DegradationGovernor::history(LadderRecord* out,
@@ -273,7 +258,7 @@ std::size_t DegradationGovernor::history(LadderRecord* out,
 
 std::size_t DegradationGovernor::history_consistent(
     LadderRecord* out, std::size_t max, std::uint32_t* mode_out) const noexcept {
-  // shift_mode stores the rung gauge before publishing its ladder entry, so
+  // step() stores the notch before publishing its ladder entry, so
   // a reader landing between the two would pair the *new* rung with a ring
   // that still ends on the *old* one. Retry until the copy is stable (head
   // unmoved) and the newest entry agrees with the gauge.
@@ -281,7 +266,7 @@ std::size_t DegradationGovernor::history_consistent(
   std::uint32_t m = 0;
   for (int attempt = 0; attempt < 8; ++attempt) {
     const std::uint64_t h1 = ladder_head_.load(std::memory_order_acquire);
-    m = static_cast<std::uint32_t>(mode_.load(std::memory_order_relaxed));
+    m = static_cast<std::uint32_t>(mode());
     n = history(out, max);
     const std::uint64_t h2 = ladder_head_.load(std::memory_order_acquire);
     if (h1 != h2) continue;  // ring advanced mid-copy
@@ -299,60 +284,60 @@ std::size_t DegradationGovernor::history_consistent(
 }
 
 GuardMode DegradationGovernor::on_alloc() noexcept {
-  const GuardMode m = mode();
+  const int notch = notch_.load(std::memory_order_relaxed);
   const std::uint64_t est = ctr_.vma_estimate.load(std::memory_order_relaxed);
-  if (m == GuardMode::kFullGuard) {
-    if (est >= high_mark_) {
-      // Proactive: slow VMA minting before the kernel starts refusing.
-      shift_mode(GuardMode::kSampled, "vma-pressure", /*is_recovery=*/false);
-      return GuardMode::kSampled;
-    }
-    return m;
-  }
-  if (m == GuardMode::kSampled && est >= high_mark_) {
-    // Pressure persists on the sampled rung: widen N (fewer guard VMAs per
-    // second) in measured steps before conceding the rung entirely.
-    ok_streak_.store(0, std::memory_order_relaxed);
-    const std::uint64_t t =
-        pressure_ticks_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (t >= kPressureInterval) {
+  if (est >= high_mark_) {
+    // Pressure steps down at once off full guard (slow VMA minting before
+    // the kernel starts refusing), then one notch per kPressureInterval
+    // pressured allocations.
+    if (notch != 0) {
+      ok_streak_.store(0, std::memory_order_relaxed);
+      const std::uint64_t t =
+          pressure_ticks_.fetch_add(1, std::memory_order_relaxed) + 1;
+      if (t < kPressureInterval) return rung_of(notch);
       pressure_ticks_.store(0, std::memory_order_relaxed);
-      if (!widen_sample_rate("vma-pressure")) {
-        shift_mode(GuardMode::kQuarantineOnly, "vma-pressure",
-                   /*is_recovery=*/false);
-      }
     }
+    step(notch, +1, "vma-pressure");
     return mode();
   }
-  if (cfg_.recover_after == 0) return m;
+  if (notch == 0 || cfg_.recover_after == 0) return rung_of(notch);
   const std::uint64_t streak =
       ok_streak_.fetch_add(1, std::memory_order_relaxed) + 1;
   const std::uint64_t need =
       cfg_.recover_after * backoff_.load(std::memory_order_relaxed);
-  if (streak >= need && est <= low_mark_) {
-    ok_streak_.store(0, std::memory_order_relaxed);
-    // On the sampled rung, relief re-tightens N first; only once back at the
-    // base rate does the next clean streak retry full guarding.
-    if (m == GuardMode::kSampled && tighten_sample_rate("hysteresis")) {
-      return m;
-    }
-    shift_mode(static_cast<GuardMode>(static_cast<int>(m) - 1), "hysteresis",
-               /*is_recovery=*/true);
-    return mode();
+  if (streak < need || est > low_mark_) return rung_of(notch);
+  // Relief: one notch back up per clean streak.
+  ok_streak_.store(0, std::memory_order_relaxed);
+  step(notch, -1, "hysteresis");
+  return mode();
+}
+
+bool DegradationGovernor::guard_this_alloc() noexcept {
+  (void)on_alloc();
+  const int notch = notch_.load(std::memory_order_relaxed);
+  if (notch == 0) return true;
+  if (notch == bottom_) return false;
+  // Slot assignment is per-thread and process-global; collisions past
+  // kSampleSlots threads merely share a countdown (still 1-in-N in
+  // aggregate). The countdown state itself is per-governor.
+  static std::atomic<std::uint32_t> next_slot{0};
+  thread_local const std::uint32_t slot =
+      next_slot.fetch_add(1, std::memory_order_relaxed) % kSampleSlots;
+  SampleSlot& s = sample_slots_[slot];
+  const std::uint64_t c = s.countdown.load(std::memory_order_relaxed);
+  if (c == 0) {
+    s.countdown.store(rate_at(notch) - 1, std::memory_order_relaxed);
+    return true;
   }
-  return m;
+  s.countdown.store(c - 1, std::memory_order_relaxed);
+  return false;
 }
 
 void DegradationGovernor::on_syscall_failure(const char* what,
                                              int err) noexcept {
   (void)err;
   ctr_.syscall_failures.fetch_add(1, std::memory_order_relaxed);
-  const GuardMode m = mode();
-  if (m == GuardMode::kQuarantineOnly) return;  // already at the bottom
-  // The sampled rung absorbs refusals by widening N until the ceiling.
-  if (m == GuardMode::kSampled && widen_sample_rate(what)) return;
-  shift_mode(static_cast<GuardMode>(static_cast<int>(m) + 1), what,
-             /*is_recovery=*/false);
+  step(notch_.load(std::memory_order_relaxed), +1, what);
 }
 
 void DegradationGovernor::on_arena_exhausted() noexcept {
@@ -376,29 +361,11 @@ void DegradationGovernor::add_vmas(long delta) noexcept {
   }
 }
 
-bool DegradationGovernor::sample_this_alloc() noexcept {
-  // Slot assignment is per-thread and process-global; collisions past
-  // kSampleSlots threads merely share a countdown (still 1-in-N in
-  // aggregate). The countdown state itself is per-governor.
-  static std::atomic<std::uint32_t> next_slot{0};
-  thread_local const std::uint32_t slot =
-      next_slot.fetch_add(1, std::memory_order_relaxed) % kSampleSlots;
-  SampleSlot& s = sample_slots_[slot];
-  const std::uint64_t c = s.countdown.load(std::memory_order_relaxed);
-  if (c == 0) {
-    const std::uint64_t n = sample_n_.load(std::memory_order_relaxed);
-    s.countdown.store(n > 0 ? n - 1 : 0, std::memory_order_relaxed);
-    return true;
-  }
-  s.countdown.store(c - 1, std::memory_order_relaxed);
-  return false;
-}
-
 std::uint64_t DegradationGovernor::residency_ns(GuardMode r) const noexcept {
   const int idx = static_cast<int>(r);
   if (idx < 0 || idx >= kRungCount) return 0;
   std::uint64_t total = residency_ns_[idx].load(std::memory_order_relaxed);
-  if (static_cast<int>(r) == mode_.load(std::memory_order_relaxed)) {
+  if (r == mode()) {
     const std::uint64_t since =
         last_transition_ns_.load(std::memory_order_relaxed);
     const std::uint64_t now = now_ns();
@@ -408,8 +375,15 @@ std::uint64_t DegradationGovernor::residency_ns(GuardMode r) const noexcept {
 }
 
 void DegradationGovernor::force_mode(GuardMode m) noexcept {
-  if (static_cast<int>(m) < 0 || static_cast<int>(m) >= kRungCount) return;
-  shift_mode(m, "forced", static_cast<int>(m) < static_cast<int>(mode()));
+  int first = 0;
+  switch (m) {
+    case GuardMode::kFullGuard: first = 0; break;
+    case GuardMode::kSampled: first = 1; break;
+    case GuardMode::kQuarantineOnly: first = bottom_; break;
+    default: return;
+  }
+  const int notch = notch_.load(std::memory_order_relaxed);
+  step(notch, first - notch, "forced");
 }
 
 void note_guard_error() noexcept {

@@ -8,27 +8,27 @@
 // governor is that state machine. The host application keeps serving traffic
 // no matter what the kernel refuses — detection degrades, never the server.
 //
-// The ladder (one-way rungs downward, hysteresis upward):
+// The dial: one guard rate, moved one notch at a time (downward under
+// pressure or refusal, upward by hysteresis). Each rung is a run of notches:
 //
-//   kFullGuard       every allocation gets a shadow alias; frees revoke the
-//                    span. Full detection (the paper's mode).
-//   kSampled         guard 1-in-N allocations (GWP-ASan style per-thread
-//                    decrementing counter). Unsampled allocations take the
+//   notch 0          kFullGuard: 1-in-1. Every allocation gets a shadow
+//                    alias; frees revoke the span. Full detection (the
+//                    paper's mode).
+//   notch 1 .. K     kSampled: 1-in-N with N = min(base * 2^(k-1),
+//                    sample_rate_max), drawn by a GWP-ASan style per-thread
+//                    decrementing counter. Unsampled allocations take the
 //                    ledgered fast path: canonical pointer, no alias, but
 //                    alloc/free are recorded (core/sampled.h), so double and
 //                    invalid frees stay exactly detected; dangling *uses* of
-//                    unsampled objects go undetected. Under continued
-//                    pressure the governor widens N (doubling up to
-//                    sample_rate_max) before demoting further; hysteresis
-//                    relief re-tightens N back toward the base rate before
-//                    promoting to full guarding.
-//   kQuarantineOnly  the sampled rung with no winners: no new shadow aliases
-//                    (no mmap, no new VMAs); every allocation takes the
-//                    ledgered fast path and every free enters the delayed-
-//                    reuse quarantine, so stale pointers dereference stale-
-//                    but-unreused memory instead of a neighbour's data.
-//                    Already-guarded objects keep their guarantees. The
-//                    bottom rung: a refusal here changes nothing.
+//                    unsampled objects go undetected. Notch K is the first
+//                    whose N reaches sample_rate_max.
+//   notch K+1        kQuarantineOnly: 1-in-none, the bottom. No new shadow
+//                    aliases (no mmap, no new VMAs); every allocation takes
+//                    the ledgered fast path and every free enters the
+//                    delayed-reuse quarantine, so stale pointers dereference
+//                    stale-but-unreused memory instead of a neighbour's data.
+//                    Already-guarded objects keep their guarantees. A
+//                    refusal here changes nothing.
 //
 // Invariant (DESIGN.md §10): degradation may *suspend* detection, never
 // falsify it — no mode ever produces a false positive, and objects guarded
@@ -39,9 +39,10 @@
 // high-water mark, 85% of the budget (parsed from /proc/sys/vm/max_map_count,
 // overridable via DPG_VMA_BUDGET). Recovery up: after `recover_after`
 // consecutive clean allocations with the VMA estimate below the low-water
-// mark, 50% of the budget, one rung is retried; each relapse doubles the required streak
-// (bounded exponential backoff), so a persistently refusing kernel costs one
-// probe per epoch, not a flap per request.
+// mark, 50% of the budget, one notch is retried; each relapse off a rung
+// doubles the required streak (bounded exponential backoff), so a
+// persistently refusing kernel costs one probe per epoch, not a flap per
+// request.
 #pragma once
 
 #include <atomic>
@@ -51,8 +52,8 @@
 
 namespace dpg::core {
 
-// Rungs are contiguous integers: the governor moves one rung at a time via
-// int(m) +/- 1, and the dump/report layers print the numeric value.
+// Rungs are contiguous integers, in dial order; the dump/report layers print
+// the numeric value.
 enum class GuardMode : int {
   kFullGuard = 0,
   kSampled = 1,
@@ -64,7 +65,7 @@ inline constexpr int kRungCount = 3;
 // One degradation-ladder transition, kept in a bounded ring for postmortem
 // dumps (the kLadder section of a .dpgcrash file — see obs/dump.h). Field
 // layout mirrors obs::dump::LadderEntry so the dump section is a straight
-// copy. Sample-rate adjustments on the kSampled rung record here too, with
+// copy. Notch steps within the kSampled rung record here too, with
 // from_mode == to_mode == kSampled and reason "sample-widen"/"sample-
 // tighten" — they are policy movement worth postmortem context even though
 // the rung itself does not change.
@@ -90,17 +91,17 @@ struct GovernorConfig {
   // (DPG_VMA_BUDGET overrides for the process-wide governor); if neither is
   // available, a conservative 65530 (the kernel default) is assumed.
   std::size_t vma_budget = 0;
-  // Clean allocations required before retrying one rung up. 0 disables
+  // Clean allocations required before retrying one notch up. 0 disables
   // recovery (sticky degradation).
   std::uint64_t recover_after = 4096;
   // Delayed-reuse quarantine budget (bytes): ledgered frees and refused
   // revocations park here.
   std::size_t quarantine_bytes = std::size_t{64} << 20;
-  // Base 1-in-N guard rate on the kSampled rung (DPG_SAMPLE_RATE for the
-  // process-wide governor). Clamped to >= 1; N == 1 guards everything.
+  // 1-in-N on the first sampled notch (DPG_SAMPLE_RATE for the process-wide
+  // governor). Clamped to >= 1; N == 1 guards everything.
   std::size_t sample_rate = 64;
-  // Ceiling for adaptive widening: pressure doubles N up to this before the
-  // ladder demotes past the sampled rung.
+  // N on the last sampled notch: each notch doubles N up to this. Clamped to
+  // >= sample_rate.
   std::size_t sample_rate_max = 8192;
 };
 
@@ -116,8 +117,8 @@ struct GovernorCounters {
   std::atomic<std::uint64_t> degraded_allocs{0};  // served on the bottom rung
   std::atomic<std::uint64_t> guard_errors{0};     // C-boundary catches
   std::atomic<std::uint64_t> sample_rate_effective{0};  // current N (gauge)
-  std::atomic<std::uint64_t> sample_widens{0};    // N doublings under pressure
-  std::atomic<std::uint64_t> sample_tightens{0};  // N halvings on relief
+  std::atomic<std::uint64_t> sample_widens{0};    // sampled notch steps down
+  std::atomic<std::uint64_t> sample_tightens{0};  // sampled notch steps up
 };
 
 class DegradationGovernor {
@@ -132,15 +133,20 @@ class DegradationGovernor {
   static DegradationGovernor& process();
 
   [[nodiscard]] GuardMode mode() const noexcept {
-    return static_cast<GuardMode>(mode_.load(std::memory_order_relaxed));
+    return rung_of(notch_.load(std::memory_order_relaxed));
   }
 
-  // Consulted once per allocation: applies the VMA-pressure check, advances
-  // the recovery streak, and returns the mode this allocation must use.
+  // Applies the VMA-pressure rule and advances the recovery streak, moving
+  // the dial when either fires; returns the rung the dial is on after it.
   GuardMode on_alloc() noexcept;
 
-  // A guard-path syscall was refused (post-relief): widen N when on the
-  // sampled rung, otherwise drop one rung.
+  // The question the engines ask once per allocation: on_alloc(), then
+  // whether this allocation gets a shadow alias — always at full guard,
+  // never on the bottom notch, else 1-in-N by a per-thread decrementing
+  // counter whose first draw after arming always guards (GWP-ASan style).
+  [[nodiscard]] bool guard_this_alloc() noexcept;
+
+  // A guard-path syscall was refused (post-relief): one notch down.
   void on_syscall_failure(const char* what, int err) noexcept;
 
   // Arena growth failed: physical exhaustion. Counted only; no rung change
@@ -151,17 +157,10 @@ class DegradationGovernor {
   // span / trailing-guard region, minus one per munmap).
   void add_vmas(long delta) noexcept;
 
-  // Per-allocation sampling decision for the kSampled rung: a per-thread
-  // decrementing counter fires 1-in-N; the first allocation a thread makes
-  // after arming is always guarded (GWP-ASan style). Only meaningful while
-  // mode() is kSampled.
-  [[nodiscard]] bool sample_this_alloc() noexcept;
-
-  // Effective 1-in-N the sampled rung currently guards at (the base rate
-  // until pressure widens it).
+  // The current notch's 1-in-N on the sampled rung: the base rate at full
+  // guard, sample_rate_max on the bottom notch.
   [[nodiscard]] std::size_t sample_rate() const noexcept {
-    return static_cast<std::size_t>(
-        sample_n_.load(std::memory_order_relaxed));
+    return rate_at(notch_.load(std::memory_order_relaxed));
   }
 
   // Accrued wall-clock on rung `r`, including the in-progress stay when `r`
@@ -195,8 +194,9 @@ class DegradationGovernor {
   std::size_t history_consistent(LadderRecord* out, std::size_t max,
                                  std::uint32_t* mode_out) const noexcept;
 
-  // Test/bench hook: pin the ladder to a rung (counts as a transition when
-  // the rung actually changes). A value outside the ladder is ignored.
+  // Test/bench hook: move the dial to rung m's first notch (full guard, the
+  // base rate, or the bottom); counts as a transition when the rung
+  // actually changes. A value outside the ladder is ignored.
   void force_mode(GuardMode m) noexcept;
 
   // Renders this governor's state as a kLadder dump section (LadderHeader +
@@ -218,19 +218,23 @@ class DegradationGovernor {
   }
 
  private:
-  // Pressure on the sampled rung acts once per this many allocations, so a
-  // burst widens N in measured steps instead of slamming it to the ceiling.
+  // Pressure below full guard steps the dial once per this many
+  // allocations, so a burst widens N in measured steps instead of slamming
+  // it to the bottom.
   static constexpr std::uint64_t kPressureInterval = 64;
   static constexpr std::size_t kSampleSlots = 64;
   struct alignas(64) SampleSlot {
     std::atomic<std::uint64_t> countdown{0};
   };
 
-  void shift_mode(GuardMode to, const char* why, bool is_recovery) noexcept;
-  // Doubles / halves the effective N. Return false when already at the
-  // respective bound (caller then moves a real rung instead).
-  bool widen_sample_rate(const char* why) noexcept;
-  bool tighten_sample_rate(const char* why) noexcept;
+  [[nodiscard]] GuardMode rung_of(int notch) const noexcept {
+    if (notch == 0) return GuardMode::kFullGuard;
+    return notch < bottom_ ? GuardMode::kSampled : GuardMode::kQuarantineOnly;
+  }
+  [[nodiscard]] std::size_t rate_at(int notch) const noexcept;
+  // Moves the dial `delta` notches from `seen`, clamped to [0, bottom_]; a
+  // no-op when another thread moved it off `seen` first.
+  void step(int seen, int delta, const char* why) noexcept;
   void record_ladder(GuardMode from, GuardMode to, const char* why,
                      bool is_recovery) noexcept;  // callers hold transition_mu_
 
@@ -238,11 +242,11 @@ class DegradationGovernor {
   std::size_t budget_ = 0;
   std::size_t high_mark_ = 0;
   std::size_t low_mark_ = 0;
-  std::atomic<int> mode_{0};
+  int bottom_ = 2;  // the quarantine-only notch
+  std::atomic<int> notch_{0};
   std::atomic<std::uint64_t> ok_streak_{0};
   std::atomic<std::uint64_t> backoff_{1};  // doubles per relapse, capped
-  std::atomic<std::uint64_t> sample_n_{64};        // effective 1-in-N
-  std::atomic<std::uint64_t> pressure_ticks_{0};   // sampled-rung pressure
+  std::atomic<std::uint64_t> pressure_ticks_{0};  // pressure below notch 0
   std::atomic<std::uint64_t> last_transition_ns_{0};
   std::atomic<std::uint64_t> residency_ns_[kRungCount] = {};
   SampleSlot sample_slots_[kSampleSlots];

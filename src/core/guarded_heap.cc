@@ -83,15 +83,15 @@ DanglingReport double_free_report(std::uintptr_t user, std::uintptr_t base,
 }  // namespace
 
 ShadowEngine::ShadowEngine(vm::PhysArena& arena, alloc::MallocLike& under,
-                           vm::VaFreeList& shadow_freelist, GuardConfig cfg)
+                           vm::VaFreeList& shadow_freelist,
+                           SampledTable& sampled, GuardConfig cfg)
     : arena_(arena),
       under_(under),
       shadow_freelist_(shadow_freelist),
+      sampled_(sampled),
       cfg_(cfg),
       gov_(cfg.governor != nullptr ? cfg.governor
-                                   : &DegradationGovernor::process()),
-      sampled_(cfg.sampled_table != nullptr ? cfg.sampled_table
-                                            : &own_sampled_) {
+                                   : &DegradationGovernor::process()) {
   head_.prev = &head_;
   head_.next = &head_;
   revoker_.init(cfg_.revoke_backend);
@@ -188,7 +188,7 @@ void* ShadowEngine::realloc(void* p, std::size_t new_size, SiteId site) {
         rec->state.load(std::memory_order_acquire) == ObjectState::kLive) {
       old_size = rec->user_size;
     }
-  } else if (!sampled_->empty() && sampled_->lookup_live(user, &ent)) {
+  } else if (!sampled_.empty() && sampled_.lookup_live(user, &ent)) {
     old_size = ent.size;
   }
   void* fresh = nullptr;
@@ -211,17 +211,10 @@ void* ShadowEngine::do_alloc_locked(std::size_t size, SiteId site) {
   if (remote_head_.load(std::memory_order_relaxed) != nullptr) {
     drain_remote_locked();
   }
-  switch (gov_->on_alloc()) {
-    case GuardMode::kFullGuard:
-      return guarded_alloc_locked(size, site);
-    case GuardMode::kSampled:
-      // 1-in-N winners get the full shadow alias; the rest take the ledgered
-      // fast path (exact double-free detection, no VMA, no syscall).
-      if (gov_->sample_this_alloc()) return guarded_alloc_locked(size, site);
-      break;
-    case GuardMode::kQuarantineOnly:
-      break;
-  }
+  // The governor's dial picks the winners: every allocation at full guard,
+  // 1-in-N below it, none on the bottom notch. The rest take the ledgered
+  // fast path (exact double-free detection, no VMA, no syscall).
+  if (gov_->guard_this_alloc()) return guarded_alloc_locked(size, site);
   return ledgered_alloc_locked(size, site);
 }
 
@@ -247,7 +240,7 @@ void* ShadowEngine::alloc_canonical_locked(std::size_t bytes) {
   // The allocator just (re)bound this canonical address; a stale sampled-
   // ledger entry must not outlive the old binding (the emptiness gate keeps
   // this off the hot path for every run that never reached the sampled rung).
-  if (p != nullptr && !sampled_->empty()) sampled_->forget(vm::addr(p));
+  if (p != nullptr && !sampled_.empty()) sampled_.forget(vm::addr(p));
   return p;
 }
 
@@ -260,7 +253,7 @@ void* ShadowEngine::alloc_canonical_locked(std::size_t bytes) {
 void* ShadowEngine::ledgered_alloc_locked(std::size_t size, SiteId site) {
   void* p = alloc_canonical_locked(size);
   if (p == nullptr) return nullptr;
-  sampled_->insert(vm::addr(p), size, site);
+  sampled_.insert(vm::addr(p), size, site);
   if (gov_->mode() == GuardMode::kQuarantineOnly) {
     stats_.degraded_allocs.fetch_add(1, std::memory_order_relaxed);
     gov_->count_degraded_alloc();
@@ -673,14 +666,14 @@ void ShadowEngine::maybe_flush_locked() {
 void ShadowEngine::free_locked(std::unique_lock<std::mutex>& lock, void* p,
                                SiteId site) {
   const std::uintptr_t user = vm::addr(p);
-  if (!sampled_->empty()) {
+  if (!sampled_.empty()) {
     // Ledger first: it has exact knowledge of fast-path pointers, and since
     // ledgered (canonical) and guarded (shadow-page) addresses are disjoint
     // by construction, a hit is definitive without consulting the registry
     // at all. A miss pays one hash find extra, only while the ledger is
     // non-empty.
     SampledTable::Entry ent;
-    switch (sampled_->on_free(user, site, &ent)) {
+    switch (sampled_.on_free(user, site, &ent)) {
       case SampledTable::FreeResult::kMiss:
         break;
       case SampledTable::FreeResult::kFreed:

@@ -107,12 +107,6 @@ struct GuardConfig {
   // Degradation policy (core/degrade.h). nullptr = share the process-wide
   // governor; tests and benches pass their own to pin or observe the ladder.
   DegradationGovernor* governor = nullptr;
-  // Exact alloc/free ledger for the fast path every allocation without a
-  // shadow alias takes (core/sampled.h). Must be shared across every engine that shares an
-  // underlying heap (ShardedHeap wires its own in); nullptr = the engine
-  // keeps a private table, correct for pools, whose frees route back to the
-  // allocating pool.
-  SampledTable* sampled_table = nullptr;
   // Revocation backend (vm/revoke.h): kAuto = DPG_REVOKE_BACKEND, else
   // guard markers where the kernel installs them, else kMprotect. kGuard
   // falls back to kMprotect where the probe fails. Either backend composes
@@ -124,8 +118,13 @@ class ShadowEngine {
  public:
   // `shadow_freelist` may be shared across engines (the paper's free list is
   // "shared across pools"); every shadow span the engine releases goes there.
+  // `sampled` is the exact alloc/free ledger of the fast path every
+  // allocation without a shadow alias takes (core/sampled.h); every engine
+  // over one underlying heap must share it, since a fast-path pointer may
+  // come back on any of their free paths.
   ShadowEngine(vm::PhysArena& arena, alloc::MallocLike& under,
-               vm::VaFreeList& shadow_freelist, GuardConfig cfg = {});
+               vm::VaFreeList& shadow_freelist, SampledTable& sampled,
+               GuardConfig cfg = {});
   ~ShadowEngine();
 
   ShadowEngine(const ShadowEngine&) = delete;
@@ -322,13 +321,10 @@ class ShadowEngine {
   vm::PhysArena& arena_;
   alloc::MallocLike& under_;
   vm::VaFreeList& shadow_freelist_;
+  SampledTable& sampled_;
   GuardConfig cfg_;
   DegradationGovernor* gov_;
   std::uint32_t shard_id_ = 0;
-
-  // Sampled-rung fast-path ledger: the config's shared table, else private.
-  SampledTable own_sampled_;
-  SampledTable* sampled_;
 
   // Revocation backend, resolved in the constructor.
   vm::Revoker revoker_;

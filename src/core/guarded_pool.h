@@ -62,7 +62,8 @@ class GuardedPool {
   // poolinit(&PP, elem_size).
   explicit GuardedPool(GuardedPoolContext& ctx, std::size_t elem_size_hint = 0)
       : pool_(ctx.source(), elem_size_hint),
-        engine_(ctx.arena(), pool_, ctx.shadow_freelist(), ctx.config()) {}
+        engine_(ctx.arena(), pool_, ctx.shadow_freelist(), sampled_,
+                ctx.config()) {}
 
   ~GuardedPool() { destroy(); }
 
@@ -130,6 +131,8 @@ class GuardedPool {
 
  private:
   alloc::Pool pool_;
+  // The pool's own fast-path ledger: frees route back to the allocating pool.
+  SampledTable sampled_;
   ShadowEngine engine_;
   std::unique_ptr<LockAndKeyLane> lane_;  // lazy: most pools never tag
   bool destroyed_ = false;

@@ -16,10 +16,10 @@
 //
 // Sharing: ShardedHeap threads allocate on their home shard but may free on
 // any (the underlying heap is shared), so the table must be shared across
-// engines exactly like the heap is — GuardConfig::sampled_table carries the
-// owner's instance down; an engine constructed without one keeps a private
-// table. Sharded by address hash to keep the fast path's insert off a single
-// global lock.
+// engines exactly like the heap is: ShardedHeap hands its one table to every
+// shard's engine, and each GuardedPool owns the table of its single engine.
+// Sharded by address hash to keep the fast path's insert off a single global
+// lock.
 //
 // Entries are erased when the underlying allocator hands the same canonical
 // address out again (every allocation path calls forget()), so the ledger

@@ -27,9 +27,6 @@ ShardedHeap::ShardedHeap(vm::PhysArena& arena, GuardConfig cfg,
   // process governor once here rather than letting each engine default to it
   // independently (same object either way; this makes the sharing explicit).
   if (cfg.governor == nullptr) cfg.governor = &DegradationGovernor::process();
-  // One sampled-rung ledger across shards (the underlying heap is shared, so
-  // a fast-path pointer may come back on any shard's free path).
-  if (cfg.sampled_table == nullptr) cfg.sampled_table = &sampled_;
   // freed_va_budget bounds what ONE engine may hold in revoked-but-unreleased
   // spans; the kernel's vm.max_map_count is a per-process limit, so split the
   // caller's bound across shards — otherwise N shards hold N× the configured
@@ -41,8 +38,8 @@ ShardedHeap::ShardedHeap(vm::PhysArena& arena, GuardConfig cfg,
   }
   engines_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    engines_.push_back(
-        std::make_unique<ShadowEngine>(arena, heap_, shadow_va_, cfg));
+    engines_.push_back(std::make_unique<ShadowEngine>(arena, heap_, shadow_va_,
+                                                      sampled_, cfg));
     engines_.back()->set_shard_id(static_cast<std::uint32_t>(i));
   }
 }

@@ -237,6 +237,43 @@ TEST_F(FaultInjectionTest, GovernorSampledRungWidensUnderPressureAndRetightens) 
   EXPECT_EQ(gov.mode(), GuardMode::kFullGuard);
 }
 
+TEST_F(FaultInjectionTest, GovernorDialStepsAreMirrored) {
+  // One dial of guard rates: pressure and relief walk the same notches in
+  // opposite order. The ceiling here is not a doubling of the base, so the
+  // last sampled notch is clamped and the walk back must leave it by the
+  // doubling below it, not by halving it.
+  GovernorConfig cfg;
+  cfg.vma_budget = 100;
+  cfg.recover_after = 1;
+  cfg.sample_rate = 3;
+  cfg.sample_rate_max = 20;
+  DegradationGovernor gov(cfg);
+  const std::size_t sampled[] = {3, 6, 12, 20};
+
+  gov.add_vmas(90);  // above the high-water mark
+  EXPECT_EQ(gov.on_alloc(), GuardMode::kSampled);  // off full guard at once
+  EXPECT_EQ(gov.sample_rate(), sampled[0]);
+  for (std::size_t i = 1; i < std::size(sampled); ++i) {
+    for (int j = 0; j < 64; ++j) (void)gov.on_alloc();
+    EXPECT_EQ(gov.mode(), GuardMode::kSampled);
+    EXPECT_EQ(gov.sample_rate(), sampled[i]);
+  }
+  for (int j = 0; j < 64; ++j) (void)gov.on_alloc();
+  EXPECT_EQ(gov.mode(), GuardMode::kQuarantineOnly);
+  EXPECT_EQ(gov.sample_rate(), sampled[3]);
+  EXPECT_EQ(gov.counters().sample_widens.load(), 3u);
+
+  gov.add_vmas(-80);  // below the low-water mark: one notch per clean alloc
+  for (std::size_t i = std::size(sampled); i-- > 0;) {
+    EXPECT_EQ(gov.on_alloc(), GuardMode::kSampled);
+    EXPECT_EQ(gov.sample_rate(), sampled[i]);
+  }
+  EXPECT_EQ(gov.on_alloc(), GuardMode::kFullGuard);
+  EXPECT_EQ(gov.counters().sample_tightens.load(), 3u);
+  EXPECT_EQ(gov.counters().transitions.load(), 4u);
+  EXPECT_EQ(gov.counters().recoveries.load(), 2u);
+}
+
 TEST_F(FaultInjectionTest, GovernorRungResidencyIsMonotone) {
   GovernorConfig cfg;
   cfg.vma_budget = 100;
