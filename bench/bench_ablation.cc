@@ -6,11 +6,8 @@
 #include <cstdio>
 #include <vector>
 
-#include "alloc/alloc_iface.h"
-#include "alloc/heap.h"
 #include "core/degrade.h"
 #include "core/guarded_pool.h"
-#include "core/lockandkey.h"
 #include "core/sharded_heap.h"
 #include "core/stats.h"
 #include "obs/backtrace.h"
@@ -75,71 +72,6 @@ Result churn_elided(const core::GuardConfig& cfg, std::size_t size) {
     void* p = engine.malloc_unguarded(size);
     engine.free_unguarded(p);
   }
-  const auto t1 = std::chrono::steady_clock::now();
-  const auto stats = heap.stats();
-  return Result{
-      std::chrono::duration<double, std::nano>(t1 - t0).count() / kPairs,
-      vm::syscall_counters().total() - sys_before,
-      stats.protect_calls,
-      stats.protect_calls_saved,
-  };
-}
-
-// Lock-and-key lane (core/lockandkey.h): tagged churn through the same
-// segregated canonical heap the runtime uses. No shadow alias, no mprotect —
-// one header write and a key/lock compare per pair, so the ns column is the
-// point and the syscall column reads ~zero in steady state.
-Result churn_tagged(std::size_t size) {
-  alloc::MmapSource source;
-  alloc::SegregatedHeap under(source);
-  core::GuardCounters counters;
-  core::LockAndKeyLane lane(under, counters);
-  for (int i = 0; i < 256; ++i) lane.free(lane.alloc(size, 1), 2);
-  const std::uint64_t sys_before = vm::syscall_counters().total();
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < kPairs; ++i) {
-    void* p = lane.alloc(size, 1);
-    lane.free(p, 2);
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  return Result{
-      std::chrono::duration<double, std::nano>(t1 - t0).count() / kPairs,
-      vm::syscall_counters().total() - sys_before,
-      0,
-      0,
-  };
-}
-
-// The scheme chooser's dividend on an allocation-intensive workload
-// (compiler/uaf_analysis.h choose_schemes): SAFE sites run unguarded, hot
-// small MAY-UAF sites take the lock-and-key lane, everything else keeps the
-// page guard. The weights mirror the policy's intent — the tag lane exists
-// precisely for the sites inside the hot loop, so it carries most pairs
-// (8/10), with one SAFE and one residual page-guard site at 1/10 each.
-Result churn_hybrid(const core::GuardConfig& cfg, std::size_t size) {
-  vm::PhysArena arena(std::size_t{1} << 31);
-  core::ShardedHeap heap(arena, cfg, 1);
-  auto& engine = heap.engine(0);
-  alloc::MmapSource source;
-  alloc::SegregatedHeap under(source);
-  core::GuardCounters counters;
-  core::LockAndKeyLane lane(under, counters);
-  for (int i = 0; i < 256; ++i) {
-    heap.free(heap.malloc(size));
-    engine.free_unguarded(engine.malloc_unguarded(size));
-    lane.free(lane.alloc(size, 1), 2);
-  }
-  engine.flush_protections();
-  const std::uint64_t sys_before = vm::syscall_counters().total();
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < kPairs; ++i) {
-    switch (i % 10) {
-      case 0: heap.free(heap.malloc(size)); break;
-      case 1: engine.free_unguarded(engine.malloc_unguarded(size)); break;
-      default: lane.free(lane.alloc(size, 1), 2); break;
-    }
-  }
-  engine.flush_protections();
   const auto t1 = std::chrono::steady_clock::now();
   const auto stats = heap.stats();
   return Result{
@@ -278,19 +210,6 @@ int main() {
     row(label, r);
   }
 
-  // The per-site scheme policy (DESIGN.md §14): this is the paper's conceded
-  // ~11x allocation-intensive worst case collapsing once the analyzer routes
-  // the hot sites onto the lock-and-key lane instead of the page guard.
-  std::printf("\n--- per-site scheme policy (uaf_analysis choose_schemes) ---\n");
-  const Result all_pg = churn(base, 64);
-  const Result all_tag = churn_tagged(64);
-  const Result hybrid = churn_hybrid(base, 64);
-  row("all page-guard (policy off)", all_pg);
-  row("all lock-and-key (tag lane)", all_tag);
-  row("hybrid (1 SAFE : 8 tag : 1 page)", hybrid);
-  std::printf("hybrid cuts alloc-intensive overhead %.1fx vs all-page-guard\n",
-              all_pg.ns_per_pair / hybrid.ns_per_pair);
-
   std::printf("\n--- wave frees (teardown-like: adjacent spans merge) ---\n");
   row("no batch, waves", wave_churn(base, 64));
   for (const std::size_t batch : {std::size_t{64}, std::size_t{256}}) {
@@ -311,9 +230,6 @@ int main() {
               "drops the per-pair syscalls to ~zero while parking freed\n"
               "memory and keeping double/invalid frees exact. The injected\n"
               "row shows the governor riding out intermittent kernel\n"
-              "refusals, on the rung its label names.\n"
-              "The scheme-policy section is the hybrid dividend: hot small\n"
-              "MAY-UAF sites pay a key/lock compare instead of two syscalls\n"
-              "per lifetime, with the tag reuse window as the priced trade.\n");
+              "refusals, on the rung its label names.\n");
   return 0;
 }

@@ -4,26 +4,8 @@
 #include <cstring>
 
 #include "compiler/verify.h"
-#include "core/lockandkey.h"
 
 namespace dpg::compiler {
-
-namespace {
-
-// Mediated-access gate for the lock-and-key lane. A tagged base pointer is
-// verified against its slot's generation word before the dereference — a
-// stale key raises kTagMismatch, the software twin of the page lane's MMU
-// trap. Untagged pointers (page lane, elided, native) pass through raw, so
-// their dangling accesses still fault exactly as before.
-std::uint64_t* deref(std::uint64_t base) {
-  if (core::LockAndKeyLane::is_tagged(base)) {
-    return static_cast<std::uint64_t*>(
-        core::LockAndKeyLane::check_access(base));
-  }
-  return reinterpret_cast<std::uint64_t*>(base);
-}
-
-}  // namespace
 
 Interpreter::Interpreter(const Module& module, InterpOptions options)
     : module_(module), opts_(options) {
@@ -61,16 +43,6 @@ Interpreter::Interpreter(const Module& module, InterpOptions options)
     if (opts_.honor_safety) {
       for (const SiteSafetyEntry& entry : module_.site_safety) {
         if (entry.elided) elided_sites_.insert(entry.site);
-      }
-    }
-    // The scheme chooser's middle lane: kLockAndKey sites allocate tagged.
-    // The verifier guarantees scheme uniformity per node/pool, so a tagged
-    // pointer never reaches a page-guard free site or vice versa.
-    if (opts_.honor_schemes) {
-      for (const SiteSchemeEntry& entry : module_.site_scheme) {
-        if (entry.scheme == SiteScheme::kLockAndKey) {
-          tagged_sites_.insert(entry.site);
-        }
       }
     }
   }
@@ -121,14 +93,6 @@ std::uint64_t Interpreter::mem_alloc(core::GuardedPool* pool,
     std::memset(p, 0, bytes);
     return vm::addr(p);
   }
-  if (tagged_sites_.count(site) != 0) {
-    // Lock-and-key site: the returned value carries the generation key in
-    // its high bits; raw memory is reached through strip().
-    void* p = target->alloc_tagged(bytes, site);
-    tag_lane_allocs_++;
-    std::memset(core::LockAndKeyLane::strip(vm::addr(p)), 0, bytes);
-    return vm::addr(p);
-  }
   void* p = target->alloc(bytes, site);
   std::memset(p, 0, bytes);
   return vm::addr(p);
@@ -148,12 +112,6 @@ void Interpreter::mem_free(core::GuardedPool* pool, std::uint64_t addr,
     // Elision is per points-to node, so a pointer reaching an elided free
     // site was allocated unguarded (verify_module enforces the pairing).
     target->free_unguarded(reinterpret_cast<void*>(addr), site);
-    return;
-  }
-  if (tagged_sites_.count(site) != 0) {
-    // Key-vs-lock checked free: a stale key (double free / free of the
-    // slot's previous generation) raises kTagMismatch synchronously.
-    target->free_tagged(reinterpret_cast<void*>(addr), site);
     return;
   }
   target->free(reinterpret_cast<void*>(addr), site);
@@ -227,26 +185,29 @@ std::uint64_t Interpreter::call(const Function& fn,
         mem_free(nullptr, regs[static_cast<std::size_t>(ins.a)], ins.site);
         break;
       case Op::kGetField: {
-        // Mediated load: tagged pointers pass the generation check first;
-        // untagged dangling pointers are a genuine MMU trap, resolved by the
-        // fault manager.
-        const std::uint64_t* obj = deref(regs[static_cast<std::size_t>(ins.a)]);
+        // A dangling load is a genuine MMU trap, resolved by the fault
+        // manager.
+        const auto* obj = reinterpret_cast<const std::uint64_t*>(
+            regs[static_cast<std::size_t>(ins.a)]);
         regs[static_cast<std::size_t>(ins.dst)] = obj[ins.imm];
         break;
       }
       case Op::kSetField: {
-        std::uint64_t* obj = deref(regs[static_cast<std::size_t>(ins.a)]);
+        auto* obj = reinterpret_cast<std::uint64_t*>(
+            regs[static_cast<std::size_t>(ins.a)]);
         obj[ins.imm] = regs[static_cast<std::size_t>(ins.b)];
         break;
       }
       case Op::kGetFieldV: {
-        const std::uint64_t* obj = deref(regs[static_cast<std::size_t>(ins.a)]);
+        const auto* obj = reinterpret_cast<const std::uint64_t*>(
+            regs[static_cast<std::size_t>(ins.a)]);
         regs[static_cast<std::size_t>(ins.dst)] =
             obj[regs[static_cast<std::size_t>(ins.b)]];
         break;
       }
       case Op::kSetFieldV: {
-        std::uint64_t* obj = deref(regs[static_cast<std::size_t>(ins.a)]);
+        auto* obj = reinterpret_cast<std::uint64_t*>(
+            regs[static_cast<std::size_t>(ins.a)]);
         obj[regs[static_cast<std::size_t>(ins.b)]] =
             regs[static_cast<std::size_t>(ins.c)];
         break;

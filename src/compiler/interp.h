@@ -42,12 +42,6 @@ struct InterpOptions {
   // shadow alias, no PROT_NONE at free). Disable to force full guarding,
   // e.g. to measure the elision win or distrust an external table.
   bool honor_safety = true;
-  // Honor the module's SiteScheme table: sites the scheme chooser assigned
-  // kLockAndKey allocate from the tag lane (generation key in the pointer's
-  // high bits, checked at every mediated load/store/free). Disable to route
-  // every non-elided site through the page-guard lane — the all-page-guard
-  // half of an A/B run (pirc --scheme=guard).
-  bool honor_schemes = true;
   // Degradation-ladder A/B knobs (pirc --rung / --sample-rate). forced_rung
   // pins a private governor to one rung for the interpreter's lifetime
   // (core::GuardMode numbering: 0 full-guard, 1 sampled, 2 quarantine-only;
@@ -97,12 +91,6 @@ class Interpreter {
     return guards_elided_;
   }
 
-  // Allocations served by the lock-and-key lane (scheme kLockAndKey),
-  // accumulated across the interpreter's lifetime.
-  [[nodiscard]] std::uint64_t tag_lane_allocs() const noexcept {
-    return tag_lane_allocs_;
-  }
-
  private:
   std::uint64_t call(const Function& fn, const std::vector<std::uint64_t>& args,
                      int depth);
@@ -124,9 +112,7 @@ class Interpreter {
   std::vector<std::uint64_t> globals_;
   std::unordered_set<std::uint64_t> native_live_;
   std::unordered_set<std::uint32_t> elided_sites_;  // from module_.site_safety
-  std::unordered_set<std::uint32_t> tagged_sites_;  // from module_.site_scheme
   std::uint64_t guards_elided_ = 0;
-  std::uint64_t tag_lane_allocs_ = 0;
   std::uint64_t steps_ = 0;
   std::vector<std::uint64_t> output_;
 };

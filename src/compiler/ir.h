@@ -73,12 +73,14 @@ struct Function {
   [[nodiscard]] int num_regs() const { return static_cast<int>(reg_names.size()); }
 };
 
-// One row of the compiler->runtime guard-elision contract. The UAF analysis
-// (uaf_analysis.h) classifies every points-to node; the pool transformation
-// records one entry per alloc/free site of the transformed module. `elided`
-// means the static analysis proved the site's node free of temporal errors,
-// so the runtime may serve it from the canonical heap directly: no shadow
-// alias mmap at allocation, no PROT_NONE mprotect at free. Elision is a
+// One row of the compiler->runtime guard-elision contract, the only table the
+// compiler hands the runtime. The UAF analysis (uaf_analysis.h) classifies
+// every points-to node; the pool transformation records one entry per
+// alloc/free site of the transformed module. `elided` means the static
+// analysis proved the site's node free of temporal errors, so the runtime may
+// serve it from the canonical heap directly: no shadow alias mmap at
+// allocation, no PROT_NONE mprotect at free. Every other site takes the
+// paper's exact page guard. Elision is a
 // per-node (hence per-pool) all-or-nothing property — verify_module rejects
 // tables where a guarded and an elided site share a node or a pool, which is
 // what guarantees an elided (canonical) pointer never reaches the guarded
@@ -91,56 +93,6 @@ struct SiteSafetyEntry {
   bool elided = false;  // SAFE-classified: runtime skips guarding entirely
 };
 
-// Detection scheme the analyzer assigns to a site (DESIGN.md §14). Three
-// lanes, cheapest sufficient one wins:
-//   kUnguarded   proven SAFE — canonical heap, no check at all.
-//   kLockAndKey  software lock-and-key: a generation tag in the pointer's
-//                high bits is checked against a per-slot generation word on
-//                every PIR load/store and free. No shadow alias, no
-//                mprotect; precision trade = the tag-reuse window after the
-//                per-slot generation counter wraps.
-//   kPageGuard   the paper's page-granularity MMU guard — exact, expensive.
-enum class SiteScheme : std::uint8_t {
-  kUnguarded = 0,
-  kLockAndKey = 1,
-  kPageGuard = 2,
-};
-
-[[nodiscard]] constexpr const char* site_scheme_name(SiteScheme s) {
-  switch (s) {
-    case SiteScheme::kUnguarded: return "UNGUARDED";
-    case SiteScheme::kLockAndKey: return "LOCK-AND-KEY";
-    case SiteScheme::kPageGuard: return "PAGE-GUARD";
-  }
-  return "?";
-}
-
-// Version of the SiteScheme table contract. Bump when entry semantics
-// change; verify_module rejects tables whose stored version differs, so a
-// stale producer can never smuggle a misread table past the runtime.
-inline constexpr std::uint32_t kSiteSchemeVersion = 1;
-
-// One row of the compiler->runtime scheme-selection contract, emitted by the
-// pool transformation next to SiteSafety. Like elision, the scheme is a
-// per-node (hence per-pool) all-or-nothing property — verify_module rejects
-// tables where two sites of one node or pool disagree, which guarantees a
-// tagged pointer never reaches the page-guard free path and vice versa. The
-// rationale fields record *why* the chooser picked the scheme (surfaced by
-// `pirc --lint`).
-struct SiteSchemeEntry {
-  std::uint32_t site = 0;
-  int node = -1;        // points-to node root the site belongs to
-  int pool = -1;        // pool index from placement; -1 = default/global pool
-  bool is_free = false; // free/poolfree site (else alloc site)
-  SiteScheme scheme = SiteScheme::kPageGuard;
-  // Chooser rationale: worst (alloc,free) pair class over the node (numeric
-  // uaf_analysis PairClass), const-inferred object size (-1 = unknown), and
-  // whether any allocation of the node sits inside a loop.
-  std::uint8_t pair_class = 0;
-  std::int64_t size_bytes = -1;
-  bool hot = false;
-};
-
 struct Module {
   std::vector<std::string> globals;  // named module-level word slots
   std::vector<Function> functions;
@@ -149,26 +101,6 @@ struct Module {
   // Guard-elision contract; empty = everything guarded (the default for
   // hand-written or untransformed modules).
   std::vector<SiteSafetyEntry> site_safety;
-
-  // Scheme-selection contract; empty = every guarded site uses the page
-  // guard (the pre-scheme-table behaviour). When non-empty,
-  // site_scheme_version must equal kSiteSchemeVersion (verify_module).
-  std::uint32_t site_scheme_version = 0;
-  std::vector<SiteSchemeEntry> site_scheme;
-
-  [[nodiscard]] const SiteSafetyEntry* safety_of(std::uint32_t site) const {
-    for (const SiteSafetyEntry& entry : site_safety) {
-      if (entry.site == site) return &entry;
-    }
-    return nullptr;
-  }
-
-  [[nodiscard]] const SiteSchemeEntry* scheme_of(std::uint32_t site) const {
-    for (const SiteSchemeEntry& entry : site_scheme) {
-      if (entry.site == site) return &entry;
-    }
-    return nullptr;
-  }
 
   [[nodiscard]] const Function* find(const std::string& name) const {
     const auto it = function_index.find(name);

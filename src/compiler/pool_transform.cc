@@ -129,60 +129,6 @@ std::vector<SiteSafetyEntry> build_site_safety(const Module& input,
   return table;
 }
 
-// The compiler->runtime scheme-selection contract (DESIGN.md §14): one row
-// per alloc/free site, carrying the chooser's lane plus rationale. Node and
-// pool attribution mirror build_site_safety exactly; because the chooser
-// decides per node, the table is automatically uniform per node and pool —
-// verify_module re-checks both that and consistency against SiteSafety
-// (kUnguarded iff elided).
-std::vector<SiteSchemeEntry> build_site_scheme(const Module& input,
-                                               const PointsToAnalysis& pta,
-                                               const EscapeResult& placement,
-                                               const UafAnalysis& uaf) {
-  std::vector<SiteSchemeEntry> table;
-  const auto pool_of = [&](int node) {
-    const auto it = placement.node_to_pool.find(node);
-    return it == placement.node_to_pool.end() ? -1 : it->second;
-  };
-  for (std::size_t f = 0; f < input.functions.size(); ++f) {
-    for (const Instr& ins : input.functions[f].body) {
-      SiteSchemeEntry entry;
-      switch (ins.op) {
-        case Op::kMalloc:
-        case Op::kPoolAlloc:
-          entry.node = pta.node_of_site(ins.site);
-          break;
-        case Op::kFree:
-        case Op::kPoolFree: {
-          const int ptr_reg = ins.op == Op::kFree ? ins.a : ins.b;
-          const int element = pta.var_element(static_cast<int>(f), ptr_reg);
-          entry.node = pta.pointee_node(element);
-          entry.is_free = true;
-          break;
-        }
-        default:
-          continue;
-      }
-      entry.site = ins.site;
-      entry.pool = entry.node >= 0 ? pool_of(entry.node) : -1;
-      const SchemeDecision d = uaf.scheme_of(ins.site);
-      // kUnguarded is derived from the same node_safe() call the safety
-      // table uses, so "scheme == kUnguarded iff elided" holds by
-      // construction; a site the chooser could not attribute stays on the
-      // exact lane.
-      const bool elided = uaf.node_safe(entry.node);
-      entry.scheme = elided                                 ? SiteScheme::kUnguarded
-                     : d.scheme == SiteScheme::kUnguarded   ? SiteScheme::kPageGuard
-                                                            : d.scheme;
-      entry.pair_class = static_cast<std::uint8_t>(d.cls);
-      entry.size_bytes = d.size_bytes;
-      entry.hot = d.hot;
-      table.push_back(entry);
-    }
-  }
-  return table;
-}
-
 }  // namespace
 
 TransformResult pool_allocate(const Module& input) {
@@ -195,8 +141,6 @@ TransformResult pool_allocate(const Module& input) {
   Module out;
   out.globals = input.globals;
   out.site_safety = build_site_safety(input, pta, placement, uaf);
-  out.site_scheme_version = kSiteSchemeVersion;
-  out.site_scheme = build_site_scheme(input, pta, placement, uaf);
 
   const int nfun = static_cast<int>(input.functions.size());
   for (int f = 0; f < nfun; ++f) {

@@ -410,163 +410,6 @@ UafAnalysis::UafAnalysis(const Module& module, const PointsToAnalysis& pta) {
               return std::make_tuple(a.fn, a.instr, static_cast<int>(a.kind)) <
                      std::make_tuple(b.fn, b.instr, static_cast<int>(b.kind));
             });
-  choose_schemes(module, pta);
-}
-
-namespace {
-
-// Syntactic loop bodies: a branch at index i whose target t <= i closes a
-// loop; every instruction in [t, i] is loop body. Coarse (no dominator
-// check) but one-sided — it only ever *adds* hotness, and hotness only picks
-// between two sound lanes.
-std::vector<std::pair<int, int>> loop_ranges(const Function& fn) {
-  std::vector<std::pair<int, int>> ranges;
-  for (std::size_t i = 0; i < fn.body.size(); ++i) {
-    const Instr& ins = fn.body[i];
-    if (ins.op != Op::kBr && ins.op != Op::kCbr) continue;
-    for (const int t : {ins.target, ins.target2}) {
-      if (t >= 0 && t <= static_cast<int>(i)) {
-        ranges.emplace_back(t, static_cast<int>(i));
-      }
-    }
-  }
-  return ranges;
-}
-
-bool in_ranges(const std::vector<std::pair<int, int>>& ranges, int i) {
-  for (const auto& [lo, hi] : ranges) {
-    if (i >= lo && i <= hi) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-// The scheme chooser (DESIGN.md §14). Static allocation-hotness heuristic:
-// a site is hot when its instruction sits inside a syntactic loop, or its
-// function is (transitively) called from inside one. Object size comes from
-// the same per-function constant propagation the pool transformation uses
-// for element-size hints; a size the propagation cannot pin stays unknown
-// and disqualifies the tag lane.
-void UafAnalysis::choose_schemes(const Module& module,
-                                 const PointsToAnalysis& pta) {
-  const std::size_t nfun = module.functions.size();
-  std::vector<std::vector<std::pair<int, int>>> loops(nfun);
-  for (std::size_t f = 0; f < nfun; ++f) {
-    loops[f] = loop_ranges(module.functions[f]);
-  }
-
-  // Transitive hot-function closure, seeded by calls inside loop bodies.
-  std::vector<bool> hot_fn(nfun, false);
-  std::deque<int> work;
-  for (std::size_t f = 0; f < nfun; ++f) {
-    const Function& fn = module.functions[f];
-    for (std::size_t i = 0; i < fn.body.size(); ++i) {
-      const Instr& ins = fn.body[i];
-      if (ins.op != Op::kCall || !in_ranges(loops[f], static_cast<int>(i))) {
-        continue;
-      }
-      const auto it = module.function_index.find(ins.callee);
-      if (it != module.function_index.end() && !hot_fn[it->second]) {
-        hot_fn[it->second] = true;
-        work.push_back(it->second);
-      }
-    }
-  }
-  while (!work.empty()) {
-    const int f = work.front();
-    work.pop_front();
-    for (const Instr& ins : module.functions[static_cast<std::size_t>(f)].body) {
-      if (ins.op != Op::kCall) continue;
-      const auto it = module.function_index.find(ins.callee);
-      if (it != module.function_index.end() && !hot_fn[it->second]) {
-        hot_fn[it->second] = true;
-        work.push_back(it->second);
-      }
-    }
-  }
-
-  // Per-alloc-site: const-inferred byte size and hotness.
-  std::map<std::uint32_t, std::int64_t> site_size;  // -1 = unknown
-  std::map<std::uint32_t, bool> site_hot;
-  for (std::size_t f = 0; f < nfun; ++f) {
-    const Function& fn = module.functions[f];
-    std::map<int, std::int64_t> constants;
-    for (std::size_t i = 0; i < fn.body.size(); ++i) {
-      const Instr& ins = fn.body[i];
-      if (ins.op == Op::kMalloc || ins.op == Op::kPoolAlloc) {
-        const int size_reg = ins.op == Op::kMalloc ? ins.a : ins.b;
-        const auto it = constants.find(size_reg);
-        site_size[ins.site] =
-            it != constants.end() && it->second > 0 ? it->second * 8 : -1;
-        site_hot[ins.site] =
-            hot_fn[f] || in_ranges(loops[f], static_cast<int>(i));
-      }
-      if (ins.op == Op::kConst) {
-        constants[ins.dst] = ins.imm;
-      } else if (ins.dst >= 0) {
-        constants.erase(ins.dst);
-      }
-    }
-  }
-
-  // Aggregate to node granularity (the scheme is a node-level property).
-  struct Agg {
-    std::int64_t max_size = 0;
-    bool all_known = true;
-    bool any_alloc = false;
-    bool hot = false;
-    PairClass worst = PairClass::kSafe;
-  };
-  std::map<int, Agg> agg;
-  for (const auto& [site, node] : site_node_) {
-    Agg& a = agg[node];
-    const auto sz = site_size.find(site);
-    if (sz == site_size.end()) continue;  // free site: no size/hot data
-    a.any_alloc = true;
-    if (sz->second < 0) {
-      a.all_known = false;
-    } else if (sz->second > a.max_size) {
-      a.max_size = sz->second;
-    }
-    if (site_hot[site]) a.hot = true;
-  }
-  for (const SitePair& pair : pairs_) {
-    const auto it = site_node_.find(pair.alloc_site);
-    if (it == site_node_.end()) continue;
-    Agg& a = agg[it->second];
-    if (static_cast<int>(pair.cls) > static_cast<int>(a.worst)) {
-      a.worst = pair.cls;
-    }
-  }
-
-  for (const auto& [site, node] : site_node_) {
-    const Agg& a = agg[node];
-    SchemeDecision d;
-    d.size_bytes = a.any_alloc && a.all_known ? a.max_size : -1;
-    d.hot = a.hot;
-    if (node_safe(node)) {
-      d.scheme = SiteScheme::kUnguarded;
-      d.cls = PairClass::kSafe;
-    } else {
-      // A finding with no surviving pair (e.g. free-only node) still means
-      // unsafe: clamp the class to at least MAY.
-      d.cls = static_cast<int>(a.worst) < static_cast<int>(PairClass::kMayUaf)
-                  ? PairClass::kMayUaf
-                  : a.worst;
-      const bool small = d.size_bytes > 0 && d.size_bytes <= kTagLaneMaxBytes;
-      d.scheme = d.cls == PairClass::kMayUaf && small && d.hot
-                     ? SiteScheme::kLockAndKey
-                     : SiteScheme::kPageGuard;
-    }
-    site_scheme_[site] = d;
-  }
-  (void)pta;
-}
-
-SchemeDecision UafAnalysis::scheme_of(std::uint32_t site) const {
-  const auto it = site_scheme_.find(site);
-  return it != site_scheme_.end() ? it->second : SchemeDecision{};
 }
 
 bool UafAnalysis::node_safe(int node) const {

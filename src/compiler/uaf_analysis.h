@@ -90,27 +90,6 @@ struct SitePair {
   PairClass cls = PairClass::kSafe;
 };
 
-// Scheme-selection verdict for one points-to node (DESIGN.md §14): which
-// detection lane the chooser assigns, plus the rationale `pirc --lint`
-// surfaces. Policy (cheapest lane whose guarantee suffices):
-//   SAFE node                              -> kUnguarded
-//   MAY-UAF + small const size + alloc-hot -> kLockAndKey
-//   everything else (MUST/DOUBLE-FREE, unknown or large size, cold)
-//                                          -> kPageGuard
-// MUST/DOUBLE-FREE nodes keep the page guard because the lock-and-key lane
-// has a precision hole (tag reuse after generation wrap) that the exact lane
-// does not; a site the analysis *expects* to fault deserves the exact lane.
-struct SchemeDecision {
-  SiteScheme scheme = SiteScheme::kPageGuard;
-  PairClass cls = PairClass::kSafe;  // worst (alloc,free) class over the node
-  std::int64_t size_bytes = -1;      // max const-inferred alloc size; -1 unknown
-  bool hot = false;                  // allocation inside a loop / hot callee
-};
-
-// Largest const-inferable object the lock-and-key lane will take: beyond
-// this the per-object page-guard cost amortizes and exactness wins.
-inline constexpr std::int64_t kTagLaneMaxBytes = 256;
-
 [[nodiscard]] const char* finding_kind_name(FindingKind kind);
 [[nodiscard]] const char* certainty_name(Certainty certainty);
 [[nodiscard]] const char* pair_class_name(PairClass cls);
@@ -139,26 +118,13 @@ class UafAnalysis {
     return unsafe_nodes_;
   }
 
-  // The scheme chooser's verdict per site (alloc and free sites both carry
-  // their node's decision — the scheme is a node-level property). Sites the
-  // points-to analysis could not attribute are absent; callers keep them on
-  // the page guard.
-  [[nodiscard]] const std::map<std::uint32_t, SchemeDecision>& site_schemes()
-      const noexcept {
-    return site_scheme_;
-  }
-  // Decision for one site; kPageGuard default for unattributed sites.
-  [[nodiscard]] SchemeDecision scheme_of(std::uint32_t site) const;
-
  private:
   class Impl;
-  void choose_schemes(const Module& module, const PointsToAnalysis& pta);
 
   std::vector<Finding> findings_;
   std::vector<SitePair> pairs_;
   std::set<int> unsafe_nodes_;
   std::map<std::uint32_t, int> site_node_;  // alloc+free site -> node root
-  std::map<std::uint32_t, SchemeDecision> site_scheme_;
 };
 
 }  // namespace dpg::compiler

@@ -20,7 +20,6 @@ class Verifier {
       check_function(fn, sites);
     }
     check_site_safety();
-    check_site_scheme();
     return std::move(diagnostics_);
   }
 
@@ -252,90 +251,6 @@ class Verifier {
         std::ostringstream where;
         where << "site_safety[site " << site << "]";
         fail(where.str(), "alloc/free site missing from the safety table");
-      }
-    }
-  }
-
-  // The scheme-selection contract (DESIGN.md §14) gets the same scrutiny as
-  // the elision table, plus cross-table consistency: a table whose version
-  // the runtime does not speak is rejected wholesale; every entry names a
-  // real site exactly once with the right alloc/free kind; the scheme is
-  // uniform per points-to node and per pool (a tagged pointer must never
-  // reach a page-guard free and vice versa); and when a SiteSafety table is
-  // present, kUnguarded must coincide exactly with `elided` — in particular
-  // the lock-and-key lane on a SAFE-elided site is rejected.
-  void check_site_scheme() {
-    if (module_.site_scheme.empty()) return;  // contract absent: page guard
-    if (module_.site_scheme_version != kSiteSchemeVersion) {
-      std::ostringstream where;
-      where << "site_scheme[version " << module_.site_scheme_version << "]";
-      fail(where.str(), "unsupported site_scheme table version");
-      return;
-    }
-
-    std::unordered_map<std::uint32_t, Op> site_ops;
-    for (const Function& fn : module_.functions) {
-      for (const Instr& ins : fn.body) {
-        if (ins.op == Op::kMalloc || ins.op == Op::kFree ||
-            ins.op == Op::kPoolAlloc || ins.op == Op::kPoolFree) {
-          site_ops.emplace(ins.site, ins.op);
-        }
-      }
-    }
-
-    std::set<std::uint32_t> seen;
-    std::unordered_map<int, SiteScheme> node_scheme;
-    std::unordered_map<int, SiteScheme> pool_scheme;
-    for (const SiteSchemeEntry& entry : module_.site_scheme) {
-      std::ostringstream where;
-      where << "site_scheme[site " << entry.site << "]";
-      if (!seen.insert(entry.site).second) {
-        fail(where.str(), "conflicting duplicate site entry");
-        continue;
-      }
-      const auto op_it = site_ops.find(entry.site);
-      if (op_it == site_ops.end()) {
-        fail(where.str(), "site does not exist in the module");
-        continue;
-      }
-      const bool is_free_op =
-          op_it->second == Op::kFree || op_it->second == Op::kPoolFree;
-      if (entry.is_free != is_free_op) {
-        fail(where.str(), "alloc/free kind disagrees with the instruction");
-      }
-      if (const SiteSafetyEntry* safety = module_.safety_of(entry.site)) {
-        const bool unguarded = entry.scheme == SiteScheme::kUnguarded;
-        if (safety->elided && !unguarded) {
-          fail(where.str(),
-               entry.scheme == SiteScheme::kLockAndKey
-                   ? "lock-and-key lane on a SAFE-elided site"
-                   : "page guard on a SAFE-elided site");
-        } else if (!safety->elided && unguarded) {
-          fail(where.str(), "unguarded scheme on a site not proven SAFE");
-        }
-      }
-      if (entry.node >= 0) {
-        const auto [it, inserted] = node_scheme.emplace(entry.node, entry.scheme);
-        if (!inserted && it->second != entry.scheme) {
-          fail(where.str(), "node mixes detection schemes");
-        }
-      } else if (entry.scheme != SiteScheme::kPageGuard) {
-        fail(where.str(), "non-page-guard site has no points-to node");
-      }
-      if (entry.pool >= 0) {
-        const auto [it, inserted] = pool_scheme.emplace(entry.pool, entry.scheme);
-        if (!inserted && it->second != entry.scheme) {
-          fail(where.str(),
-               "pool mixes detection schemes (a tagged pointer would reach a "
-               "page-guard free)");
-        }
-      }
-    }
-    for (const auto& [site, op] : site_ops) {
-      if (seen.count(site) == 0) {
-        std::ostringstream where;
-        where << "site_scheme[site " << site << "]";
-        fail(where.str(), "alloc/free site missing from the scheme table");
       }
     }
   }

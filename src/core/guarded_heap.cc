@@ -987,23 +987,6 @@ void ShadowEngine::release_all() {
   drop_magazines_locked();
 }
 
-std::size_t ShadowEngine::reclaim_freed(std::size_t bytes) {
-  std::lock_guard lock(mu_);
-  drain_remote_locked();
-  flush_protections_locked();
-  std::size_t reclaimed = 0;
-  for (ObjectRecord* it = head_.next; it != &head_ && reclaimed < bytes;) {
-    ObjectRecord* next = it->next;
-    if (it->revocation_done &&
-        it->state.load(std::memory_order_relaxed) == ObjectState::kFreed) {
-      reclaimed += it->span_length;
-      release_record_locked(it);
-    }
-    it = next;
-  }
-  return reclaimed;
-}
-
 std::vector<ObjectRecord*> ShadowEngine::freed_records() {
   std::lock_guard lock(mu_);
   drain_remote_locked();

@@ -175,13 +175,6 @@ class ShadowEngine {
   // (including concurrent remote frees: callers must quiesce other threads).
   void release_all();
 
-  // Recycles freed spans, oldest first, until at least `bytes` of guarded
-  // span are given up; returns the span bytes given up. A window-carved span
-  // keeps its VA until its window's last record goes, so the VA returned may
-  // lag. Tests use it; the §3.4 budget runs enforce_budget_locked and the GC
-  // freed_records()/reclaim().
-  std::size_t reclaim_freed(std::size_t bytes);
-
   // --- conservative-GC support (advanced; see gc_scan.h) ---
   [[nodiscard]] std::vector<ObjectRecord*> freed_records();
   [[nodiscard]] std::vector<ObjectRecord*> live_records();
@@ -193,11 +186,6 @@ class ShadowEngine {
   [[nodiscard]] const GuardCounters& counters() const noexcept {
     return stats_;
   }
-  // Writable counters for companion lanes (core/lockandkey.h) that account
-  // against this engine. Lane writers bump relaxed atomics without the
-  // engine lock: per-counter integrity holds, and the lane's counters have
-  // no cross-counter invariant with the engine's own (see stats.h).
-  [[nodiscard]] GuardCounters& lane_counters() noexcept { return stats_; }
   [[nodiscard]] alloc::MallocLike& underlying() noexcept { return under_; }
   // The resolved revocation backend (never kAuto).
   [[nodiscard]] vm::RevokeBackend revoke_backend() const noexcept {

@@ -16,11 +16,9 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 
 #include "alloc/pool.h"
 #include "core/guarded_heap.h"
-#include "core/lockandkey.h"
 #include "vm/phys_arena.h"
 #include "vm/va_freelist.h"
 
@@ -87,22 +85,6 @@ class GuardedPool {
     engine_.free_unguarded(p, site);
   }
 
-  // Lock-and-key lane for sites the scheme chooser classified kLockAndKey
-  // (compiler/uaf_analysis.h): canonical pool memory with a generation tag
-  // in the pointer, checked at every mediated load/store and at free. Same
-  // lifetime contract as the other lanes — pooldestroy bounds everything.
-  [[nodiscard]] void* alloc_tagged(std::size_t size, SiteId site = 0) {
-    return tag_lane().alloc(size, site);
-  }
-  void free_tagged(void* tagged, SiteId site = 0) {
-    tag_lane().free(tagged, site);
-  }
-  [[nodiscard]] LockAndKeyLane& tag_lane() {
-    if (!lane_) {
-      lane_ = std::make_unique<LockAndKeyLane>(pool_, engine_.lane_counters());
-    }
-    return *lane_;
-  }
   [[nodiscard]] void* calloc(std::size_t count, std::size_t size,
                              SiteId site = 0) {
     return engine_.calloc(count, size, site);
@@ -120,7 +102,6 @@ class GuardedPool {
   void destroy() {
     if (destroyed_) return;
     destroyed_ = true;
-    lane_.reset();  // returns recycled tag slots while the pool still lives
     engine_.release_all();
     pool_.destroy();
   }
@@ -134,7 +115,6 @@ class GuardedPool {
   // The pool's own fast-path ledger: frees route back to the allocating pool.
   SampledTable sampled_;
   ShadowEngine engine_;
-  std::unique_ptr<LockAndKeyLane> lane_;  // lazy: most pools never tag
   bool destroyed_ = false;
 };
 

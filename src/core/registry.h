@@ -116,7 +116,9 @@ class ShadowRegistry {
 
   // Async-signal-safe: resolves any address (not just page-aligned) to the
   // record whose shadow span covers it, or nullptr. Addresses with any bit at
-  // or above 2^48 set (tagged pointers, kernel si_addr values) always miss.
+  // or above 2^48 set always miss: the fault manager passes the kernel's
+  // si_addr through unfiltered, and a kernel-half or non-canonical address
+  // must not alias a low page.
   [[nodiscard]] const ObjectRecord* lookup(std::uintptr_t addr) const noexcept;
 
   // Registered pages. Scans every node; meant for tests.

@@ -25,8 +25,6 @@ enum class AccessKind : std::uint8_t {
   kInvalidFree, // free() of a pointer we never allocated
   kOverflow,    // access past a live object's last page (trailing guard)
   kUnknown,     // fault where read/write could not be classified
-  kTagMismatch, // lock-and-key lane: pointer's generation tag disagrees with
-                // the slot's generation word (stale access or stale free)
 };
 
 [[nodiscard]] constexpr const char* to_string(AccessKind k) noexcept {
@@ -37,7 +35,6 @@ enum class AccessKind : std::uint8_t {
     case AccessKind::kInvalidFree: return "invalid-free";
     case AccessKind::kOverflow: return "overflow";
     case AccessKind::kUnknown: return "access";
-    case AccessKind::kTagMismatch: return "tag-mismatch";
   }
   return "?";
 }

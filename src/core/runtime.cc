@@ -52,14 +52,6 @@ constexpr NamedField kExported[] = {
     {"dpg_protect_calls", &GuardCounters::protect_calls},
     {"dpg_protect_calls_saved", &GuardCounters::protect_calls_saved},
     {"dpg_guards_elided", &GuardCounters::guards_elided},
-    // Per-scheme allocation split (the chooser's three lanes). Unguarded and
-    // page-guarded alias the existing lane counters under scheme-named
-    // series so dashboards and .dpgcrash dumps can compare lanes directly.
-    {"dpg_sites_unguarded", &GuardCounters::guards_elided},
-    {"dpg_sites_tagged", &GuardCounters::tagged_allocs},
-    {"dpg_sites_page_guarded", &GuardCounters::allocations},
-    {"dpg_tagged_frees", &GuardCounters::tagged_frees},
-    {"dpg_tag_mismatches", &GuardCounters::tag_mismatches},
     {"dpg_heap_degraded_allocs", &GuardCounters::degraded_allocs},
     {"dpg_sampled_allocs", &GuardCounters::sampled_allocs},
     {"dpg_sampled_frees", &GuardCounters::sampled_frees},

@@ -91,13 +91,6 @@ struct GuardStats {
                                            // any rung, resolved via the ledger
                                            // (exact double-free detection
                                            // kept; block quarantined)
-  std::uint64_t tagged_allocs = 0;        // lock-and-key lane allocations
-                                           // (tag-in-pointer, no shadow
-                                           // alias, no mprotect)
-  std::uint64_t tagged_frees = 0;         // lock-and-key frees that passed
-                                           // the generation check
-  std::uint64_t tag_mismatches = 0;       // lock-and-key detections: pointer
-                                           // tag != slot generation word
   std::size_t live_records = 0;            // live + freed-but-still-guarded
   std::size_t guarded_bytes = 0;           // shadow span bytes currently held
   std::size_t reuse_delay_bytes = 0;       // revoked canonical bytes waiting
@@ -126,9 +119,6 @@ struct GuardStats {
     remote_frees += o.remote_frees;
     sampled_allocs += o.sampled_allocs;
     sampled_frees += o.sampled_frees;
-    tagged_allocs += o.tagged_allocs;
-    tagged_frees += o.tagged_frees;
-    tag_mismatches += o.tag_mismatches;
     live_records += o.live_records;
     guarded_bytes += o.guarded_bytes;
     reuse_delay_bytes += o.reuse_delay_bytes;
@@ -160,9 +150,6 @@ struct GuardCounters {
   alignas(vm::kCacheLine) std::atomic<std::uint64_t> remote_frees{0};
   alignas(vm::kCacheLine) std::atomic<std::uint64_t> sampled_allocs{0};
   alignas(vm::kCacheLine) std::atomic<std::uint64_t> sampled_frees{0};
-  alignas(vm::kCacheLine) std::atomic<std::uint64_t> tagged_allocs{0};
-  alignas(vm::kCacheLine) std::atomic<std::uint64_t> tagged_frees{0};
-  alignas(vm::kCacheLine) std::atomic<std::uint64_t> tag_mismatches{0};
   alignas(vm::kCacheLine) std::atomic<std::uint64_t> live_records{0};
   alignas(vm::kCacheLine) std::atomic<std::uint64_t> guarded_bytes{0};
   alignas(vm::kCacheLine) std::atomic<std::uint64_t> reuse_delay_bytes{0};
@@ -193,9 +180,6 @@ struct GuardCounters {
     s.remote_frees = remote_frees.load(std::memory_order_relaxed);
     s.sampled_allocs = sampled_allocs.load(std::memory_order_relaxed);
     s.sampled_frees = sampled_frees.load(std::memory_order_relaxed);
-    s.tagged_allocs = tagged_allocs.load(std::memory_order_relaxed);
-    s.tagged_frees = tagged_frees.load(std::memory_order_relaxed);
-    s.tag_mismatches = tag_mismatches.load(std::memory_order_relaxed);
     s.live_records = static_cast<std::size_t>(
         live_records.load(std::memory_order_relaxed));
     s.guarded_bytes = static_cast<std::size_t>(

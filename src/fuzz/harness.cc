@@ -21,10 +21,8 @@
 #include <unordered_set>
 #include <utility>
 
-#include "alloc/heap.h"
 #include "core/fault_manager.h"
 #include "core/guarded_pool.h"
-#include "core/lockandkey.h"
 #include "core/sharded_heap.h"
 #include "fuzz/oracle.h"
 #include "obs/metrics.h"
@@ -200,43 +198,6 @@ class HeapSut final : public Sut {
   core::ShardedHeap heap_;
 };
 
-// Lock-and-key cell: the whole heap runs on the tag lane — the runtime half
-// of a forced --scheme=tag A/B run. No shadow engine, no mprotect, no shadow
-// VA; detection is the pointer-key-vs-slot-lock comparison at every mediated
-// access and at free. Stats come from a local counter block the lane shares.
-class TagHeapSut final : public Sut {
- public:
-  explicit TagHeapSut(const FuzzConfig& cfg)
-      : heap_(source_), lane_(heap_, counters_, cfg.tag_bits) {}
-
-  void* malloc(std::size_t size, core::SiteId site) override {
-    return lane_.alloc(size, site);
-  }
-  void free(void* p, core::SiteId site, std::uint32_t) override {
-    lane_.free(p, site);
-  }
-  void* realloc(void* p, std::size_t size, core::SiteId site,
-                std::uint32_t) override {
-    // The lane has no in-place growth: realloc is alloc+free, and the free
-    // performs the same stale-key check a plain free would. (The harness
-    // refills the new object, so no bytes are copied.)
-    void* np = lane_.alloc(size, site);
-    if (np == nullptr) return nullptr;
-    lane_.free(p, site);
-    return np;
-  }
-  void flush() override {}  // no revocation queues on this lane
-  bool revocation_applied(const void*, std::uint32_t) override { return true; }
-  core::GuardMode mode() const override { return core::GuardMode::kFullGuard; }
-  core::GuardStats stats() override { return counters_.snapshot(); }
-
- private:
-  alloc::MmapSource source_;
-  alloc::SegregatedHeap heap_;
-  core::GuardCounters counters_;
-  core::LockAndKeyLane lane_;
-};
-
 class PoolSut final : public Sut {
  public:
   explicit PoolSut(const FuzzConfig& cfg) : gov_(governor_config(cfg)) {
@@ -319,31 +280,16 @@ Outcome classify_outcome(const std::optional<core::DanglingReport>& rep) {
   switch (rep->kind) {
     case core::AccessKind::kFree: return Outcome::kReportDoubleFree;
     case core::AccessKind::kInvalidFree: return Outcome::kReportInvalidFree;
-    case core::AccessKind::kTagMismatch: return Outcome::kReportTagMismatch;
     default: return Outcome::kTrap;
   }
 }
 
 Guardness classify_guard(const void* p) {
-  if (core::LockAndKeyLane::is_tagged(reinterpret_cast<std::uint64_t>(p))) {
-    return Guardness::kTagged;
-  }
   // A sampled WINNER has a registry record — the per-allocation sampling
   // decision is introspected, never re-modelled. Every other allocation
   // took the ledgered fast path, on whichever rung.
   return core::ShadowEngine::record_of(p) != nullptr ? Guardness::kGuarded
                                                      : Guardness::kSampledFast;
-}
-
-// Strips and key-checks a tag-lane pointer before a raw access; pointers
-// from the other lanes pass through untouched. Must run inside
-// catch_dangling — a stale key raises.
-unsigned char* resolve(void* p) {
-  const auto a = reinterpret_cast<std::uint64_t>(p);
-  if (core::LockAndKeyLane::is_tagged(a)) {
-    return static_cast<unsigned char*>(core::LockAndKeyLane::check_access(a));
-  }
-  return static_cast<unsigned char*>(p);
 }
 
 // Executor-side runtime state per object id.
@@ -361,7 +307,6 @@ struct ExecResult {
 };
 
 std::unique_ptr<Sut> make_sut(const FuzzConfig& cfg) {
-  if (cfg.tag_lane) return std::make_unique<TagHeapSut>(cfg);
   if (cfg.mode == HarnessMode::kPool) return std::make_unique<PoolSut>(cfg);
   return std::make_unique<HeapSut>(cfg);
 }
@@ -387,15 +332,9 @@ RunResult run_trace_here(const FuzzConfig& cfg, const Trace& trace,
   std::uint64_t sampled_frees = 0;
   std::uint64_t observed_df = 0;
   std::uint64_t observed_if = 0;
-  std::uint64_t tagged_allocs = 0;
-  std::uint64_t tagged_frees = 0;
-  std::uint64_t observed_tm_free = 0;    // stale tagged frees (engine counter)
-  std::uint64_t observed_tm_access = 0;  // stale tagged loads/stores (process)
 
   const std::uint64_t detections_before =
       core::FaultManager::instance().detections();
-  const std::uint64_t access_mm_before =
-      core::LockAndKeyLane::access_mismatches();
 
   {
     std::unique_ptr<Sut> sut = make_sut(cfg);
@@ -444,19 +383,17 @@ RunResult run_trace_here(const FuzzConfig& cfg, const Trace& trace,
     auto count_alloc = [&](Guardness g) {
       switch (g) {
         case Guardness::kGuarded: ++guarded_allocs; break;
-        case Guardness::kTagged: ++tagged_allocs; break;
         case Guardness::kSampledFast:
           ++(sut->mode() == core::GuardMode::kQuarantineOnly ? degraded_allocs
                                                              : sampled_allocs);
           break;
       }
     };
-    // An admitted free: the record's CAS, the lock's key check or the
-    // ledger's live->freed transition let it through.
+    // An admitted free: the record's CAS or the ledger's live->freed
+    // transition let it through.
     auto count_free = [&](Guardness g) {
       switch (g) {
         case Guardness::kGuarded: ++guarded_frees; break;
-        case Guardness::kTagged: ++tagged_frees; break;
         case Guardness::kSampledFast: ++sampled_frees; break;
       }
     };
@@ -511,20 +448,14 @@ RunResult run_trace_here(const FuzzConfig& cfg, const Trace& trace,
 
       const Oracle::MObj* model = oracle.find(op.obj);
       // Introspect the SUT only where the prediction depends on it: probes
-      // of freed guarded objects (revocation state) and freed tagged objects
-      // (key-vs-lock state — false exactly when the stale use will report).
+      // of freed guarded objects (revocation state).
       bool revoked = false;
-      bool tag_ok = false;
-      if (model != nullptr && model->phase == Phase::kFreed) {
+      if (model != nullptr && model->phase == Phase::kFreed &&
+          model->guard == Guardness::kGuarded) {
         const ObjRt& o = rt.at(op.obj);
-        if (model->guard == Guardness::kGuarded) {
-          revoked = sut->revocation_applied(o.ptr, o.pool);
-        } else if (model->guard == Guardness::kTagged) {
-          tag_ok = core::LockAndKeyLane::tag_matches(
-              reinterpret_cast<std::uint64_t>(o.ptr));
-        }
+        revoked = sut->revocation_applied(o.ptr, o.pool);
       }
-      const Prediction pred = oracle.predict(op, revoked, tag_ok);
+      const Prediction pred = oracle.predict(op, revoked);
       if (!pred.execute) {
         ++res.skipped;
         continue;
@@ -554,7 +485,7 @@ RunResult run_trace_here(const FuzzConfig& cfg, const Trace& trace,
             finish(core::catch_dangling([&] {
               void* p = sut->malloc(op.size, op.obj);
               r.new_ptr = p;
-              if (p != nullptr) std::memset(resolve(p), byte, op.size);
+              if (p != nullptr) std::memset(p, byte, op.size);
             }));
           };
           break;
@@ -564,7 +495,7 @@ RunResult run_trace_here(const FuzzConfig& cfg, const Trace& trace,
           job = [&] {
             finish(core::catch_dangling([&] {
               r.value = *reinterpret_cast<volatile unsigned char*>(
-                  resolve(tgt->ptr) + off);
+                  static_cast<unsigned char*>(tgt->ptr) + off);
             }));
           };
           break;
@@ -579,10 +510,10 @@ RunResult run_trace_here(const FuzzConfig& cfg, const Trace& trace,
           job = [&] {
             finish(core::catch_dangling([&] {
               if (live_write) {
-                std::memset(resolve(tgt->ptr), byte, tgt->size);
+                std::memset(tgt->ptr, byte, tgt->size);
               } else {
                 *reinterpret_cast<volatile unsigned char*>(
-                    resolve(tgt->ptr) + off) = byte;
+                    static_cast<unsigned char*>(tgt->ptr) + off) = byte;
               }
             }));
           };
@@ -609,7 +540,7 @@ RunResult run_trace_here(const FuzzConfig& cfg, const Trace& trace,
             finish(core::catch_dangling([&] {
               void* np = sut->realloc(tgt->ptr, op.size, op.obj2, tgt->pool);
               r.new_ptr = np;
-              if (np != nullptr) std::memset(resolve(np), byte, op.size);
+              if (np != nullptr) std::memset(np, byte, op.size);
             }));
           };
           break;
@@ -624,17 +555,6 @@ RunResult run_trace_here(const FuzzConfig& cfg, const Trace& trace,
       execute(op.thread, job);
       ++res.executed;
       note_outcome(r);
-      if (r.outcome == Outcome::kReportTagMismatch) {
-        // Free-path mismatches land in the engine counter block; access-path
-        // ones in the lane's process-wide counter. Track both for the
-        // end-of-run invariants.
-        if (op.kind == OpKind::kFree || op.kind == OpKind::kDoubleFree) {
-          ++observed_tm_free;
-        } else {
-          ++observed_tm_access;
-        }
-      }
-
       // 1. Outcome must be exactly what the oracle permits.
       if (!pred.permits(r.outcome)) {
         std::ostringstream d;
@@ -652,11 +572,9 @@ RunResult run_trace_here(const FuzzConfig& cfg, const Trace& trace,
             << ", want 0x" << unsigned{expect_fill} << ") — " << pred.why;
           diverge(idx, d.str());
         }
-        // 3. Report precision, on every lane. Tag-lane reports carry no
-        // alloc site (the slot header describes the current generation's
-        // owner, not the stale pointer's), but the object base must still
-        // be the probed pointer. Fast-path double-free reports come from
-        // the ledger, which recorded both — they are held to the same bar.
+        // 3. Report precision, on every lane. Fast-path double-free reports
+        // come from the ledger, which recorded both the alloc site and the
+        // object base — they are held to the same bar as guarded ones.
         if (rt.count(op.obj) != 0 && model != nullptr) {
           check_precision(idx, op, rt.at(op.obj), r);
         }
@@ -739,29 +657,6 @@ RunResult run_trace_here(const FuzzConfig& cfg, const Trace& trace,
                               " did not trap (" + outcome_name(r.outcome) +
                               ")");
         }
-      } else if (o.guard == Guardness::kTagged) {
-        // Exactness modulo the wrap window: a stale key MUST report; a
-        // wrapped key is the documented tag reuse window — the one precision
-        // hole this lane concedes, so nothing is asserted there.
-        if (core::LockAndKeyLane::tag_matches(
-                reinterpret_cast<std::uint64_t>(ro.ptr))) {
-          continue;
-        }
-        ExecResult r;
-        auto rep = core::catch_dangling([&] {
-          r.value = *reinterpret_cast<volatile unsigned char*>(
-              resolve(ro.ptr));
-        });
-        r.outcome = classify_outcome(rep);
-        if (rep.has_value()) r.report = *rep;
-        note_outcome(r);
-        if (r.outcome == Outcome::kReportTagMismatch) {
-          ++observed_tm_access;
-        } else {
-          diverge(kSweep, "sweep: stale tagged read of obj " +
-                              std::to_string(id) + " did not report (" +
-                              outcome_name(r.outcome) + ")");
-        }
       } else if (o.guard == Guardness::kSampledFast) {
         // Suspension, not falsification: the ledger free parked the block in
         // the quarantine, so it still holds the object's last fill — it was
@@ -798,11 +693,6 @@ RunResult run_trace_here(const FuzzConfig& cfg, const Trace& trace,
     expect_eq(st.invalid_frees, observed_if, "stats.invalid_frees");
     expect_eq(st.sampled_allocs, sampled_allocs, "stats.sampled_allocs");
     expect_eq(st.sampled_frees, sampled_frees, "stats.sampled_frees");
-    expect_eq(st.tagged_allocs, tagged_allocs, "stats.tagged_allocs");
-    expect_eq(st.tagged_frees, tagged_frees, "stats.tagged_frees");
-    expect_eq(st.tag_mismatches, observed_tm_free, "stats.tag_mismatches");
-    expect_eq(core::LockAndKeyLane::access_mismatches() - access_mm_before,
-              observed_tm_access, "lane access mismatches");
     if (cfg.fault_plan.empty()) {
       // With no injected revocation/mmap refusals every admitted free ends as
       // a revoked span once the queues are flushed.
@@ -990,13 +880,6 @@ std::vector<FuzzConfig> smoke_matrix(std::size_t n_ops) {
     v.push_back(c);
   }
   {
-    // Lock-and-key lane at full tag width: stale uses report synchronously,
-    // generation wraps essentially never occur.
-    FuzzConfig c = base("tag-lane");
-    c.tag_lane = true;
-    v.push_back(c);
-  }
-  {
     // The mprotect backend pinned. Every other cell takes kAuto, which runs
     // guard markers where the kernel installs them, so the matrix holds
     // both backends to the same oracle op for op.
@@ -1065,15 +948,6 @@ std::vector<FuzzConfig> matrix(std::size_t n_ops) {
     c.sample_rate = 4;
     c.shards = 4;
     c.gen.lanes = 4;
-    v.push_back(c);
-  }
-  {
-    // 2-bit generations (locks cycle 1..3): slot churn wraps the counter
-    // constantly, so stale probes land inside the tag reuse window often —
-    // the wrap branch of the oracle is exercised, not just documented.
-    FuzzConfig c = base("tag-wrap2");
-    c.tag_lane = true;
-    c.tag_bits = 2;
     v.push_back(c);
   }
   {

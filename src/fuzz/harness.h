@@ -65,13 +65,11 @@ struct RunResult {
 // The full config matrix: protect_batch pages {0,4,16} (256-page magazine
 // windows on either backend, except immediate revocation under mprotect,
 // which takes per-object aliases) x 1/4 shards x fault-injection plans x
-// degradation forced/off x heap/pool modes x the lock-and-key tag lane
-// (full-width and wrap-forcing 2-bit cells). `n_ops` sizes every cell's
+// degradation forced/off x heap/pool modes. `n_ops` sizes every cell's
 // generator.
 [[nodiscard]] std::vector<FuzzConfig> matrix(std::size_t n_ops);
 
-// The bounded 7-config subset the ctest `fuzz` label runs (includes one
-// tag-lane cell).
+// The bounded 8-config subset the ctest `fuzz` label runs.
 [[nodiscard]] std::vector<FuzzConfig> smoke_matrix(std::size_t n_ops);
 
 // ddmin-style shrinker: returns the smallest subsequence of `trace.ops`

@@ -8,7 +8,6 @@ const char* outcome_name(Outcome o) noexcept {
     case Outcome::kTrap: return "trap";
     case Outcome::kReportDoubleFree: return "double-free-report";
     case Outcome::kReportInvalidFree: return "invalid-free-report";
-    case Outcome::kReportTagMismatch: return "tag-mismatch-report";
     case Outcome::kSkipped: return "skipped";
   }
   return "?";
@@ -87,17 +86,9 @@ Prediction report_invalid_free(const char* why) {
   return p;
 }
 
-Prediction report_tag_mismatch(const char* why) {
-  Prediction p;
-  p.allow_tag_mismatch = true;
-  p.why = why;
-  return p;
-}
-
 }  // namespace
 
-Prediction Oracle::predict(const Op& op, bool revocation_applied,
-                           bool tag_matches) const {
+Prediction Oracle::predict(const Op& op, bool revocation_applied) const {
   switch (op.kind) {
     case OpKind::kMalloc:
     case OpKind::kFlush:
@@ -141,14 +132,6 @@ Prediction Oracle::predict(const Op& op, bool revocation_applied,
           // quarantine, so the read is silent AND observes the stale fill —
           // never another owner's bytes, never a trap.
           return silent("freed sampled fast-path read", /*check_stale=*/true);
-        case Guardness::kTagged:
-          // Lock-and-key: a stale key disagrees with the slot's lock — exact
-          // synchronous report, no batching window. After a generation wrap
-          // the key matches again (tag reuse window): silent, and no value
-          // is promised (the slot may hold a new owner's bytes).
-          return tag_matches
-                     ? silent("freed tagged read inside tag reuse window")
-                     : report_tag_mismatch("freed tagged read, stale key");
       }
       break;
 
@@ -164,12 +147,6 @@ Prediction Oracle::predict(const Op& op, bool revocation_applied,
         case Guardness::kSampledFast:
           // Quarantined block: writing cannot corrupt a new owner.
           return silent("freed sampled fast-path write");
-        case Guardness::kTagged:
-          // Inside the reuse window the slot may already belong to a new
-          // owner — writing would corrupt it, so the probe is skipped.
-          return tag_matches
-                     ? skip("freed tagged write inside tag reuse window")
-                     : report_tag_mismatch("freed tagged write, stale key");
       }
       break;
 
@@ -185,24 +162,11 @@ Prediction Oracle::predict(const Op& op, bool revocation_applied,
           // The ledger's freed entry makes this double free exact — report,
           // never absorb.
           return report_double_free("sampled fast-path double free");
-        case Guardness::kTagged:
-          // A stale free fails the key check exactly; the lane reports one
-          // kind (it cannot tell double free from UAF-free). Inside the
-          // reuse window the free would pass the check and re-free the
-          // slot under its current owner, so it is skipped like heap UB.
-          return tag_matches
-                     ? skip("freed tagged free inside tag reuse window")
-                     : report_tag_mismatch("stale tagged free");
       }
       break;
 
     case OpKind::kInvalidFree:
       if (!live) return skip("interior free needs a live object");
-      if (o->guard == Guardness::kTagged) {
-        // Interior pointer: no readable slot header before payload+off, so
-        // the magic check fails deterministically.
-        return report_invalid_free("interior pointer free (tagged)");
-      }
       if (o->guard == Guardness::kSampledFast) {
         // Misses the ledger (no object starts there) and the registry (a
         // canonical address is never a shadow page).

@@ -3,9 +3,8 @@
 // The oracle maintains the abstract state the paper's exactness claim is
 // stated over: every object is live, freed, or released, and carries the
 // *guardedness* the real stack gave it at allocation time (guarded with a
-// shadow alias, ledgered on the fast path, or tagged on the lock-and-key
-// lane). From that state it predicts, for each trace op, the exact set of
-// permitted outcomes:
+// shadow alias, or ledgered on the fast path). From that state it predicts,
+// for each trace op, the exact set of permitted outcomes:
 //
 //   rung kFullGuard   a freed object's use MUST trap once its revocation is
 //                     applied, MUST silently read the stale (unreused) fill
@@ -23,15 +22,6 @@
 //   kQuarantineOnly   the sampled rung with no winners: every allocation is
 //                     a fast-path object with exactly the promises above —
 //                     detection of uses suspended, never falsified.
-//   lock-and-key      (tag_lane configs) a freed object's use MUST raise a
-//                     tag-mismatch report synchronously — no batching window
-//                     exists on this lane — UNLESS the slot's generation has
-//                     wrapped back to the pointer's key (the tag reuse
-//                     window, introspected via LockAndKeyLane::tag_matches):
-//                     then reads are silent with no value promise and
-//                     mutating ops are skipped (the slot may belong to a new
-//                     owner). This mirrors the lane's documented precision
-//                     trade exactly.
 //
 // Whether a guarded free's revocation has been applied is not modelled — it
 // is *introspected* from the real stack (ShadowEngine::revocation_applied)
@@ -50,11 +40,9 @@
 namespace dpg::fuzz {
 
 // Guardedness the real stack assigned to an allocation (executor feedback:
-// tagged pointer -> kTagged (lock-and-key lane); registry record present ->
-// kGuarded; else kSampledFast).
+// registry record present -> kGuarded; else kSampledFast).
 enum class Guardness : std::uint8_t {
   kGuarded,
-  kTagged,
   // No shadow alias (a sampled-rung loser, or any allocation on the bottom
   // rung): canonical pointer + exact alloc/free ledger (core/sampled.h). The
   // sampled WINNERS classify as kGuarded — the per-allocation decision is
@@ -71,8 +59,6 @@ enum class Outcome : std::uint8_t {
   kTrap,               // hardware trap (or software access report)
   kReportDoubleFree,   // software report, AccessKind::kFree
   kReportInvalidFree,  // software report, AccessKind::kInvalidFree
-  kReportTagMismatch,  // software report, AccessKind::kTagMismatch (the
-                       // lock-and-key lane's stale access or stale free)
   kSkipped,            // executor did not run the op (predicted.execute=false)
 };
 
@@ -86,7 +72,6 @@ struct Prediction {
   bool allow_trap = false;
   bool allow_double_free = false;
   bool allow_invalid_free = false;
-  bool allow_tag_mismatch = false;
   // With allow_silent on a read: the byte read MUST equal fill (stale-but-
   // unreused for freed objects — the revoked-then-reused detector).
   bool check_stale = false;
@@ -98,7 +83,6 @@ struct Prediction {
       case Outcome::kTrap: return allow_trap;
       case Outcome::kReportDoubleFree: return allow_double_free;
       case Outcome::kReportInvalidFree: return allow_invalid_free;
-      case Outcome::kReportTagMismatch: return allow_tag_mismatch;
       case Outcome::kSkipped: return !execute;
     }
     return false;
@@ -130,14 +114,8 @@ class Oracle {
 
   // The exact permitted outcome for `op` given the current model state.
   // `revocation_applied` is the introspected SUT state for the target object
-  // (ignored unless the op acts on a freed guarded object). `tag_matches` is
-  // the introspected lock-and-key state (LockAndKeyLane::tag_matches) for a
-  // freed *tagged* object: false -> the stale use reports exactly; true ->
-  // the pointer sits inside the tag reuse window after a generation wrap
-  // (the lane's documented precision trade), so reads are silent with no
-  // value promise and mutating ops are skipped.
-  [[nodiscard]] Prediction predict(const Op& op, bool revocation_applied,
-                                   bool tag_matches = false) const;
+  // (ignored unless the op acts on a freed guarded object).
+  [[nodiscard]] Prediction predict(const Op& op, bool revocation_applied) const;
 
   // --- state advancement (executor feedback) -------------------------------
   // Registers a successful allocation with the guardedness the stack chose.

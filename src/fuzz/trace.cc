@@ -190,8 +190,6 @@ std::string to_replay(const FuzzConfig& cfg, const Trace& trace) {
   out << "forced_mode " << cfg.forced_mode << "\n";
   out << "sample_rate " << cfg.sample_rate << "\n";
   out << "oracle_bug " << (cfg.oracle_bug ? 1 : 0) << "\n";
-  out << "tag_lane " << (cfg.tag_lane ? 1 : 0) << "\n";
-  out << "tag_bits " << cfg.tag_bits << "\n";
   out << "revoke_backend " << vm::backend_name(cfg.revoke_backend) << "\n";
   out << "seed " << trace.seed << "\n";
   out << "lanes " << trace.lanes << "\n";
@@ -238,9 +236,11 @@ bool from_replay(const std::string& text, FuzzConfig* cfg, Trace* trace,
       }
     } else if (tag == "shards") {
       in >> c.shards;
-    } else if (tag == "magazines" || tag == "recycle_cap") {
-      // Older files carry an explicit magazine window or recycle-cache cap;
-      // neither is configurable any more, so the value is read and dropped.
+    } else if (tag == "magazines" || tag == "recycle_cap" ||
+               tag == "tag_bits") {
+      // Older files carry an explicit magazine window, a recycle-cache cap
+      // or the retired tag lane's generation width; none is configurable
+      // any more, so the value is read and dropped.
       std::size_t ignored = 0;
       in >> ignored;
     } else if (tag == "batch") {
@@ -261,11 +261,10 @@ bool from_replay(const std::string& text, FuzzConfig* cfg, Trace* trace,
       in >> v;
       c.oracle_bug = v != 0;
     } else if (tag == "tag_lane") {
+      // Older files name the retired lock-and-key lane. A cell that ran on
+      // it has no page-guard replay, so only 0 is accepted.
       int v = 0;
-      in >> v;
-      c.tag_lane = v != 0;
-    } else if (tag == "tag_bits") {
-      in >> c.tag_bits;
+      if (!(in >> v) || v != 0) return fail("bad tag_lane: the lane is gone");
     } else if (tag == "revoke_backend") {
       std::string b;
       in >> b;

@@ -103,16 +103,6 @@ struct FuzzConfig {
   // Deliberate oracle defect (predicts queued revocations as already
   // applied): the known-bad seed for the shrink/replay demo.
   bool oracle_bug = false;
-  // Lock-and-key lane cell: every heap allocation goes through a
-  // core::LockAndKeyLane (generation key in the pointer's high bits, lock
-  // word in the slot) instead of the page guard — the runtime half of the
-  // scheme chooser's kLockAndKey verdict. The oracle mirrors the lane's
-  // exact semantics including the tag reuse window after generation wrap.
-  bool tag_lane = false;
-  // Generation-counter width for tag-lane cells (clamped to [2, 15] by the
-  // lane). Narrow widths force wraps, exercising the reuse-window oracle
-  // branch; the default is the full width.
-  unsigned tag_bits = 15;
   // Revocation backend. Every backend runs the identical oracle lockstep:
   // which mechanism raises the trap is invisible to detection semantics.
   // On kernels without guard markers kAuto and kGuard resolve to mprotect

@@ -102,7 +102,9 @@ TEST_P(GuardPageTest, GuardedSpanRecyclesThroughFreeList) {
   const std::uintptr_t base = rec->shadow_base;
   const std::size_t span = rec->span_length;
   heap_->free(p);
-  heap_->engine(0).reclaim_freed(span);
+  for (ObjectRecord* freed : heap_->engine(0).freed_records()) {
+    heap_->engine(0).reclaim(freed);
+  }
   EXPECT_GE(heap_->shadow_freelist().bytes(), span);
   // A new allocation reuses the recycled (data+guard) range and re-arms it.
   auto* q = static_cast<char*>(heap_->malloc(16));

@@ -122,6 +122,16 @@ TEST(FuzzTrace, ReplayParserRejectsMalformedInput) {
     EXPECT_FALSE(from_replay(bad, &cfg, &t, &err)) << mode;
     EXPECT_NE(err.find("forced_mode"), std::string::npos) << err;
   }
+  // The retired lock-and-key lane: a file that ran a cell on it has no
+  // page-guard replay, so anything but `tag_lane 0` is rejected.
+  for (const char* lane : {"1", "2", "x"}) {
+    std::string bad = good;
+    const auto pos = bad.find("revoke_backend");
+    ASSERT_NE(pos, std::string::npos);
+    bad.insert(pos, std::string("tag_lane ") + lane + "\n");
+    EXPECT_FALSE(from_replay(bad, &cfg, &t, &err)) << lane;
+    EXPECT_NE(err.find("tag_lane"), std::string::npos) << err;
+  }
   // v1 files carried batch_bytes and numeric backends: rejected with a
   // pointer to re-record, never half-parsed.
   std::string v1 = good;
@@ -301,6 +311,13 @@ TEST(FuzzTrace, ReplayAcceptsLegacyRecycleCapLine) {
 TEST(FuzzTrace, ReplayMapsLegacyPkeyBackendToMprotect) {
   expect_legacy_replays_as("mprotect-batch16", 19, "revoke_backend mprotect",
                            "revoke_backend pkey");
+}
+
+// Files recorded while the lock-and-key lane existed carry `tag_lane 0`
+// and `tag_bits 15` lines in every page-guard cell, dropped the same way.
+TEST(FuzzTrace, ReplayAcceptsLegacyTagLaneLines) {
+  expect_legacy_replays_as("immediate-1shard", 23, "revoke_backend ",
+                           "tag_lane 0\ntag_bits 15\nrevoke_backend ");
 }
 
 // Hermetic replay: a trace pinned to one backend, replayed in a process

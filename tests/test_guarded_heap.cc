@@ -237,15 +237,19 @@ TEST(OneShardHeapBudget, FreedVaBudgetTriggersReclamation) {
   EXPECT_GT(stats.shadow_pages_reused, 0u);
 }
 
-TEST(OneShardHeapBudget, ReclaimFreedReleasesOldestFirst) {
+TEST(OneShardHeapBudget, FreedRecordsListOldestFirst) {
   vm::PhysArena arena(1u << 28);
   ShardedHeap heap(arena, {}, 1);
   auto* oldest = static_cast<char*>(heap.malloc(16));
   auto* newest = static_cast<char*>(heap.malloc(16));
+  const ObjectRecord* oldest_rec = ShadowEngine::record_of(oldest);
   heap.free(oldest);
   heap.free(newest);
-  const std::size_t reclaimed = heap.engine(0).reclaim_freed(vm::kPageSize);
-  EXPECT_EQ(reclaimed, vm::kPageSize);
+  const std::vector<ObjectRecord*> freed = heap.engine(0).freed_records();
+  ASSERT_EQ(freed.size(), 2u);
+  EXPECT_EQ(freed.front(), oldest_rec);
+  EXPECT_EQ(freed.front()->span_length, vm::kPageSize);
+  heap.engine(0).reclaim(freed.front());
   // The newest freed object must still be guarded.
   const auto report = catch_dangling([&] {
     volatile char c = newest[0];

@@ -602,7 +602,9 @@ TEST(ObsIntegration, EachReleasedSpanRecordsOneVaReclaim) {
   }
   const std::uint64_t t0 = monotonic_ns();
   obs::set_trace_enabled(true);
-  EXPECT_GT(heap.engine(0).reclaim_freed(SIZE_MAX), 0u);
+  const std::vector<core::ObjectRecord*> freed = heap.engine(0).freed_records();
+  EXPECT_FALSE(freed.empty());
+  for (core::ObjectRecord* rec : freed) heap.engine(0).reclaim(rec);
   obs::set_trace_enabled(false);
 
   TraceEvent out[TraceRing::kCapacity];

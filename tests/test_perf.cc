@@ -518,7 +518,9 @@ TEST(Magazines, ImmediateRevocationUnderMprotectMapsNone) {
   }
   for (std::size_t i = 0; i < heap.shards(); ++i) {
     EXPECT_EQ(heap.engine(i).reuse_delay_bytes(), 0u);
-    (void)heap.engine(i).reclaim_freed(SIZE_MAX);
+    for (ObjectRecord* rec : heap.engine(i).freed_records()) {
+      heap.engine(i).reclaim(rec);
+    }
   }
   const GuardStats s = heap.stats();
   EXPECT_EQ(s.magazine_maps, 0u);
@@ -609,7 +611,9 @@ TEST(Magazines, PopulationCapRetiresAGenerationNoLiveRecordHolds) {
   char* next = static_cast<char*>(heap.malloc(8));
   ASSERT_NE(next, nullptr);
   const std::size_t before = heap.shadow_freelist().bytes();
-  (void)heap.engine(0).reclaim_freed(SIZE_MAX);
+  for (ObjectRecord* rec : heap.engine(0).freed_records()) {
+    heap.engine(0).reclaim(rec);
+  }
   EXPECT_EQ(heap.shadow_freelist().bytes(),
             before + ShadowEngine::kWindowBytes)
       << "the retired generation held no live record";

@@ -194,7 +194,7 @@ TEST(Pirc, RungKnobDoesNotChangeCleanProgramOutput) {
 TEST(Pirc, BadRungOrSampleRateIsUsageError) {
   for (const char* flag :
        {"--rung=bogus", "--rung=unguarded", "--sample-rate=0",
-        "--sample-rate=abc"}) {
+        "--sample-rate=abc", "--scheme=tag"}) {
     const RunResult r = run_pirc(std::string(flag) + " " + kSumtree);
     EXPECT_EQ(r.exit_code, 1) << flag << ": " << r.output;
     EXPECT_NE(r.output.find("usage"), std::string::npos) << flag;

@@ -180,8 +180,8 @@ TEST(Registry, LookupMissOnEmptyRegistry) {
   EXPECT_EQ(reg.lookup(0xDEADBEEF000), nullptr);
   EXPECT_EQ(reg.lookup(0), nullptr);
   // Addresses at or above 2^48 lie outside the map and must miss rather
-  // than alias a low page: a lock-and-key tagged pointer (generation in bits
-  // 48..62), a kernel-half si_addr, and the extremes.
+  // than alias a low page: a non-canonical address with bits 48..62 set, a
+  // kernel-half si_addr, and the extremes.
   EXPECT_EQ(reg.lookup(std::uintptr_t{1} << 48), nullptr);
   EXPECT_EQ(reg.lookup(0x0005'7000'0000'0000 | 0xDEADBEEF000), nullptr);
   EXPECT_EQ(reg.lookup(0xFFFF'FFFF'8100'0000), nullptr);

@@ -78,10 +78,9 @@ func main() {
 }
 )";
 
-// The scheme chooser's sweet spot: a MAY-UAF object (conditionally freed
-// before its last use) of small const size, allocated inside the hot loop's
-// callee. The policy routes this to the lock-and-key lane — paying the page
-// guard here is the paper's conceded allocation-intensive worst case.
+// A MAY-UAF object (conditionally freed before its last use) of small const
+// size, allocated inside the hot loop's callee. Named for the retired
+// lock-and-key lane (DESIGN.md §14), which was chosen for this shape.
 constexpr const char* kMayHotTagLane = R"(
 func main() {
   i = const 0
@@ -282,104 +281,28 @@ TEST(GuardElision, UnsafeSitesStayGuardedAndStillTrap) {
   EXPECT_EQ(interp.guards_elided(), 0u);
 }
 
-// --- per-site scheme chooser (DESIGN.md §14) --------------------------------
-
-TEST(SchemeChooser, SafeNodeIsUnguarded) {
-  const UafAnalysis uaf = analyze(dpg::testing::kTwoPools);
-  ASSERT_FALSE(uaf.site_schemes().empty());
-  for (const auto& [site, decision] : uaf.site_schemes()) {
-    EXPECT_EQ(decision.scheme, SiteScheme::kUnguarded) << "site " << site;
-    EXPECT_EQ(decision.cls, PairClass::kSafe);
-  }
-}
-
-TEST(SchemeChooser, MustUafKeepsTheExactPageGuard) {
-  // A site the analysis *expects* to fault deserves the lane with no
-  // precision hole, even though the object is small.
-  const UafAnalysis uaf = analyze(kStraightLineUaf);
-  ASSERT_FALSE(uaf.pairs().empty());
-  const SchemeDecision d = uaf.scheme_of(uaf.pairs()[0].alloc_site);
-  EXPECT_EQ(d.scheme, SiteScheme::kPageGuard);
-  EXPECT_EQ(d.cls, PairClass::kMustUaf);
-}
-
-TEST(SchemeChooser, HotSmallMayUafTakesTheTagLane) {
+TEST(GuardElision, MayUafSitesStayPageGuardedAndReportTheirSites) {
+  // A MAY-UAF node is not SAFE, so none of its sites is elided, and the
+  // transformed module (with its safety table) still verifies.
+  const Module m = parse_module(kMayHotTagLane);
   const UafAnalysis uaf = analyze(kMayHotTagLane);
-  ASSERT_FALSE(uaf.pairs().empty());
+  ASSERT_EQ(uaf.pairs().size(), 1u);
   const SitePair& pair = uaf.pairs()[0];
   EXPECT_EQ(pair.cls, PairClass::kMayUaf);
-  const SchemeDecision d = uaf.scheme_of(pair.alloc_site);
-  EXPECT_EQ(d.scheme, SiteScheme::kLockAndKey);
-  EXPECT_TRUE(d.hot) << "work() is called from main's loop";
-  EXPECT_GE(d.size_bytes, 0);
-  EXPECT_LE(d.size_bytes, kTagLaneMaxBytes);
-  // Alloc and free site carry the same node-level verdict.
-  EXPECT_EQ(uaf.scheme_of(pair.free_site).scheme, SiteScheme::kLockAndKey);
-}
-
-TEST(SchemeChooser, ColdMayUafStaysOnThePageGuard) {
-  // Same conditional-free shape as kMayHotTagLane's work(), but with no loop
-  // anywhere: MAY-UAF yet not allocation-hot, so the per-lifetime syscall
-  // cost amortizes and the exact lane wins.
-  const UafAnalysis uaf = analyze(R"(
-func main() {
-  p = malloc 2
-  flag = const 1
-  cbr flag, dofree, keep
-dofree:
-  free p
-  br join
-keep:
-  br join
-join:
-  v = getfield p, 0
-  out v
-  ret
-}
-)");
-  ASSERT_FALSE(uaf.pairs().empty());
-  const SchemeDecision d = uaf.scheme_of(uaf.pairs()[0].alloc_site);
-  EXPECT_EQ(d.cls, PairClass::kMayUaf);
-  EXPECT_FALSE(d.hot);
-  EXPECT_EQ(d.scheme, SiteScheme::kPageGuard);
-}
-
-TEST(SchemeChooser, TransformEmitsVersionedTableMatchingTheAnalysis) {
-  const Module m = parse_module(kMayHotTagLane);
   const TransformResult tr = pool_allocate(m);
-  EXPECT_EQ(tr.module.site_scheme_version, kSiteSchemeVersion);
-  ASSERT_FALSE(tr.module.site_scheme.empty());
   EXPECT_TRUE(verify_module(tr.module).empty());
-  bool saw_tagged = false;
-  for (const SiteSchemeEntry& e : tr.module.site_scheme) {
-    if (e.scheme == SiteScheme::kLockAndKey) saw_tagged = true;
+  for (const SiteSafetyEntry& e : tr.module.site_safety) {
+    EXPECT_FALSE(e.elided) << "site " << e.site;
   }
-  EXPECT_TRUE(saw_tagged);
-}
-
-// --- tag lane end to end (interp honors the scheme table) -------------------
-
-TEST(SchemeChooser, TagLaneCatchesTheDanglingUseAtRuntime) {
-  const Module m = parse_module(kMayHotTagLane);
-  const TransformResult tr = pool_allocate(m);
+  // Default options: the second iteration's read of the freed object traps
+  // on the page guard, and the report names the analysis pair's sites.
   Interpreter interp(tr.module, {.backend = Backend::kGuarded});
   const auto report = core::catch_dangling([&] { (void)interp.run(); });
   ASSERT_TRUE(report.has_value());
-  EXPECT_EQ(report->kind, core::AccessKind::kTagMismatch);
-  EXPECT_GT(interp.tag_lane_allocs(), 0u);
-}
-
-TEST(SchemeChooser, HonorSchemesOffFallsBackToThePageGuard) {
-  // The all-page-guard half of the A/B: same program, schemes ignored — the
-  // dangling use is still caught, as a real MMU trap instead of a key check.
-  const Module m = parse_module(kMayHotTagLane);
-  const TransformResult tr = pool_allocate(m);
-  Interpreter interp(tr.module,
-                     {.backend = Backend::kGuarded, .honor_schemes = false});
-  const auto report = core::catch_dangling([&] { (void)interp.run(); });
-  ASSERT_TRUE(report.has_value());
-  EXPECT_NE(report->kind, core::AccessKind::kTagMismatch);
-  EXPECT_EQ(interp.tag_lane_allocs(), 0u);
+  EXPECT_EQ(report->kind, core::AccessKind::kRead);
+  EXPECT_EQ(report->alloc_site, pair.alloc_site);
+  EXPECT_EQ(report->free_site, pair.free_site);
+  EXPECT_EQ(interp.guards_elided(), 0u);
 }
 
 }  // namespace

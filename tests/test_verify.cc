@@ -136,7 +136,7 @@ TEST(Verify, CleanModuleProducesNoDiagnostics) {
   EXPECT_TRUE(verify_module(parse_module("func main() { ret }")).empty());
 }
 
-// --- SiteScheme table (the scheme-selection contract, DESIGN.md §14) ------
+// --- SiteSafety table (the guard-elision contract, DESIGN.md §9) ----------
 
 bool has_problem(const std::vector<std::string>& problems,
                  const char* needle) {
@@ -146,77 +146,66 @@ bool has_problem(const std::vector<std::string>& problems,
   return false;
 }
 
-// kFigure1 transformed: MAY-UAF, so its sites carry kPageGuard schemes.
+// kFigure1 transformed: its one points-to node is unsafe, so every site is
+// guarded.
 Module transformed_figure1() {
   Module m = pool_allocate(parse_module(dpg::testing::kFigure1)).module;
-  EXPECT_FALSE(m.site_scheme.empty());
+  EXPECT_FALSE(m.site_safety.empty());
+  EXPECT_TRUE(verify_module(m).empty());
   return m;
 }
 
-TEST(Verify, SchemeTableRejectsUnknownVersion) {
+TEST(Verify, SafetyTableRejectsDuplicateEntry) {
   Module m = transformed_figure1();
-  m.site_scheme_version = kSiteSchemeVersion + 1;
-  EXPECT_TRUE(has_problem(verify_module(m),
-                          "unsupported site_scheme table version"));
+  m.site_safety.push_back(m.site_safety.front());
+  EXPECT_TRUE(has_problem(verify_module(m), "duplicate site entry"));
 }
 
-TEST(Verify, SchemeTableRejectsDuplicateEntry) {
+TEST(Verify, SafetyTableRejectsPhantomSite) {
   Module m = transformed_figure1();
-  m.site_scheme.push_back(m.site_scheme.front());
-  EXPECT_TRUE(
-      has_problem(verify_module(m), "conflicting duplicate site entry"));
-}
-
-TEST(Verify, SchemeTableRejectsPhantomSite) {
-  Module m = transformed_figure1();
-  SiteSchemeEntry ghost = m.site_scheme.front();
+  SiteSafetyEntry ghost = m.site_safety.front();
   ghost.site = 9999;
-  m.site_scheme.push_back(ghost);
+  m.site_safety.push_back(ghost);
   EXPECT_TRUE(
       has_problem(verify_module(m), "site does not exist in the module"));
 }
 
-TEST(Verify, SchemeTableRejectsKindDisagreement) {
+TEST(Verify, SafetyTableRejectsKindDisagreement) {
   Module m = transformed_figure1();
-  m.site_scheme.front().is_free = !m.site_scheme.front().is_free;
+  m.site_safety.front().is_free = !m.site_safety.front().is_free;
   EXPECT_TRUE(has_problem(verify_module(m),
                           "alloc/free kind disagrees with the instruction"));
 }
 
-TEST(Verify, SchemeTableRejectsMissingSite) {
+TEST(Verify, SafetyTableRejectsMissingSite) {
   Module m = transformed_figure1();
-  m.site_scheme.pop_back();
+  m.site_safety.pop_back();
   EXPECT_TRUE(has_problem(verify_module(m),
-                          "alloc/free site missing from the scheme table"));
+                          "alloc/free site missing from the safety table"));
 }
 
-TEST(Verify, SchemeTableRejectsNodeMixingSchemes) {
+TEST(Verify, SafetyTableRejectsElidedSiteWithoutNode) {
   Module m = transformed_figure1();
-  // Flip one page-guard entry to the tag lane while its node partners stay:
-  // a tagged pointer would reach the page-guard free path.
-  m.site_scheme.front().scheme = SiteScheme::kLockAndKey;
-  EXPECT_TRUE(has_problem(verify_module(m), "node mixes detection schemes"));
+  m.site_safety.front().node = -1;
+  m.site_safety.front().elided = true;
+  EXPECT_TRUE(
+      has_problem(verify_module(m), "elided site has no points-to node"));
 }
 
-TEST(Verify, SchemeTableRejectsUnguardedOnUnprovenSite) {
+TEST(Verify, SafetyTableRejectsPoolMixingElision) {
+  // Move one pooled site to a node of its own, so only the pool ties it to
+  // its guarded partners, then elide it: its canonical pointer would reach
+  // the pool's guarded free path.
   Module m = transformed_figure1();
-  for (SiteSchemeEntry& entry : m.site_scheme) {
-    entry.scheme = SiteScheme::kUnguarded;  // uniform, so no mixing noise
+  SiteSafetyEntry* pooled = nullptr;
+  for (SiteSafetyEntry& entry : m.site_safety) {
+    if (entry.pool >= 0) pooled = &entry;
   }
+  ASSERT_NE(pooled, nullptr);
+  pooled->node = 9999;
+  pooled->elided = true;
   EXPECT_TRUE(has_problem(verify_module(m),
-                          "unguarded scheme on a site not proven SAFE"));
-}
-
-TEST(Verify, SchemeTableRejectsTagLaneOnElidedSite) {
-  // kTwoPools is SAFE end to end: every site is elided and kUnguarded.
-  Module m = pool_allocate(parse_module(dpg::testing::kTwoPools)).module;
-  ASSERT_FALSE(m.site_scheme.empty());
-  ASSERT_TRUE(m.site_scheme.front().scheme == SiteScheme::kUnguarded);
-  for (SiteSchemeEntry& entry : m.site_scheme) {
-    entry.scheme = SiteScheme::kLockAndKey;
-  }
-  EXPECT_TRUE(has_problem(verify_module(m),
-                          "lock-and-key lane on a SAFE-elided site"));
+                          "pool mixes elided and guarded sites"));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // dpg_fuzz — model-based differential fuzzer CLI (see src/fuzz/).
 //
 // Modes:
-//   dpg_fuzz --smoke                    bounded 7-config sweep + cross-checks
+//   dpg_fuzz --smoke                    bounded 8-config sweep + cross-checks
 //                                       (the ctest `fuzz` label runs this)
 //   dpg_fuzz --matrix                   full config matrix
 //   dpg_fuzz --config NAME              one matrix cell by name
@@ -190,8 +190,6 @@ int main(int argc, char** argv) {
                 << " fault=" << (cfg.fault_plan.empty() ? "-" : cfg.fault_plan)
                 << " forced_mode=" << cfg.forced_mode
                 << " lanes=" << cfg.gen.lanes
-                << " tag_lane=" << (cfg.tag_lane ? 1 : 0)
-                << " tag_bits=" << cfg.tag_bits
                 << " backend=" << dpg::vm::backend_name(cfg.revoke_backend)
                 << "\n";
     }

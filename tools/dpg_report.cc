@@ -49,6 +49,9 @@ constexpr int kExitCorrupt = 3;
 
 // Numeric values mirror core::AccessKind (the dump stores the raw value; the
 // analyzer links only dpg_obs, so the names are duplicated here on purpose).
+// Index 6 is the retired lock-and-key lane's "tag-mismatch": the runtime no
+// longer raises it, but .dpgcrash files written before the lane went still
+// carry it and must print.
 const char* kind_name(std::uint32_t k) {
   static const char* names[] = {"read",     "write",  "double-free",
                                 "invalid-free", "overflow", "access",

@@ -6,14 +6,9 @@
 //     --pools         print the pool placement summary
 //     --lint          run the static UAF/double-free analysis and print
 //                     findings (witness paths) + per-site safety verdicts
-//                     + the chosen detection scheme per site with its reason
 //     --lint-json     like --lint but machine-readable JSON on stdout
 //     --native        execute on the native (unguarded) backend
 //     --run           execute transformed code on the guarded runtime (default)
-//     --scheme=MODE   override the chooser for A/B runs: guard (every
-//                     non-SAFE site page-guarded), tag (every non-SAFE site
-//                     on the lock-and-key lane), auto (chooser policy;
-//                     default)
 //     --rung=R        pin the degradation governor to one rung for the run:
 //                     full | sampled | quarantine. The run gets a private
 //                     sticky governor, so it neither reads nor perturbs
@@ -34,7 +29,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -58,7 +52,7 @@ constexpr int kExitDangling = 42;
 int usage() {
   std::fprintf(stderr,
                "usage: pirc [--dump|--transform|--pools|--lint|--lint-json|"
-               "--native|--run] [--scheme=guard|tag|auto] "
+               "--native|--run] "
                "[--rung=full|sampled|quarantine] [--sample-rate=N] "
                "[--no-elide] [--no-verify] program.pir [-- main-args...]\n");
   return kExitUsage;
@@ -77,18 +71,6 @@ int run_lint(const dpg::compiler::Module& module, bool json) {
   const PointsToAnalysis pta(module);
   const UafAnalysis uaf(module, pta);
 
-  // site -> is this an alloc site (else free), for the scheme report.
-  std::map<std::uint32_t, bool> site_is_alloc;
-  for (const Function& fn : module.functions) {
-    for (const Instr& ins : fn.body) {
-      if (ins.op == Op::kMalloc || ins.op == Op::kPoolAlloc) {
-        site_is_alloc[ins.site] = true;
-      } else if (ins.op == Op::kFree || ins.op == Op::kPoolFree) {
-        site_is_alloc[ins.site] = false;
-      }
-    }
-  }
-
   if (json) {
     std::printf("{\"findings\":[");
     for (std::size_t i = 0; i < uaf.findings().size(); ++i) {
@@ -102,19 +84,6 @@ int run_lint(const dpg::compiler::Module& module, bool json) {
                   i == 0 ? "" : ",", pair.alloc_site, pair.free_site,
                   pair_class_name(pair.cls));
     }
-    std::printf("],\"schemes\":[");
-    bool first = true;
-    for (const auto& [site, d] : uaf.site_schemes()) {
-      std::printf(
-          "%s{\"site\":%u,\"kind\":\"%s\",\"scheme\":\"%s\",\"class\":\"%s\","
-          "\"size_bytes\":%lld,\"hot\":%s}",
-          first ? "" : ",", site,
-          site_is_alloc.count(site) != 0 && site_is_alloc[site] ? "alloc"
-                                                                : "free",
-          site_scheme_name(d.scheme), pair_class_name(d.cls),
-          static_cast<long long>(d.size_bytes), d.hot ? "true" : "false");
-      first = false;
-    }
     std::printf("]}\n");
   } else {
     for (const Finding& finding : uaf.findings()) {
@@ -123,26 +92,6 @@ int run_lint(const dpg::compiler::Module& module, bool json) {
     for (const SitePair& pair : uaf.pairs()) {
       std::printf("pair alloc=%u free=%u %s\n", pair.alloc_site,
                   pair.free_site, pair_class_name(pair.cls));
-    }
-    // The chooser's verdict per site, with the policy inputs that drove it:
-    // safety class, size class, allocation hotness.
-    for (const auto& [site, d] : uaf.site_schemes()) {
-      if (d.size_bytes >= 0) {
-        std::printf("scheme site=%u %s %s (class=%s size=%lld %s)\n", site,
-                    site_is_alloc.count(site) != 0 && site_is_alloc[site]
-                        ? "alloc"
-                        : "free",
-                    site_scheme_name(d.scheme), pair_class_name(d.cls),
-                    static_cast<long long>(d.size_bytes),
-                    d.hot ? "hot" : "cold");
-      } else {
-        std::printf("scheme site=%u %s %s (class=%s size=? %s)\n", site,
-                    site_is_alloc.count(site) != 0 && site_is_alloc[site]
-                        ? "alloc"
-                        : "free",
-                    site_scheme_name(d.scheme), pair_class_name(d.cls),
-                    d.hot ? "hot" : "cold");
-      }
     }
     if (uaf.findings().empty()) {
       std::printf("lint: no findings (all sites SAFE)\n");
@@ -167,7 +116,6 @@ int main(int argc, char** argv) {
   bool native = false;
   bool verify = true;
   bool elide = true;
-  std::string scheme_mode = "auto";
   int forced_rung = -1;
   std::size_t sample_rate = 0;
   std::string path;
@@ -192,12 +140,6 @@ int main(int argc, char** argv) {
       native = true;
     } else if (arg == "--run") {
       // default
-    } else if (arg.rfind("--scheme=", 0) == 0) {
-      scheme_mode = arg.substr(std::strlen("--scheme="));
-      if (scheme_mode != "guard" && scheme_mode != "tag" &&
-          scheme_mode != "auto") {
-        return usage();
-      }
     } else if (arg.rfind("--rung=", 0) == 0) {
       const std::string rung = arg.substr(std::strlen("--rung="));
       if (rung == "full") {
@@ -272,23 +214,7 @@ int main(int argc, char** argv) {
       return kExitOk;
     }
 
-    TransformResult transformed = pool_allocate(module);
-    // --scheme override for A/B runs: rewrite the chooser's table uniformly
-    // (SAFE elisions keep kUnguarded; everything else lands on one lane, so
-    // the verifier's per-node/per-pool uniformity checks still hold).
-    if (scheme_mode == "guard") {
-      for (SiteSchemeEntry& entry : transformed.module.site_scheme) {
-        if (entry.scheme != SiteScheme::kUnguarded) {
-          entry.scheme = SiteScheme::kPageGuard;
-        }
-      }
-    } else if (scheme_mode == "tag") {
-      for (SiteSchemeEntry& entry : transformed.module.site_scheme) {
-        if (entry.scheme != SiteScheme::kUnguarded && entry.node >= 0) {
-          entry.scheme = SiteScheme::kLockAndKey;
-        }
-      }
-    }
+    const TransformResult transformed = pool_allocate(module);
     if (show_pools) {
       for (const auto& pool : transformed.placement.pools) {
         std::printf("pool node=%d home=%s sites=%zu%s\n", pool.node,
