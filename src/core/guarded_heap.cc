@@ -92,8 +92,6 @@ ShadowEngine::ShadowEngine(vm::PhysArena& arena, alloc::MallocLike& under,
       cfg_(cfg),
       gov_(cfg.governor != nullptr ? cfg.governor
                                    : &DegradationGovernor::process()) {
-  head_.prev = &head_;
-  head_.next = &head_;
   revoker_.init(cfg_.revoke_backend);
   windows_ = magazine_window(cfg_) != 0;
   reuse_distance_ = windows_ && cfg_.protect_batch <= 1
@@ -270,7 +268,7 @@ void* ShadowEngine::install_record_locked(void* shadow_base,
                                           std::uintptr_t canon_addr,
                                           std::uintptr_t first_page,
                                           std::size_t size, SiteId site,
-                                          Magazine* from) {
+                                          Owner* owner) {
   // Header word: the canonical address, written through the shadow view (the
   // same physical memory, so the underlying allocator could equally read it
   // at the canonical address).
@@ -288,14 +286,10 @@ void* ShadowEngine::install_record_locked(void* shadow_base,
   rec->alloc_site = site;
   consume_alloc_stage(*rec);
   rec->owner_shard = shard_id_;
-  rec->magazine = from;
+  rec->magazine = owner;
   rec->state.store(ObjectState::kLive, std::memory_order_release);
 
-  // Append at tail: the list stays ordered oldest-first for reclamation.
-  rec->prev = head_.prev;
-  rec->next = &head_;
-  head_.prev->next = rec;
-  head_.prev = rec;
+  records_.push_back(rec);
 
   ShadowRegistry::global().insert(*rec);
 
@@ -306,14 +300,45 @@ void* ShadowEngine::install_record_locked(void* shadow_base,
   return reinterpret_cast<void*>(rec->user_shadow);
 }
 
-// Every span the engine re-aliases comes from the shared VaFreeList, and
-// every span it gives up goes back there: per-object spans one by one, a
-// generation's window whole once it has retired and its last record is
-// released. Every consumer remaps the returned range with mmap(MAP_FIXED),
-// which atomically replaces whatever dead mapping occupies it.
-void* ShadowEngine::acquire_va_locked(std::size_t len) {
+// Aliases `len` bytes of canonical pages from `first_page` over VA from the
+// shared list (MAP_FIXED replaces the dead mapping there), else fresh VA; a
+// refusal leaves a recycled range mapped, so it goes back. A trailing
+// `guard` page is revoked before anyone sees it: it aliases the canonical
+// page after the span, which no access through it reaches, and under
+// mprotect splits the alias into two VMAs.
+vm::sys::MapResult ShadowEngine::map_alias_locked(std::uintptr_t first_page,
+                                                  std::size_t len,
+                                                  std::size_t guard) {
   const auto reused = shadow_freelist_.take(len);
-  return reused ? reinterpret_cast<void*>(reused->base) : nullptr;
+  void* fixed = reused ? reinterpret_cast<void*>(reused->base) : nullptr;
+  vm::sys::MapResult alias =
+      arena_.try_map_shadow(reinterpret_cast<void*>(first_page), len, fixed);
+  if (alias.ok() && guard != 0) {
+    const vm::sys::IoResult g = revoker_.revoke(
+        arena_, static_cast<std::byte*>(alias.ptr) + len - guard, guard);
+    if (!g.ok()) {
+      // A readable tail is no guard: drop a fresh alias.
+      if (fixed == nullptr) (void)vm::sys::unmap(alias.ptr, len);
+      alias = vm::sys::MapResult{nullptr, g.err};
+    }
+  }
+  if (!alias.ok()) {
+    if (fixed != nullptr) {
+      shadow_freelist_.put(vm::PageRange{vm::addr(fixed), len});
+    }
+    return alias;
+  }
+  if (fixed != nullptr) {
+    stats_.shadow_pages_reused.fetch_add(len / vm::kPageSize,
+                                         std::memory_order_relaxed);
+  } else {
+    stats_.shadow_pages_mapped.fetch_add(len / vm::kPageSize,
+                                         std::memory_order_relaxed);
+    gov_->add_vmas(
+        guard != 0 && revoker_.active() == vm::RevokeBackend::kMprotect ? 2
+                                                                        : 1);
+  }
+  return alias;
 }
 
 bool ShadowEngine::Magazine::run_free(std::size_t s0,
@@ -329,7 +354,7 @@ void ShadowEngine::Magazine::claim(std::size_t s0, std::size_t n) noexcept {
     claimed[s / 64] |= std::uint64_t{1} << (s % 64);
   }
   free_slots -= n;
-  ++holders;
+  ++live;
 }
 
 void* ShadowEngine::magazine_claim_locked(std::uintptr_t first_page,
@@ -372,17 +397,11 @@ void* ShadowEngine::magazine_claim_locked(std::uintptr_t first_page,
   // they were mapped (or a second object on it). The paper needs a distinct
   // alias per object, so that takes a fresh generation, never a per-object
   // map; the reuse FIFO, or the batched flush, keeps this rare.
-  void* fixed = acquire_va_locked(kWindowBytes);
   // Offsets past the memfd's end are legal: those slots become usable once
   // the arena grows over them, and only slots whose canonical pages exist
   // are ever carved.
-  const vm::sys::MapResult res = arena_.try_map_shadow(
-      reinterpret_cast<void*>(window_base), kWindowBytes, fixed);
+  const vm::sys::MapResult res = map_alias_locked(window_base, kWindowBytes, 0);
   if (!res.ok()) {
-    // MAP_FIXED failure leaves the old mapping intact: still reusable.
-    if (fixed != nullptr) {
-      shadow_freelist_.put(vm::PageRange{vm::addr(fixed), kWindowBytes});
-    }
     if (gens.empty()) magazines_.erase(window_base);
     // Caller takes the per-object path, which owns failure/degradation.
     return nullptr;
@@ -390,18 +409,10 @@ void* ShadowEngine::magazine_claim_locked(std::uintptr_t first_page,
   obs::record_event(obs::EventKind::kMagazineMap, vm::addr(res.ptr),
                     kWindowPages);
   stats_.magazine_maps.fetch_add(1, std::memory_order_relaxed);
-  if (fixed != nullptr) {
-    stats_.shadow_pages_reused.fetch_add(kWindowPages,
-                                         std::memory_order_relaxed);
-  } else {
-    stats_.shadow_pages_mapped.fetch_add(kWindowPages,
-                                         std::memory_order_relaxed);
-    gov_->add_vmas(1);
-  }
 
   auto* m = new Magazine;
   m->shadow_base = vm::addr(res.ptr);
-  m->free_slots = kWindowPages;
+  m->bytes = kWindowBytes;
   m->claim(slot0, nslots);
   *from = m;
   const std::uintptr_t sb = m->shadow_base + off_in_window;
@@ -425,7 +436,7 @@ void* ShadowEngine::magazine_claim_locked(std::uintptr_t first_page,
 // budget releases them. Eviction only forfeits future zero-syscall hits on
 // the unclaimed slots.
 void ShadowEngine::evict_magazine_locked(const Magazine* keep) {
-  const auto live = [](const Magazine* m) { return m->holders > m->freed; };
+  const auto live = [](const Magazine* m) { return m->live > 0; };
   std::uintptr_t victim_window = 0;
   std::size_t victim_idx = 0;
   const Magazine* victim = nullptr;
@@ -453,7 +464,7 @@ void ShadowEngine::evict_magazine_locked(const Magazine* keep) {
 // A retired generation serves no more claims. Its never-claimed slots were
 // never handed out, so no pointer into them exists; the claimed ones belong
 // to records. Its whole window returns as one run once the last of its
-// records is released (release_record_locked), or now if there is none.
+// records is released, or now if there is none.
 //
 // Under mprotect a window that records still pin keeps a VMA for every run
 // of revoked slots and every readable run between them, and a long-lived
@@ -465,11 +476,7 @@ void ShadowEngine::retire_magazine_locked(Magazine* m) {
   m->retired = true;
   stats_.magazine_slots_recycled.fetch_add(m->free_slots,
                                            std::memory_order_relaxed);
-  if (m->holders == 0) {
-    shadow_freelist_.put(vm::PageRange{m->shadow_base, kWindowBytes});
-    delete m;
-    return;
-  }
+  if (return_owner_if_done_locked(m)) return;
   if (m->free_slots == 0 ||
       revoker_.active() != vm::RevokeBackend::kMprotect) {
     return;
@@ -486,6 +493,14 @@ void ShadowEngine::retire_magazine_locked(Magazine* m) {
         (e - s) * vm::kPageSize);
     s = e;
   }
+}
+
+// An owner's VA goes back whole once it has retired and holds no record.
+bool ShadowEngine::return_owner_if_done_locked(Owner* o) {
+  if (!o->retired || o->live != 0 || !o->freed.empty()) return false;
+  shadow_freelist_.put(vm::PageRange{o->shadow_base, o->bytes});
+  delete o;
+  return true;
 }
 
 void ShadowEngine::drop_magazines_locked() {
@@ -520,55 +535,26 @@ void* ShadowEngine::guarded_alloc_locked(std::size_t size, SiteId site) {
     }
   }
 
-  void* fixed = acquire_va_locked(span_len);
-
   // Guard-path kernel calls, all Result-returning: any refusal rolls the
   // allocation back, moves the governor down, and re-serves the request on
   // the ledgered fast path — the caller never sees the failure.
-  //
-  // A trailing guard page is the alias's last page, revoked before the
-  // object is handed out. It aliases the canonical page after the span (a
-  // neighbour's, or one past the memfd's end), but no access through the
-  // revoked page reaches it. Under mprotect the revocation splits the alias
-  // into two VMAs.
-  vm::sys::MapResult alias = arena_.try_map_shadow(
-      reinterpret_cast<void*>(first_page), span_len, fixed);
-  if (alias.ok() && guard != 0) {
-    const vm::sys::IoResult g = revoker_.revoke(
-        arena_, static_cast<std::byte*>(alias.ptr) + data_span, guard);
-    if (!g.ok()) {
-      // A readable tail is no guard: drop a fresh alias; a recycled range
-      // goes back to the list below, as after a MAP_FIXED failure.
-      if (fixed == nullptr) (void)vm::sys::unmap(alias.ptr, span_len);
-      alias = vm::sys::MapResult{nullptr, g.err};
-    }
-  }
+  const vm::sys::MapResult alias =
+      map_alias_locked(first_page, span_len, guard);
   if (!alias.ok()) {
     under_.free(canonical);
-    // MAP_FIXED failure leaves the old mapping intact: the range is still
-    // reusable, so it is released rather than leaked.
-    if (fixed != nullptr) {
-      shadow_freelist_.put(vm::PageRange{vm::addr(fixed), span_len});
-    }
     stats_.guard_failures.fetch_add(1, std::memory_order_relaxed);
     gov_->on_syscall_failure("shadow-alias", alias.err);
     return ledgered_alloc_locked(size, site);
   }
   obs::record_event(obs::EventKind::kShadowMap, vm::addr(alias.ptr),
                     span_len);
-  if (fixed != nullptr) {
-    stats_.shadow_pages_reused.fetch_add(span_len / vm::kPageSize,
-                                         std::memory_order_relaxed);
-  } else {
-    stats_.shadow_pages_mapped.fetch_add(span_len / vm::kPageSize,
-                                         std::memory_order_relaxed);
-    gov_->add_vmas(
-        guard != 0 && revoker_.active() == vm::RevokeBackend::kMprotect ? 2
-                                                                        : 1);
-  }
-
+  auto* owner = new Owner;
+  owner->shadow_base = vm::addr(alias.ptr);
+  owner->bytes = span_len;
+  owner->live = 1;
+  owner->retired = true;
   return install_record_locked(alias.ptr, span_len, guard, canon_addr,
-                               first_page, size, site, nullptr);
+                               first_page, size, site, owner);
 }
 
 void ShadowEngine::free(void* p, SiteId site) {
@@ -630,6 +616,7 @@ void ShadowEngine::revoke_locked(ObjectRecord* rec) {
     pending_protect_pages_ += rec->span_length / vm::kPageSize;
     return;
   }
+  hold_freed_locked(rec);
   const vm::sys::IoResult r = revoke_record_locked(rec);
   if (!r.ok()) gov_->on_syscall_failure("protect-none", r.err);
 }
@@ -644,7 +631,6 @@ vm::sys::IoResult ShadowEngine::revoke_record_locked(ObjectRecord* rec) {
   const vm::sys::IoResult r = revoker_.revoke(
       arena_, reinterpret_cast<void*>(rec->shadow_base), rec->span_length);
   stats_.protect_calls.fetch_add(1, std::memory_order_relaxed);
-  hold_freed_locked(rec);
   if (r.ok()) {
     stats_.revoked_spans.fetch_add(1, std::memory_order_relaxed);
     release_canonical_locked(rec);
@@ -824,6 +810,9 @@ std::size_t ShadowEngine::magazine_count() const {
 
 void ShadowEngine::flush_protections_locked() {
   if (pending_protect_.empty()) return;
+  // The records join the release order in free order, which the sort below
+  // loses; no budget decision runs before the flush ends.
+  for (ObjectRecord* rec : pending_protect_) hold_freed_locked(rec);
   // Address-sort and merge adjacent spans: one mprotect per contiguous run.
   // Magazine-carved spans from the same window ARE adjacent when freed
   // together, so churny phases collapse to a handful of calls.
@@ -852,9 +841,7 @@ void ShadowEngine::flush_protections_locked() {
       }
       stats_.revoked_spans.fetch_add(j - i, std::memory_order_relaxed);
       for (std::size_t k = i; k < j; ++k) {
-        ObjectRecord* rec = pending_protect_[k];
-        hold_freed_locked(rec);
-        release_canonical_locked(rec);
+        release_canonical_locked(pending_protect_[k]);
       }
     } else {
       // The merged call was refused; fall back to per-record protection so
@@ -879,45 +866,17 @@ void ShadowEngine::enforce_budget_locked() {
   if (cfg_.freed_va_budget == 0 || freed_bytes_held_ <= cfg_.freed_va_budget) {
     return;
   }
-  // §3.4 strategy 1: recycle the oldest freed spans down to half budget.
-  // Records whose revocation is still in flight (queued or on the remote
-  // list) are skipped — releasing them would leave live pointers in those
-  // queues. A window's charge drops only with its last freed record, so
-  // windows go whole: the walk picks them by their oldest freed record, and
-  // a second pass releases every freed record of the picked ones. Released
-  // record by record, windows whose frees interleave in time would all lose
-  // their oldest records before any charge dropped, and hardly a freed
-  // record would stay guarded.
-  const auto releasable = [](const ObjectRecord* r) {
-    return r->revocation_done &&
-           r->state.load(std::memory_order_relaxed) == ObjectState::kFreed;
-  };
-  const std::size_t target = cfg_.freed_va_budget / 2;
-  std::size_t held = freed_bytes_held_;
-  bool picked_windows = false;
-  for (ObjectRecord* it = head_.next; it != &head_ && held > target;) {
-    ObjectRecord* next = it->next;
-    if (releasable(it)) {
-      auto* m = static_cast<Magazine*>(it->magazine);
-      if (m == nullptr) {
-        held -= it->span_length;
-        release_record_locked(it);
-      } else if (!m->draining) {
-        m->draining = true;
-        held -= kWindowBytes;
-        picked_windows = true;
-      }
+  // §3.4 strategy 1: recycle the oldest freed spans down to half budget. An
+  // owner's charge drops only with its last freed record, so owners go
+  // whole, the one whose newest revocation is oldest first. Records whose
+  // revocation is still in flight (queued or on the remote list) are on no
+  // freed list: releasing them would leave live pointers in those queues.
+  while (freed_bytes_held_ > cfg_.freed_va_budget / 2) {
+    for (ObjectRecord* it = release_order_.head->freed.head; it != nullptr;) {
+      ObjectRecord* next = it->freed_next;
+      release_record_locked(it);  // the last one unlinks (or frees) the owner
+      it = next;
     }
-    it = next;
-  }
-  if (!picked_windows) return;
-  for (ObjectRecord* it = head_.next; it != &head_;) {
-    ObjectRecord* next = it->next;
-    if (releasable(it) && it->magazine != nullptr &&
-        static_cast<Magazine*>(it->magazine)->draining) {
-      release_record_locked(it);  // the window's last one clears draining
-    }
-    it = next;
   }
 }
 
@@ -926,51 +885,42 @@ std::size_t ShadowEngine::size_of(const void* p) const {
   return rec != nullptr ? rec->user_size : 0;
 }
 
-void ShadowEngine::unlink_locked(ObjectRecord* rec) noexcept {
-  rec->prev->next = rec->next;
-  rec->next->prev = rec->prev;
-}
-
-// Freed-VA accounting for the §3.4 budget: a per-object span holds its own
-// bytes, a window-carved span its generation's whole window, charged once
-// while any record carved from it is freed-but-guarded,
-// because that window cannot be recycled before its last record is released.
+// Freed-VA accounting for the §3.4 budget: an owner is charged its bytes
+// while any of its records is freed-but-guarded, because its VA cannot be
+// recycled before its last record is released, and moves to the newest end
+// of the release order with each revocation.
 void ShadowEngine::hold_freed_locked(ObjectRecord* rec) {
   rec->revocation_done = true;
-  auto* m = static_cast<Magazine*>(rec->magazine);
-  if (m == nullptr) {
-    freed_bytes_held_ += rec->span_length;
-  } else if (m->freed++ == 0) {
-    freed_bytes_held_ += kWindowBytes;
+  auto* o = static_cast<Owner*>(rec->magazine);
+  --o->live;
+  if (o->freed.empty()) {
+    freed_bytes_held_ += o->bytes;
+  } else {
+    release_order_.erase(o);
   }
+  o->freed.push_back(rec);
+  release_order_.push_back(o);
 }
 
 void ShadowEngine::release_record_locked(ObjectRecord* rec) {
   ShadowRegistry::global().erase(*rec);
-  const vm::PageRange span{rec->shadow_base, rec->span_length};
-  const bool freed_held =
-      rec->state.load(std::memory_order_relaxed) == ObjectState::kFreed &&
-      rec->revocation_done;
-  if (rec->magazine == nullptr) {
-    if (freed_held) freed_bytes_held_ -= span.length;
-    shadow_freelist_.put(span);  // records the kVaReclaim event
+  auto* o = static_cast<Owner*>(rec->magazine);
+  if (rec->revocation_done) {
+    o->freed.erase(rec);
+    if (o->freed.empty()) {
+      freed_bytes_held_ -= o->bytes;
+      release_order_.erase(o);
+    }
   } else {
-    // The slot stays mapped with its generation; the window returns whole.
-    obs::record_event(obs::EventKind::kVaReclaim, span.base, span.pages());
-    auto* m = static_cast<Magazine*>(rec->magazine);
-    if (freed_held && --m->freed == 0) {
-      freed_bytes_held_ -= kWindowBytes;
-      m->draining = false;
-    }
-    if (--m->holders == 0 && m->retired) {
-      shadow_freelist_.put(vm::PageRange{m->shadow_base, kWindowBytes});
-      delete m;
-    }
+    --o->live;
   }
+  return_owner_if_done_locked(o);
+  const vm::PageRange span{rec->shadow_base, rec->span_length};
+  obs::record_event(obs::EventKind::kVaReclaim, span.base, span.pages());
   stats_.va_reclaimed_pages.fetch_add(span.pages(), std::memory_order_relaxed);
   stats_.live_records.fetch_sub(1, std::memory_order_relaxed);
   stats_.guarded_bytes.fetch_sub(span.length, std::memory_order_relaxed);
-  unlink_locked(rec);
+  records_.erase(rec);
   delete rec;
 }
 
@@ -981,9 +931,7 @@ void ShadowEngine::release_all() {
   drain_remote_locked();
   flush_protections_locked();  // pending canonical blocks must reach under_
   drain_held_locked();
-  while (head_.next != &head_) {
-    release_record_locked(head_.next);
-  }
+  while (!records_.empty()) release_record_locked(records_.head);
   drop_magazines_locked();
 }
 
@@ -992,7 +940,7 @@ std::vector<ObjectRecord*> ShadowEngine::freed_records() {
   drain_remote_locked();
   flush_protections_locked();  // external consumers expect protected spans
   std::vector<ObjectRecord*> out;
-  for (ObjectRecord* it = head_.next; it != &head_; it = it->next) {
+  for (ObjectRecord* it = records_.head; it != nullptr; it = it->next) {
     if (it->revocation_done &&
         it->state.load(std::memory_order_relaxed) == ObjectState::kFreed) {
       out.push_back(it);
@@ -1004,7 +952,7 @@ std::vector<ObjectRecord*> ShadowEngine::freed_records() {
 std::vector<ObjectRecord*> ShadowEngine::live_records() {
   std::lock_guard lock(mu_);
   std::vector<ObjectRecord*> out;
-  for (ObjectRecord* it = head_.next; it != &head_; it = it->next) {
+  for (ObjectRecord* it = records_.head; it != nullptr; it = it->next) {
     if (it->state.load(std::memory_order_relaxed) == ObjectState::kLive) {
       out.push_back(it);
     }

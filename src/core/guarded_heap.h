@@ -71,11 +71,13 @@ namespace dpg::core {
 
 struct GuardConfig {
   // §3.4 strategy 1: when the bytes held by freed-but-still-guarded spans
-  // exceed this budget, the oldest freed spans are recycled (giving up
-  // detection for those objects, as the paper accepts). A magazine window
-  // cannot be recycled before its last record is released, so a window with
-  // freed records counts once at full size, and the budget
-  // releases such windows whole, the earliest charged first. 0 = unlimited.
+  // exceed this budget, the oldest freed spans are recycled down to half of
+  // it (giving up detection for those objects, as the paper accepts). Spans
+  // go back by owner: a window generation, charged its whole window while
+  // any of its records is freed, or a per-object alias, charged its span.
+  // The owner whose newest revocation is oldest goes first, all its freed
+  // records at once, so the newest free stays guarded while the budget is at
+  // least two of the largest owner (2 MiB with windows). 0 = unlimited.
   std::size_t freed_va_budget = 0;
   // Extension (paper §6 future work: combining with spatial checking): end
   // each object's shadow span with a guard page, so any access past the
@@ -186,7 +188,6 @@ class ShadowEngine {
   [[nodiscard]] const GuardCounters& counters() const noexcept {
     return stats_;
   }
-  [[nodiscard]] alloc::MallocLike& underlying() noexcept { return under_; }
   // The resolved revocation backend (never kAuto).
   [[nodiscard]] vm::RevokeBackend revoke_backend() const noexcept {
     return revoker_.active();
@@ -256,20 +257,52 @@ class ShadowEngine {
   [[nodiscard]] bool revocation_applied(const void* p) const;
 
  private:
+  // A doubly-linked FIFO threaded through each node's Prev/Next pointers.
+  template <class T, T* T::*Prev, T* T::*Next>
+  struct IntrusiveFifo {
+    T* head = nullptr;
+    T* tail = nullptr;
+    [[nodiscard]] bool empty() const noexcept { return head == nullptr; }
+    void push_back(T* n) noexcept {
+      n->*Prev = tail;
+      n->*Next = nullptr;
+      (tail != nullptr ? tail->*Next : head) = n;
+      tail = n;
+    }
+    void erase(T* n) noexcept {
+      (n->*Prev != nullptr ? n->*Prev->*Next : head) = n->*Next;
+      (n->*Next != nullptr ? n->*Next->*Prev : tail) = n->*Prev;
+    }
+  };
+
+  // A span owner: the unit whose VA goes back to the shared list, whole, once
+  // it has retired and its last record is released, and the unit the §3.4
+  // budget charges and releases. A per-object alias gets a one-slot owner,
+  // retired at birth; a window generation is a Magazine.
+  struct Owner {
+    Owner() = default;
+    Owner(const Owner&) = delete;
+    Owner& operator=(const Owner&) = delete;
+    virtual ~Owner() = default;  // a Magazine is deleted as an Owner too
+    std::uintptr_t shadow_base = 0;
+    std::size_t bytes = 0;
+    std::size_t live = 0;  // records neither released nor on `freed`
+    bool retired = false;
+    // Freed-and-revoked records, oldest revocation first.
+    IntrusiveFifo<ObjectRecord, &ObjectRecord::freed_prev,
+                  &ObjectRecord::freed_next>
+        freed;
+    Owner* older = nullptr;  // release_order_ links
+    Owner* newer = nullptr;
+  };
+
   // One magazine generation: a bulk alias of a whole canonical window. Slots
   // are claimed (bit set) once and never reused within the generation. It
   // retires when fully claimed, when evicted at the population cap, or at
-  // release_all. Its records pin it (ObjectRecord::magazine), and its window
-  // VA is recycled as one run once it has retired and the last of them has
-  // been released, so it never sheds slot-sized fragments.
-  struct Magazine {
-    std::uintptr_t shadow_base = 0;
+  // release_all, so it never sheds slot-sized fragments.
+  struct Magazine : Owner {
     std::array<std::uint64_t, kWindowPages / 64> claimed{};
-    std::size_t free_slots = 0;
-    std::size_t holders = 0;  // carved records not yet released
-    std::size_t freed = 0;    // of those, freed and revoked
-    bool retired = false;
-    bool draining = false;  // chosen for release by enforce_budget_locked
+    std::size_t free_slots = kWindowPages;
 
     [[nodiscard]] bool run_free(std::size_t s0, std::size_t n) const noexcept;
     void claim(std::size_t s0, std::size_t n) noexcept;
@@ -282,11 +315,13 @@ class ShadowEngine {
   void* install_record_locked(void* shadow_base, std::size_t span_len,
                               std::size_t guard, std::uintptr_t canon_addr,
                               std::uintptr_t first_page, std::size_t size,
-                              SiteId site, Magazine* from);
+                              SiteId site, Owner* owner);
   void* magazine_claim_locked(std::uintptr_t first_page, std::size_t data_span,
                               Magazine** from);
-  void* acquire_va_locked(std::size_t len);
+  vm::sys::MapResult map_alias_locked(std::uintptr_t first_page,
+                                      std::size_t len, std::size_t guard);
   void retire_magazine_locked(Magazine* m);
+  bool return_owner_if_done_locked(Owner* o);
   void evict_magazine_locked(const Magazine* keep);
   void drop_magazines_locked();
   void release_canonical_locked(ObjectRecord* rec);
@@ -302,7 +337,6 @@ class ShadowEngine {
   void drain_remote_locked();
   void hold_freed_locked(ObjectRecord* rec);
   void release_record_locked(ObjectRecord* rec);
-  void unlink_locked(ObjectRecord* rec) noexcept;
   void flush_protections_locked();
   void enforce_budget_locked();
 
@@ -377,9 +411,14 @@ class ShadowEngine {
   std::size_t reuse_distance_ = 0;
 
   mutable std::mutex mu_;
-  ObjectRecord head_;  // intrusive list sentinel, oldest first
+  // Every record of the engine, oldest first.
+  IntrusiveFifo<ObjectRecord, &ObjectRecord::prev, &ObjectRecord::next>
+      records_;
   std::vector<ObjectRecord*> pending_protect_;  // revocation queue
   std::size_t pending_protect_pages_ = 0;
+  // Owners with freed records, oldest newest-revocation first, and the sum
+  // of their bytes: the §3.4 budget's charge and its release order.
+  IntrusiveFifo<Owner, &Owner::older, &Owner::newer> release_order_;
   std::size_t freed_bytes_held_ = 0;
   GuardCounters stats_;
 };

@@ -64,13 +64,16 @@ struct ObjectRecord {
   // revocation queue or on the remote-free list — and must not be released
   // by budget reclamation or handed to the GC.
   bool revocation_done = false;
-  // The owner engine's magazine generation the span was carved from, or
-  // nullptr (a per-object alias, whose VA goes back with the record).
-  // Owner-lock protected: the generation's
-  // window VA is recycled only after its last carved record is released.
+  // The span's owner in the owner engine (ShadowEngine::Owner): the
+  // magazine generation the span was carved from, or the one-slot owner of
+  // a per-object alias. Never null. Owner-lock protected: the owner's VA is
+  // recycled only after its last record is released.
   void* magazine = nullptr;
+  // The owner's freed list, in revocation order (owner-lock protected).
+  ObjectRecord* freed_prev = nullptr;
+  ObjectRecord* freed_next = nullptr;
 
-  ObjectRecord* prev = nullptr;  // intrusive owner list
+  ObjectRecord* prev = nullptr;  // the owner engine's record list
   ObjectRecord* next = nullptr;
 
   // Cross-shard remote-free list (lock-free MPSC Treiber stack). A record is

@@ -33,7 +33,6 @@ void VaFreeList::put(PageRange range) {
   assert(page_offset(range.base) == 0);
   assert(range.length % kPageSize == 0);
   if (range.length == 0) return;
-  obs::record_event(obs::EventKind::kVaReclaim, range.base, range.pages());
   bool over_water = false;
   {
     std::lock_guard lock(mu_);

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/fault_manager.h"
+#include "core/guarded_pool.h"
 #include "core/runtime.h"
 #include "core/sharded_heap.h"
 #include "core/stats.h"
@@ -587,12 +588,30 @@ TEST(ObsIntegration, GuardedWorkloadFillsHistogramsAndRing) {
 }
 
 // Every released shadow span is one va-reclaim event, whichever way its VA
-// goes (straight to the shared free list, or later with its window).
+// goes (straight to the shared free list, or later with its owner): one per
+// record, none for a whole window or for the canonical extents a destroyed
+// pool gives back.
 TEST(ObsIntegration, EachReleasedSpanRecordsOneVaReclaim) {
   constexpr std::size_t kSpans = 16;
+  std::vector<std::uintptr_t> spans;
+  const auto reclaims_since = [&spans](std::uint64_t t0) {
+    TraceEvent out[TraceRing::kCapacity];
+    const std::size_t n = obs::capture_recent(out, TraceRing::kCapacity);
+    std::size_t reclaims = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (out[i].ns < t0 ||
+          out[i].kind != static_cast<std::uint16_t>(EventKind::kVaReclaim)) {
+        continue;
+      }
+      EXPECT_NE(std::find(spans.begin(), spans.end(), out[i].addr),
+                spans.end());
+      ++reclaims;
+    }
+    return reclaims;
+  };
+
   vm::PhysArena arena(1u << 26);
   core::ShardedHeap heap(arena, {}, 1);
-  std::vector<std::uintptr_t> spans;
   for (std::size_t i = 0; i < kSpans; ++i) {
     void* p = heap.malloc(64);
     const core::ObjectRecord* rec = core::ShadowEngine::record_of(p);
@@ -600,25 +619,29 @@ TEST(ObsIntegration, EachReleasedSpanRecordsOneVaReclaim) {
     spans.push_back(rec->shadow_base);
     heap.free(p);
   }
-  const std::uint64_t t0 = monotonic_ns();
+  std::uint64_t t0 = monotonic_ns();
   obs::set_trace_enabled(true);
   const std::vector<core::ObjectRecord*> freed = heap.engine(0).freed_records();
   EXPECT_FALSE(freed.empty());
   for (core::ObjectRecord* rec : freed) heap.engine(0).reclaim(rec);
   obs::set_trace_enabled(false);
+  EXPECT_EQ(reclaims_since(t0), kSpans);
 
-  TraceEvent out[TraceRing::kCapacity];
-  const std::size_t n = obs::capture_recent(out, TraceRing::kCapacity);
-  std::size_t reclaims = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (out[i].ns < t0 ||
-        out[i].kind != static_cast<std::uint16_t>(EventKind::kVaReclaim)) {
-      continue;
-    }
-    EXPECT_NE(std::find(spans.begin(), spans.end(), out[i].addr), spans.end());
-    ++reclaims;
+  // Pool destruction releases 16 records of distinct sizes.
+  spans.clear();
+  core::GuardedPoolContext ctx;
+  core::GuardedPool pool(ctx);
+  for (std::size_t i = 0; i < kSpans; ++i) {
+    void* p = pool.alloc(48 + 40 * i);
+    const core::ObjectRecord* rec = core::ShadowEngine::record_of(p);
+    ASSERT_NE(rec, nullptr);
+    spans.push_back(rec->shadow_base);
   }
-  EXPECT_EQ(reclaims, kSpans);
+  t0 = monotonic_ns();
+  obs::set_trace_enabled(true);
+  pool.destroy();
+  obs::set_trace_enabled(false);
+  EXPECT_EQ(reclaims_since(t0), kSpans);
 }
 
 // The engine records one shadow-map event per per-object alias and one

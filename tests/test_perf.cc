@@ -734,13 +734,15 @@ TEST(Magazines, ObjectsSharingACanonicalPageGetDistinctShadowPages) {
       all.push_back(static_cast<char*>(heap.malloc(64)));
       ASSERT_NE(all.back(), nullptr);
     }
+    const GuardStats s = heap.stats();
+    EXPECT_EQ(s.magazine_maps + s.magazine_hits, all.size())
+        << "an object took a per-object alias";
     // The objects on the first object's canonical page.
     const std::uintptr_t page =
         vm::page_down(ShadowEngine::record_of(all[0])->canonical);
     std::vector<char*> k;
     std::vector<std::uintptr_t> shadow_pages;
     for (char* p : all) {
-      ASSERT_NE(ShadowEngine::record_of(p)->magazine, nullptr);
       if (vm::page_down(ShadowEngine::record_of(p)->canonical) != page) {
         continue;
       }
@@ -894,10 +896,12 @@ TEST(Magazines, FreedVaBudgetReleasesWholeWindows) {
         objs[c].push_back(static_cast<char*>(heap.malloc(kSizes[c])));
       }
     }
+    const GuardStats s = heap.stats();
+    ASSERT_EQ(s.magazine_maps + s.magazine_hits, kClasses * kPerClass)
+        << "an object took a per-object alias";
     std::vector<const void*> gens;
     for (const std::vector<char*>& cls : objs) {
       const void* m = ShadowEngine::record_of(cls[0])->magazine;
-      ASSERT_NE(m, nullptr);
       for (char* p : cls) ASSERT_EQ(ShadowEngine::record_of(p)->magazine, m);
       gens.push_back(m);
     }
@@ -933,6 +937,68 @@ TEST(Magazines, FreedVaBudgetReleasesWholeWindows) {
       EXPECT_EQ(rep->object_base, vm::addr(p));
     }
     for (std::size_t r = 1; r < kPerClass; ++r) heap.free(objs[8][r]);
+    for (char* p : buffers) heap.free(p);
+  }
+}
+
+// The freed-VA budget keeps the newest free guarded: owners go in the order
+// of their newest revocation, not of allocation. Five objects in five owners
+// (five windows, or five per-object aliases under immediate mprotect), a
+// budget of four owners' bytes: objects 2-5 are freed, then object 1, whose
+// charge crosses the budget. Down to half budget, the three owners freed
+// longest ago go; object 1, allocated first, stays guarded.
+TEST(Magazines, FreedVaBudgetKeepsTheNewestFree) {
+  constexpr std::size_t kSizes[] = {100, 150, 200, 300, 400};
+  constexpr std::size_t kObjects = std::size(kSizes);
+  std::vector<WindowCell> cells(std::begin(kWindowCells),
+                                std::end(kWindowCells));
+  cells.push_back({"mprotect", vm::RevokeBackend::kMprotect, 0});
+  for (const WindowCell& cell : cells) {
+    if (!cell_runs_here(cell)) continue;
+    SCOPED_TRACE(cell.name);
+    vm::PhysArena arena;
+    DegradationGovernor gov;
+    GuardConfig cfg;
+    cfg.governor = &gov;
+    cfg.revoke_backend = cell.backend;
+    cfg.protect_batch = cell.protect_batch;
+    const bool windows = ShadowEngine::magazine_window(cfg) != 0;
+    cfg.freed_va_budget =
+        4 * (windows ? ShadowEngine::kWindowBytes : vm::kPageSize);
+    ShardedHeap heap(arena, cfg, 1);
+    // As in FreedVaBudgetReleasesWholeWindows, a window-wide buffer after
+    // each object puts the next size class in the next window.
+    std::vector<char*> objs;
+    std::vector<char*> buffers;
+    for (std::size_t i = 0; i < kObjects; ++i) {
+      objs.push_back(static_cast<char*>(heap.malloc(windows ? kSizes[i] : 16)));
+      ASSERT_NE(ShadowEngine::record_of(objs.back()), nullptr);
+      if (windows) {
+        buffers.push_back(
+            static_cast<char*>(heap.malloc(ShadowEngine::kWindowBytes)));
+      }
+    }
+    std::vector<const void*> owners;
+    for (char* p : objs) owners.push_back(ShadowEngine::record_of(p)->magazine);
+    std::sort(owners.begin(), owners.end());
+    ASSERT_EQ(std::unique(owners.begin(), owners.end()), owners.end());
+
+    for (std::size_t i = 1; i < kObjects; ++i) heap.free(objs[i]);
+    heap.flush_all();
+    heap.free(objs[0]);
+    heap.flush_all();
+    for (std::size_t i = 1; i + 1 < kObjects; ++i) {
+      EXPECT_EQ(ShadowEngine::record_of(objs[i]), nullptr) << "object " << i;
+    }
+    EXPECT_NE(ShadowEngine::record_of(objs.back()), nullptr);
+    ASSERT_NE(ShadowEngine::record_of(objs[0]), nullptr)
+        << "the newest free lost its guard";
+    const auto rep = catch_dangling([&] {
+      volatile char c = *objs[0];
+      (void)c;
+    });
+    ASSERT_TRUE(rep.has_value());
+    EXPECT_EQ(rep->object_base, vm::addr(objs[0]));
     for (char* p : buffers) heap.free(p);
   }
 }

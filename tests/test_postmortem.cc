@@ -466,6 +466,12 @@ TEST(Postmortem, InProcessSnapshotHasAllSections) {
             std::string::npos)
       << rep.output;
   EXPECT_NE(rep.output.find("vm:"), std::string::npos) << rep.output;
+  // The host gauges share the counter table the counters section copies.
+  for (const char* gauge : {"dpg_host_cpus", "dpg_host_max_map_count",
+                            "dpg_host_thp_mode",
+                            "dpg_guard_markers_supported"}) {
+    EXPECT_NE(rep.output.find(gauge), std::string::npos) << gauge;
+  }
   const RunResult js = run_cmd(std::string(DPG_REPORT_BIN) + " --json " + path);
   EXPECT_EQ(js.exit_code, 0) << js.output;
   // Snapshot dumps dedup by reason, not stacks.
