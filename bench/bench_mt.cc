@@ -19,44 +19,32 @@
 //            either backend. DPG_PROTECT_BATCH overrides the batch, and
 //            DPG_REVOKE_BACKEND the backend.
 //
-// Reported per row: pairs/sec, amortized (mmap + revocation)/pair from the
-// vm::sys counters (revocation = mprotect + madvise), frees per
-// revocation call, and sampled p99 malloc+free latency. With DPG_BENCH_JSON
-// set, every row is exported through the shared bench harness.
+// Reported per row: pairs/sec as median [q1-q3] over DPG_BENCH_REPS
+// interleaved reps (bench_common.h) and, from the rep with the median
+// pairs/sec, amortized (mmap + revocation)/pair from the vm::sys counters
+// (revocation = mprotect + madvise), frees per revocation call, and sampled
+// p99 malloc+free latency. DPG_BENCH_JSON writes the rows to BENCH_mt.json.
 //
-// --smoke: a few-second self-checking mode for CI (ctest label perf-smoke):
-// runs the tuned churn (1 thread) + server (2 threads) workloads and a
-// 2-shard immediate-revocation server run, then asserts
-//   * amortized (mmap + revocation)/pair < 0.2 on the 1-thread churn, whose
-//     count does not depend on thread interleaving (server keeps objects
-//     live in the rings, scattering frees across magazine generations, so
-//     its ratio is reported but not gated — see EXPERIMENTS.md),
-//   * the immediate run, on the host's resolved backend, carves from windows
-//     under guard markers (at most 0.1 mmap per pair) and maps none under
-//     mprotect, revokes every free with exactly one call, and stays under 2%
-//     munmap per pair,
-//   * no lost revocations in any run (after flush_all, frees == revoked
-//     spans),
-//   * the t8 server gates, all on counts: tuned (mmap + revocation)/pair
-//     below seed's, and no tuned munmap storm — generations that return
-//     their windows whole are what buys the second,
-//   * a dangling read still traps, a cross-thread double free still raises,
-//   * a remotely-freed object's dangling read traps after the drain.
+// --smoke: a few-second self-checking mode for CI (ctest label perf-smoke),
+// one run per row: the tuned churn (1 thread) and server (2 threads), an
+// immediate-revocation server, the t8 seed/tuned servers and a guard-marker
+// server, gated on counts only (syscalls per pair, lost revocations, munmap
+// storms; see smoke()), then trap probes on the same-thread, cross-thread
+// and double-free paths. A failed gate prints the values it compared.
 //
-// --backends: emits a machine-readable backend x threads baseline document
-// (BENCH_baseline.json) on stdout: the server workload at 1/4/8 threads in
-// the tuned shape under mprotect and guard markers, each immediate and
-// batched, plus the seed-vs-tuned t8 rows. The knob overrides above apply to
-// every row but seed. Every row runs 3 times, the rows interleaved (all rows
-// once, then again), and reports the median run's values with the quartiles
-// of pairs/sec and p99 across the 3. Per row: the resolved knobs, the
-// derived magazine window, the backend, pairs/sec, frees per revocation call
-// and the split syscall counters (mmap/munmap/mprotect/madvise). On a kernel
-// without guard markers the guard rows record backend_resolved ==
-// "mprotect" — the fallback is measured, never faked.
+// --backends: emits the backend x threads baseline document
+// (BENCH_baseline.json) on stdout: the server workload at 1/4/8 threads over
+// libc malloc/free (config "raw") and in the tuned shape under mprotect and
+// guard markers, each immediate and batched, plus the seed-vs-tuned t8 rows
+// (the knob overrides above apply to every guarded row but seed). All cells
+// are one harness row. Per row: the knobs, the magazine window, the
+// backend, pairs/sec and p99 with quartiles, frees per revocation call and
+// the split syscall counters. On a kernel without guard markers the guard
+// rows record backend_resolved == "mprotect": measured, never faked.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdarg>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -77,21 +65,18 @@ namespace {
 
 using dpg::core::GuardConfig;
 using dpg::core::ShardedHeap;
+using ull = unsigned long long;
 
 struct BenchConfig {
   const char* name;
   std::size_t shards_per_thread;  // 0 = always one shard total
   GuardConfig guard;
+  bool raw = false;  // libc malloc/free, no guard at all
 };
 
-BenchConfig seed_config() {
-  return BenchConfig{"seed", 0, GuardConfig{}};
-}
+BenchConfig seed_config() { return BenchConfig{"seed", 0, GuardConfig{}}; }
 
-std::size_t knob(const char* env, long fallback) {
-  return static_cast<std::size_t>(
-      dpg::obs::env_long(env, fallback, 0, 1L << 20));
-}
+BenchConfig raw_config() { return BenchConfig{"raw", 0, GuardConfig{}, true}; }
 
 BenchConfig tuned_config() {
   GuardConfig g;
@@ -99,7 +84,8 @@ BenchConfig tuned_config() {
   // 4/8 KiB traffic (frees per flush and per revocation call); sub-page
   // objects wait ~2x longer (EXPERIMENTS.md § Multi-thread scaling). Any
   // batch carves 256-page windows on either backend (DESIGN.md §11).
-  g.protect_batch = knob("DPG_PROTECT_BATCH", 576);
+  g.protect_batch = static_cast<std::size_t>(
+      dpg::obs::env_long("DPG_PROTECT_BATCH", 576, 0, 1L << 20));
   return BenchConfig{"tuned", 1, g};
 }
 
@@ -107,10 +93,11 @@ BenchConfig tuned_config() {
 // page trigger, otherwise every free revokes immediately (under guard
 // markers with the canonical reuse FIFO, under mprotect through the
 // per-object alias; DESIGN.md §11).
-BenchConfig backend_config(const char* name, dpg::vm::RevokeBackend b,
-                           bool batched) {
+BenchConfig backend_config(dpg::vm::RevokeBackend b, bool batched) {
   BenchConfig c = tuned_config();
-  c.name = name;
+  c.name = !batched ? dpg::vm::backend_name(b)
+           : b == dpg::vm::RevokeBackend::kGuard ? "guard+batch"
+                                                 : "mprotect+batch";
   c.guard.revoke_backend = b;
   if (!batched) c.guard.protect_batch = 0;
   return c;
@@ -161,12 +148,8 @@ struct SysSnap {
 
   static SysSnap now() {
     const auto& c = dpg::vm::syscall_counters();
-    SysSnap s;
-    s.mmap = c.mmap.load(std::memory_order_relaxed);
-    s.munmap = c.munmap.load(std::memory_order_relaxed);
-    s.mprotect = c.mprotect.load(std::memory_order_relaxed);
-    s.madvise = c.madvise.load(std::memory_order_relaxed);
-    return s;
+    return {c.mmap.load(), c.munmap.load(), c.mprotect.load(),
+            c.madvise.load()};
   }
   SysSnap operator-(const SysSnap& o) const {
     return SysSnap{mmap - o.mmap, munmap - o.munmap, mprotect - o.mprotect,
@@ -177,12 +160,18 @@ struct SysSnap {
 struct RunResult {
   double seconds = 0;
   std::uint64_t pairs = 0;
-  std::uint64_t mm_syscalls = 0;  // mmap + mprotect + madvise
-  SysSnap sys;                    // per-call split of the same window
+  SysSnap sys;
   double p99_us = 0;
   dpg::core::GuardStats stats;
   dpg::vm::RevokeBackend resolved = dpg::vm::RevokeBackend::kAuto;
 
+  [[nodiscard]] std::uint64_t mm_syscalls() const {
+    return sys.mmap + sys.mprotect + sys.madvise;
+  }
+  [[nodiscard]] double pairs_per_sec() const { return pairs / seconds; }
+  [[nodiscard]] double sys_per_pair() const {
+    return static_cast<double>(mm_syscalls()) / static_cast<double>(pairs);
+  }
   [[nodiscard]] double frees_per_revoke() const {
     return stats.protect_calls == 0
                ? 0.0
@@ -191,22 +180,17 @@ struct RunResult {
   }
 };
 
-RunResult run_workload(const BenchConfig& cfg, unsigned threads,
-                       bool server_mode, std::uint64_t pairs_per_thread) {
-  dpg::vm::PhysArena arena;
-  // Per-run governor: the process-wide ladder is one-way-ish (hysteresis),
-  // so sharing it across rows would let one row's degradation silently turn
-  // later rows into unguarded no-ops. Also cap the freed-VA hold — unlimited
-  // PROT_NONE spans accumulate VMAs until the kernel refuses mprotect, which
-  // measures the governor, not the guard path.
-  dpg::core::DegradationGovernor gov;
-  GuardConfig guard = cfg.guard;
-  guard.governor = &gov;
-  guard.freed_va_budget = std::size_t{64} << 20;
-  const std::size_t shards =
-      cfg.shards_per_thread == 0 ? 1 : cfg.shards_per_thread * threads;
-  ShardedHeap heap(arena, guard, shards);
+// libc malloc/free behind the heap's interface, for the raw rows.
+struct Libc {
+  static void* malloc(std::size_t n) { return std::malloc(n); }
+  static void free(void* p) { std::free(p); }
+  static void flush_all() {}
+};
 
+// Runs the workload over `heap` and times it, flush included.
+template <typename Heap>
+RunResult drive(Heap& heap, unsigned threads, bool server_mode,
+                std::uint64_t pairs_per_thread) {
   std::vector<Ring> rings(threads);
   std::vector<std::vector<double>> samples(threads);
   std::atomic<unsigned> ready{0};
@@ -271,83 +255,64 @@ RunResult run_workload(const BenchConfig& cfg, unsigned threads,
   res.seconds = std::chrono::duration<double>(wall1 - wall0).count();
   res.pairs = pairs_per_thread * threads;
   res.sys = SysSnap::now() - sys_before;
-  res.mm_syscalls = res.sys.mmap + res.sys.mprotect + res.sys.madvise;
-  res.stats = heap.stats();
-  res.resolved = heap.engine(0).revoke_backend();
   std::vector<double> all;
   for (auto& s : samples) all.insert(all.end(), s.begin(), s.end());
-  if (!all.empty()) {
-    std::sort(all.begin(), all.end());
-    res.p99_us = all[std::min(all.size() - 1,
-                              static_cast<std::size_t>(all.size() * 0.99))];
-  }
+  if (!all.empty()) res.p99_us = dpg::bench::quantile(all, 0.99);
   return res;
 }
 
-void print_row(const char* workload, unsigned threads, const BenchConfig& cfg,
-               const RunResult& r) {
-  const double pairs_per_sec = r.pairs / r.seconds;
-  const double sys_per_pair =
-      static_cast<double>(r.mm_syscalls) / static_cast<double>(r.pairs);
-  std::printf(
-      "%-8s %2u thr  %-14s  %10.0f pairs/s  %6.3f sys/pair  %6.2f "
+RunResult run_workload(const BenchConfig& cfg, unsigned threads,
+                       bool server_mode, std::uint64_t pairs_per_thread) {
+  if (cfg.raw) {
+    Libc libc;
+    return drive(libc, threads, server_mode, pairs_per_thread);
+  }
+  dpg::vm::PhysArena arena;
+  // Per-run governor: the process-wide ladder is one-way-ish (hysteresis),
+  // so sharing it across rows would let one row's degradation silently turn
+  // later rows into unguarded no-ops. Also cap the freed-VA hold — unlimited
+  // PROT_NONE spans accumulate VMAs until the kernel refuses mprotect, which
+  // measures the governor, not the guard path.
+  dpg::core::DegradationGovernor gov;
+  GuardConfig guard = cfg.guard;
+  guard.governor = &gov;
+  guard.freed_va_budget = std::size_t{64} << 20;
+  const std::size_t shards =
+      cfg.shards_per_thread == 0 ? 1 : cfg.shards_per_thread * threads;
+  ShardedHeap heap(arena, guard, shards);
+  RunResult res = drive(heap, threads, server_mode, pairs_per_thread);
+  res.stats = heap.stats();
+  res.resolved = heap.engine(0).revoke_backend();
+  return res;
+}
+
+// Prints one row from its reps (pairs/sec and p99 as median and quartiles,
+// the counts from the run with the median pairs/sec) to `out` and returns
+// the row's JSON object. A raw row has no backend, window or batch.
+std::string row(const char* workload, unsigned threads, const BenchConfig& cfg,
+                const std::vector<RunResult>& runs, std::FILE* out = stdout) {
+  const std::vector<double> rates = dpg::bench::each(
+      runs, [](const RunResult& r) { return r.pairs_per_sec(); });
+  const dpg::bench::Spread rate(rates);
+  const dpg::bench::Spread p99(
+      dpg::bench::each(runs, [](const RunResult& r) { return r.p99_us; }));
+  const RunResult& r = runs[dpg::bench::median_rep(rates)];
+  std::fprintf(
+      out, "%-8s %2u thr  %-14s  %28s pairs/s  %6.3f sys/pair  %6.2f "
       "frees/revoke  p99 %7.2f us  "
       "(magazine hits %llu/%llu maps, batches %llu, remote %llu, "
       "mprotect %llu, madvise %llu, munmap %llu, recycled %llu, "
       "reused %llu)\n",
-      workload, threads, cfg.name, pairs_per_sec, sys_per_pair,
-      r.frees_per_revoke(), r.p99_us,
-      static_cast<unsigned long long>(r.stats.magazine_hits),
-      static_cast<unsigned long long>(r.stats.magazine_maps),
-      static_cast<unsigned long long>(r.stats.revoke_batches),
-      static_cast<unsigned long long>(r.stats.remote_frees),
-      static_cast<unsigned long long>(r.sys.mprotect),
-      static_cast<unsigned long long>(r.sys.madvise),
-      static_cast<unsigned long long>(r.sys.munmap),
-      static_cast<unsigned long long>(r.stats.magazine_slots_recycled),
-      static_cast<unsigned long long>(r.stats.shadow_pages_reused));
-  dpg::bench::Sample sample;
-  sample.seconds = r.seconds;
-  sample.checksum = r.pairs;
-  sample.syscalls = r.mm_syscalls;
-  char name[64];
-  std::snprintf(name, sizeof name, "mt_%s_t%u", workload, threads);
-  dpg::bench::maybe_export_sample(name, cfg.name,
-                                  static_cast<double>(r.pairs), sample);
-}
-
-// --- backend x threads baseline (--backends) -------------------------------
-
-// Quartile q (0.25, 0.5, 0.75) of `v`, linearly interpolated between ranks.
-double quartile(std::vector<double> v, double q) {
-  std::sort(v.begin(), v.end());
-  const double pos = q * static_cast<double>(v.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
-}
-
-// One row from a cell's repeated runs: the counts and seconds of the run
-// with the median pairs/sec, plus the quartiles of pairs/sec and p99.
-void json_row(std::FILE* f, const char* workload, unsigned threads,
-              const BenchConfig& cfg, const std::vector<RunResult>& runs,
-              bool last) {
-  std::vector<double> rates;
-  std::vector<double> p99s;
-  for (const RunResult& r : runs) {
-    rates.push_back(r.pairs / r.seconds);
-    p99s.push_back(r.p99_us);
-  }
-  std::vector<const RunResult*> order;
-  for (const RunResult& r : runs) order.push_back(&r);
-  std::sort(order.begin(), order.end(),
-            [](const RunResult* a, const RunResult* b) {
-              return a->pairs / a->seconds < b->pairs / b->seconds;
-            });
-  const RunResult& r = *order[order.size() / 2];
-  std::fprintf(
-      f,
-      "    {\"workload\":\"%s\",\"threads\":%u,\"config\":\"%s\","
+      workload, threads, cfg.name, rate.show(0).c_str(), r.sys_per_pair(),
+      r.frees_per_revoke(), p99.median, ull(r.stats.magazine_hits),
+      ull(r.stats.magazine_maps), ull(r.stats.revoke_batches),
+      ull(r.stats.remote_frees), ull(r.sys.mprotect), ull(r.sys.madvise),
+      ull(r.sys.munmap), ull(r.stats.magazine_slots_recycled),
+      ull(r.stats.shadow_pages_reused));
+  char buf[1024];
+  std::snprintf(
+      buf, sizeof buf,
+      "{\"workload\":\"%s\",\"threads\":%u,\"config\":\"%s\","
       "\"backend_requested\":\"%s\",\"backend_resolved\":\"%s\","
       "\"magazine_slots\":%zu,\"protect_batch\":%zu,"
       "\"frees_per_revoke\":%.2f,\"reps\":%zu,"
@@ -355,79 +320,80 @@ void json_row(std::FILE* f, const char* workload, unsigned threads,
       "\"pairs_per_sec_q1\":%.0f,\"pairs_per_sec_q3\":%.0f,"
       "\"mmap\":%llu,\"munmap\":%llu,\"mprotect\":%llu,\"madvise\":%llu,"
       "\"revoke_batches\":%llu,\"magazine_hits\":%llu,"
-      "\"p99_us\":%.2f,\"p99_us_q1\":%.2f,\"p99_us_q3\":%.2f}%s\n",
+      "\"p99_us\":%.2f,\"p99_us_q1\":%.2f,\"p99_us_q3\":%.2f}",
       workload, threads, cfg.name,
-      dpg::vm::backend_name(cfg.guard.revoke_backend),
-      dpg::vm::backend_name(r.resolved),
-      dpg::core::ShadowEngine::magazine_window(cfg.guard),
-      cfg.guard.protect_batch, r.frees_per_revoke(), runs.size(), r.seconds,
-      static_cast<unsigned long long>(r.pairs), quartile(rates, 0.5),
-      quartile(rates, 0.25), quartile(rates, 0.75),
-      static_cast<unsigned long long>(r.sys.mmap),
-      static_cast<unsigned long long>(r.sys.munmap),
-      static_cast<unsigned long long>(r.sys.mprotect),
-      static_cast<unsigned long long>(r.sys.madvise),
-      static_cast<unsigned long long>(r.stats.revoke_batches),
-      static_cast<unsigned long long>(r.stats.magazine_hits),
-      quartile(p99s, 0.5), quartile(p99s, 0.25), quartile(p99s, 0.75),
-      last ? "" : ",");
+      cfg.raw ? "none" : dpg::vm::backend_name(cfg.guard.revoke_backend),
+      cfg.raw ? "none" : dpg::vm::backend_name(r.resolved),
+      cfg.raw ? 0 : dpg::core::ShadowEngine::magazine_window(cfg.guard),
+      cfg.raw ? 0 : cfg.guard.protect_batch, r.frees_per_revoke(),
+      runs.size(), r.seconds, ull(r.pairs), rate.median, rate.q1, rate.q3,
+      ull(r.sys.mmap), ull(r.sys.munmap), ull(r.sys.mprotect),
+      ull(r.sys.madvise), ull(r.stats.revoke_batches),
+      ull(r.stats.magazine_hits), p99.median, p99.q1, p99.q3);
+  return buf;
 }
 
-// Emits the BENCH_baseline.json document on stdout: the backend matrix at
-// 1/4/8 threads plus the seed/tuned t8 rows the smoke gate is calibrated
-// against. Progress goes to stderr so `bench_mt --backends > file` is clean.
+// --- backend x threads baseline (--backends) -------------------------------
+
+// Emits the BENCH_baseline.json document on stdout: the backend matrix and
+// the raw rows at 1/4/8 threads plus the seed/tuned t8 rows the smoke gate is
+// calibrated against. Progress and the readable rows go to stderr so
+// `bench_mt --backends > file` is clean.
 int backends() {
-  constexpr std::size_t kReps = 3;
   const std::uint64_t pairs = static_cast<std::uint64_t>(
       dpg::obs::env_long("DPG_BENCH_MT_PAIRS", 20000, 100, 10'000'000));
-  const bool guard = dpg::vm::Revoker::guard_supported();
-
-  std::printf("{\n");
-  std::printf("  \"type\": \"dpg_backend_baseline\",\n");
-  std::printf("  \"schema\": 5,\n");
-  std::printf("  \"workload\": \"server\",\n");
-  std::printf("  \"pairs_per_thread\": %llu,\n",
-              static_cast<unsigned long long>(pairs));
-  std::printf("  \"guard_supported\": %s,\n", guard ? "true" : "false");
-  std::printf("  \"rows\": [\n");
 
   using dpg::vm::RevokeBackend;
   std::vector<std::pair<unsigned, BenchConfig>> cells;
   for (unsigned t : {1u, 4u, 8u}) {
-    cells.emplace_back(
-        t, backend_config("mprotect", RevokeBackend::kMprotect, false));
-    cells.emplace_back(
-        t, backend_config("mprotect+batch", RevokeBackend::kMprotect, true));
-    cells.emplace_back(t, backend_config("guard", RevokeBackend::kGuard, false));
-    cells.emplace_back(
-        t, backend_config("guard+batch", RevokeBackend::kGuard, true));
+    cells.emplace_back(t, raw_config());
+    for (const auto b : {RevokeBackend::kMprotect, RevokeBackend::kGuard}) {
+      cells.emplace_back(t, backend_config(b, false));
+      cells.emplace_back(t, backend_config(b, true));
+    }
   }
   cells.emplace_back(8, seed_config());
   cells.emplace_back(8, tuned_config());
 
-  std::vector<std::vector<RunResult>> runs(cells.size());
-  for (std::size_t rep = 0; rep < kReps; ++rep) {
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      const auto& [threads, bench] = cells[i];
-      std::fprintf(stderr, "backends: rep %zu %s t%u...\n", rep + 1,
-                   bench.name, threads);
-      runs[i].push_back(run_workload(bench, threads, true, pairs));
-    }
-  }
+  const auto runs =
+      dpg::bench::interleave(cells.size(), [&](std::size_t c) {
+        const auto& [threads, bench] = cells[c];
+        std::fprintf(stderr, "backends: %s t%u...\n", bench.name, threads);
+        return run_workload(bench, threads, true, pairs);
+      });
+  char fields[256];
+  std::snprintf(fields, sizeof fields,
+                "  \"workload\": \"server\",\n  \"pairs_per_thread\": %llu,\n"
+                "  \"guard_supported\": %s,\n",
+                ull(pairs),
+                dpg::vm::Revoker::guard_supported() ? "true" : "false");
+  dpg::bench::Doc doc{"dpg_backend_baseline", fields, {}};
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    const auto& [threads, bench] = cells[i];
-    json_row(stdout, "server", threads, bench, runs[i],
-             i + 1 == cells.size());
+    doc.rows.push_back(
+        row("server", cells[i].first, cells[i].second, runs[i], stderr));
   }
-  std::printf("  ]\n}\n");
+  doc.write(nullptr);
   return 0;
 }
 
 // --- smoke-mode correctness probes -----------------------------------------
 
-int fail(const char* what) {
-  std::fprintf(stderr, "perf-smoke FAILED: %s\n", what);
+[[gnu::format(printf, 1, 2)]] int fail(const char* fmt, ...) {
+  std::va_list ap;
+  va_start(ap, fmt);
+  std::fputs("perf-smoke FAILED: ", stderr);
+  std::vfprintf(stderr, fmt, ap);
+  std::fputc('\n', stderr);
+  va_end(ap);
   return 1;
+}
+
+// One run of a smoke row, printed.
+RunResult printed_run(const BenchConfig& cfg, unsigned threads,
+                      bool server_mode, std::uint64_t pairs) {
+  RunResult r = run_workload(cfg, threads, server_mode, pairs);
+  (void)row(server_mode ? "server" : "churn", threads, cfg, {r});
+  return r;
 }
 
 int smoke() {
@@ -439,140 +405,112 @@ int smoke() {
   // Throughput + syscall amortization on the tuned path. The churn run is
   // single-threaded so its syscall count cannot depend on thread
   // interleaving, which a sanitizer's scheduling shifts.
-  const RunResult churn = run_workload(cfg, 1, false, pairs);
-  print_row("churn", 1, cfg, churn);
-  const RunResult server = run_workload(cfg, threads, true, pairs);
-  print_row("server", threads, cfg, server);
+  const RunResult churn = printed_run(cfg, 1, false, pairs);
+  const RunResult server = printed_run(cfg, threads, true, pairs);
   // The immediate path (the preload default) on the host's resolved backend:
   // window-carved aliases under guard markers, per-object aliases under
   // mprotect; one revocation call per free either way.
-  const BenchConfig imm =
-      backend_config("auto", dpg::vm::RevokeBackend::kAuto, false);
+  const BenchConfig imm = backend_config(dpg::vm::RevokeBackend::kAuto, false);
   const bool imm_windows =
       dpg::core::ShadowEngine::magazine_window(imm.guard) != 0;
-  const RunResult immediate = run_workload(imm, threads, true, pairs);
-  print_row("server", threads, imm, immediate);
+  const RunResult immediate = printed_run(imm, threads, true, pairs);
 
   // Amortization gate on the pure pair workload. (The server workload keeps
   // objects live in the rings, which scatters frees across magazine
   // generations and fragments the coalesced runs — its numbers are reported
   // in EXPERIMENTS.md but not gated here.)
-  const double churn_sys_per_pair =
-      static_cast<double>(churn.mm_syscalls) /
-      static_cast<double>(churn.pairs);
-  if (churn_sys_per_pair >= 0.2) {
-    return fail("amortized syscalls/pair >= 0.2 on 1-thread churn");
+  if (churn.sys_per_pair() >= 0.2) {
+    return fail("1-thread churn: %llu syscalls over %llu pairs = %.3f/pair, "
+                "not below 0.2",
+                ull(churn.mm_syscalls()), ull(churn.pairs),
+                churn.sys_per_pair());
   }
   if (imm_windows && immediate.sys.mmap * 10 > immediate.pairs) {
-    std::fprintf(stderr, "immediate: mmap %llu over %llu pairs\n",
-                 static_cast<unsigned long long>(immediate.sys.mmap),
-                 static_cast<unsigned long long>(immediate.pairs));
-    return fail("immediate mmap above 0.1 per pair");
+    return fail("immediate: mmap %llu over %llu pairs, above 0.1 per pair",
+                ull(immediate.sys.mmap), ull(immediate.pairs));
   }
   if (!imm_windows && immediate.stats.magazine_maps != 0) {
-    return fail("immediate revocation under mprotect mapped a magazine");
+    return fail("immediate revocation under mprotect mapped %llu magazines",
+                ull(immediate.stats.magazine_maps));
   }
   const std::uint64_t revocation_calls =
       immediate.sys.mprotect + immediate.sys.madvise;
   if (revocation_calls != immediate.stats.frees ||
       immediate.stats.frees != immediate.stats.revoked_spans) {
-    std::fprintf(
-        stderr, "immediate: revocation calls %llu, frees %llu, "
-        "revoked spans %llu\n",
-        static_cast<unsigned long long>(revocation_calls),
-        static_cast<unsigned long long>(immediate.stats.frees),
-        static_cast<unsigned long long>(immediate.stats.revoked_spans));
-    return fail("immediate revocation calls != frees != revoked spans");
+    return fail("immediate: revocation calls %llu, frees %llu, revoked spans "
+                "%llu are not all equal",
+                ull(revocation_calls), ull(immediate.stats.frees),
+                ull(immediate.stats.revoked_spans));
   }
   if (immediate.sys.munmap * 50 >= immediate.pairs) {
-    std::fprintf(stderr, "immediate: munmap %llu over %llu pairs\n",
-                 static_cast<unsigned long long>(immediate.sys.munmap),
-                 static_cast<unsigned long long>(immediate.pairs));
-    return fail("immediate munmap storm (>= 2% of pairs)");
-  }
-  for (const RunResult* r : {&churn, &server, &immediate}) {
-    // No lost revocations: after flush_all every free must have reached
-    // PROT_NONE (nothing pending, nothing silently dropped). Quarantined and
-    // degraded frees would break the equality, so prove there were none.
-    if (r->stats.guard_failures != 0) return fail("guard failures in run");
-    if (r->stats.degraded_allocs != 0) return fail("degraded allocs in run");
-    if (r->stats.frees != r->stats.revoked_spans) {
-      std::fprintf(stderr, "frees=%llu revoked=%llu\n",
-                   static_cast<unsigned long long>(r->stats.frees),
-                   static_cast<unsigned long long>(r->stats.revoked_spans));
-      return fail("lost revocations (frees != revoked spans)");
-    }
+    return fail("immediate: munmap %llu over %llu pairs (>= 2%%)",
+                ull(immediate.sys.munmap), ull(immediate.pairs));
   }
 
-  // t8 server gates. The tuned configuration used to trade throughput for
-  // syscalls at 8 threads (167k munmaps to the seed's 73k — the
-  // shared-freelist trim storm). Generations now return their windows whole,
-  // so no slot-sized fragment reaches the freelist to trim. Every gate is a
-  // deterministic count: same-config throughput swings +-20% under a
-  // parallel ctest, so the tuned >= 0.6x seed pairs/s ratio is gated by the
-  // nightly workflow on serial runs instead:
-  //   1. amortization — tuned (mmap + revocation)/pair below seed's (about
-  //      0.93 vs 2.0 when measured),
-  //   2. absolute storm ceiling — tuned munmap must stay under 2% of pairs
-  //      (with slot fragments it was 35-47%; whole windows measure literal
-  //      0),
-  //   3. comparative — when the seed run itself storms (>=1000 munmaps),
-  //      tuned must stay under half of it.
+  // t8 server gates, all deterministic counts (same-config throughput swings
+  // +-20% under a parallel ctest, so the nightly workflow gates tuned >=
+  // 0.6x seed pairs/s on serial runs instead). Tuned used to trade
+  // throughput for syscalls at 8 threads (167k munmaps to the seed's 73k,
+  // the shared-freelist trim storm); generations now return their windows
+  // whole. 1: tuned (mmap + revocation)/pair below seed's (about 0.93 vs
+  // 2.0 when measured); 2: tuned munmap under 2% of pairs (35-47% with slot
+  // fragments; whole windows measure 0); 3: when seed itself storms (>= 1000
+  // munmaps), tuned under half of it.
   const std::uint64_t t8_pairs = pairs / 2 < 100 ? 100 : pairs / 2;
-  const BenchConfig seed8 = seed_config();
-  const BenchConfig tuned8 = tuned_config();
-  const RunResult s8 = run_workload(seed8, 8, true, t8_pairs);
-  print_row("server", 8, seed8, s8);
-  const RunResult u8 = run_workload(tuned8, 8, true, t8_pairs);
-  print_row("server", 8, tuned8, u8);
+  const RunResult s8 = printed_run(seed_config(), 8, true, t8_pairs);
+  const RunResult u8 = printed_run(tuned_config(), 8, true, t8_pairs);
   std::printf("t8 server frees/revoke: seed %.2f, tuned %.2f\n",
               s8.frees_per_revoke(), u8.frees_per_revoke());
-  if (u8.mm_syscalls * s8.pairs >= s8.mm_syscalls * u8.pairs) {
-    std::fprintf(stderr, "t8 server: tuned %llu vs seed %llu syscalls\n",
-                 static_cast<unsigned long long>(u8.mm_syscalls),
-                 static_cast<unsigned long long>(s8.mm_syscalls));
-    return fail("t8 server tuned (mmap + revocation)/pair not below seed");
+  if (u8.mm_syscalls() * s8.pairs >= s8.mm_syscalls() * u8.pairs) {
+    return fail("t8 server: tuned %llu syscalls over %llu pairs, not below "
+                "seed's %llu over %llu",
+                ull(u8.mm_syscalls()), ull(u8.pairs), ull(s8.mm_syscalls()),
+                ull(s8.pairs));
   }
   if (u8.sys.munmap * 50 >= u8.pairs) {
-    std::fprintf(stderr, "t8 server: tuned munmap %llu over %llu pairs\n",
-                 static_cast<unsigned long long>(u8.sys.munmap),
-                 static_cast<unsigned long long>(u8.pairs));
-    return fail("t8 server tuned munmap storm (>= 2% of pairs)");
+    return fail("t8 server: tuned munmap %llu over %llu pairs (>= 2%%)",
+                ull(u8.sys.munmap), ull(u8.pairs));
   }
   if (s8.sys.munmap >= 1000 && u8.sys.munmap * 2 >= s8.sys.munmap) {
-    std::fprintf(stderr, "t8 server: tuned munmap %llu vs seed %llu\n",
-                 static_cast<unsigned long long>(u8.sys.munmap),
-                 static_cast<unsigned long long>(s8.sys.munmap));
-    return fail("t8 server tuned munmap not under 0.5x seed");
-  }
-  for (const RunResult* r : {&s8, &u8}) {
-    if (r->stats.guard_failures != 0) return fail("guard failures in t8 run");
-    if (r->stats.frees != r->stats.revoked_spans) {
-      return fail("lost revocations in t8 run");
-    }
+    return fail("t8 server: tuned munmap %llu not under half of seed's %llu",
+                ull(u8.sys.munmap), ull(s8.sys.munmap));
   }
 
   // The guard-requested configuration keeps full detection accounting
   // whether it lands on guard markers or the mprotect fallback (this is the
   // backend-matrix smoke contract: same frees, same revocations, zero
   // failures).
-  {
-    const BenchConfig gc =
-        backend_config("guard+batch", dpg::vm::RevokeBackend::kGuard, true);
-    const RunResult r = run_workload(gc, 2, true, t8_pairs / 4);
-    print_row("server", 2, gc, r);
-    if (r.stats.guard_failures != 0) return fail("guard run guard failures");
-    if (r.stats.frees != r.stats.revoked_spans) {
-      return fail("guard run lost revocations");
+  const RunResult g2 = printed_run(
+      backend_config(dpg::vm::RevokeBackend::kGuard, true), 2, true,
+      t8_pairs / 4);
+  if (g2.resolved == dpg::vm::RevokeBackend::kGuard) {
+    // Every revocation run is one madvise; none falls back to mprotect.
+    if (g2.sys.mprotect != 0 || g2.sys.madvise != g2.stats.protect_calls) {
+      return fail("guard backend: mprotect %llu (want 0), madvise %llu "
+                  "(want the %llu revocation calls)",
+                  ull(g2.sys.mprotect), ull(g2.sys.madvise),
+                  ull(g2.stats.protect_calls));
     }
-    if (r.resolved == dpg::vm::RevokeBackend::kGuard) {
-      // Every revocation run is one madvise; none falls back to mprotect.
-      if (r.sys.mprotect != 0) return fail("guard backend issued mprotect");
-      if (r.sys.madvise != r.stats.protect_calls) {
-        return fail("guard revocations != madvise calls");
-      }
-    } else if (dpg::vm::Revoker::guard_supported()) {
-      return fail("guard requested on a guard-capable kernel but fell back");
+  } else if (dpg::vm::Revoker::guard_supported()) {
+    return fail("guard requested on a guard-capable kernel, resolved to %s",
+                dpg::vm::backend_name(g2.resolved));
+  }
+
+  const std::pair<const char*, const RunResult*> runs[] = {
+      {"churn t1", &churn}, {"server t2", &server},
+      {"immediate t2", &immediate}, {"seed t8", &s8},
+      {"tuned t8", &u8}, {"guard+batch t2", &g2}};
+  for (const auto& [name, r] : runs) {
+    // No lost revocations: after flush_all every free must have reached
+    // PROT_NONE (nothing pending, nothing silently dropped). Quarantined and
+    // degraded frees would break the equality, so prove there were none.
+    if (r->stats.guard_failures != 0 || r->stats.degraded_allocs != 0 ||
+        r->stats.frees != r->stats.revoked_spans) {
+      return fail("%s: guard failures %llu, degraded allocs %llu (want 0 "
+                  "each); frees %llu, revoked spans %llu (want equal)",
+                  name, ull(r->stats.guard_failures),
+                  ull(r->stats.degraded_allocs), ull(r->stats.frees),
+                  ull(r->stats.revoked_spans));
     }
   }
 
@@ -592,7 +530,7 @@ int smoke() {
     volatile char c = *p;
     (void)c;
   });
-  if (!rep.has_value()) return fail("dangling read not trapped");
+  if (!rep.has_value()) return fail("dangling read of %p not trapped", p);
 
   // (b) cross-thread free: A mallocs, B frees; after the drain the span is
   // revoked and a dangling read traps with the object attributed correctly.
@@ -604,9 +542,12 @@ int smoke() {
     volatile char c = *q;
     (void)c;
   });
-  if (!rep.has_value()) return fail("cross-thread freed read not trapped");
+  if (!rep.has_value()) {
+    return fail("cross-thread freed read of %p not trapped", q);
+  }
   if (rep->object_base != dpg::vm::addr(q)) {
-    return fail("cross-thread report attributes wrong object");
+    return fail("cross-thread report names object %#llx, want %p",
+                ull(rep->object_base), q);
   }
 
   // (c) double free of a remotely-freed object raises even while the
@@ -616,9 +557,13 @@ int smoke() {
   std::thread freer2([&] { heap.free(d); });
   freer2.join();
   rep = dpg::core::catch_dangling([&] { heap.free(d); });
-  if (!rep.has_value()) return fail("double free after remote free missed");
+  if (!rep.has_value()) {
+    return fail("double free of %p after remote free missed", d);
+  }
   if (rep->kind != dpg::core::AccessKind::kFree) {
-    return fail("double free misclassified");
+    return fail("double free reported as access kind %d, want kFree (%d)",
+                static_cast<int>(rep->kind),
+                static_cast<int>(dpg::core::AccessKind::kFree));
   }
 
   std::printf("perf-smoke OK\n");
@@ -636,15 +581,22 @@ int main(int argc, char** argv) {
       20000 * scale < 100 ? 100 : 20000 * scale);
   dpg::bench::print_header(
       "bench_mt — thread-sharded engines, magazines, batched revocation",
-      "pairs/sec and amortized (mmap + revocation)/pair; see EXPERIMENTS.md");
+      "pairs/sec (median [q1-q3]) and amortized (mmap + revocation)/pair; "
+      "see EXPERIMENTS.md");
+  dpg::bench::Doc doc{"dpg_bench", "  \"bench\": \"mt\",\n", {}};
+  const BenchConfig cfgs[] = {seed_config(), tuned_config()};
   for (const char* workload : {"churn", "server"}) {
     const bool server_mode = std::strcmp(workload, "server") == 0;
     for (unsigned threads : {1u, 4u, 8u}) {
-      for (const BenchConfig& cfg : {seed_config(), tuned_config()}) {
-        const RunResult r = run_workload(cfg, threads, server_mode, pairs);
-        print_row(workload, threads, cfg, r);
+      const auto runs =
+          dpg::bench::interleave(std::size(cfgs), [&](std::size_t c) {
+            return run_workload(cfgs[c], threads, server_mode, pairs);
+          });
+      for (std::size_t c = 0; c < std::size(cfgs); ++c) {
+        doc.rows.push_back(row(workload, threads, cfgs[c], runs[c]));
       }
     }
   }
+  doc.write("mt");
   return 0;
 }

@@ -8,48 +8,31 @@
 // transformation and the syscall component exactly as in the paper.
 //
 // Expected shape: utilities <= ~15% overhead, servers <= ~4%; the dummy-
-// syscall column accounts for most of whatever overhead appears.
+// syscall column accounts for most of whatever overhead appears. Exits 1
+// when any row's guarded output differs from the native one.
 #include "bench_common.h"
 
 int main() {
   using namespace dpg;
   using namespace dpg::bench;
-  const double scale = env_scale();
-  const int reps = env_reps();
-
   print_header(
       "Table 1: runtime overheads — Unix utilities and servers",
       "columns: base(native) | PA | PA+dummy-syscalls | dpguard; "
-      "Ratio1 = dpguard/base; syscalls = mm-syscalls under dpguard");
+      "Ratio1 = dpguard/base, median [q1-q3] of paired reps; "
+      "syscalls = mm-syscalls under dpguard");
 
-  std::printf("%-10s %10s %10s %12s %10s %8s %12s %6s\n", "benchmark",
-              "base(s)", "PA(s)", "PA+dummy(s)", "ours(s)", "Ratio1",
-              "mm-syscalls", "check");
-
-  auto run_group = [&](const std::vector<std::string>& names) {
-    for (const std::string& name : names) {
-      const Sample base = measure<baseline::NativePolicy>(name, scale, reps);
-      const Sample pa = measure<baseline::PaPolicy>(name, scale, reps);
-      const Sample dummy =
-          measure<baseline::PaDummySyscallPolicy>(name, scale, reps);
-      const Sample ours = measure<baseline::GuardedPolicy>(name, scale, reps);
-      std::printf("%-10s %10.4f %10.4f %12.4f %10.4f %8.2f %12llu %6s\n",
-                  name.c_str(), base.seconds, pa.seconds, dummy.seconds,
-                  ours.seconds, ours.seconds / base.seconds,
-                  static_cast<unsigned long long>(ours.syscalls),
-                  check_mark(base.checksum, ours.checksum));
-    }
-  };
-
-  std::printf("--- utilities ---\n");
-  run_group(workloads::utility_names());
-  std::printf("--- servers ---\n");
-  run_group(workloads::server_names());
-  std::printf("--- interactive (paper: \"no perceptible difference\") ---\n");
-  run_group(workloads::interactive_names());
+  const int rc =
+      run_table<baseline::NativePolicy, baseline::PaPolicy,
+                baseline::PaDummySyscallPolicy, baseline::GuardedPolicy>(
+          "table1", {"base(s)", "PA(s)", "PA+dummy(s)", "ours(s)"},
+          {{"Ratio1", 3}},
+          {{"utilities", workloads::utility_names()},
+           {"servers", workloads::server_names()},
+           {"interactive", workloads::interactive_names()}});
 
   std::printf(
       "\nPaper reference: utilities <= 1.15x (enscript 1.15, jwhois 1.02,\n"
-      "patch 1.01, gzip 1.00); servers <= 1.04x (ghttpd/ftpd/fingerd/tftpd).\n");
-  return 0;
+      "patch 1.01, gzip 1.00); servers <= 1.04x (ghttpd/ftpd/fingerd/tftpd);\n"
+      "interactive: \"no perceptible difference\".\n");
+  return rc;
 }

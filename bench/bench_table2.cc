@@ -13,32 +13,21 @@
 int main() {
   using namespace dpg;
   using namespace dpg::bench;
-  const double scale = env_scale();
-  const int reps = env_reps();
-
   print_header("Table 2: dpguard vs per-access software checkers (4 utilities)",
                 "memcheck-lite = Valgrind stand-in (no DBT: lower bound); "
-                "slowdowns vs native");
+                "slowdowns vs native, median [q1-q3] of paired reps");
 
-  std::printf("%-10s %10s %10s %12s %12s %10s %12s %12s\n", "benchmark",
-              "base(s)", "ours(s)", "memchk(s)", "capab(s)", "ours-x",
-              "memchk-x", "capab-x");
-
-  for (const std::string& name : workloads::utility_names()) {
-    const Sample base = measure<baseline::NativePolicy>(name, scale, reps);
-    const Sample ours = measure<baseline::GuardedPolicy>(name, scale, reps);
-    const Sample memchk = measure<baseline::MemcheckPolicy>(name, scale, reps);
-    const Sample capab = measure<baseline::CapabilityPolicy>(name, scale, reps);
-    std::printf("%-10s %10.4f %10.4f %12.4f %12.4f %9.2fx %11.2fx %11.2fx\n",
-                name.c_str(), base.seconds, ours.seconds, memchk.seconds,
-                capab.seconds, ours.seconds / base.seconds,
-                memchk.seconds / base.seconds, capab.seconds / base.seconds);
-  }
+  const int rc =
+      run_table<baseline::NativePolicy, baseline::GuardedPolicy,
+                baseline::MemcheckPolicy, baseline::CapabilityPolicy>(
+          "table2", {"base(s)", "ours(s)", "memchk(s)", "capab(s)"},
+          {{"ours-x", 1}, {"memchk-x", 2}, {"capab-x", 3}},
+          {{"utilities", workloads::utility_names()}});
 
   std::printf(
       "\nPaper reference (Valgrind 2.x with full DBT): enscript 25.37x,\n"
       "jwhois 2.48x, patch 12.22x, gzip 22.71x — vs ours 1.00x-1.15x.\n"
       "Shape to check: software per-access checking costs integer multiples;\n"
       "dpguard stays within a few percent on these access-heavy utilities.\n");
-  return 0;
+  return rc;
 }

@@ -5,32 +5,22 @@
 // em3d 1.21, perimeter 1.25, treeadd 3.22, bisort 3.51, mst 4.49,
 // health 11.24. The worst cases are exactly the benchmarks whose run time is
 // dominated by malloc/free pairs, each now costing an mremap + mprotect.
+// Exits 1 when any row's guarded output differs from the native one.
 #include "bench_common.h"
 
 int main() {
   using namespace dpg;
   using namespace dpg::bench;
-  const double scale = env_scale();
-  const int reps = env_reps();
-
   print_header("Table 3: allocation-intensive Olden benchmarks",
-                "Ratio3 = dpguard/base; PA+dummy isolates the syscall cost");
+                "Ratio3 = dpguard/base, median [q1-q3] of paired reps; "
+                "PA+dummy isolates the syscall cost");
 
-  std::printf("%-10s %10s %12s %10s %8s %10s %12s %6s\n", "benchmark",
-              "base(s)", "PA+dummy(s)", "ours(s)", "Ratio3", "dummy-x",
-              "mm-syscalls", "check");
-
-  for (const std::string& name : workloads::olden_names()) {
-    const Sample base = measure<baseline::NativePolicy>(name, scale, reps);
-    const Sample dummy =
-        measure<baseline::PaDummySyscallPolicy>(name, scale, reps);
-    const Sample ours = measure<baseline::GuardedPolicy>(name, scale, reps);
-    std::printf("%-10s %10.4f %12.4f %10.4f %7.2fx %9.2fx %12llu %6s\n",
-                name.c_str(), base.seconds, dummy.seconds, ours.seconds,
-                ours.seconds / base.seconds, dummy.seconds / base.seconds,
-                static_cast<unsigned long long>(ours.syscalls),
-                check_mark(base.checksum, ours.checksum));
-  }
+  const int rc =
+      run_table<baseline::NativePolicy, baseline::PaDummySyscallPolicy,
+                baseline::GuardedPolicy>(
+          "table3", {"base(s)", "PA+dummy(s)", "ours(s)"},
+          {{"Ratio3", 2}, {"dummy-x", 1}},
+          {{"olden", workloads::olden_names()}});
 
   std::printf(
       "\nPaper reference (Ratio 3): bh 1.00, bisort 3.51, em3d 1.21,\n"
@@ -39,5 +29,5 @@ int main() {
       "1x; malloc/free-dominated members (health/mst/bisort/treeadd) slow\n"
       "down by integer factors, mostly attributable to the dummy-syscall\n"
       "column.\n");
-  return 0;
+  return rc;
 }

@@ -868,10 +868,13 @@ void ShadowEngine::enforce_budget_locked() {
   }
   // §3.4 strategy 1: recycle the oldest freed spans down to half budget. An
   // owner's charge drops only with its last freed record, so owners go
-  // whole, the one whose newest revocation is oldest first. Records whose
-  // revocation is still in flight (queued or on the remote list) are on no
-  // freed list: releasing them would leave live pointers in those queues.
-  while (freed_bytes_held_ > cfg_.freed_va_budget / 2) {
+  // whole, the one whose newest revocation is oldest first. The owner of the
+  // newest revocation always stays, so the newest free keeps its guard at
+  // any budget. Records whose revocation is still in flight (queued or on
+  // the remote list) are on no freed list: releasing them would leave live
+  // pointers in those queues.
+  while (freed_bytes_held_ > cfg_.freed_va_budget / 2 &&
+         release_order_.head != release_order_.tail) {
     for (ObjectRecord* it = release_order_.head->freed.head; it != nullptr;) {
       ObjectRecord* next = it->freed_next;
       release_record_locked(it);  // the last one unlinks (or frees) the owner

@@ -76,8 +76,8 @@ struct GuardConfig {
   // go back by owner: a window generation, charged its whole window while
   // any of its records is freed, or a per-object alias, charged its span.
   // The owner whose newest revocation is oldest goes first, all its freed
-  // records at once, so the newest free stays guarded while the budget is at
-  // least two of the largest owner (2 MiB with windows). 0 = unlimited.
+  // records at once; the owner of the newest revocation is never released,
+  // so the newest free stays guarded at any budget. 0 = unlimited.
   std::size_t freed_va_budget = 0;
   // Extension (paper §6 future work: combining with spatial checking): end
   // each object's shadow span with a guard page, so any access past the

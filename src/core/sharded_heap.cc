@@ -31,7 +31,10 @@ ShardedHeap::ShardedHeap(vm::PhysArena& arena, GuardConfig cfg,
   // spans; the kernel's vm.max_map_count is a per-process limit, so split the
   // caller's bound across shards — otherwise N shards hold N× the configured
   // VA and a wide heap walks the process straight into mprotect ENOMEM. The
-  // 1 MiB floor only guards the split; one shard keeps the caller's bound.
+  // 1 MiB floor keeps a tiny split from releasing on every free; detection
+  // of the newest free does not rest on it (each engine keeps the owner of
+  // its newest revocation at any budget). One shard keeps the caller's
+  // bound.
   if (cfg.freed_va_budget != 0 && n > 1) {
     cfg.freed_va_budget = std::max<std::size_t>(cfg.freed_va_budget / n,
                                                 std::size_t{1} << 20);

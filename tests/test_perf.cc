@@ -1003,6 +1003,48 @@ TEST(Magazines, FreedVaBudgetKeepsTheNewestFree) {
   }
 }
 
+// The owner of the newest revocation stays registered at any budget, however
+// small. 2 MiB over two shards is one window's bytes per engine: one free in
+// each of two windows on one shard crosses it, and only the older window may
+// go.
+TEST(Magazines, FreedVaBudgetNeverReleasesTheNewestOwner) {
+  constexpr std::size_t kWindowBytes = ShadowEngine::kWindowBytes;
+  for (const WindowCell& cell : kWindowCells) {
+    if (!cell_runs_here(cell)) continue;
+    SCOPED_TRACE(cell.name);
+    vm::PhysArena arena;
+    DegradationGovernor gov;
+    GuardConfig cfg;
+    cfg.governor = &gov;
+    cfg.freed_va_budget = 2 * kWindowBytes;
+    cfg.revoke_backend = cell.backend;
+    cfg.protect_batch = cell.protect_batch;
+    ShardedHeap heap(arena, cfg, 2);
+    // As in FreedVaBudgetReleasesWholeWindows, a window-wide buffer puts the
+    // second size class in the next window.
+    char* older = static_cast<char*>(heap.malloc(100));
+    char* buffer = static_cast<char*>(heap.malloc(kWindowBytes));
+    char* newest = static_cast<char*>(heap.malloc(150));
+    ASSERT_NE(ShadowEngine::record_of(older)->magazine,
+              ShadowEngine::record_of(newest)->magazine);
+
+    heap.free(older);
+    heap.flush_all();
+    heap.free(newest);
+    heap.flush_all();
+    EXPECT_EQ(ShadowEngine::record_of(older), nullptr) << "nothing released";
+    ASSERT_NE(ShadowEngine::record_of(newest), nullptr)
+        << "the newest free lost its guard";
+    const auto rep = catch_dangling([&] {
+      volatile char c = *newest;
+      (void)c;
+    });
+    ASSERT_TRUE(rep.has_value());
+    EXPECT_EQ(rep->object_base, vm::addr(newest));
+    heap.free(buffer);
+  }
+}
+
 TEST(ShardedHeap, ReallocAndCallocRouteAcrossShards) {
   vm::PhysArena arena;
   DegradationGovernor gov;
