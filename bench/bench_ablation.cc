@@ -1,7 +1,9 @@
 // Ablation bench for the design choices DESIGN.md calls out plus the §6
 // extensions: VA reuse on/off, batched protection sweep, and the
 // trailing-guard-page cost. Every row runs on the resolved revocation
-// backend; DPG_REVOKE_BACKEND=mprotect|guard pins it.
+// backend; DPG_REVOKE_BACKEND=mprotect|guard pins it. DPG_BENCH_JSON writes
+// the rows (ns/pair median and quartiles, and the median rep's counts) to
+// BENCH_ablation.json.
 #include <chrono>
 #include <cstdio>
 #include <functional>
@@ -126,9 +128,10 @@ struct Row {
 };
 
 // Times a section's rows through the shared harness (every row once per rep,
-// rotated) and prints ns/pair as median [q1-q3], with the counts of the
-// median rep.
-void section(const char* title, const std::vector<Row>& rows) {
+// rotated), prints ns/pair as median [q1-q3] with the counts of the median
+// rep, and adds each row to `doc`.
+void section(const char* title, const std::vector<Row>& rows,
+             bench::Doc& doc) {
   if (title != nullptr) std::printf("\n--- %s ---\n", title);
   const auto reps = bench::interleave(
       rows.size(), [&](std::size_t c) { return rows[c].run(); });
@@ -138,11 +141,19 @@ void section(const char* title, const std::vector<Row>& rows) {
     const Result& r = reps[c][bench::median_rep(ns)];
     const std::string label =
         r.rung == nullptr ? rows[c].label : rows[c].label + " (" + r.rung + ")";
+    const auto mm = static_cast<unsigned long long>(r.mm_syscalls);
+    const auto calls = static_cast<unsigned long long>(r.protect_calls);
+    const auto saved = static_cast<unsigned long long>(r.protect_saved);
     std::printf("%-34s %22s %12llu %12llu %10llu\n", label.c_str(),
-                bench::Spread(ns).show(0).c_str(),
-                static_cast<unsigned long long>(r.mm_syscalls),
-                static_cast<unsigned long long>(r.protect_calls),
-                static_cast<unsigned long long>(r.protect_saved));
+                bench::Spread(ns).show(0).c_str(), mm, calls, saved);
+    char buf[512];
+    std::snprintf(buf, sizeof buf,
+                  "{\"section\":\"%s\",\"row\":\"%s\",\"reps\":%zu,"
+                  "\"ns_per_pair\":%s,\"mm_syscalls\":%llu,"
+                  "\"protect_calls\":%llu,\"protect_saved\":%llu}",
+                  title != nullptr ? title : "", label.c_str(), ns.size(),
+                  bench::Spread(ns).json().c_str(), mm, calls, saved);
+    doc.rows.emplace_back(buf);
   }
 }
 
@@ -157,6 +168,11 @@ int main() {
                       "ns/pair: median [q1-q3] over interleaved reps");
   std::printf("%-34s %22s %12s %12s %10s\n", "configuration", "ns/pair",
               "mm-syscalls", "mprotects", "saved");
+  bench::Doc doc{"dpg_bench",
+                 "  \"bench\": \"ablation\",\n  \"pairs\": " +
+                     std::to_string(kPairs) + ",\n  \"size\": " +
+                     std::to_string(kSize) + ",\n",
+                 {}};
 
   core::GuardConfig base;
   base.freed_va_budget = 32u << 20;
@@ -179,7 +195,7 @@ int main() {
                         " pages, interleaved frees",
                     [=] { return timed_pairs(with(batch)); }});
   }
-  section(nullptr, rows);
+  section(nullptr, rows, doc);
 
   // Site-backtrace cost (obs/backtrace.h): the frame-pointer walk staged at
   // every guarded malloc/free, by captured depth. Depth 0 must read the same
@@ -193,7 +209,7 @@ int main() {
                       return r;
                     }});
   }
-  section("site backtraces (DPG_SITE_DEPTH; postmortem dumps)", rows);
+  section("site backtraces (DPG_SITE_DEPTH; postmortem dumps)", rows, doc);
 
   // What each rung of the degradation ladder costs/saves, and what a churn
   // loop looks like while the kernel intermittently refuses mmap.
@@ -215,14 +231,15 @@ int main() {
                                   {.recover_after = 0});
                   }});
   rows.push_back({"mmap ENOMEM every=50", [&] { return enomem(base); }});
-  section("degradation ladder (core/degrade.h)", rows);
+  section("degradation ladder (core/degrade.h)", rows, doc);
 
   rows = {{"no batch, waves", [&] { return timed_pairs(base, 0, waves); }}};
   for (const std::size_t batch : {64, 256}) {
     rows.push_back({"batch=" + std::to_string(batch) + " pages, waves",
                     [=] { return timed_pairs(with(batch), 0, waves); }});
   }
-  section("wave frees (teardown-like: adjacent spans merge)", rows);
+  section("wave frees (teardown-like: adjacent spans merge)", rows, doc);
+  doc.write("ablation");
 
   std::printf("\nInterpretation: alloc/free cost is syscall-bound; batching\n"
               "pays when frees cluster (adjacent shadow spans merge into one\n"

@@ -34,13 +34,16 @@
 //
 // --backends: emits the backend x threads baseline document
 // (BENCH_baseline.json) on stdout: the server workload at 1/4/8 threads over
-// libc malloc/free (config "raw") and in the tuned shape under mprotect and
-// guard markers, each immediate and batched, plus the seed-vs-tuned t8 rows
+// libc malloc/free (config "raw", at 128x the guarded rows' pairs) and in the
+// tuned shape under mprotect and guard markers, each immediate and batched,
+// plus the seed-vs-tuned t8 rows
 // (the knob overrides above apply to every guarded row but seed). All cells
 // are one harness row. Per row: the knobs, the magazine window, the
 // backend, pairs/sec and p99 with quartiles, frees per revocation call and
 // the split syscall counters. On a kernel without guard markers the guard
 // rows record backend_resolved == "mprotect": measured, never faked.
+#include <malloc.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -264,6 +267,10 @@ RunResult drive(Heap& heap, unsigned threads, bool server_mode,
 RunResult run_workload(const BenchConfig& cfg, unsigned threads,
                        bool server_mode, std::uint64_t pairs_per_thread) {
   if (cfg.raw) {
+    // Every raw rep starts from trimmed libc arenas, not from whatever the
+    // previous cells left: the process's first rep ran on fresh arenas and
+    // read 14-16M pairs/s at t1 against 9-12M for the later reps.
+    malloc_trim(0);
     Libc libc;
     return drive(libc, threads, server_mode, pairs_per_thread);
   }
@@ -342,6 +349,9 @@ std::string row(const char* workload, unsigned threads, const BenchConfig& cfg,
 int backends() {
   const std::uint64_t pairs = static_cast<std::uint64_t>(
       dpg::obs::env_long("DPG_BENCH_MT_PAIRS", 20000, 100, 10'000'000));
+  // A raw pair costs about 0.1 us at t1, so the raw rows run 128x the pairs:
+  // one rep of the raw t1 row then lasts over 100 ms instead of 2 ms.
+  const std::uint64_t raw_pairs = pairs * 128;
 
   using dpg::vm::RevokeBackend;
   std::vector<std::pair<unsigned, BenchConfig>> cells;
@@ -359,13 +369,15 @@ int backends() {
       dpg::bench::interleave(cells.size(), [&](std::size_t c) {
         const auto& [threads, bench] = cells[c];
         std::fprintf(stderr, "backends: %s t%u...\n", bench.name, threads);
-        return run_workload(bench, threads, true, pairs);
+        return run_workload(bench, threads, true,
+                            bench.raw ? raw_pairs : pairs);
       });
   char fields[256];
   std::snprintf(fields, sizeof fields,
                 "  \"workload\": \"server\",\n  \"pairs_per_thread\": %llu,\n"
+                "  \"raw_pairs_per_thread\": %llu,\n"
                 "  \"guard_supported\": %s,\n",
-                ull(pairs),
+                ull(pairs), ull(raw_pairs),
                 dpg::vm::Revoker::guard_supported() ? "true" : "false");
   dpg::bench::Doc doc{"dpg_backend_baseline", fields, {}};
   for (std::size_t i = 0; i < cells.size(); ++i) {

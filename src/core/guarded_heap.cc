@@ -285,7 +285,7 @@ void* ShadowEngine::install_record_locked(void* shadow_base,
   rec->canonical = canon_addr;
   rec->alloc_site = site;
   consume_alloc_stage(*rec);
-  rec->owner_shard = shard_id_;
+  rec->engine = this;
   rec->magazine = owner;
   rec->state.store(ObjectState::kLive, std::memory_order_release);
 
@@ -411,6 +411,7 @@ void* ShadowEngine::magazine_claim_locked(std::uintptr_t first_page,
   stats_.magazine_maps.fetch_add(1, std::memory_order_relaxed);
 
   auto* m = new Magazine;
+  ++owners_;
   m->shadow_base = vm::addr(res.ptr);
   m->bytes = kWindowBytes;
   m->claim(slot0, nslots);
@@ -500,6 +501,7 @@ bool ShadowEngine::return_owner_if_done_locked(Owner* o) {
   if (!o->retired || o->live != 0 || !o->freed.empty()) return false;
   shadow_freelist_.put(vm::PageRange{o->shadow_base, o->bytes});
   delete o;
+  --owners_;
   return true;
 }
 
@@ -549,6 +551,7 @@ void* ShadowEngine::guarded_alloc_locked(std::size_t size, SiteId site) {
   obs::record_event(obs::EventKind::kShadowMap, vm::addr(alias.ptr),
                     span_len);
   auto* owner = new Owner;
+  ++owners_;
   owner->shadow_base = vm::addr(alias.ptr);
   owner->bytes = span_len;
   owner->live = 1;
@@ -696,8 +699,12 @@ ObjectRecord* ShadowEngine::admit_free(std::unique_lock<std::mutex>* lock,
                                        std::uintptr_t user, SiteId site) {
   // Objects never share a shadow page, so a page hit identifies the object;
   // still require the exact pointer, as free() of an interior pointer is an
-  // error in its own right.
-  if (found == nullptr || found->user_shadow != user) {
+  // error in its own right, and this engine's record: another engine's
+  // object (a pool freeing what a sibling pool allocated) would otherwise
+  // land in this engine's owners and hand its canonical block to the wrong
+  // allocator.
+  if (found == nullptr || found->user_shadow != user ||
+      found->engine != this) {
     raise_report(lock, stats_.invalid_frees,
                  {.kind = AccessKind::kInvalidFree, .fault_address = user});
   }
@@ -806,6 +813,11 @@ std::size_t ShadowEngine::reuse_delay_bytes() const {
 std::size_t ShadowEngine::magazine_count() const {
   std::lock_guard lock(mu_);
   return magazine_gens_;
+}
+
+std::size_t ShadowEngine::owner_count() const {
+  std::lock_guard lock(mu_);
+  return owners_;
 }
 
 void ShadowEngine::flush_protections_locked() {
@@ -981,7 +993,7 @@ bool ShadowEngine::revocation_applied(const void* p) const {
   const ObjectRecord* rec = record_of(p);
   if (rec == nullptr) return false;
   // revocation_done is owner-lock-protected; taking mu_ here is only correct
-  // on the owning engine (ShardedHeap routes by owner_shard before calling).
+  // on the owning engine (ShardedHeap routes by rec->engine before calling).
   std::lock_guard lock(mu_);
   return rec->state.load(std::memory_order_acquire) == ObjectState::kFreed &&
          rec->revocation_done;

@@ -155,8 +155,9 @@ class ShadowEngine {
   void free_unguarded(void* p, SiteId site = 0);
 
   // Cross-shard free: callable from ANY thread, lock-free on this engine.
-  // The record must be one of this engine's (rec->owner_shard routing is
-  // ShardedHeap's job). Takes the same admission as free() right here — a
+  // The record must be one of this engine's (routing by rec->engine is
+  // ShardedHeap's job; admission reports anything else as an invalid
+  // free). Takes the same admission as free() right here — a
   // double free, including one racing the owner, raises immediately with an
   // exact report — then pushes the record onto the MPSC remote list; the
   // revocation and the canonical return happen when the owner next
@@ -222,7 +223,7 @@ class ShadowEngine {
   // The engine's governor (never null after construction).
   [[nodiscard]] DegradationGovernor& governor() noexcept { return *gov_; }
 
-  // Shard identity (stamped into every record for cross-shard free routing).
+  // Shard identity (names the shard in remote-drain trace events).
   void set_shard_id(std::uint32_t id) noexcept { shard_id_ = id; }
   [[nodiscard]] std::uint32_t shard_id() const noexcept { return shard_id_; }
 
@@ -233,11 +234,13 @@ class ShadowEngine {
   }
   [[nodiscard]] std::size_t pending_revocations() const;
   // Bytes currently parked in the delayed-reuse quarantine, canonical bytes
-  // waiting out the reuse distance, and live magazine generations — the
-  // soak harness samples them for drift.
+  // waiting out the reuse distance, live magazine generations, and span
+  // owners still mapped (the live generations plus every retired owner a
+  // record still pins) — the soak harness samples them for drift.
   [[nodiscard]] std::size_t quarantine_depth_bytes() const;
   [[nodiscard]] std::size_t reuse_delay_bytes() const;
   [[nodiscard]] std::size_t magazine_count() const;
+  [[nodiscard]] std::size_t owner_count() const;
 
   // --- oracle introspection (src/fuzz, tests) ---
   // Resolves a pointer previously returned by malloc to its record, or
@@ -356,6 +359,7 @@ class ShadowEngine {
   bool windows_ = false;  // derived from cfg
   std::unordered_map<std::uintptr_t, std::vector<Magazine*>> magazines_;
   std::size_t magazine_gens_ = 0;  // live generations across all windows
+  std::size_t owners_ = 0;         // owners whose VA has not gone back
 
   // Cross-shard remote-free list (MPSC: producers CAS-push lock-free,
   // consumer exchanges the head under mu_).

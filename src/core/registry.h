@@ -26,6 +26,8 @@
 
 namespace dpg::core {
 
+class ShadowEngine;
+
 enum class ObjectState : std::uint32_t {
   kLive,
   kFreed,  // shadow pages revoked; any access is a dangling use
@@ -54,8 +56,10 @@ struct ObjectRecord {
   std::atomic<std::uint8_t> free_stack_depth{0};
   std::uintptr_t alloc_stack[obs::kMaxSiteFrames] = {};
   std::uintptr_t free_stack[obs::kMaxSiteFrames] = {};
-  std::uint32_t owner_shard = 0;   // index of the ShadowEngine shard that
-                                   // created the record (ShardedHeap routing)
+  // The engine that created the record. Only it admits the record's free
+  // (any other engine reports an invalid free), and ShardedHeap routes a
+  // free to it.
+  ShadowEngine* engine = nullptr;
   std::atomic<ObjectState> state{ObjectState::kLive};
   // True once the free's revocation resolved: the span was revoked (or the
   // refused revocation was absorbed by quarantining the canonical block).

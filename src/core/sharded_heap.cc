@@ -51,7 +51,7 @@ std::uint32_t ShardedHeap::home_shard() const noexcept {
   if (engines_.size() == 1) return 0;
   // Round-robin thread pinning: the token is assigned on a thread's first
   // allocation and never changes, so a thread's allocations all carry the
-  // same owner_shard and its same-thread frees take the uncontended path.
+  // same owning engine and its same-thread frees take the uncontended path.
   static std::atomic<std::uint32_t> next{0};
   thread_local const std::uint32_t token =
       next.fetch_add(1, std::memory_order_relaxed);
@@ -68,40 +68,43 @@ void* ShardedHeap::calloc(std::size_t count, std::size_t size, SiteId site) {
 
 void ShardedHeap::free(void* p, SiteId site) {
   if (p == nullptr) return;
-  const ObjectRecord* rec =
-      ShadowRegistry::global().lookup(vm::addr(p));
-  const std::uint32_t home = home_shard();
-  if (rec == nullptr) {
-    // Fast-path pointer (any shard's — the underlying heap and the ledger
-    // are shared) or an invalid free; the home engine owns that disposition.
-    engines_[home]->free(p, site);
-    return;
-  }
-  const std::uint32_t owner = rec->owner_shard;
-  if (owner == home) {
-    engines_[owner]->free(p, site);
+  ShadowEngine& home = home_engine();
+  ShadowEngine* owner =
+      owner_of(ShadowRegistry::global().lookup(vm::addr(p)));
+  if (owner == nullptr || owner == &home) {
+    // Same-shard free, or a fast-path pointer (any shard's: the underlying
+    // heap and the ledger are shared), or a pointer no shard of this heap
+    // allocated: the home engine owns that disposition.
+    home.free(p, site);
   } else {
     // Cross-thread free: exact kLive->kFreed transition at this call site
     // (double frees trap immediately), revocation queued to the owner.
-    engines_[owner]->free_remote(p, site);
+    owner->free_remote(p, site);
   }
 }
 
 void* ShardedHeap::realloc(void* p, std::size_t new_size, SiteId site) {
   if (p == nullptr) return malloc(new_size, site);
-  const ObjectRecord* rec =
-      ShadowRegistry::global().lookup(vm::addr(p));
   // Route the whole realloc to the owner so the old record's free takes the
   // ordinary locked path (the replacement lands on the owner shard too —
   // acceptable: realloc implies the object migrates ownership rarely).
-  const std::uint32_t idx = rec != nullptr ? rec->owner_shard : home_shard();
-  return engines_[idx]->realloc(p, new_size, site);
+  ShadowEngine* owner =
+      owner_of(ShadowRegistry::global().lookup(vm::addr(p)));
+  return (owner != nullptr ? *owner : home_engine()).realloc(p, new_size,
+                                                             site);
 }
 
 bool ShardedHeap::revocation_applied(const void* p) const {
-  const ObjectRecord* rec = record_of(p);
-  if (rec == nullptr) return false;
-  return engines_[rec->owner_shard]->revocation_applied(p);
+  const ShadowEngine* owner = owner_of(record_of(p));
+  return owner != nullptr && owner->revocation_applied(p);
+}
+
+ShadowEngine* ShardedHeap::owner_of(const ObjectRecord* rec) const noexcept {
+  if (rec == nullptr) return nullptr;
+  const std::uint32_t i = rec->engine->shard_id();
+  return i < engines_.size() && engines_[i].get() == rec->engine
+             ? rec->engine
+             : nullptr;
 }
 
 std::size_t ShardedHeap::size_of(const void* p) const {

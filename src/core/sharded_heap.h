@@ -23,7 +23,7 @@
 //
 // Routing: a thread is pinned to a home shard (round-robin token on first
 // use). Allocations go to the home shard. Frees are routed by the record's
-// owner_shard: same shard -> the ordinary locked path; cross-shard -> the
+// engine: same shard -> the ordinary locked path; cross-shard -> the
 // owner's lock-free MPSC remote list (ShadowEngine::free_remote), drained on
 // the owner's next allocation, on flush, or by the producer that crosses the
 // backstop threshold. Detection guarantees under this routing are unchanged
@@ -97,6 +97,9 @@ class ShardedHeap {
 
  private:
   [[nodiscard]] std::uint32_t home_shard() const noexcept;
+  // The shard that created `rec`, or nullptr for no record or another
+  // heap's.
+  [[nodiscard]] ShadowEngine* owner_of(const ObjectRecord* rec) const noexcept;
 
   alloc::ArenaSource source_;
   alloc::SegregatedHeap heap_;  // internally mutexed; shared by all shards

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <barrier>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -26,7 +27,12 @@ namespace dpg::soak {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
+// Ops per worker per round (a tick is a whole number of rounds), and the
+// fault pulse: armed when tick kPulseTick ends, cleared kPulseTicks ticks
+// later.
+constexpr std::uint64_t kRoundOps = 256;
+constexpr std::uint64_t kPulseTick = kTicks / 3;
+constexpr std::uint64_t kPulseTicks = 2;
 
 // --- /proc/self gauges ------------------------------------------------------
 
@@ -60,18 +66,6 @@ double proc_rss_kb() {
          (static_cast<double>(sysconf(_SC_PAGESIZE)) / 1024.0);
 }
 
-// Cross-thread free mailbox: workers hand a slice of their frees to the next
-// lane, driving the registry-miss router and the remote-free lists the way a
-// producer/consumer server does.
-struct Mailbox {
-  std::mutex mu;
-  std::vector<std::pair<void*, std::uint32_t>> items;  // ptr, site
-};
-
-struct WorkerStats {
-  std::uint64_t ops = 0;
-};
-
 // The soak runs its own governor (never the process-wide one), so its ladder
 // must be published to the dump writer explicitly or SIGUSR2 snapshots carry
 // no rung. Sections cannot be unregistered, so register once against this
@@ -102,9 +96,19 @@ SeriesDrift detect_drift(const std::string& name,
   SeriesDrift d;
   d.name = name;
   d.gated = gated;
-  if (xs.size() <= warmup + 1) return d;  // not enough signal: never fails
-  const std::size_t n = xs.size() - warmup;
-  const double* p = xs.data() + warmup;
+  // Lower envelope of the last half (never the warmup).
+  const std::size_t from =
+      std::min(std::max(warmup, xs.size() / 2), xs.size());
+  const std::size_t bucket = std::max<std::size_t>(2, (xs.size() - from) / 8);
+  std::vector<double> p;
+  for (std::size_t i = from; i < xs.size(); i += bucket) {
+    p.push_back(*std::min_element(
+        xs.begin() + static_cast<std::ptrdiff_t>(i),
+        xs.begin() + static_cast<std::ptrdiff_t>(
+                         std::min(xs.size(), i + bucket))));
+  }
+  const std::size_t n = p.size();
+  if (n < 2) return d;  // not enough signal: never fails
   d.samples = n;
   d.first = p[0];
   d.last = p[n - 1];
@@ -115,7 +119,7 @@ SeriesDrift detect_drift(const std::string& name,
     if (i != 0 && p[i] < p[i - 1] - 1e-9) decreased = true;
   }
   d.mean = sum / static_cast<double>(n);
-  // Least-squares slope over sample index (the interval is uniform).
+  // Least-squares slope over envelope index (the buckets are uniform).
   double sxx = 0, sxy = 0;
   const double xbar = static_cast<double>(n - 1) / 2.0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -137,7 +141,11 @@ SeriesDrift detect_drift(const std::string& name,
 SoakResult run_soak(const SoakConfig& cfg) {
   SoakResult res;
   const std::uint32_t threads = std::max<std::uint32_t>(cfg.threads, 1);
-  const std::uint64_t interval_ms = std::max<std::uint64_t>(cfg.interval_ms, 50);
+  const std::uint64_t rounds_per_tick =
+      std::max<std::uint64_t>(cfg.ops / (kTicks * threads * kRoundOps), 1);
+  const std::uint64_t per_tick = rounds_per_tick * kRoundOps;
+  res.ops_per_tick = per_tick;
+  res.ops = per_tick * threads * kTicks;
 
   core::GovernorConfig gcfg;
   if (cfg.sample_rate != 0) gcfg.sample_rate = cfg.sample_rate;
@@ -157,28 +165,85 @@ SoakResult run_soak(const SoakConfig& cfg) {
   core::GuardedPoolContext pool_ctx(gc);
   // Each held freelist range is one revoked VMA (shadow aliases map
   // distinct phys offsets, so the kernel never merges them); under mprotect
-  // its resident pages stay charged to RSS until a trim munmaps them. At the production
-  // limit the fill-trim sawtooth takes tens of seconds, so a short run's
-  // drift window sees only the rising edge and reads the (bounded) cycle as
-  // a leak. A tight limit puts several full cycles inside the fit window:
-  // the fitted slope of a sawtooth is ~0, a real leak still climbs.
+  // its resident pages stay charged to RSS until a trim munmaps them. At the
+  // production limit one fill-trim cycle outlasts a short run, and the drift
+  // window would see only its rising edge. A tight limit puts several full
+  // cycles inside the fit window: the fitted slope of a sawtooth is ~0, a
+  // real leak still climbs.
   heap.shadow_freelist().set_trim_limit(2048);
   pool_ctx.shadow_freelist().set_trim_limit(2048);
 
-  std::vector<Mailbox> mail(threads);
-  std::vector<WorkerStats> wstats(threads);
-  std::atomic<bool> stop{false};
-
-  const auto t0 = Clock::now();
-  auto elapsed_ms = [&t0] {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
-                                                              t0)
+  const auto t0 = std::chrono::steady_clock::now();
+  auto take_sample = [&](std::uint64_t tick) {
+    Sample s;
+    s.tick = tick;
+    s.t_ms = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now() - t0)
             .count());
+    s.vma_count = proc_vma_count();
+    s.va_hwm_kb = proc_va_peak_kb();
+    s.rss_kb = proc_rss_kb();
+    for (std::size_t i = 0; i < heap.shards(); ++i) {
+      const core::ShadowEngine& e = heap.engine(i);
+      s.quarantine_bytes += static_cast<double>(e.quarantine_depth_bytes());
+      s.reuse_delay_bytes += static_cast<double>(e.reuse_delay_bytes());
+      s.magazines += static_cast<double>(e.magazine_count());
+      s.owners += static_cast<double>(e.owner_count());
+    }
+    s.freelist_ranges = static_cast<double>(
+        heap.shadow_freelist().ranges() + pool_ctx.shadow_freelist().ranges());
+    s.ladder_transitions = static_cast<double>(
+        gov.counters().transitions.load(std::memory_order_relaxed));
+    s.sample_rate = static_cast<double>(gov.sample_rate());
+    s.mode = static_cast<double>(static_cast<int>(gov.mode()));
+    res.timeline.push_back(s);
   };
-  const std::uint64_t wall_ms = cfg.seconds * 1000;
 
-  // --- workers --------------------------------------------------------------
+  // Cross-thread frees: worker t parks a slice of its frees in outbox[t],
+  // and each round's end frees them from whichever worker completes it,
+  // which drives the registry-miss router and the remote-free lists the way
+  // a producer/consumer server does. A round is short next to an object's
+  // lifetime in the mix, so parking does not pin windows the mix would
+  // already have given back.
+  std::vector<std::vector<std::pair<void*, std::uint32_t>>> outbox(threads);
+  // Worker 0's op index at which it raises SIGUSR2 (none yet).
+  std::uint64_t snapshot_op = ~std::uint64_t{0};
+  const char* plan = cfg.fault_plan.empty() ? "mmap:errno=ENOMEM:every=3"
+                                            : cfg.fault_plan.c_str();
+
+  // A round's end, run by one worker while the others wait: drain the
+  // outboxes. A tick's last round also flushes revocation so the sample
+  // sees no free in flight, samples, then moves the fault pulse at its
+  // fixed ticks. A tick that moved the ladder schedules a snapshot half way
+  // into the next one: SIGUSR2 must always produce a dump whose rung gauge
+  // agrees with its own ladder section, even with every worker mid-churn.
+  std::uint64_t rounds = 0;
+  auto end_round = [&]() noexcept {
+    for (auto& box : outbox) {
+      for (auto& [p, site] : box) heap.free(p, site);
+      box.clear();
+    }
+    if (++rounds % rounds_per_tick != 0) return;
+    const std::uint64_t tick = rounds / rounds_per_tick;
+    heap.flush_all();
+    const double before = res.timeline.back().ladder_transitions;
+    take_sample(tick);
+    if (cfg.snapshots && obs::dump::enabled() &&
+        res.timeline.back().ladder_transitions != before) {
+      snapshot_op = tick * per_tick + per_tick / 2;
+    }
+    if (cfg.inject_faults && tick == kPulseTick) {
+      vm::sys::set_fault_plan(plan);
+      res.pulse_armed_tick = static_cast<std::int64_t>(tick);
+    } else if (cfg.inject_faults && tick == kPulseTick + kPulseTicks) {
+      vm::sys::clear_fault_plan();
+      res.pulse_cleared_tick = static_cast<std::int64_t>(tick);
+    }
+  };
+  std::barrier sync(threads, end_round);
+
+  take_sample(0);
   std::vector<std::thread> workers;
   workers.reserve(threads);
   for (std::uint32_t t = 0; t < threads; ++t) {
@@ -186,22 +251,12 @@ SoakResult run_soak(const SoakConfig& cfg) {
       workloads::Rng rng(cfg.seed * 0x9E3779B97F4A7C15ull + t + 1);
       std::vector<std::pair<void*, std::uint32_t>> live;
       live.reserve(cfg.max_live);
-      WorkerStats& ws = wstats[t];
+      std::vector<std::pair<void*, std::uint32_t>>& out = outbox[t];
       const std::uint32_t base_site = (t + 1) * 100000;
-      std::uint64_t iter = 0;
-      while (!stop.load(std::memory_order_relaxed)) {
-        ++iter;
-        // Drain the mailbox first: frees other lanes routed to us.
-        if ((iter & 63) == 0) {
-          std::vector<std::pair<void*, std::uint32_t>> in;
-          {
-            std::lock_guard lk(mail[t].mu);
-            in.swap(mail[t].items);
-          }
-          for (auto& [p, site] : in) {
-            heap.free(p, site);
-            ++ws.ops;
-          }
+      for (std::uint64_t op = 0; op < kTicks * per_tick; ++op) {
+        if (t == 0 && op == snapshot_op) {
+          std::raise(SIGUSR2);
+          ++res.snapshots_written;
         }
         const std::uint64_t roll = rng.below(100);
         if (roll < 45 || live.size() < cfg.max_live / 4) {
@@ -215,37 +270,32 @@ SoakResult run_soak(const SoakConfig& cfg) {
               std::memset(p, 0x5a, size);
               live.emplace_back(p, site);
             }
-            ++ws.ops;
           }
         } else if (roll < 75) {
           if (!live.empty()) {
-            const std::size_t i = rng.below(live.size());
-            auto [p, site] = live[i];
-            live[i] = live.back();
+            const std::size_t j = rng.below(live.size());
+            const auto obj = live[j];
+            live[j] = live.back();
             live.pop_back();
             if (threads > 1 && rng.below(8) == 0) {
-              // Cross-thread free: park it in the next lane's mailbox.
-              std::lock_guard lk(mail[(t + 1) % threads].mu);
-              mail[(t + 1) % threads].items.emplace_back(p, site);
+              out.push_back(obj);
             } else {
-              heap.free(p, site);
-              ++ws.ops;
+              heap.free(obj.first, obj.second);
             }
           }
         } else if (roll < 82) {
           if (!live.empty()) {
-            const std::size_t i = rng.below(live.size());
+            const std::size_t j = rng.below(live.size());
             const std::uint32_t size =
                 static_cast<std::uint32_t>(1 + rng.below(cfg.max_size));
-            void* np = heap.realloc(live[i].first, size, live[i].second);
-            if (np != nullptr) live[i].first = np;
-            ++ws.ops;
+            void* np = heap.realloc(live[j].first, size, live[j].second);
+            if (np != nullptr) live[j].first = np;
           }
         } else if (roll < 92) {
           if (!live.empty()) {
             // Touch a live object: keeps RSS honest about what churn costs.
-            auto [p, site] = live[rng.below(live.size())];
-            *static_cast<volatile unsigned char*>(p) = 0x5a;
+            *static_cast<volatile unsigned char*>(
+                live[rng.below(live.size())].first) = 0x5a;
           }
         } else if (roll < 97 && cfg.pools) {
           // One pool generation: burst-allocate, free half, destroy — the
@@ -253,111 +303,29 @@ SoakResult run_soak(const SoakConfig& cfg) {
           core::GuardedPool pool(pool_ctx);
           std::vector<void*> objs;
           const std::size_t burst = 16 + rng.below(48);
-          for (std::size_t i = 0; i < burst; ++i) {
+          for (std::size_t j = 0; j < burst; ++j) {
             void* p = pool.alloc(1 + rng.below(cfg.max_size),
                                  base_site + 90000);
             if (p != nullptr) objs.push_back(p);
           }
-          for (std::size_t i = 0; i < objs.size(); i += 2) {
-            pool.free(objs[i], base_site + 90000);
+          for (std::size_t j = 0; j < objs.size(); j += 2) {
+            pool.free(objs[j], base_site + 90000);
           }
           pool.destroy();
-          ws.ops += burst;
         }
-        // Deterministic revocation cadence: batched revocations and
-        // quarantine evictions must keep pace with the churn, or the gauges
-        // never plateau and the drift gate reads recycling lag as a leak.
-        if ((iter & 511) == 0) heap.flush_all();
-        if ((iter & 255) == 0 && elapsed_ms() >= wall_ms) break;
+        if ((op + 1) % kRoundOps == 0) sync.arrive_and_wait();
       }
       for (auto& [p, site] : live) heap.free(p, site);
     });
   }
-
-  // --- fault-pulse driver ---------------------------------------------------
-  // One transient pulse at ~1/3 of the wall clock: the governor must demote
-  // (full -> sampled, widening under continued refusals) and, once the pulse
-  // clears, recover rung by rung. Real incidents are transient; the soak
-  // asserts the ladder's round trip, not just the way down.
-  std::thread pulser;
-  if (cfg.inject_faults) {
-    pulser = std::thread([&] {
-      const std::uint64_t pulse_at = wall_ms / 3;
-      const std::uint64_t pulse_len = std::min<std::uint64_t>(
-          std::max<std::uint64_t>(wall_ms / 20, 250), 3000);
-      while (!stop.load(std::memory_order_relaxed) &&
-             elapsed_ms() < pulse_at) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      }
-      if (stop.load(std::memory_order_relaxed)) return;
-      const char* plan = cfg.fault_plan.empty()
-                             ? "mmap:errno=ENOMEM:every=3"
-                             : cfg.fault_plan.c_str();
-      vm::sys::set_fault_plan(plan);
-      const std::uint64_t until = elapsed_ms() + pulse_len;
-      while (!stop.load(std::memory_order_relaxed) && elapsed_ms() < until) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      }
-      vm::sys::clear_fault_plan();
-    });
-  }
-
-  // --- sampler (this thread) ------------------------------------------------
-  auto take_sample = [&] {
-    Sample s;
-    s.t_ms = elapsed_ms();
-    s.vma_count = proc_vma_count();
-    s.va_hwm_kb = proc_va_peak_kb();
-    s.rss_kb = proc_rss_kb();
-    double quarantine = 0, reuse_delay = 0, mags = 0;
-    for (std::size_t i = 0; i < heap.shards(); ++i) {
-      quarantine +=
-          static_cast<double>(heap.engine(i).quarantine_depth_bytes());
-      reuse_delay += static_cast<double>(heap.engine(i).reuse_delay_bytes());
-      mags += static_cast<double>(heap.engine(i).magazine_count());
-    }
-    s.quarantine_bytes = quarantine;
-    s.reuse_delay_bytes = reuse_delay;
-    s.magazines = mags;
-    s.freelist_ranges = static_cast<double>(heap.shadow_freelist().ranges() +
-                                            pool_ctx.shadow_freelist().ranges());
-    const auto& c = gov.counters();
-    s.ladder_transitions =
-        static_cast<double>(c.transitions.load(std::memory_order_relaxed));
-    s.sample_rate = static_cast<double>(gov.sample_rate());
-    s.mode = static_cast<double>(static_cast<int>(gov.mode()));
-    res.timeline.push_back(s);
-  };
-
-  take_sample();
-  std::uint64_t last_transitions = 0;
-  while (elapsed_ms() < wall_ms) {
-    const std::uint64_t remain = wall_ms - elapsed_ms();
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(std::min(interval_ms, remain)));
-    take_sample();
-    // Snapshot the runtime mid-churn (and mid-demotion, when the pulse lands
-    // between two ticks): SIGUSR2 must always produce a dump whose rung
-    // gauge agrees with its own ladder section.
-    const auto transitions =
-        static_cast<std::uint64_t>(res.timeline.back().ladder_transitions);
-    if (cfg.snapshots && obs::dump::enabled() &&
-        transitions != last_transitions) {
-      std::raise(SIGUSR2);
-      ++res.snapshots_written;
-    }
-    last_transitions = transitions;
-  }
-
-  stop.store(true, std::memory_order_relaxed);
   for (auto& w : workers) w.join();
-  if (pulser.joinable()) pulser.join();
   vm::sys::clear_fault_plan();  // belt and braces: never leak a live plan
   heap.flush_all();
-  take_sample();
 
-  res.wall_ms = elapsed_ms();
-  for (const auto& ws : wstats) res.ops += ws.ops;
+  res.wall_ms = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
   const auto& c = gov.counters();
   const std::uint64_t transitions =
       c.transitions.load(std::memory_order_relaxed);
@@ -368,23 +336,6 @@ SoakResult run_soak(const SoakConfig& cfg) {
   res.saw_demote_cycle = res.demotions >= 1 && res.recoveries >= 1;
   res.final_mode = static_cast<int>(gov.mode());
 
-  // --- drift gate -----------------------------------------------------------
-  // Gated series must be flat once the run reaches steady state. Two
-  // legitimate non-leak shapes must pass: the one-time step when the fault
-  // pulse lands (quarantine parks, degraded spans), and the bounded sawtooth
-  // of the recycling layers (freelist fill/trim, freed-VA budget eviction,
-  // quarantine fill/evict) whose period can approach the run length. So the
-  // gate fits the LOWER ENVELOPE (per-bucket minima) of the LAST HALF of the
-  // samples: a step has already happened by then, a sawtooth's minima are
-  // flat, and a leak's minima climb with it.
-  const std::size_t n = res.timeline.size();
-  const std::size_t gate_warmup = std::max(cfg.warmup_samples, n / 2);
-  auto series = [&](auto field) {
-    std::vector<double> xs;
-    xs.reserve(n);
-    for (const Sample& s : res.timeline) xs.push_back(s.*field);
-    return xs;
-  };
   struct Def {
     const char* name;
     double Sample::* field;
@@ -397,30 +348,15 @@ SoakResult run_soak(const SoakConfig& cfg) {
       {"quarantine_bytes", &Sample::quarantine_bytes, false},
       {"reuse_delay_bytes", &Sample::reuse_delay_bytes, false},
       {"magazines", &Sample::magazines, false},
+      {"owners", &Sample::owners, false},
       {"freelist_ranges", &Sample::freelist_ranges, false},
   };
   for (const Def& d : defs) {
-    std::vector<double> xs = series(d.field);
-    SeriesDrift sd;
-    if (d.gated) {
-      std::vector<double> tail(xs.begin() + std::min(gate_warmup, xs.size()),
-                               xs.end());
-      const std::size_t bucket = std::max<std::size_t>(2, tail.size() / 8);
-      std::vector<double> env;
-      for (std::size_t i = 0; i < tail.size(); i += bucket) {
-        double m = tail[i];
-        for (std::size_t j = i; j < std::min(tail.size(), i + bucket); ++j) {
-          m = std::min(m, tail[j]);
-        }
-        env.push_back(m);
-      }
-      sd = detect_drift(d.name, env, 0, cfg.max_relative_drift, true);
-    } else {
-      sd = detect_drift(d.name, xs, cfg.warmup_samples,
-                        cfg.max_relative_drift, false);
-    }
-    res.drift_failed = res.drift_failed || sd.failed;
-    res.drifts.push_back(std::move(sd));
+    std::vector<double> xs;
+    for (const Sample& s : res.timeline) xs.push_back(s.*d.field);
+    res.drifts.push_back(detect_drift(d.name, xs, cfg.warmup_samples,
+                                      cfg.max_relative_drift, d.gated));
+    res.drift_failed = res.drift_failed || res.drifts.back().failed;
   }
   publish_governor(nullptr);  // gov is about to go out of scope
   return res;
@@ -429,6 +365,9 @@ SoakResult run_soak(const SoakConfig& cfg) {
 std::string SoakResult::to_json() const {
   std::ostringstream o;
   o << "{\"wall_ms\":" << wall_ms << ",\"ops\":" << ops
+    << ",\"ticks\":" << kTicks << ",\"ops_per_tick\":" << ops_per_tick
+    << ",\"pulse_armed_tick\":" << pulse_armed_tick
+    << ",\"pulse_cleared_tick\":" << pulse_cleared_tick
     << ",\"demotions\":" << demotions << ",\"recoveries\":" << recoveries
     << ",\"sample_widens\":" << sample_widens
     << ",\"sample_tightens\":" << sample_tightens
@@ -450,12 +389,13 @@ std::string SoakResult::to_json() const {
   o << "],\"timeline\":[";
   for (std::size_t i = 0; i < timeline.size(); ++i) {
     const Sample& s = timeline[i];
-    o << (i != 0 ? "," : "") << "{\"t_ms\":" << s.t_ms
+    o << (i != 0 ? "," : "") << "{\"tick\":" << s.tick
+      << ",\"t_ms\":" << s.t_ms
       << ",\"vma_count\":" << s.vma_count << ",\"va_hwm_kb\":" << s.va_hwm_kb
       << ",\"rss_kb\":" << s.rss_kb
       << ",\"quarantine_bytes\":" << s.quarantine_bytes
       << ",\"reuse_delay_bytes\":" << s.reuse_delay_bytes
-      << ",\"magazines\":" << s.magazines
+      << ",\"magazines\":" << s.magazines << ",\"owners\":" << s.owners
       << ",\"freelist_ranges\":" << s.freelist_ranges
       << ",\"ladder_transitions\":" << s.ladder_transitions
       << ",\"sample_rate\":" << s.sample_rate << ",\"mode\":" << s.mode

@@ -3,6 +3,7 @@
 // these suites hammer both from several threads at once.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
 #include <thread>
@@ -312,6 +313,48 @@ TEST(Concurrency, ResolvedBackendRemoteFreeStorm) {
   }
   // Every revocation run went through the backend's own call.
   EXPECT_EQ(revoke_calls.load() - calls_before, stats.protect_calls);
+
+  // The newest frees need no record_of filter: the owner of a shard's
+  // newest revocation is never released. Fresh threads allocate one object
+  // per shard (each thread's first allocation takes the next home-shard
+  // token), a consumer thread remote-frees each to its owner, and after a
+  // flush every one of them must trap on a read and report an exact double
+  // free.
+  std::vector<unsigned char*> newest(heap.shards(), nullptr);
+  auto missing = [&] {
+    return std::count(newest.begin(), newest.end(), nullptr);
+  };
+  for (std::size_t i = 0; i < 4 * heap.shards() && missing() != 0; ++i) {
+    std::thread([&] {
+      auto* p = static_cast<unsigned char*>(heap.malloc(64));
+      unsigned char*& slot =
+          newest[ShadowEngine::record_of(p)->engine->shard_id()];
+      if (slot == nullptr) {
+        slot = p;
+      } else {
+        heap.free(p);
+      }
+    }).join();
+  }
+  ASSERT_EQ(missing(), 0);
+  std::thread([&] {
+    for (std::size_t s = 0; s < newest.size(); ++s) {
+      heap.engine(s).free_remote(newest[s]);
+    }
+  }).join();
+  heap.flush_all();
+  std::thread([&] {
+    for (unsigned char* p : newest) {
+      const auto read = catch_dangling([&] {
+        volatile unsigned char c = *p;
+        (void)c;
+      });
+      if (!read.has_value()) failed = true;
+      const auto again = catch_dangling([&] { heap.free(p); });
+      if (!again.has_value() || again->kind != AccessKind::kFree) failed = true;
+    }
+  }).join();
+  EXPECT_FALSE(failed.load()) << "a shard's newest free lost its guard";
 }
 
 }  // namespace

@@ -125,6 +125,30 @@ TEST(GuardedPool, TwoLivePoolsAreIndependent) {
   b.free(pb);
 }
 
+TEST(GuardedPool, FreeThroughAnotherPoolIsInvalid) {
+  // Each pool owns its engine, and only the allocating engine may admit an
+  // object's free: a sibling pool taking it in would link the object's owner
+  // into its own release order and later hand the canonical block to its
+  // own Pool.
+  GuardedPoolContext ctx;
+  GuardedPool a(ctx);
+  GuardedPool b(ctx);
+  auto* p = static_cast<char*>(a.alloc(64, 1));
+  const auto report = catch_dangling([&] { b.free(p, 2); });
+  ASSERT_TRUE(report.has_value());
+  EXPECT_EQ(report->kind, AccessKind::kInvalidFree);
+  EXPECT_EQ(report->fault_address, vm::addr(p));
+  EXPECT_EQ(a.stats().frees, 0u);
+  EXPECT_EQ(b.stats().frees, 0u);
+  EXPECT_EQ(b.stats().invalid_frees, 1u);
+  // The object stays a's, live and freeable by a.
+  std::strcpy(p, "still a's");
+  EXPECT_STREQ(p, "still a's");
+  a.free(p, 3);
+  EXPECT_EQ(a.stats().frees, 1u);
+  EXPECT_EQ(b.stats().revoked_spans, 0u);
+}
+
 TEST(GuardedPool, DanglingAcrossPoolFreeDetectedBeforeDestroy) {
   GuardedPoolContext ctx;
   GuardedPool pool(ctx);

@@ -133,7 +133,7 @@ TEST(ShardedHeap, CrossThreadInteriorFreeIsInvalid) {
   int remote = 0;
   for (int t = 0; t < 2; ++t) {
     std::thread th([&] {
-      if (&heap.home_engine() != &heap.engine(rec->owner_shard)) ++remote;
+      if (&heap.home_engine() != rec->engine) ++remote;
       auto rep = catch_dangling([&] { heap.free(p + 8, /*site=*/6); });
       ASSERT_TRUE(rep.has_value());
       EXPECT_EQ(rep->kind, AccessKind::kInvalidFree);

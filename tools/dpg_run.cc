@@ -4,7 +4,7 @@
 //
 //   dpg_run [--report-dir DIR] [--depth N] [--no-analyze] [--lib PATH] --
 //           victim [args...]
-//   dpg_run [--report-dir DIR] --soak [dpg_soak args...]
+//   dpg_run [--report-dir DIR] --soak [--ops N] [dpg_soak args...]
 //
 //   1. locates libdpg_preload.so next to this binary (../src/ in a build
 //      tree, then the binary's own directory) unless --lib overrides it;
@@ -105,7 +105,8 @@ int usage() {
   std::fprintf(stderr,
                "usage: dpg_run [--report-dir DIR] [--depth N] [--no-analyze] "
                "[--lib PATH] [--] victim [args...]\n"
-               "       dpg_run [--report-dir DIR] --soak [dpg_soak args...]\n");
+               "       dpg_run [--report-dir DIR] --soak [--ops N] "
+               "[dpg_soak args...]\n");
   return 1;
 }
 

@@ -1,23 +1,23 @@
 // dpg_soak — address-space endurance soak driver (DESIGN.md §15).
 //
-// Runs the bounded-wall-clock steady-state workload from src/soak against
-// the full guarded stack: heap churn, pool create/destroy cycles,
-// cross-thread frees, periodic revocation flushes, one injected transient
-// fault pulse (the governor must demote and recover), and optional SIGUSR2
-// snapshot dumps. A sampler records VMA count, VA high-water, RSS,
-// quarantine depth, magazine population and ladder movement on an interval;
-// after the run a linear-drift detector fails the soak on monotonic growth
-// of any gated series.
+// Runs the op-counted steady-state workload from src/soak against the full
+// guarded stack: heap churn, pool create/destroy cycles, cross-thread frees,
+// revocation flushes, one injected transient fault pulse (the governor must
+// demote and recover), and optional SIGUSR2 snapshot dumps. The run is
+// --ops schedule operations split over the workers and 32 ticks; each tick's
+// end samples VMA count, VA high-water, RSS, quarantine depth, magazine and
+// owner population and ladder movement, and after the run a drift detector
+// fails the soak on monotonic growth of any gated series.
 //
 // Usage:
-//   dpg_soak [--seconds N] [--threads N] [--interval-ms N] [--shards N]
+//   dpg_soak [--ops N] [--threads N] [--shards N]
 //            [--sample-rate N] [--seed S] [--max-drift F]
 //            [--no-pools] [--no-inject] [--no-snapshots]
 //            [--fault-plan SPEC] [--report-dir DIR] [--json FILE]
 //
-// --report-dir arms the .dpgcrash snapshot writer (SIGUSR2 fires after each
-// ladder transition the sampler observes); --json writes the machine-readable
-// timeline + verdicts ("-" = stdout) — the CI artifact.
+// --report-dir arms the .dpgcrash snapshot writer (SIGUSR2 fires inside the
+// tick after each tick that moved the ladder); --json writes the
+// machine-readable timeline + verdicts ("-" = stdout) — the CI artifact.
 //
 // Exit codes:
 //   0  endurance gate passed (flat gated series, >= 1 demote/recover cycle
@@ -40,8 +40,8 @@ namespace {
 int usage() {
   std::fprintf(
       stderr,
-      "usage: dpg_soak [--seconds N] [--threads N] [--interval-ms N]\n"
-      "                [--shards N] [--sample-rate N] [--seed S]\n"
+      "usage: dpg_soak [--ops N] [--threads N] [--shards N]\n"
+      "                [--sample-rate N] [--seed S]\n"
       "                [--max-drift F] [--no-pools] [--no-inject]\n"
       "                [--no-snapshots] [--fault-plan SPEC]\n"
       "                [--report-dir DIR] [--json FILE]\n"
@@ -61,7 +61,6 @@ bool parse_u64(const char* s, std::uint64_t* out) {
 
 int main(int argc, char** argv) {
   dpg::soak::SoakConfig cfg;
-  cfg.seconds = 60;
   std::string json_path;
   std::string report_dir;
 
@@ -71,18 +70,14 @@ int main(int argc, char** argv) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     std::uint64_t v = 0;
-    if (arg == "--seconds") {
+    if (arg == "--ops") {
       const char* s = next();
       if (s == nullptr || !parse_u64(s, &v) || v == 0) return usage();
-      cfg.seconds = v;
+      cfg.ops = v;
     } else if (arg == "--threads") {
       const char* s = next();
       if (s == nullptr || !parse_u64(s, &v) || v == 0 || v > 64) return usage();
       cfg.threads = static_cast<std::uint32_t>(v);
-    } else if (arg == "--interval-ms") {
-      const char* s = next();
-      if (s == nullptr || !parse_u64(s, &v) || v == 0) return usage();
-      cfg.interval_ms = v;
     } else if (arg == "--shards") {
       const char* s = next();
       if (s == nullptr || !parse_u64(s, &v) || v == 0 || v > 64) return usage();
@@ -130,9 +125,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::printf("dpg_soak: %llus, %u threads, %zu shards, interval %llums%s\n",
-              static_cast<unsigned long long>(cfg.seconds), cfg.threads,
-              cfg.shards, static_cast<unsigned long long>(cfg.interval_ms),
+  std::printf("dpg_soak: %llu ops, %u threads, %zu shards, %llu ticks%s\n",
+              static_cast<unsigned long long>(cfg.ops), cfg.threads,
+              cfg.shards, static_cast<unsigned long long>(dpg::soak::kTicks),
               cfg.inject_faults ? ", fault pulse armed" : "");
   std::fflush(stdout);
 
