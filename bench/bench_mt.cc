@@ -166,6 +166,7 @@ struct RunResult {
   SysSnap sys;
   double p99_us = 0;
   dpg::core::GuardStats stats;
+  dpg::core::GuardStats warm;  // stats after the untimed warm-up, if any
   dpg::vm::RevokeBackend resolved = dpg::vm::RevokeBackend::kAuto;
 
   [[nodiscard]] std::uint64_t mm_syscalls() const {
@@ -264,8 +265,12 @@ RunResult drive(Heap& heap, unsigned threads, bool server_mode,
   return res;
 }
 
+// `warm_pairs` per thread run untimed on the same heap first; the counts of
+// the result then cover the timed run alone, and `warm` holds the stats the
+// warm-up left.
 RunResult run_workload(const BenchConfig& cfg, unsigned threads,
-                       bool server_mode, std::uint64_t pairs_per_thread) {
+                       bool server_mode, std::uint64_t pairs_per_thread,
+                       std::uint64_t warm_pairs = 0) {
   if (cfg.raw) {
     // Every raw rep starts from trimmed libc arenas, not from whatever the
     // previous cells left: the process's first rep ran on fresh arenas and
@@ -287,8 +292,14 @@ RunResult run_workload(const BenchConfig& cfg, unsigned threads,
   const std::size_t shards =
       cfg.shards_per_thread == 0 ? 1 : cfg.shards_per_thread * threads;
   ShardedHeap heap(arena, guard, shards);
+  dpg::core::GuardStats warm;
+  if (warm_pairs != 0) {
+    (void)drive(heap, threads, server_mode, warm_pairs);
+    warm = heap.stats();
+  }
   RunResult res = drive(heap, threads, server_mode, pairs_per_thread);
   res.stats = heap.stats();
+  res.warm = warm;
   res.resolved = heap.engine(0).revoke_backend();
   return res;
 }
@@ -309,13 +320,13 @@ std::string row(const char* workload, unsigned threads, const BenchConfig& cfg,
       "frees/revoke  p99 %7.2f us  "
       "(magazine hits %llu/%llu maps, batches %llu, remote %llu, "
       "mprotect %llu, madvise %llu, munmap %llu, recycled %llu, "
-      "reused %llu)\n",
+      "reused %llu, restored %llu)\n",
       workload, threads, cfg.name, rate.show(0).c_str(), r.sys_per_pair(),
       r.frees_per_revoke(), p99.median, ull(r.stats.magazine_hits),
       ull(r.stats.magazine_maps), ull(r.stats.revoke_batches),
       ull(r.stats.remote_frees), ull(r.sys.mprotect), ull(r.sys.madvise),
       ull(r.sys.munmap), ull(r.stats.magazine_slots_recycled),
-      ull(r.stats.shadow_pages_reused));
+      ull(r.stats.shadow_pages_reused), ull(r.stats.shadow_restores));
   char buf[1024];
   std::snprintf(
       buf, sizeof buf,
@@ -445,8 +456,13 @@ int smoke() {
     return fail("immediate revocation under mprotect mapped %llu magazines",
                 ull(immediate.stats.magazine_maps));
   }
+  // A restore issues calls too (vm/revoke.h): one madvise under guard
+  // markers, a madvise and an mprotect under mprotect.
+  const std::uint64_t restore_calls =
+      immediate.stats.shadow_restores *
+      (immediate.resolved == dpg::vm::RevokeBackend::kGuard ? 1 : 2);
   const std::uint64_t revocation_calls =
-      immediate.sys.mprotect + immediate.sys.madvise;
+      immediate.sys.mprotect + immediate.sys.madvise - restore_calls;
   if (revocation_calls != immediate.stats.frees ||
       immediate.stats.frees != immediate.stats.revoked_spans) {
     return fail("immediate: revocation calls %llu, frees %llu, revoked spans "
@@ -457,6 +473,33 @@ int smoke() {
   if (immediate.sys.munmap * 50 >= immediate.pairs) {
     return fail("immediate: munmap %llu over %llu pairs (>= 2%%)",
                 ull(immediate.sys.munmap), ull(immediate.pairs));
+  }
+
+  // Restore gate, immediate guard markers at t1 (one thread, one shard: the
+  // counts are deterministic). The warm-up fills the freed-VA budget; from
+  // then on the budget hands windows back bound to their canonical offsets,
+  // and a refill of such a window restores a range in place instead of
+  // mapping one. Restores must be at least 9 in 10 of the window refills
+  // after the warm-up (measured: 582 of 585 at the default 30000 pairs), and
+  // the refills' mmaps at most the rest.
+  if (dpg::vm::Revoker::guard_supported()) {
+    const BenchConfig g1 = backend_config(dpg::vm::RevokeBackend::kGuard, false);
+    const RunResult w = run_workload(g1, 1, true, pairs, pairs);
+    (void)row("server", 1, g1, {w});
+    const std::uint64_t refills =
+        w.stats.magazine_maps - w.warm.magazine_maps;
+    const std::uint64_t restores =
+        w.stats.shadow_restores - w.warm.shadow_restores;
+    std::printf("guard t1 after warm-up: %llu window refills, %llu restores, "
+                "%llu mmap\n",
+                ull(refills), ull(restores), ull(w.sys.mmap));
+    if (refills == 0 || restores * 10 < refills * 9 ||
+        w.sys.mmap > refills - restores) {
+      return fail("guard t1: %llu restores over %llu window refills (want at "
+                  "least 9 in 10), %llu mmap (want at most %llu)",
+                  ull(restores), ull(refills), ull(w.sys.mmap),
+                  ull(refills - restores));
+    }
   }
 
   // t8 server gates, all deterministic counts (same-config throughput swings
@@ -496,12 +539,14 @@ int smoke() {
       backend_config(dpg::vm::RevokeBackend::kGuard, true), 2, true,
       t8_pairs / 4);
   if (g2.resolved == dpg::vm::RevokeBackend::kGuard) {
-    // Every revocation run is one madvise; none falls back to mprotect.
-    if (g2.sys.mprotect != 0 || g2.sys.madvise != g2.stats.protect_calls) {
+    // Every revocation run is one madvise, and so is every restore; none
+    // falls back to mprotect.
+    if (g2.sys.mprotect != 0 ||
+        g2.sys.madvise != g2.stats.protect_calls + g2.stats.shadow_restores) {
       return fail("guard backend: mprotect %llu (want 0), madvise %llu "
-                  "(want the %llu revocation calls)",
+                  "(want the %llu revocation calls + %llu restores)",
                   ull(g2.sys.mprotect), ull(g2.sys.madvise),
-                  ull(g2.stats.protect_calls));
+                  ull(g2.stats.protect_calls), ull(g2.stats.shadow_restores));
     }
   } else if (dpg::vm::Revoker::guard_supported()) {
     return fail("guard requested on a guard-capable kernel, resolved to %s",

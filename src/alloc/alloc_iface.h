@@ -52,7 +52,7 @@ class ArenaSource final : public CanonicalSource {
   }
 
   [[nodiscard]] vm::PageRange obtain(std::size_t bytes) override {
-    if (auto reused = freelist_.take(bytes)) return *reused;
+    if (auto reused = freelist_.take(bytes)) return reused->range;
     void* extent = arena_.extend(bytes);
     return vm::PageRange{vm::addr(extent), vm::page_up(bytes)};
   }

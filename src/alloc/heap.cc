@@ -2,14 +2,28 @@
 
 #include <sys/mman.h>
 
+#include <atomic>
 #include <cassert>
 #include <cstring>
 #include <new>
 #include <stdexcept>
 
+#include "obs/metrics.h"
 #include "vm/vm_stats.h"
 
 namespace dpg::alloc {
+
+namespace {
+
+std::atomic<std::uint64_t> g_heap_lock_contended{0};
+
+}  // namespace
+
+void HeapLock::lock() noexcept {
+  if (pthread_mutex_trylock(&mu_) == 0) return;
+  g_heap_lock_contended.fetch_add(1, std::memory_order_relaxed);
+  pthread_mutex_lock(&mu_);
+}
 
 MmapSource::~MmapSource() {
   freelist_.drain([](vm::PageRange r) {
@@ -18,7 +32,7 @@ MmapSource::~MmapSource() {
 }
 
 vm::PageRange MmapSource::obtain(std::size_t bytes) {
-  if (auto reused = freelist_.take(bytes)) return *reused;
+  if (auto reused = freelist_.take(bytes)) return reused->range;
   const std::size_t span = vm::page_up(bytes);
   void* p = mmap(nullptr, span, PROT_READ | PROT_WRITE,
                  MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
@@ -29,6 +43,9 @@ vm::PageRange MmapSource::obtain(std::size_t bytes) {
 }
 
 SegregatedHeap::SegregatedHeap(CanonicalSource& source) : source_(source) {
+  static const bool registered = obs::register_counter(
+      "dpg_heap_lock_contended", &g_heap_lock_contended);
+  (void)registered;
   // Payload capacities. Block stride = capacity + header; strides chosen so a
   // whole number of blocks fits a 4-page span without pathological waste.
   for (std::size_t cap : {16u, 32u, 48u, 64u, 96u, 128u, 192u, 256u, 384u,

@@ -16,7 +16,16 @@
 //
 // The heap never learns about shadow pages: the guard layer hands it sizes
 // inflated by one word and remaps the result, per Section 3.2.
+//
+// One lock guards the heap, and every shard of a ShardedHeap calls in under
+// it. Its holders are short, but a revocation's TLB-shootdown IPI can
+// interrupt one, so the lock spins briefly before it sleeps (glibc's
+// adaptive mutex) instead of parking every waiter on a futex (DESIGN.md
+// §11). Acquisitions that found it held are counted process-wide in
+// dpg_heap_lock_contended.
 #pragma once
+
+#include <pthread.h>
 
 #include <array>
 #include <cstddef>
@@ -35,6 +44,24 @@ struct HeapStats {
   std::uint64_t spans_created = 0;
   std::uint64_t bytes_requested = 0;
   std::size_t live_objects = 0;
+};
+
+// BasicLockable over a glibc adaptive mutex: a contended lock() spins a
+// bounded number of times before it sleeps.
+class HeapLock {
+ public:
+  HeapLock() = default;
+  ~HeapLock() { pthread_mutex_destroy(&mu_); }
+  HeapLock(const HeapLock&) = delete;
+  HeapLock& operator=(const HeapLock&) = delete;
+
+  // Counts an acquisition that finds the lock held in
+  // dpg_heap_lock_contended.
+  void lock() noexcept;
+  void unlock() noexcept { pthread_mutex_unlock(&mu_); }
+
+ private:
+  pthread_mutex_t mu_ = PTHREAD_ADAPTIVE_MUTEX_INITIALIZER_NP;
 };
 
 class SegregatedHeap final : public MallocLike {
@@ -85,7 +112,7 @@ class SegregatedHeap final : public MallocLike {
   void carve_span(std::size_t cls);
 
   CanonicalSource& source_;
-  mutable std::mutex mu_;
+  mutable HeapLock mu_;
   std::vector<std::size_t> class_sizes_;            // block payload capacities
   std::vector<FreeBlock*> free_lists_;              // one per class
   std::map<std::size_t, std::vector<vm::PageRange>> run_cache_;  // pages -> runs

@@ -300,19 +300,28 @@ void* ShadowEngine::install_record_locked(void* shadow_base,
   return reinterpret_cast<void*>(rec->user_shadow);
 }
 
-// Aliases `len` bytes of canonical pages from `first_page` over VA from the
-// shared list (MAP_FIXED replaces the dead mapping there), else fresh VA; a
-// refusal leaves a recycled range mapped, so it goes back. A trailing
-// `guard` page is revoked before anyone sees it: it aliases the canonical
-// page after the span, which no access through it reaches, and under
-// mprotect splits the alias into two VMAs.
+// Aliases `len` bytes of canonical pages from `first_page`. VA from the
+// shared list comes first: a range still bound to these pages is restored in
+// place, any other is remapped with MAP_FIXED (which replaces the dead
+// mapping there); with none, fresh VA. A refused restore falls through to
+// the map over the same range. A refused map leaves a recycled range mapped,
+// so it goes back, unbound. A trailing `guard` page is revoked before anyone
+// sees it, after a restore as after a map: it aliases the canonical page
+// after the span, which no access through it reaches, and under mprotect
+// splits the alias into two VMAs.
 vm::sys::MapResult ShadowEngine::map_alias_locked(std::uintptr_t first_page,
                                                   std::size_t len,
                                                   std::size_t guard) {
-  const auto reused = shadow_freelist_.take(len);
-  void* fixed = reused ? reinterpret_cast<void*>(reused->base) : nullptr;
+  const std::size_t offset =
+      arena_.offset_of(reinterpret_cast<void*>(first_page));
+  const auto reused = shadow_freelist_.take(len, offset);
+  void* fixed = reused ? reinterpret_cast<void*>(reused->range.base) : nullptr;
+  const bool restored = reused && reused->offset == offset &&
+                        revoker_.restore(arena_, fixed, len).ok();
   vm::sys::MapResult alias =
-      arena_.try_map_shadow(reinterpret_cast<void*>(first_page), len, fixed);
+      restored ? vm::sys::MapResult{fixed, 0}
+               : arena_.try_map_shadow(reinterpret_cast<void*>(first_page),
+                                       len, fixed);
   if (alias.ok() && guard != 0) {
     const vm::sys::IoResult g = revoker_.revoke(
         arena_, static_cast<std::byte*>(alias.ptr) + len - guard, guard);
@@ -331,6 +340,9 @@ vm::sys::MapResult ShadowEngine::map_alias_locked(std::uintptr_t first_page,
   if (fixed != nullptr) {
     stats_.shadow_pages_reused.fetch_add(len / vm::kPageSize,
                                          std::memory_order_relaxed);
+    if (restored) {
+      stats_.shadow_restores.fetch_add(1, std::memory_order_relaxed);
+    }
   } else {
     stats_.shadow_pages_mapped.fetch_add(len / vm::kPageSize,
                                          std::memory_order_relaxed);
@@ -414,6 +426,7 @@ void* ShadowEngine::magazine_claim_locked(std::uintptr_t first_page,
   ++owners_;
   m->shadow_base = vm::addr(res.ptr);
   m->bytes = kWindowBytes;
+  m->offset = arena_.offset_of(reinterpret_cast<void*>(window_base));
   m->claim(slot0, nslots);
   *from = m;
   const std::uintptr_t sb = m->shadow_base + off_in_window;
@@ -499,7 +512,7 @@ void ShadowEngine::retire_magazine_locked(Magazine* m) {
 // An owner's VA goes back whole once it has retired and holds no record.
 bool ShadowEngine::return_owner_if_done_locked(Owner* o) {
   if (!o->retired || o->live != 0 || !o->freed.empty()) return false;
-  shadow_freelist_.put(vm::PageRange{o->shadow_base, o->bytes});
+  shadow_freelist_.put(vm::PageRange{o->shadow_base, o->bytes}, o->offset);
   delete o;
   --owners_;
   return true;
@@ -554,6 +567,7 @@ void* ShadowEngine::guarded_alloc_locked(std::size_t size, SiteId site) {
   ++owners_;
   owner->shadow_base = vm::addr(alias.ptr);
   owner->bytes = span_len;
+  owner->offset = arena_.offset_of(reinterpret_cast<void*>(first_page));
   owner->live = 1;
   owner->retired = true;
   return install_record_locked(alias.ptr, span_len, guard, canon_addr,

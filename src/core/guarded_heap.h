@@ -19,6 +19,11 @@
 // shared VA free list, and new shadow mappings are placed over recycled
 // addresses with MAP_FIXED — no munmap per object.
 //
+// Recycled shadow VA that still aliases the canonical pages a new alias
+// wants is restored in place (Revoker::restore) instead of remapped: the
+// steady state of window refills and per-object aliases over reused
+// canonical pages issues no mmap (DESIGN.md §11).
+//
 // Scaling layers (DESIGN.md §11):
 //
 //   Slot magazines   one bulk mmap aliases a 256-page window of canonical
@@ -289,6 +294,9 @@ class ShadowEngine {
     virtual ~Owner() = default;  // a Magazine is deleted as an Owner too
     std::uintptr_t shadow_base = 0;
     std::size_t bytes = 0;
+    // The file offset the span aliases: the binding it goes back to the
+    // shared list with.
+    std::size_t offset = vm::VaFreeList::kUnbound;
     std::size_t live = 0;  // records neither released nor on `freed`
     bool retired = false;
     // Freed-and-revoked records, oldest revocation first.

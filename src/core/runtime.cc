@@ -46,6 +46,7 @@ constexpr NamedField kExported[] = {
     {"dpg_frees", &GuardCounters::frees},
     {"dpg_shadow_pages_mapped", &GuardCounters::shadow_pages_mapped},
     {"dpg_shadow_pages_reused", &GuardCounters::shadow_pages_reused},
+    {"dpg_shadow_restores", &GuardCounters::shadow_restores},
     {"dpg_va_reclaimed_pages", &GuardCounters::va_reclaimed_pages},
     {"dpg_double_frees", &GuardCounters::double_frees},
     {"dpg_invalid_frees", &GuardCounters::invalid_frees},

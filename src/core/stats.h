@@ -48,6 +48,9 @@ struct GuardStats {
   std::uint64_t frees = 0;
   std::uint64_t shadow_pages_mapped = 0;   // fresh virtual pages consumed
   std::uint64_t shadow_pages_reused = 0;   // satisfied from the VA free list
+  std::uint64_t shadow_restores = 0;       // recycled ranges that still
+                                           // aliased the wanted pages,
+                                           // restored in place (no mmap)
   std::uint64_t va_reclaimed_pages = 0;    // pages recycled (pool destroy /
                                            // budget / GC)
   std::uint64_t double_frees = 0;
@@ -102,6 +105,7 @@ struct GuardStats {
     frees += o.frees;
     shadow_pages_mapped += o.shadow_pages_mapped;
     shadow_pages_reused += o.shadow_pages_reused;
+    shadow_restores += o.shadow_restores;
     va_reclaimed_pages += o.va_reclaimed_pages;
     double_frees += o.double_frees;
     invalid_frees += o.invalid_frees;
@@ -133,6 +137,7 @@ struct GuardCounters {
   alignas(vm::kCacheLine) std::atomic<std::uint64_t> frees{0};
   alignas(vm::kCacheLine) std::atomic<std::uint64_t> shadow_pages_mapped{0};
   alignas(vm::kCacheLine) std::atomic<std::uint64_t> shadow_pages_reused{0};
+  alignas(vm::kCacheLine) std::atomic<std::uint64_t> shadow_restores{0};
   alignas(vm::kCacheLine) std::atomic<std::uint64_t> va_reclaimed_pages{0};
   alignas(vm::kCacheLine) std::atomic<std::uint64_t> double_frees{0};
   alignas(vm::kCacheLine) std::atomic<std::uint64_t> invalid_frees{0};
@@ -160,6 +165,7 @@ struct GuardCounters {
     s.frees = frees.load(std::memory_order_relaxed);
     s.shadow_pages_mapped = shadow_pages_mapped.load(std::memory_order_relaxed);
     s.shadow_pages_reused = shadow_pages_reused.load(std::memory_order_relaxed);
+    s.shadow_restores = shadow_restores.load(std::memory_order_relaxed);
     s.va_reclaimed_pages = va_reclaimed_pages.load(std::memory_order_relaxed);
     s.double_frees = double_frees.load(std::memory_order_relaxed);
     s.invalid_frees = invalid_frees.load(std::memory_order_relaxed);

@@ -209,8 +209,18 @@ SoakResult run_soak(const SoakConfig& cfg) {
   std::vector<std::vector<std::pair<void*, std::uint32_t>>> outbox(threads);
   // Worker 0's op index at which it raises SIGUSR2 (none yet).
   std::uint64_t snapshot_op = ~std::uint64_t{0};
-  const char* plan = cfg.fault_plan.empty() ? "mmap:errno=ENOMEM:every=3"
-                                            : cfg.fault_plan.c_str();
+  // The built-in pulse refuses every third shadow mmap and every thousandth
+  // revocation-class call (madvise under guard markers, mprotect under
+  // mprotect). Window refills restore recycled ranges in place, so the
+  // steady state issues few mmaps, and the arena's relief-and-retry absorbs
+  // an every-third refusal of those; the sparse revocation refusals reach the
+  // governor on either backend, about as often as the mmap clause alone did
+  // before restores (5-6 demote/recover cycles per 1M ops; EXPERIMENTS.md).
+  const char* plan =
+      cfg.fault_plan.empty()
+          ? "mmap:errno=ENOMEM:every=3,madvise:errno=ENOMEM:every=1000,"
+            "mprotect:errno=ENOMEM:every=1000"
+          : cfg.fault_plan.c_str();
 
   // A round's end, run by one worker while the others wait: drain the
   // outboxes. A tick's last round also flushes revocation so the sample

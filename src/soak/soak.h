@@ -49,7 +49,8 @@ struct SoakConfig {
   // -> sampled, widening N), then clear it so hysteresis recovers — the
   // soak asserts >= 1 full demote/recover cycle.
   bool inject_faults = true;
-  // DPG_FAULT_INJECT grammar for the pulse; "" = a built-in mmap ENOMEM plan.
+  // DPG_FAULT_INJECT grammar for the pulse; "" = the built-in plan (shadow
+  // mmap and revocation ENOMEM; see run_soak).
   std::string fault_plan;
   std::size_t sample_rate = 0;   // base 1-in-N for the governor (0 = default)
   // Per-shard quarantine cap. The soak wants the delayed-reuse pool to reach

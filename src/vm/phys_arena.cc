@@ -126,6 +126,9 @@ sys::IoResult PhysArena::try_protect_none(void* p, std::size_t len) noexcept {
 }
 
 sys::IoResult PhysArena::try_revoke(void* p, std::size_t len) noexcept {
+  // Set before the call: a range goes back to a shared list only after its
+  // revocation returned, so whoever takes it next reads the flag set.
+  revoked_prot_none_.store(true, std::memory_order_relaxed);
   sys::IoResult r = try_protect_none(p, len);
   if (!r.ok() && r.err == ENOMEM) {
     // Same pressure as mmap ENOMEM: the split pushed the process over

@@ -30,6 +30,7 @@
 // remain for callers that treat failure as fatal (tests, benches).
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
@@ -97,6 +98,12 @@ class PhysArena {
   // like mmap does. On ENOMEM the relief lists are released (coalesce +
   // munmap of every recyclable shadow span) and the protect retried once.
   sys::IoResult try_revoke(void* p, std::size_t len) noexcept;
+  // True once try_revoke has been asked to make an alias of this arena
+  // PROT_NONE. Sticky: a guard-marker Revoker reads it to know that a
+  // recycled range may hold a fallback PROT_NONE run (vm/revoke.h).
+  [[nodiscard]] bool revoked_prot_none() const noexcept {
+    return revoked_prot_none_.load(std::memory_order_relaxed);
+  }
   static sys::IoResult try_protect_rw(void* p, std::size_t len) noexcept;
   static void protect_none(void* p, std::size_t len);  // throws system_error
   static void protect_rw(void* p, std::size_t len);    // throws system_error
@@ -124,6 +131,7 @@ class PhysArena {
   mutable std::mutex mu_;
   std::mutex relief_mu_;
   std::vector<VaFreeList*> relief_;   // registered shadow free lists
+  std::atomic<bool> revoked_prot_none_{false};
 };
 
 }  // namespace dpg::vm

@@ -18,6 +18,9 @@
 #ifndef MADV_GUARD_INSTALL
 #define MADV_GUARD_INSTALL 102
 #endif
+#ifndef MADV_GUARD_REMOVE
+#define MADV_GUARD_REMOVE 103
+#endif
 
 namespace dpg::vm {
 
@@ -119,6 +122,17 @@ sys::IoResult Revoker::revoke(PhysArena& arena, void* p,
     if (r.ok() || r.err != EINVAL) return r;
   }
   return arena.try_revoke(p, len);
+}
+
+sys::IoResult Revoker::restore(const PhysArena& arena, void* p,
+                               std::size_t len) const noexcept {
+  if (active_ == RevokeBackend::kGuard) {
+    const sys::IoResult r = sys::advise(p, page_up(len), MADV_GUARD_REMOVE);
+    if (!r.ok() || !arena.revoked_prot_none()) return r;
+  }
+  const sys::IoResult r = sys::advise(p, page_up(len), MADV_DONTNEED);
+  if (!r.ok()) return r;
+  return PhysArena::try_protect_rw(p, len);
 }
 
 bool Revoker::guard_supported() noexcept {

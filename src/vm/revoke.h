@@ -21,6 +21,16 @@
 // The kernel refuses an install with EINVAL on a VM_LOCKED alias (mlock,
 // mlockall); that run is revoked through mprotect instead, so detection is
 // never weaker than under kMprotect.
+//
+// restore() is revoke()'s inverse, for a recycled shadow range that still
+// aliases the canonical pages it is wanted for: guard markers come off with
+// MADV_GUARD_REMOVE (mmap read lock, no VMA change, no TLB flush), PROT_NONE
+// with MADV_DONTNEED and mprotect(RW). PROT_NONE keeps the page-table
+// entries of the range's last generation, which the MAP_FIXED a restore
+// replaces would have dropped; MADV_DONTNEED drops them, so a restored range
+// holds only what its next generation touches. Once an EINVAL fallback has
+// left PROT_NONE on any alias of the arena (PhysArena::revoked_prot_none),
+// a kGuard restore lifts both, so it never leaves a PROT_NONE run behind.
 #pragma once
 
 #include <cstddef>
@@ -63,6 +73,13 @@ class Revoker {
   // relief-and-retry posture), or one guard-marker install.
   [[nodiscard]] sys::IoResult revoke(PhysArena& arena, void* p,
                                      std::size_t len) const noexcept;
+
+  // Makes [p, p+len), a revoked alias of `arena`, accessible again in place:
+  // one MADV_GUARD_REMOVE under kGuard; MADV_DONTNEED then mprotect(RW)
+  // under kMprotect, and after the guard removal once the arena has a
+  // fallback PROT_NONE run.
+  [[nodiscard]] sys::IoResult restore(const PhysArena& arena, void* p,
+                                      std::size_t len) const noexcept;
 
   // True when the kernel installs guard markers on a shared memfd mapping.
   // The probe's madvise goes through the fault-injectable shim; the result

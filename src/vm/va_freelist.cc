@@ -29,14 +29,14 @@ VaFreeList::VaFreeList() { register_trim_counter(); }
 
 VaFreeList::~VaFreeList() { release_all(); }
 
-void VaFreeList::put(PageRange range) {
+void VaFreeList::put(PageRange range, std::size_t offset) {
   assert(page_offset(range.base) == 0);
   assert(range.length % kPageSize == 0);
   if (range.length == 0) return;
   bool over_water = false;
   {
     std::lock_guard lock(mu_);
-    buckets_[range.pages()].push_back(range.base);
+    buckets_[range.pages()][offset].push_back(range.base);
     bytes_ += range.length;
     ++count_;
     over_water = trim_limit_ != 0 && count_ >= trim_limit_;
@@ -66,36 +66,51 @@ std::size_t VaFreeList::trims() const {
   return trims_;
 }
 
-std::optional<PageRange> VaFreeList::take(std::size_t len) {
-  const std::size_t want = page_up(len);
-  const std::size_t want_pages = want / kPageSize;
-  std::lock_guard lock(mu_);
-  // Exact-size bucket first (the common case: uniform shadow pages).
-  if (auto it = buckets_.find(want_pages);
-      it != buckets_.end() && !it->second.empty()) {
-    const std::uintptr_t base = it->second.back();
-    it->second.pop_back();
-    if (it->second.empty()) buckets_.erase(it);
-    bytes_ -= want;
-    --count_;
-    return PageRange{base, want};
-  }
-  // Otherwise split the smallest strictly-larger range.
-  auto it = buckets_.upper_bound(want_pages);
-  while (it != buckets_.end() && it->second.empty()) ++it;
-  if (it == buckets_.end()) return std::nullopt;
-  const std::size_t donor_pages = it->first;
-  const std::uintptr_t base = it->second.back();
-  it->second.pop_back();
+VaFreeList::Held VaFreeList::carve_locked(Buckets::iterator it,
+                                          Bucket::iterator bases,
+                                          std::size_t want) {
+  const std::size_t rest_pages = it->first - want / kPageSize;
+  const std::size_t bound = bases->first;
+  const std::uintptr_t base = bases->second.back();
+  bases->second.pop_back();
+  if (bases->second.empty()) it->second.erase(bases);
   if (it->second.empty()) buckets_.erase(it);
-  const std::size_t rest_pages = donor_pages - want_pages;
   if (rest_pages > 0) {
-    buckets_[rest_pages].push_back(base + want);
+    buckets_[rest_pages][bound == kUnbound ? kUnbound : bound + want]
+        .push_back(base + want);
   } else {
     --count_;
   }
   bytes_ -= want;
-  return PageRange{base, want};
+  return Held{PageRange{base, want}, bound};
+}
+
+std::optional<VaFreeList::Held> VaFreeList::take(std::size_t len,
+                                                 std::size_t offset) {
+  const std::size_t want = page_up(len);
+  const std::size_t want_pages = want / kPageSize;
+  std::lock_guard lock(mu_);
+  // Exact-size bucket first (the common case: uniform shadow pages).
+  const auto exact = buckets_.find(want_pages);
+  if (exact != buckets_.end()) {
+    for (const std::size_t b : {offset, kUnbound}) {
+      if (auto bases = exact->second.find(b); bases != exact->second.end()) {
+        return carve_locked(exact, bases, want);
+      }
+    }
+  }
+  // Then split the smallest larger unbound range: a range bound elsewhere is
+  // spent only once no unbound VA that would do is left.
+  for (auto it = buckets_.upper_bound(want_pages); it != buckets_.end();
+       ++it) {
+    if (auto bases = it->second.find(kUnbound); bases != it->second.end()) {
+      return carve_locked(it, bases, want);
+    }
+  }
+  const auto it =
+      exact != buckets_.end() ? exact : buckets_.upper_bound(want_pages);
+  if (it == buckets_.end()) return std::nullopt;
+  return carve_locked(it, it->second.begin(), want);
 }
 
 void VaFreeList::set_release_hook(ReleaseHook hook, void* ctx) noexcept {
@@ -104,23 +119,32 @@ void VaFreeList::set_release_hook(ReleaseHook hook, void* ctx) noexcept {
   hook_ctx_ = ctx;
 }
 
-std::size_t VaFreeList::release_all() noexcept {
+std::vector<PageRange> VaFreeList::take_all() {
   std::vector<PageRange> all;
+  std::lock_guard lock(mu_);
+  all.reserve(count_);
+  for (const auto& [pages, bucket] : buckets_) {
+    for (const auto& [offset, bases] : bucket) {
+      for (std::uintptr_t a : bases) {
+        all.push_back(PageRange{a, pages * kPageSize});
+      }
+    }
+  }
+  buckets_.clear();
+  bytes_ = 0;
+  count_ = 0;
+  return all;
+}
+
+std::size_t VaFreeList::release_all() noexcept {
   ReleaseHook hook = nullptr;
   void* hook_ctx = nullptr;
   {
     std::lock_guard lock(mu_);
-    for (auto& [pages, addrs] : buckets_) {
-      for (std::uintptr_t a : addrs) {
-        all.push_back(PageRange{a, pages * kPageSize});
-      }
-    }
-    buckets_.clear();
-    bytes_ = 0;
-    count_ = 0;
     hook = hook_;
     hook_ctx = hook_ctx_;
   }
+  std::vector<PageRange> all = take_all();
   if (all.empty()) return 0;
   // Coalesce: pool pages often re-enter the list in allocation order, so
   // sorting and merging adjacent ranges turns thousands of per-object spans

@@ -9,9 +9,16 @@
 // mapping directly over it, which atomically replaces the old one — no
 // munmap per object ever happens on the hot path.
 //
-// Ranges are bucketed by page count. take() prefers an exact bucket and
-// otherwise splits the smallest larger range, returning the remainder to the
-// list. No coalescing is attempted: pool pages re-enter the list in the same
+// A shadow range may also remember the canonical file offset it aliases (its
+// binding). A consumer that wants those same canonical pages again takes the
+// bound range and lifts its revocation in place (Revoker::restore) instead
+// of replacing the mapping: no mmap, no mmap write lock (DESIGN.md §11).
+// Every engine over one list aliases one arena, so an offset names the same
+// physical pages for all of them.
+//
+// Ranges are bucketed by page count, and within a size by binding. take()
+// prefers an exact bucket and otherwise splits the smallest larger range,
+// returning the remainder to the list; bindings refine that order (take()). No coalescing is attempted: pool pages re-enter the list in the same
 // granularity they leave it, so fragmentation is bounded in practice (the
 // property tests exercise this).
 #pragma once
@@ -20,6 +27,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "vm/page.h"
@@ -28,6 +36,15 @@ namespace dpg::vm {
 
 class VaFreeList {
  public:
+  // The binding of a range that aliases no known file offset.
+  static constexpr std::size_t kUnbound = ~std::size_t{0};
+
+  // A range taken from the list, with the file offset it is bound to.
+  struct Held {
+    PageRange range;
+    std::size_t offset = kUnbound;
+  };
+
   VaFreeList();
   // Held ranges are still-mapped PROT_NONE/RW spans; munmap them so a
   // destroyed owner (heap, pool context) hands its addresses back to the
@@ -44,7 +61,8 @@ class VaFreeList {
   // put() drains the entire list through the coalescing release_all() path.
   // Trimming proactively keeps the list's VMA footprint bounded long before
   // the emergency valve, which only runs once the kernel already refused.
-  void put(PageRange range);
+  // `offset` binds the range to the file offset its first page aliases.
+  void put(PageRange range, std::size_t offset = kUnbound);
 
   // High-water range count at which put() triggers a coalesced full drain.
   // Default kDefaultTrimLimit; 0 restores the unbounded pre-trim behaviour.
@@ -56,8 +74,13 @@ class VaFreeList {
   [[nodiscard]] std::size_t trims() const;
 
   // Takes a range of at least `len` bytes (rounded to pages); returns exactly
-  // page_up(len) bytes, splitting a larger donor if needed.
-  [[nodiscard]] std::optional<PageRange> take(std::size_t len);
+  // page_up(len) bytes, splitting a larger donor if needed. The order: a
+  // range of the exact size bound to `offset`, then an unbound one of the
+  // exact size, then the smallest larger unbound one; only then a range bound
+  // elsewhere, of the exact size first. A split keeps the donor's binding:
+  // the piece is bound where the donor was, the remainder that far past it.
+  [[nodiscard]] std::optional<Held> take(std::size_t len,
+                                         std::size_t offset = kUnbound);
 
   // Total recyclable bytes currently held.
   [[nodiscard]] std::size_t bytes() const;
@@ -84,24 +107,24 @@ class VaFreeList {
   // teardown to hand the addresses back to the kernel).
   template <typename Fn>
   void drain(Fn&& release) {
-    std::vector<PageRange> all;
-    {
-      std::lock_guard lock(mu_);
-      for (auto& [pages, addrs] : buckets_) {
-        for (std::uintptr_t a : addrs) {
-          all.push_back(PageRange{a, pages * kPageSize});
-        }
-      }
-      buckets_.clear();
-      bytes_ = 0;
-      count_ = 0;
-    }
-    for (const PageRange& r : all) release(r);
+    for (const PageRange& r : take_all()) release(r);
   }
 
  private:
+  // One size bucket: binding -> bases, newest last.
+  using Bucket = std::unordered_map<std::size_t, std::vector<std::uintptr_t>>;
+  using Buckets = std::map<std::size_t, Bucket>;  // pages -> bound bases
+
+  // Pops the newest base of `bases` (in size bucket `it`), keeps what lies
+  // past its first `want` bytes on the list, and returns that first piece.
+  Held carve_locked(Buckets::iterator it, Bucket::iterator bases,
+                    std::size_t want);
+
+  // Empties the list; returns every held range.
+  std::vector<PageRange> take_all();
+
   mutable std::mutex mu_;
-  std::map<std::size_t, std::vector<std::uintptr_t>> buckets_;  // pages -> bases
+  Buckets buckets_;
   std::size_t bytes_ = 0;
   std::size_t count_ = 0;                    // held ranges (== held VMAs)
   std::size_t trim_limit_ = kDefaultTrimLimit;

@@ -107,9 +107,12 @@ TEST_P(GuardPageTest, GuardedSpanRecyclesThroughFreeList) {
   }
   EXPECT_GE(heap_->shadow_freelist().bytes(), span);
   // A new allocation reuses the recycled (data+guard) range and re-arms it.
+  // It lands on the same canonical block, so the range still aliases its
+  // pages and is restored in place, not remapped.
   auto* q = static_cast<char*>(heap_->malloc(16));
   const ObjectRecord* rec2 = ShadowRegistry::global().lookup(vm::addr(q));
   EXPECT_EQ(rec2->shadow_base, base);
+  EXPECT_EQ(heap_->stats().shadow_restores, 1u);
   q[0] = 'q';  // data page is RW again
   const auto report = catch_dangling([&] {
     volatile char c = *reinterpret_cast<char*>(rec2->shadow_base +
@@ -117,7 +120,7 @@ TEST_P(GuardPageTest, GuardedSpanRecyclesThroughFreeList) {
                                                rec2->guard_length);
     (void)c;
   });
-  EXPECT_TRUE(report.has_value());  // guard re-armed after MAP_FIXED reuse
+  EXPECT_TRUE(report.has_value());  // guard re-armed after the restore
   heap_->free(q);
 }
 

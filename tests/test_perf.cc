@@ -22,6 +22,8 @@
 #include "core/guarded_heap.h"
 #include "core/sharded_heap.h"
 #include "vm/phys_arena.h"
+#include "vm/sys.h"
+#include "vm/vm_stats.h"
 
 namespace dpg::core {
 namespace {
@@ -1000,6 +1002,166 @@ TEST(Magazines, FreedVaBudgetKeepsTheNewestFree) {
     ASSERT_TRUE(rep.has_value());
     EXPECT_EQ(rep->object_base, vm::addr(objs[0]));
     for (char* p : buffers) heap.free(p);
+  }
+}
+
+// A window generation the budget releases goes back to the shared list bound
+// to its canonical window, and that window's next generation restores it in
+// place: the same VA, no mmap. One generation fills canonical window 0 (256
+// one-page objects on the first 256 pages of a fresh arena), all of it is
+// freed, and one freed object in window 1 (another size class, so the next
+// span) crosses a one-window budget and releases it.
+struct WindowZero {
+  std::vector<char*> objs;        // the 256 objects of window 0's generation
+  std::uintptr_t shadow = 0;      // the generation's window VA
+  char* neighbour = nullptr;      // freed, guarded, in window 1
+};
+
+WindowZero release_window_zero(ShardedHeap& heap, vm::PhysArena& arena) {
+  WindowZero w;
+  for (std::size_t i = 0; i < ShadowEngine::kWindowPages; ++i) {
+    w.objs.push_back(static_cast<char*>(heap.malloc(4000)));
+    EXPECT_NE(w.objs.back(), nullptr);
+    std::memset(w.objs.back(), 'a', 4000);
+  }
+  const ObjectRecord* first = ShadowEngine::record_of(w.objs.front());
+  EXPECT_EQ(arena.offset_of(reinterpret_cast<void*>(first->canonical)) /
+                ShadowEngine::kWindowBytes,
+            0u);
+  for (char* p : w.objs) {
+    EXPECT_EQ(ShadowEngine::record_of(p)->magazine, first->magazine)
+        << "window 0 took more than one generation";
+  }
+  w.shadow = vm::page_down(first->shadow_base) -
+             vm::page_down(arena.offset_of(
+                 reinterpret_cast<void*>(first->canonical)));
+  for (char* p : w.objs) heap.free(p);
+  heap.flush_all();
+  w.neighbour = static_cast<char*>(heap.malloc(2000));
+  EXPECT_NE(ShadowEngine::record_of(w.neighbour)->magazine, first->magazine);
+  heap.free(w.neighbour);
+  heap.flush_all();
+  for (char* p : w.objs) {
+    EXPECT_EQ(ShadowEngine::record_of(p), nullptr) << "window 0 was kept";
+  }
+  return w;
+}
+
+TEST(Magazines, ReleasedWindowComesBackAtTheSameVaWithNoMmap) {
+  for (const WindowCell& cell : kWindowCells) {
+    if (!cell_runs_here(cell)) continue;
+    SCOPED_TRACE(cell.name);
+    vm::PhysArena arena;
+    DegradationGovernor gov;
+    GuardConfig cfg;
+    cfg.governor = &gov;
+    cfg.freed_va_budget = ShadowEngine::kWindowBytes;
+    cfg.revoke_backend = cell.backend;
+    cfg.protect_batch = cell.protect_batch;
+    ShardedHeap heap(arena, cfg, 1);
+    const WindowZero w = release_window_zero(heap, arena);
+    ASSERT_EQ(heap.stats().shadow_restores, 0u);
+
+    // The next objects on window 0's pages take its next generation: every
+    // page of the restored window must be readable and writable again.
+    const std::uint64_t mmaps = vm::syscall_counters().mmap.load();
+    std::vector<char*> again;
+    for (int i = 0; i < 64; ++i) {
+      again.push_back(static_cast<char*>(heap.malloc(4000)));
+      ASSERT_NE(again.back(), nullptr);
+      const std::uintptr_t sb = ShadowEngine::record_of(again.back())->shadow_base;
+      ASSERT_GE(sb, w.shadow);
+      ASSERT_LT(sb, w.shadow + ShadowEngine::kWindowBytes)
+          << "window 0's next generation is not at its old VA";
+    }
+    for (char* p : again) {
+      const auto rep = catch_dangling([&] {
+        std::memset(p, 'b', 4000);
+        EXPECT_EQ(p[3999], 'b');
+      });
+      EXPECT_FALSE(rep.has_value()) << "a restored page trapped";
+    }
+    EXPECT_EQ(vm::syscall_counters().mmap.load(), mmaps);
+    EXPECT_EQ(heap.stats().shadow_restores, 1u);
+
+    // The neighbour's window was never released: it still traps, exactly.
+    const auto rep = catch_dangling([&] {
+      volatile char c = *w.neighbour;
+      (void)c;
+    });
+    ASSERT_TRUE(rep.has_value()) << "the freed neighbour lost its guard";
+    EXPECT_EQ(rep->object_base, vm::addr(w.neighbour));
+    for (char* p : again) heap.free(p);
+    heap.flush_all();
+    const GuardStats s = heap.stats();
+    EXPECT_EQ(s.frees, s.revoked_spans);
+    EXPECT_EQ(s.guard_failures, 0u);
+  }
+}
+
+// A revocation that fell back to PROT_NONE under guard markers (EINVAL, as
+// on a VM_LOCKED alias) leaves pages a marker removal alone cannot lift.
+// The window still comes back in place, and the restore lifts both: every
+// page of the next generation is read-write, and a free in it traps again.
+// Only the guard cells run: under mprotect every revocation is PROT_NONE,
+// and the test above covers its restore.
+TEST(Magazines, FallbackRevokedWindowIsRestoredReadWrite) {
+  for (const WindowCell& cell : kWindowCells) {
+    if (cell.backend != vm::RevokeBackend::kGuard || !cell_runs_here(cell)) {
+      continue;
+    }
+    SCOPED_TRACE(cell.name);
+    vm::PhysArena arena;
+    DegradationGovernor gov;
+    GuardConfig cfg;
+    cfg.governor = &gov;
+    cfg.freed_va_budget = ShadowEngine::kWindowBytes;
+    cfg.revoke_backend = cell.backend;
+    cfg.protect_batch = cell.protect_batch;
+    ShardedHeap heap(arena, cfg, 1);
+    ASSERT_FALSE(arena.revoked_prot_none());
+    ASSERT_TRUE(vm::sys::set_fault_plan("madvise:errno=EINVAL"));
+    const WindowZero w = release_window_zero(heap, arena);
+    vm::sys::clear_fault_plan();
+    ASSERT_GT(heap.stats().revoked_spans, 0u);
+    ASSERT_TRUE(arena.revoked_prot_none());
+
+    const std::uint64_t mmaps = vm::syscall_counters().mmap.load();
+    const std::uint64_t mprotects = vm::syscall_counters().mprotect.load();
+    std::vector<char*> again;
+    for (int i = 0; i < 64; ++i) {
+      again.push_back(static_cast<char*>(heap.malloc(4000)));
+      ASSERT_NE(again.back(), nullptr);
+      const std::uintptr_t sb = ShadowEngine::record_of(again.back())->shadow_base;
+      ASSERT_GE(sb, w.shadow);
+      ASSERT_LT(sb, w.shadow + ShadowEngine::kWindowBytes)
+          << "window 0's next generation is not at its old VA";
+    }
+    for (char* p : again) {
+      const auto rep = catch_dangling([&] {
+        std::memset(p, 'b', 4000);
+        EXPECT_EQ(p[3999], 'b');
+      });
+      EXPECT_FALSE(rep.has_value()) << "a PROT_NONE page survived the restore";
+    }
+    EXPECT_EQ(heap.stats().shadow_restores, 1u);
+    EXPECT_EQ(vm::syscall_counters().mmap.load(), mmaps);
+    EXPECT_GT(vm::syscall_counters().mprotect.load(), mprotects)
+        << "the restore lifted the markers only";
+
+    char* last = again.back();
+    again.pop_back();
+    heap.free(last);
+    heap.flush_all();
+    const auto rep = catch_dangling([&] {
+      volatile char c = *last;
+      (void)c;
+    });
+    ASSERT_TRUE(rep.has_value()) << "a free in the restored window is unguarded";
+    EXPECT_EQ(rep->object_base, vm::addr(last));
+    for (char* p : again) heap.free(p);
+    heap.flush_all();
+    EXPECT_EQ(heap.stats().guard_failures, 0u);
   }
 }
 

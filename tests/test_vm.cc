@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 #include <sys/mman.h>
 
+#include <cerrno>
 #include <cstring>
 
 #include "vm/page.h"
@@ -159,8 +160,8 @@ TEST(VaFreeList, PutTakeExact) {
   EXPECT_EQ(list.ranges(), 1u);
   const auto taken = list.take(kPageSize);
   ASSERT_TRUE(taken.has_value());
-  EXPECT_EQ(taken->base, 0x100000u);
-  EXPECT_EQ(taken->length, kPageSize);
+  EXPECT_EQ(taken->range.base, 0x100000u);
+  EXPECT_EQ(taken->range.length, kPageSize);
   EXPECT_EQ(list.bytes(), 0u);
 }
 
@@ -174,12 +175,12 @@ TEST(VaFreeList, SplitsLargerRange) {
   list.put(PageRange{0x200000, 4 * kPageSize});
   const auto taken = list.take(kPageSize);
   ASSERT_TRUE(taken.has_value());
-  EXPECT_EQ(taken->length, kPageSize);
+  EXPECT_EQ(taken->range.length, kPageSize);
   EXPECT_EQ(list.bytes(), 3 * kPageSize);
   // The remainder is still usable.
   const auto rest = list.take(3 * kPageSize);
   ASSERT_TRUE(rest.has_value());
-  EXPECT_EQ(rest->length, 3 * kPageSize);
+  EXPECT_EQ(rest->range.length, 3 * kPageSize);
 }
 
 TEST(VaFreeList, PrefersExactBucket) {
@@ -188,7 +189,7 @@ TEST(VaFreeList, PrefersExactBucket) {
   list.put(PageRange{0x400000, kPageSize});
   const auto taken = list.take(kPageSize);
   ASSERT_TRUE(taken.has_value());
-  EXPECT_EQ(taken->base, 0x400000u);  // exact match, not a split
+  EXPECT_EQ(taken->range.base, 0x400000u);  // exact match, not a split
 }
 
 TEST(VaFreeList, TakeTooLargeFails) {
@@ -203,7 +204,7 @@ TEST(VaFreeList, RoundsRequestsUpToPages) {
   list.put(PageRange{0x600000, 2 * kPageSize});
   const auto taken = list.take(100);  // rounds to one page
   ASSERT_TRUE(taken.has_value());
-  EXPECT_EQ(taken->length, kPageSize);
+  EXPECT_EQ(taken->range.length, kPageSize);
 }
 
 TEST(VaFreeList, DrainVisitsEverything) {
@@ -241,6 +242,120 @@ TEST(VaFreeList, HighWaterTrimDrainsOnFirstCrossing) {
   EXPECT_EQ(list.trims(), 1u) << "the first put at the limit drains the list";
   EXPECT_EQ(list.ranges(), 0u);
   EXPECT_EQ(list.bytes(), 0u);
+}
+
+// A bound take returns a range bound to the wanted offset first; without
+// one, an unbound range of the size, then a range bound elsewhere.
+TEST(VaFreeList, BoundTakePrefersTheBindingThenAnyRangeOfTheSize) {
+  VaFreeList list;
+  list.put(PageRange{0xa00000, kPageSize}, 7 * kPageSize);
+  list.put(PageRange{0xb00000, kPageSize});
+  list.put(PageRange{0xc00000, kPageSize}, 3 * kPageSize);
+  list.put(PageRange{0xd00000, 2 * kPageSize}, 3 * kPageSize);
+  auto taken = list.take(kPageSize, 3 * kPageSize);
+  ASSERT_TRUE(taken.has_value());
+  EXPECT_EQ(taken->range, (PageRange{0xc00000, kPageSize}));
+  EXPECT_EQ(taken->offset, 3 * kPageSize);
+  taken = list.take(kPageSize, 3 * kPageSize);
+  ASSERT_TRUE(taken.has_value());
+  EXPECT_EQ(taken->range.base, 0xb00000u) << "unbound before bound elsewhere";
+  EXPECT_EQ(taken->offset, VaFreeList::kUnbound);
+  taken = list.take(kPageSize, 3 * kPageSize);
+  ASSERT_TRUE(taken.has_value());
+  EXPECT_EQ(taken->range.base, 0xa00000u) << "any range of the size";
+  EXPECT_EQ(taken->offset, 7 * kPageSize);
+  // Only the two-page range is left: a split keeps its binding, the piece
+  // where the donor was bound and the remainder one piece further.
+  taken = list.take(kPageSize, 9 * kPageSize);
+  ASSERT_TRUE(taken.has_value());
+  EXPECT_EQ(taken->range, (PageRange{0xd00000, kPageSize}));
+  EXPECT_EQ(taken->offset, 3 * kPageSize);
+  taken = list.take(kPageSize, 4 * kPageSize);
+  ASSERT_TRUE(taken.has_value());
+  EXPECT_EQ(taken->range, (PageRange{0xd00000 + kPageSize, kPageSize}));
+  EXPECT_EQ(taken->offset, 4 * kPageSize);
+  EXPECT_FALSE(list.take(kPageSize).has_value());
+  EXPECT_EQ(list.ranges(), 0u);
+  EXPECT_EQ(list.bytes(), 0u);
+}
+
+// Without a range of the size bound to the wanted offset or unbound, a take
+// splits a larger unbound range before it spends a range bound elsewhere.
+TEST(VaFreeList, SplitsUnboundBeforeSpendingABinding) {
+  VaFreeList list;
+  list.put(PageRange{0xa00000, kPageSize}, 7 * kPageSize);
+  list.put(PageRange{0xb00000, 2 * kPageSize}, 3 * kPageSize);
+  list.put(PageRange{0xe00000, 4 * kPageSize});
+  auto taken = list.take(kPageSize, 5 * kPageSize);
+  ASSERT_TRUE(taken.has_value());
+  EXPECT_EQ(taken->range, (PageRange{0xe00000, kPageSize}));
+  EXPECT_EQ(taken->offset, VaFreeList::kUnbound);
+  taken = list.take(2 * kPageSize, 5 * kPageSize);
+  ASSERT_TRUE(taken.has_value());
+  EXPECT_EQ(taken->range, (PageRange{0xe00000 + kPageSize, 2 * kPageSize}))
+      << "the unbound remainder before the bound range of the size";
+  EXPECT_EQ(taken->offset, VaFreeList::kUnbound);
+  // The unbound page left is the smallest range; a two-page request takes
+  // the bound range of its size, not a split.
+  taken = list.take(2 * kPageSize, 5 * kPageSize);
+  ASSERT_TRUE(taken.has_value());
+  EXPECT_EQ(taken->range.base, 0xb00000u);
+  EXPECT_EQ(taken->offset, 3 * kPageSize);
+  EXPECT_EQ(list.ranges(), 2u);
+  EXPECT_EQ(list.bytes(), 2 * kPageSize);
+}
+
+// True when no page of [base, base + len) is mapped.
+bool unmapped(std::uintptr_t base, std::size_t len) {
+  unsigned char vec[8];
+  for (std::size_t off = 0; off < len; off += kPageSize) {
+    if (::mincore(reinterpret_cast<void*>(base + off), kPageSize, vec) == 0 ||
+        errno != ENOMEM) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// The trim and release_all hand bound ranges back to the kernel like any
+// other, and the release hook counts them as ranges.
+TEST(VaFreeList, TrimAndReleaseAllUnmapBoundRanges) {
+  constexpr std::size_t kPages = 4;
+  std::size_t hooked = 0;
+  const VaFreeList::ReleaseHook count = [](void* ctx, std::size_t ranges) {
+    *static_cast<std::size_t*>(ctx) += ranges;
+  };
+  for (const bool trim : {true, false}) {
+    SCOPED_TRACE(trim ? "trim" : "release_all");
+    void* region = ::mmap(nullptr, kPages * kPageSize, PROT_NONE,
+                          MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    ASSERT_NE(region, MAP_FAILED);
+    const std::uintptr_t base = addr(region);
+    VaFreeList list;
+    list.set_release_hook(count, &hooked);
+    list.set_trim_limit(kPages);
+    hooked = 0;
+    for (std::size_t i = 0; i + 1 < kPages; ++i) {
+      list.put(PageRange{base + i * kPageSize, kPageSize},
+               i % 2 == 0 ? i * kPageSize : VaFreeList::kUnbound);
+    }
+    EXPECT_EQ(list.ranges(), kPages - 1);
+    if (trim) {
+      list.put(PageRange{base + (kPages - 1) * kPageSize, kPageSize},
+               42 * kPageSize);
+      EXPECT_EQ(list.trims(), 1u);
+      EXPECT_EQ(hooked, kPages);
+      EXPECT_TRUE(unmapped(base, kPages * kPageSize));
+    } else {
+      EXPECT_EQ(list.release_all(), (kPages - 1) * kPageSize);
+      EXPECT_EQ(hooked, kPages - 1);
+      EXPECT_TRUE(unmapped(base, (kPages - 1) * kPageSize));
+      ::munmap(reinterpret_cast<void*>(base + (kPages - 1) * kPageSize),
+               kPageSize);
+    }
+    EXPECT_EQ(list.ranges(), 0u);
+    EXPECT_EQ(list.bytes(), 0u);
+  }
 }
 
 TEST(SyscallCounters, TotalSumsComponents) {
@@ -299,7 +414,7 @@ TEST_P(VaFreeListSweep, SplitConservesBytes) {
   list.put(PageRange{0x10000000, donor_pages * kPageSize});
   std::size_t taken_total = 0;
   while (auto taken = list.take(kPageSize)) {
-    taken_total += taken->length;
+    taken_total += taken->range.length;
   }
   EXPECT_EQ(taken_total, donor_pages * kPageSize);
 }
